@@ -136,8 +136,9 @@ def check_candidate(
     """
     st = candidate.states
     dt = candidate.dt
-    _, _, _, nor, _ = path.frame(st[:, 0])
-    xy = path.position(st[:, 0]) + st[:, 3][:, None] * nor
+    (px, py), _, _, (nx, ny), _ = path.frame(st[:, 0])
+    d = st[:, 3]
+    xy = np.stack([px + d * nx, py + d * ny], axis=-1)
 
     vel = np.gradient(xy, dt, axis=0, edge_order=2)
     acc = np.gradient(vel, dt, axis=0, edge_order=2)

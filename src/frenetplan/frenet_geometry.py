@@ -61,37 +61,42 @@ class ReferencePath:
         self.arc_length_knots = knots
         self._sx = spline_x
         self._sy = spline_y
-        # per-segment cubic coefficients stacked for both coordinates,
-        # shape (4, n_segments, 2), highest power first
-        self._coef = np.stack([spline_x.c, spline_y.c], axis=-1)
+        # per-segment cubic coefficients of each coordinate, shape
+        # (4, n_segments), highest power first
+        self._cx = spline_x.c
+        self._cy = spline_y.c
         self.total_length = float(knots[-1])
 
     def _eval_all(self, s):
-        """Position and first two derivatives in one pass (extrapolating)."""
+        """Position and first two derivatives in one pass (extrapolating).
+
+        Each is an (x, y) pair of arrays shaped like ``s``.
+        """
         s = np.asarray(s, dtype=float)
         knots = self.arc_length_knots
-        idx = np.clip(np.searchsorted(knots, s, side="right") - 1, 0, len(knots) - 2)
-        u = (s - knots[idx])[..., None]
-        c = self._coef[:, idx]
-        c0u = c[0] * u
-        pos = ((c0u + c[1]) * u + c[2]) * u + c[3]
-        d1 = (3.0 * c0u + 2.0 * c[1]) * u + c[2]
-        d2 = 6.0 * c0u + 2.0 * c[1]
-        return pos, d1, d2
+        # segment index, clamped to the first/last segment outside the knots
+        idx = np.searchsorted(knots[1:-1], s, side="right")
+        u = s - knots[idx]
+        pos, d1, d2 = [], [], []
+        for coef in (self._cx, self._cy):
+            c = coef.take(idx, axis=1)
+            c0u = c[0] * u
+            pos.append(((c0u + c[1]) * u + c[2]) * u + c[3])
+            d1.append((3.0 * c0u + 2.0 * c[1]) * u + c[2])
+            d2.append(6.0 * c0u + 2.0 * c[1])
+        return tuple(pos), tuple(d1), tuple(d2)
 
     def position(self, s):
-        return self._eval_all(s)[0]
+        return np.stack(self._eval_all(s)[0], axis=-1)
 
     def derivative(self, s, order=1):
-        if order == 1:
-            return self._eval_all(s)[1]
-        if order == 2:
-            return self._eval_all(s)[2]
+        if order in (1, 2):
+            return np.stack(self._eval_all(s)[order], axis=-1)
         s = np.asarray(s, dtype=float)
         return np.stack([self._sx(s, order), self._sy(s, order)], axis=-1)
 
     def tangent(self, s):
-        d1 = self._eval_all(s)[1]
+        d1 = np.stack(self._eval_all(s)[1], axis=-1)
         return d1 / np.linalg.norm(d1, axis=-1, keepdims=True)
 
     def normal(self, s):
@@ -99,9 +104,9 @@ class ReferencePath:
         return np.stack([-t[..., 1], t[..., 0]], axis=-1)
 
     def curvature(self, s):
-        _, d1, d2 = self._eval_all(s)
-        cross = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-        speed = np.linalg.norm(d1, axis=-1)
+        _, (d1x, d1y), (d2x, d2y) = self._eval_all(s)
+        cross = d1x * d2y - d1y * d2x
+        speed = np.sqrt(d1x * d1x + d1y * d1y)
         return cross / speed**3
 
     def frame(self, s):
@@ -110,14 +115,15 @@ class ReferencePath:
         Single batched evaluation used by force assembly and metrics; the
         parameter speed gamma = |r'(s)| is ~1 but kept exact so downstream
         Jacobians differentiate the implemented geometry, not the ideal one.
+        Position, tangent and normal come as (x, y) pairs of arrays shaped
+        like ``s``.
         """
-        pos, d1, d2 = self._eval_all(s)
-        gamma = np.sqrt(d1[..., 0] ** 2 + d1[..., 1] ** 2)
-        tan = d1 / gamma[..., None]
-        nor = np.stack([-tan[..., 1], tan[..., 0]], axis=-1)
-        cross = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-        kappa = cross / gamma**3
-        return pos, gamma, tan, nor, kappa
+        pos, (d1x, d1y), (d2x, d2y) = self._eval_all(s)
+        gamma = np.sqrt(d1x**2 + d1y**2)
+        tx = d1x / gamma
+        ty = d1y / gamma
+        kappa = (d1x * d2y - d1y * d2x) / gamma**3
+        return pos, gamma, (tx, ty), (-ty, tx), kappa
 
 
 def _segment_lengths(sx, sy, knots):

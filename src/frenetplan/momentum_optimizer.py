@@ -257,42 +257,49 @@ def lagrangian_at(
 
 # --- batched force field and its state Jacobian -------------------------------
 # All helpers below treat the node axis as the last axis and broadcast over
-# any leading batch axes.
-
-def _dot(a, b):
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
-
+# any leading batch axes. A 2-vector is an (x, y) or (s, d) pair of arrays and
+# a Jacobian is two rows (force components) of four arrays (columns s, vs, d,
+# vd), so every elementwise operation runs over whole contiguous arrays rather
+# than over a trailing axis of length 2.
 
 def _assistive_batch(s, vs, d, vd, params: AssistiveParams, want_jac: bool):
     """Saturated guidance force per node; Jacobian columns are (s, vs, d, vd)."""
     beta, dbeta = _bumps(s, params)
-    raw = np.stack(
-        [
-            -params.speed_gain * (vs - params.target_speed) * (1.0 + beta),
-            -params.centering_gain * d - params.damping_gain * vd,
-        ],
-        axis=-1,
+    force = (
+        -params.speed_gain * (vs - params.target_speed) * (1.0 + beta),
+        -params.centering_gain * d - params.damping_gain * vd,
     )
     jac = None
     if want_jac:
-        jac = np.zeros(raw.shape[:-1] + (2, 4))
-        jac[..., 0, 0] = -params.speed_gain * (vs - params.target_speed) * dbeta
-        jac[..., 0, 1] = -params.speed_gain * (1.0 + beta)
-        jac[..., 1, 2] = -params.centering_gain
-        jac[..., 1, 3] = -params.damping_gain
+        shape = np.shape(force[0])
+        jac = (
+            [
+                -params.speed_gain * (vs - params.target_speed) * dbeta,
+                -params.speed_gain * (1.0 + beta),
+                np.zeros(shape),
+                np.zeros(shape),
+            ],
+            [
+                np.zeros(shape),
+                np.zeros(shape),
+                np.full(shape, -params.centering_gain),
+                np.full(shape, -params.damping_gain),
+            ],
+        )
 
-    norm = np.sqrt(_dot(raw, raw))
+    norm = np.sqrt(force[0] * force[0] + force[1] * force[1])
     sat = norm > params.max_force
-    force = raw.copy()
     if np.any(sat):
         scale = params.max_force / norm[sat]
-        force[sat] = raw[sat] * scale[:, None]
         if want_jac:
-            rhat = raw[sat] / norm[sat, None]
-            rj = np.einsum("nk,nkz->nz", rhat, jac[sat])
-            jac[sat] = scale[:, None, None] * (
-                jac[sat] - rhat[:, :, None] * rj[:, None, :]
-            )
+            rhat = [f[sat] / norm[sat] for f in force]
+            j_sat = [[j[sat] for j in row] for row in jac]
+            rj = [rhat[0] * j_sat[0][z] + rhat[1] * j_sat[1][z] for z in range(4)]
+            for k in range(2):
+                for z in range(4):
+                    jac[k][z][sat] = scale * (j_sat[k][z] - rhat[k] * rj[z])
+        for f in force:
+            f[sat] = f[sat] * scale
     return force, jac
 
 
@@ -304,80 +311,99 @@ def _interaction_batch(times, s, vs, d, vd, ctx: PlanningContext, want_jac: bool
     against the implemented spline geometry (parameter speed included).
     """
     shape = np.shape(s)
-    force_fren = np.zeros(shape + (2,))
-    jac = np.zeros(shape + (2, 4)) if want_jac else None
     if not ctx.neighbors:
-        return force_fren, jac
+        jac = tuple([np.zeros(shape) for _ in range(4)] for _ in range(2)) if want_jac else None
+        return (np.zeros(shape), np.zeros(shape)), jac
 
-    pos, gamma, tan, nor, kappa = ctx.path.frame(s)
-    x = pos + d[..., None] * nor
-    u = vs[..., None] * tan + vd[..., None] * nor
+    (px, py), gamma, (tx, ty), (nx, ny), kappa = ctx.path.frame(s)
+    ax = px + d * nx
+    ay = py + d * ny
+    ux = vs * tx + vd * nx
+    uy = vs * ty + vd * ny
     params = ctx.interaction
 
-    f_cart = np.zeros(shape + (2,))
-    jc = np.zeros(shape + (4, 2)) if want_jac else None
+    fx = np.zeros(shape)
+    fy = np.zeros(shape)
     if want_jac:
-        dx_ds = (gamma * (1.0 - d * kappa))[..., None] * tan
-        du_ds = (gamma * kappa)[..., None] * (vs[..., None] * nor - vd[..., None] * tan)
+        # jc[z] is the pair (x, y) of the Cartesian force's derivative along z
+        jc = [[np.zeros(shape), np.zeros(shape)] for _ in range(4)]
+        g1 = gamma * (1.0 - d * kappa)
+        dx_ds = (g1 * tx, g1 * ty)
+        gk = gamma * kappa
+        du_ds = (gk * (vs * nx - vd * tx), gk * (vs * ny - vd * ty))
 
     for nb in ctx.neighbors:
-        q = nb.position + times[..., None] * nb.velocity
-        rvec = x - q
-        r = np.sqrt(_dot(rvec, rvec))
+        (qx, qy), (wx, wy) = nb.position, nb.velocity
+        rx = ax - (qx + times * wx)
+        ry = ay - (qy + times * wy)
+        r = np.sqrt(rx * rx + ry * ry)
         if np.any(r < _COINCIDENT_DIST):
             raise CoincidentNeighbor("neighbor coincides with a trajectory sample")
         active = r <= params.cutoff
         if not np.any(active):
             continue
-        nhat = rvec / r[..., None]
-        du = u - nb.velocity
-        dv = np.sqrt(_dot(du, du))
-        safe_dv = np.where(dv > 1e-12, dv, 1.0)
-        dvhat = np.where((dv > 1e-12)[..., None], du / safe_dv[..., None], 0.0)
+        nhx = rx / r
+        nhy = ry / r
+        dux = ux - wx
+        duy = uy - wy
+        dv = np.sqrt(dux * dux + duy * duy)
+        moving = dv > 1e-12
+        safe_dv = np.where(moving, dv, 1.0)
+        dvx = np.where(moving, dux / safe_dv, 0.0)
+        dvy = np.where(moving, duy / safe_dv, 0.0)
         decay = np.exp(-r / params.range_scale)
         base = decay * (1.0 + dv / params.speed_scale)
         alpha = params.max_intensity * np.minimum(base, 1.0)
         act = active.astype(float)
-        f_cart += (act * alpha)[..., None] * nhat
+        act_alpha = act * alpha
+        fx += act_alpha * nhx
+        fy += act_alpha * nhy
 
         if want_jac:
             pref = params.max_intensity * decay * (base < 1.0) * act
             scale_r = -pref * (1.0 + dv / params.speed_scale) / params.range_scale
             scale_v = pref / params.speed_scale
-            dalpha = np.empty(shape + (4,))
-            dalpha[..., 0] = scale_r * _dot(nhat, dx_ds) + scale_v * _dot(dvhat, du_ds)
-            dalpha[..., 1] = scale_v * _dot(dvhat, tan)
-            dalpha[..., 2] = scale_r * _dot(nhat, nor)
-            dalpha[..., 3] = scale_v * _dot(dvhat, nor)
-            jc += dalpha[..., :, None] * nhat[..., None, :]
+            dalpha = (
+                scale_r * (nhx * dx_ds[0] + nhy * dx_ds[1])
+                + scale_v * (dvx * du_ds[0] + dvy * du_ds[1]),
+                scale_v * (dvx * tx + dvy * ty),
+                scale_r * (nhx * nx + nhy * ny),
+                scale_v * (dvx * nx + dvy * ny),
+            )
+            for (jx, jy), da in zip(jc, dalpha):
+                jx += da * nhx
+                jy += da * nhy
             # direction change: (alpha/r) (I - nhat nhat^T) dx/dz, z in {s, d}
-            coef = (act * alpha / r)[..., None]
-            for z, dx in ((0, dx_ds), (2, nor)):
-                proj = dx - nhat * _dot(nhat, dx)[..., None]
-                jc[..., z, :] += coef * proj
+            coef = act_alpha / r
+            for z, (ex, ey) in ((0, dx_ds), (2, (nx, ny))):
+                proj = nhx * ex + nhy * ey
+                jc[z][0] += coef * (ex - nhx * proj)
+                jc[z][1] += coef * (ey - nhy * proj)
 
-    force_fren[..., 0] = _dot(f_cart, tan)
-    force_fren[..., 1] = _dot(f_cart, nor)
-    if want_jac:
-        jac[..., 0, :] = (
-            jc[..., :, 0] * tan[..., None, 0] + jc[..., :, 1] * tan[..., None, 1]
-        )
-        jac[..., 1, :] = (
-            jc[..., :, 0] * nor[..., None, 0] + jc[..., :, 1] * nor[..., None, 1]
-        )
-        # frame rotation along s: dt/ds = gamma*kappa*n, dn/ds = -gamma*kappa*t
-        gk = gamma * kappa
-        jac[..., 0, 0] += gk * _dot(f_cart, nor)
-        jac[..., 1, 0] -= gk * _dot(f_cart, tan)
-    return force_fren, jac
+    force = (fx * tx + fy * ty, fx * nx + fy * ny)
+    if not want_jac:
+        return force, None
+    jac = (
+        [jx * tx + jy * ty for jx, jy in jc],
+        [jx * nx + jy * ny for jx, jy in jc],
+    )
+    # frame rotation along s: dt/ds = gamma*kappa*n, dn/ds = -gamma*kappa*t
+    jac[0][0] += gk * force[1]
+    jac[1][0] -= gk * force[0]
+    return force, jac
 
 
 def _force_field(times, s, vs, d, vd, ctx: PlanningContext, want_jac: bool):
     """External modulation F_ext = -F_assistive + F_interaction per node."""
     f_asst, j_asst = _assistive_batch(s, vs, d, vd, ctx.assistive, want_jac)
     f_int, j_int = _interaction_batch(times, s, vs, d, vd, ctx, want_jac)
-    force = f_int - f_asst
-    jac = (j_int - j_asst) if want_jac else None
+    force = (f_int[0] - f_asst[0], f_int[1] - f_asst[1])
+    jac = None
+    if want_jac:
+        jac = tuple(
+            [a - b for a, b in zip(row_int, row_asst)]
+            for row_int, row_asst in zip(j_int, j_asst)
+        )
     return force, jac
 
 
@@ -426,46 +452,50 @@ def _fd_accel_adjoint(y, h):
     return g
 
 
-def _running_cost(times, ps, pd, ctx, config):
-    """Trapezoid of the running cost; broadcasts over leading batch axes."""
+def _fd_terms(times, ps, pd):
+    """Node spacing, then velocities and accelerations of both axes."""
     h = float(times[1] - times[0])
-    vs = _fd_velocity(ps, h)
-    vd = _fd_velocity(pd, h)
-    a_s = _fd_accel(ps, h)
-    a_d = _fd_accel(pd, h)
-    force, _ = _force_field(times, ps, vs, pd, vd, ctx, want_jac=False)
-    integrand = (
+    return h, _fd_velocity(ps, h), _fd_velocity(pd, h), _fd_accel(ps, h), _fd_accel(pd, h)
+
+
+def _integrand(vs, vd, a_s, a_d, force, ctx, config):
+    """Running cost per node: kinetic - modulation + accel + uncertainty."""
+    return (
         0.5 * config.mass * (vs * vs + vd * vd)
-        - (force[..., 0] * vs + force[..., 1] * vd)
+        - (force[0] * vs + force[1] * vd)
         + config.accel_weight * (a_s * a_s + a_d * a_d)
         + config.uncertainty_weight * ctx.sigma_trace()
     )
-    return np.trapezoid(integrand, times, axis=-1)
 
 
-def _running_gradient(times, ps, pd, ctx, config):
-    """Gradient of the discretized running cost w.r.t. the free positions."""
-    h = float(times[1] - times[0])
-    vs = _fd_velocity(ps, h)
-    vd = _fd_velocity(pd, h)
-    a_s = _fd_accel(ps, h)
-    a_d = _fd_accel(pd, h)
+def _running_cost(times, ps, pd, ctx, config):
+    """Trapezoid of the running cost; broadcasts over leading batch axes."""
+    _, vs, vd, a_s, a_d = _fd_terms(times, ps, pd)
+    force, _ = _force_field(times, ps, vs, pd, vd, ctx, want_jac=False)
+    return np.trapezoid(_integrand(vs, vd, a_s, a_d, force, ctx, config), times, axis=-1)
+
+
+def _cost_and_gradient(times, ps, pd, ctx, config):
+    """Running cost and its gradient w.r.t. the free positions, both from one
+    evaluation of the force field and its Jacobian."""
+    h, vs, vd, a_s, a_d = _fd_terms(times, ps, pd)
     force, jac = _force_field(times, ps, vs, pd, vd, ctx, want_jac=True)
+    cost = np.trapezoid(_integrand(vs, vd, a_s, a_d, force, ctx, config), times, axis=-1)
 
     w = np.full(len(times), h)
     w[0] = w[-1] = 0.5 * h
 
-    direct_s = -(jac[..., 0, 0] * vs + jac[..., 1, 0] * vd)
-    direct_d = -(jac[..., 0, 2] * vs + jac[..., 1, 2] * vd)
-    dv_s = config.mass * vs - force[..., 0] - (jac[..., 0, 1] * vs + jac[..., 1, 1] * vd)
-    dv_d = config.mass * vd - force[..., 1] - (jac[..., 0, 3] * vs + jac[..., 1, 3] * vd)
+    direct_s = -(jac[0][0] * vs + jac[1][0] * vd)
+    direct_d = -(jac[0][2] * vs + jac[1][2] * vd)
+    dv_s = config.mass * vs - force[0] - (jac[0][1] * vs + jac[1][1] * vd)
+    dv_d = config.mass * vd - force[1] - (jac[0][3] * vs + jac[1][3] * vd)
     da_s = 2.0 * config.accel_weight * a_s
     da_d = 2.0 * config.accel_weight * a_d
 
     grad_s = w * direct_s + _fd_velocity_adjoint(w * dv_s, h) + _fd_accel_adjoint(w * da_s, h)
     grad_d = w * direct_d + _fd_velocity_adjoint(w * dv_d, h) + _fd_accel_adjoint(w * da_d, h)
     lo, hi = _FIXED_EDGE, len(times) - _FIXED_EDGE
-    return np.stack([grad_s[..., lo:hi], grad_d[..., lo:hi]], axis=-1)
+    return cost, np.stack([grad_s[..., lo:hi], grad_d[..., lo:hi]], axis=-1)
 
 
 def total_cost(
@@ -511,7 +541,7 @@ def cost_gradient(
     else:
         ps = positions[:, 0]
         pd = positions[:, 1]
-    return _running_gradient(candidate.times, ps, pd, ctx, config)
+    return _cost_and_gradient(candidate.times, ps, pd, ctx, config)[1]
 
 
 def _descend(times, ps, pd, ctx, config, reg_terms):
@@ -519,10 +549,13 @@ def _descend(times, ps, pd, ctx, config, reg_terms):
 
     ``ps``/``pd`` have shape (batch, n_samples); each row carries its own
     constant regularizer term, cost history, and line-search step. Rows stop
-    independently on the gradient tolerance or a failed line search.
+    independently on the gradient tolerance or a failed line search. Each
+    trial point is evaluated once, for its cost and gradient together; an
+    accepted row carries that gradient into the next iteration.
     """
     n_batch, n_nodes = ps.shape
-    cur = _running_cost(times, ps, pd, ctx, config) + reg_terms
+    cur, grad = _cost_and_gradient(times, ps, pd, ctx, config)
+    cur = cur + reg_terms
     histories = [[float(c)] for c in cur]
     if config.max_iters == 0 or n_nodes <= 2 * _FIXED_EDGE:
         return ps, pd, cur, histories
@@ -537,7 +570,6 @@ def _descend(times, ps, pd, ctx, config, reg_terms):
 
     alive = np.ones(n_batch, dtype=bool)
     for _ in range(config.max_iters):
-        grad = _running_gradient(times, ps, pd, ctx, config)
         gnorm2 = np.sum(grad * grad, axis=(-2, -1))
         alive &= np.sqrt(gnorm2) > config.grad_tol
         if not np.any(alive):
@@ -545,6 +577,8 @@ def _descend(times, ps, pd, ctx, config, reg_terms):
         alpha = np.full(n_batch, step0)
         trying = alive.copy()
         accepted = np.zeros(n_batch, dtype=bool)
+        # rows still backtracking keep stepping along this iteration's gradient
+        next_grad = grad.copy()
         for _ in range(_MAX_BACKTRACKS):
             if not np.any(trying):
                 break
@@ -552,17 +586,20 @@ def _descend(times, ps, pd, ctx, config, reg_terms):
             pd_try = pd.copy()
             ps_try[:, lo:hi] -= alpha[:, None] * grad[..., 0]
             pd_try[:, lo:hi] -= alpha[:, None] * grad[..., 1]
-            costs = _running_cost(times, ps_try, pd_try, ctx, config) + reg_terms
+            costs, grad_try = _cost_and_gradient(times, ps_try, pd_try, ctx, config)
+            costs = costs + reg_terms
             ok = trying & (costs <= cur - config.armijo_c * alpha * gnorm2)
             if np.any(ok):
                 ps[ok] = ps_try[ok]
                 pd[ok] = pd_try[ok]
                 cur[ok] = costs[ok]
+                next_grad[ok] = grad_try[ok]
                 accepted |= ok
                 for i in np.nonzero(ok)[0]:
                     histories[i].append(float(costs[i]))
             trying &= ~ok
             alpha[trying] *= config.step_shrink
+        grad = next_grad
         alive &= accepted
         if not np.any(alive):
             break

@@ -1,0 +1,282 @@
+"""The force kernels, path frame and two-pass descent as they were before
+refinement moved to component-major arrays and one force-field evaluation per
+iteration, kept as references for the equivalence tests.
+
+Each function is a verbatim copy of the earlier implementation: 2-vectors on
+a trailing axis of length 2, Jacobians of shape (..., 2, 4), and a descent
+that evaluates the cost at each trial point and then the gradient at the
+accepted point. Only the names they call were rebound: ``frame`` and
+``_eval_all`` take the path as an argument, and the per-segment coefficients
+are stacked from the path's splines by ``_coef``.
+"""
+
+import numpy as np
+
+from frenetplan.errors import CoincidentNeighbor
+from frenetplan.momentum_optimizer import (
+    _COINCIDENT_DIST,
+    _FIXED_EDGE,
+    _MAX_BACKTRACKS,
+    AssistiveParams,
+    PlanningContext,
+    _bumps,
+    _fd_accel,
+    _fd_accel_adjoint,
+    _fd_velocity,
+    _fd_velocity_adjoint,
+)
+
+
+def _coef(path):
+    # per-segment cubic coefficients stacked for both coordinates,
+    # shape (4, n_segments, 2), highest power first
+    return np.stack([path._sx.c, path._sy.c], axis=-1)
+
+
+def _eval_all(path, s):
+    """Position and first two derivatives in one pass (extrapolating)."""
+    s = np.asarray(s, dtype=float)
+    knots = path.arc_length_knots
+    idx = np.clip(np.searchsorted(knots, s, side="right") - 1, 0, len(knots) - 2)
+    u = (s - knots[idx])[..., None]
+    c = _coef(path)[:, idx]
+    c0u = c[0] * u
+    pos = ((c0u + c[1]) * u + c[2]) * u + c[3]
+    d1 = (3.0 * c0u + 2.0 * c[1]) * u + c[2]
+    d2 = 6.0 * c0u + 2.0 * c[1]
+    return pos, d1, d2
+
+
+def frame(path, s):
+    """Position, parameter speed, unit tangent/normal, and curvature at s.
+
+    Single batched evaluation used by force assembly and metrics; the
+    parameter speed gamma = |r'(s)| is ~1 but kept exact so downstream
+    Jacobians differentiate the implemented geometry, not the ideal one.
+    """
+    pos, d1, d2 = _eval_all(path, s)
+    gamma = np.sqrt(d1[..., 0] ** 2 + d1[..., 1] ** 2)
+    tan = d1 / gamma[..., None]
+    nor = np.stack([-tan[..., 1], tan[..., 0]], axis=-1)
+    cross = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    kappa = cross / gamma**3
+    return pos, gamma, tan, nor, kappa
+
+
+def _dot(a, b):
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
+def _assistive_batch(s, vs, d, vd, params: AssistiveParams, want_jac: bool):
+    """Saturated guidance force per node; Jacobian columns are (s, vs, d, vd)."""
+    beta, dbeta = _bumps(s, params)
+    raw = np.stack(
+        [
+            -params.speed_gain * (vs - params.target_speed) * (1.0 + beta),
+            -params.centering_gain * d - params.damping_gain * vd,
+        ],
+        axis=-1,
+    )
+    jac = None
+    if want_jac:
+        jac = np.zeros(raw.shape[:-1] + (2, 4))
+        jac[..., 0, 0] = -params.speed_gain * (vs - params.target_speed) * dbeta
+        jac[..., 0, 1] = -params.speed_gain * (1.0 + beta)
+        jac[..., 1, 2] = -params.centering_gain
+        jac[..., 1, 3] = -params.damping_gain
+
+    norm = np.sqrt(_dot(raw, raw))
+    sat = norm > params.max_force
+    force = raw.copy()
+    if np.any(sat):
+        scale = params.max_force / norm[sat]
+        force[sat] = raw[sat] * scale[:, None]
+        if want_jac:
+            rhat = raw[sat] / norm[sat, None]
+            rj = np.einsum("nk,nkz->nz", rhat, jac[sat])
+            jac[sat] = scale[:, None, None] * (
+                jac[sat] - rhat[:, :, None] * rj[:, None, :]
+            )
+    return force, jac
+
+
+def _interaction_batch(times, s, vs, d, vd, ctx: PlanningContext, want_jac: bool):
+    """Repulsion projected on the local (tangent, normal) frame per node.
+
+    The agent's Cartesian position is r(s) + d*n(s) and its velocity is
+    approximated as vs*t(s) + vd*n(s); both are differentiated exactly
+    against the implemented spline geometry (parameter speed included).
+    """
+    shape = np.shape(s)
+    force_fren = np.zeros(shape + (2,))
+    jac = np.zeros(shape + (2, 4)) if want_jac else None
+    if not ctx.neighbors:
+        return force_fren, jac
+
+    pos, gamma, tan, nor, kappa = frame(ctx.path, s)
+    x = pos + d[..., None] * nor
+    u = vs[..., None] * tan + vd[..., None] * nor
+    params = ctx.interaction
+
+    f_cart = np.zeros(shape + (2,))
+    jc = np.zeros(shape + (4, 2)) if want_jac else None
+    if want_jac:
+        dx_ds = (gamma * (1.0 - d * kappa))[..., None] * tan
+        du_ds = (gamma * kappa)[..., None] * (vs[..., None] * nor - vd[..., None] * tan)
+
+    for nb in ctx.neighbors:
+        q = nb.position + times[..., None] * nb.velocity
+        rvec = x - q
+        r = np.sqrt(_dot(rvec, rvec))
+        if np.any(r < _COINCIDENT_DIST):
+            raise CoincidentNeighbor("neighbor coincides with a trajectory sample")
+        active = r <= params.cutoff
+        if not np.any(active):
+            continue
+        nhat = rvec / r[..., None]
+        du = u - nb.velocity
+        dv = np.sqrt(_dot(du, du))
+        safe_dv = np.where(dv > 1e-12, dv, 1.0)
+        dvhat = np.where((dv > 1e-12)[..., None], du / safe_dv[..., None], 0.0)
+        decay = np.exp(-r / params.range_scale)
+        base = decay * (1.0 + dv / params.speed_scale)
+        alpha = params.max_intensity * np.minimum(base, 1.0)
+        act = active.astype(float)
+        f_cart += (act * alpha)[..., None] * nhat
+
+        if want_jac:
+            pref = params.max_intensity * decay * (base < 1.0) * act
+            scale_r = -pref * (1.0 + dv / params.speed_scale) / params.range_scale
+            scale_v = pref / params.speed_scale
+            dalpha = np.empty(shape + (4,))
+            dalpha[..., 0] = scale_r * _dot(nhat, dx_ds) + scale_v * _dot(dvhat, du_ds)
+            dalpha[..., 1] = scale_v * _dot(dvhat, tan)
+            dalpha[..., 2] = scale_r * _dot(nhat, nor)
+            dalpha[..., 3] = scale_v * _dot(dvhat, nor)
+            jc += dalpha[..., :, None] * nhat[..., None, :]
+            # direction change: (alpha/r) (I - nhat nhat^T) dx/dz, z in {s, d}
+            coef = (act * alpha / r)[..., None]
+            for z, dx in ((0, dx_ds), (2, nor)):
+                proj = dx - nhat * _dot(nhat, dx)[..., None]
+                jc[..., z, :] += coef * proj
+
+    force_fren[..., 0] = _dot(f_cart, tan)
+    force_fren[..., 1] = _dot(f_cart, nor)
+    if want_jac:
+        jac[..., 0, :] = (
+            jc[..., :, 0] * tan[..., None, 0] + jc[..., :, 1] * tan[..., None, 1]
+        )
+        jac[..., 1, :] = (
+            jc[..., :, 0] * nor[..., None, 0] + jc[..., :, 1] * nor[..., None, 1]
+        )
+        # frame rotation along s: dt/ds = gamma*kappa*n, dn/ds = -gamma*kappa*t
+        gk = gamma * kappa
+        jac[..., 0, 0] += gk * _dot(f_cart, nor)
+        jac[..., 1, 0] -= gk * _dot(f_cart, tan)
+    return force_fren, jac
+
+
+def _force_field(times, s, vs, d, vd, ctx: PlanningContext, want_jac: bool):
+    """External modulation F_ext = -F_assistive + F_interaction per node."""
+    f_asst, j_asst = _assistive_batch(s, vs, d, vd, ctx.assistive, want_jac)
+    f_int, j_int = _interaction_batch(times, s, vs, d, vd, ctx, want_jac)
+    force = f_int - f_asst
+    jac = (j_int - j_asst) if want_jac else None
+    return force, jac
+
+
+def _running_cost(times, ps, pd, ctx, config):
+    """Trapezoid of the running cost; broadcasts over leading batch axes."""
+    h = float(times[1] - times[0])
+    vs = _fd_velocity(ps, h)
+    vd = _fd_velocity(pd, h)
+    a_s = _fd_accel(ps, h)
+    a_d = _fd_accel(pd, h)
+    force, _ = _force_field(times, ps, vs, pd, vd, ctx, want_jac=False)
+    integrand = (
+        0.5 * config.mass * (vs * vs + vd * vd)
+        - (force[..., 0] * vs + force[..., 1] * vd)
+        + config.accel_weight * (a_s * a_s + a_d * a_d)
+        + config.uncertainty_weight * ctx.sigma_trace()
+    )
+    return np.trapezoid(integrand, times, axis=-1)
+
+
+def _running_gradient(times, ps, pd, ctx, config):
+    """Gradient of the discretized running cost w.r.t. the free positions."""
+    h = float(times[1] - times[0])
+    vs = _fd_velocity(ps, h)
+    vd = _fd_velocity(pd, h)
+    a_s = _fd_accel(ps, h)
+    a_d = _fd_accel(pd, h)
+    force, jac = _force_field(times, ps, vs, pd, vd, ctx, want_jac=True)
+
+    w = np.full(len(times), h)
+    w[0] = w[-1] = 0.5 * h
+
+    direct_s = -(jac[..., 0, 0] * vs + jac[..., 1, 0] * vd)
+    direct_d = -(jac[..., 0, 2] * vs + jac[..., 1, 2] * vd)
+    dv_s = config.mass * vs - force[..., 0] - (jac[..., 0, 1] * vs + jac[..., 1, 1] * vd)
+    dv_d = config.mass * vd - force[..., 1] - (jac[..., 0, 3] * vs + jac[..., 1, 3] * vd)
+    da_s = 2.0 * config.accel_weight * a_s
+    da_d = 2.0 * config.accel_weight * a_d
+
+    grad_s = w * direct_s + _fd_velocity_adjoint(w * dv_s, h) + _fd_accel_adjoint(w * da_s, h)
+    grad_d = w * direct_d + _fd_velocity_adjoint(w * dv_d, h) + _fd_accel_adjoint(w * da_d, h)
+    lo, hi = _FIXED_EDGE, len(times) - _FIXED_EDGE
+    return np.stack([grad_s[..., lo:hi], grad_d[..., lo:hi]], axis=-1)
+
+
+def _descend(times, ps, pd, ctx, config, reg_terms):
+    """Lockstep Armijo descent over a batch of position traces.
+
+    ``ps``/``pd`` have shape (batch, n_samples); each row carries its own
+    constant regularizer term, cost history, and line-search step. Rows stop
+    independently on the gradient tolerance or a failed line search.
+    """
+    n_batch, n_nodes = ps.shape
+    cur = _running_cost(times, ps, pd, ctx, config) + reg_terms
+    histories = [[float(c)] for c in cur]
+    if config.max_iters == 0 or n_nodes <= 2 * _FIXED_EDGE:
+        return ps, pd, cur, histories
+
+    h = float(times[1] - times[0])
+    # Fixed step at the curvature scale of the acceleration penalty
+    # (second-difference stencil norm ~4/h^2). Growing the step beyond this
+    # is Armijo-acceptable but amplifies the stiff modes and shows up as
+    # acceleration noise, so the cap is kept every iteration.
+    step0 = 1.0 / (1.0 + 32.0 * config.accel_weight / h**3 + config.mass / h)
+    lo, hi = _FIXED_EDGE, n_nodes - _FIXED_EDGE
+
+    alive = np.ones(n_batch, dtype=bool)
+    for _ in range(config.max_iters):
+        grad = _running_gradient(times, ps, pd, ctx, config)
+        gnorm2 = np.sum(grad * grad, axis=(-2, -1))
+        alive &= np.sqrt(gnorm2) > config.grad_tol
+        if not np.any(alive):
+            break
+        alpha = np.full(n_batch, step0)
+        trying = alive.copy()
+        accepted = np.zeros(n_batch, dtype=bool)
+        for _ in range(_MAX_BACKTRACKS):
+            if not np.any(trying):
+                break
+            ps_try = ps.copy()
+            pd_try = pd.copy()
+            ps_try[:, lo:hi] -= alpha[:, None] * grad[..., 0]
+            pd_try[:, lo:hi] -= alpha[:, None] * grad[..., 1]
+            costs = _running_cost(times, ps_try, pd_try, ctx, config) + reg_terms
+            ok = trying & (costs <= cur - config.armijo_c * alpha * gnorm2)
+            if np.any(ok):
+                ps[ok] = ps_try[ok]
+                pd[ok] = pd_try[ok]
+                cur[ok] = costs[ok]
+                accepted |= ok
+                for i in np.nonzero(ok)[0]:
+                    histories[i].append(float(costs[i]))
+            trying &= ~ok
+            alpha[trying] *= config.step_shrink
+        alive &= accepted
+        if not np.any(alive):
+            break
+    return ps, pd, cur, histories

@@ -5,6 +5,7 @@ from dataclasses import replace
 from frenetplan.endpoint_regulation import RegulationConfig
 from frenetplan.errors import CoincidentNeighbor
 from frenetplan.frenet_geometry import FrenetState
+from frenetplan import momentum_optimizer
 from frenetplan.momentum_optimizer import (
     AssistiveParams,
     InteractionParams,
@@ -23,6 +24,7 @@ from frenetplan.momentum_optimizer import (
 from frenetplan.quintic_sampling import build_candidate, SamplingGrid
 from frenetplan.endpoint_regulation import regulated_cluster
 
+import reference_kernels
 from conftest import active_context, make_candidate, make_context, random_candidate, straight_path
 
 
@@ -290,6 +292,51 @@ def test_cluster_optimization_matches_single():
         assert np.array_equal(single.states, bat.states)
         assert single.cost == bat.cost
         assert single.cost_history == bat.cost_history
+
+
+def test_fused_descent_matches_two_pass_reference_when_backtracking(monkeypatch):
+    # With no acceleration penalty and a light mass the fixed step is large
+    # (~0.67 at dt = 0.1), so the first Armijo trial is rejected and the line
+    # search backtracks, which the bundled scenarios never do. The descent
+    # that evaluates cost and gradient once per trial point must still match
+    # the two-pass descent (cost at the trial, gradient again at the accepted
+    # point) bit for bit.
+    path = straight_path(30.0)
+    ctx = active_context(path, np.random.default_rng(11))
+    cfg = OptimizerConfig(mass=0.05, accel_weight=0.0, max_iters=12)
+    batch = [
+        make_candidate(terminal_speed=v, offset=o, dt=0.1)
+        for v in (0.8, 1.2)
+        for o in (-0.3, 0.0, 0.3)
+    ]
+    times = batch[0].times
+    ps = np.stack([c.states[:, 0] for c in batch])
+    pd = np.stack([c.states[:, 3] for c in batch])
+    reg_terms = np.linspace(0.0, 0.5, len(batch))
+
+    calls = {"cost": 0, "gradient": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(reference_kernels, "_running_cost",
+                        counted("cost", reference_kernels._running_cost))
+    monkeypatch.setattr(reference_kernels, "_running_gradient",
+                        counted("gradient", reference_kernels._running_gradient))
+    expected = reference_kernels._descend(
+        times, ps.copy(), pd.copy(), ctx, cfg, reg_terms.copy()
+    )
+    # one cost evaluation per trial: more than one trial in some iteration
+    assert calls["cost"] > 1 + calls["gradient"]
+
+    got = momentum_optimizer._descend(times, ps.copy(), pd.copy(), ctx, cfg, reg_terms.copy())
+    for value, reference in zip(got[:3], expected[:3]):
+        assert np.array_equal(value, reference)
+    assert got[3] == expected[3]
+    assert all(len(h) > 1 for h in got[3])
 
 
 def test_config_validation():
