@@ -12,11 +12,16 @@ import numpy as np
 
 from .errors import EmptyInput, TooFewEndpoints
 from .frenet_geometry import ReferencePath
+from .momentum_optimizer import fd_gradient
 from .quintic_sampling import TrajectoryCandidate, TrajectoryCluster
 
 # Below this Cartesian speed, curvature-family quantities are undefined and
 # the corresponding checks are skipped at that sample.
 _DEGENERATE_SPEED = 1e-3
+
+# np.max without its Python-level dispatch, which costs more than the
+# reduction itself on arrays of a candidate's length
+_amax = np.maximum.reduce
 
 
 class Constraint(enum.Enum):
@@ -138,34 +143,33 @@ def check_candidate(
     dt = candidate.dt
     (px, py), _, _, (nx, ny), _ = path.frame(st[:, 0])
     d = st[:, 3]
-    xy = np.stack([px + d * nx, py + d * ny], axis=-1)
-
-    vel = np.gradient(xy, dt, axis=0, edge_order=2)
-    acc = np.gradient(vel, dt, axis=0, edge_order=2)
-    speed = np.linalg.norm(vel, axis=1)
-    accel = np.linalg.norm(acc, axis=1)
+    vx = fd_gradient(px + d * nx, dt)
+    vy = fd_gradient(py + d * ny, dt)
+    ax = fd_gradient(vx, dt)
+    ay = fd_gradient(vy, dt)
+    speed = np.sqrt(vx * vx + vy * vy)
+    accel = np.sqrt(ax * ax + ay * ay)
 
     margins = {
-        Constraint.VELOCITY: float(np.max(speed)) / limits.v_max,
-        Constraint.ACCELERATION: float(np.max(accel)) / limits.a_max,
+        Constraint.VELOCITY: float(_amax(speed)) / limits.v_max,
+        Constraint.ACCELERATION: float(_amax(accel)) / limits.a_max,
         Constraint.JERK: float(
-            max(np.max(np.abs(candidate.jerk_lon)), np.max(np.abs(candidate.jerk_lat)))
+            max(_amax(np.abs(candidate.jerk_lon)), _amax(np.abs(candidate.jerk_lat)))
         )
         / limits.j_max,
     }
 
     notes = []
     valid = speed > _DEGENERATE_SPEED
-    if np.all(valid):
-        cross = vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]
-        kappa = cross / speed**3
-        kappa_rate = np.gradient(kappa, dt, edge_order=2)
-        margins[Constraint.CURVATURE] = float(np.max(np.abs(kappa))) / limits.kappa_max
+    if valid.all():
+        kappa = (vx * ay - vy * ax) / speed**3
+        kappa_rate = fd_gradient(kappa, dt)
+        margins[Constraint.CURVATURE] = float(_amax(np.abs(kappa))) / limits.kappa_max
         margins[Constraint.YAW_RATE] = (
-            float(np.max(np.abs(kappa * speed))) / limits.yaw_rate_max
+            float(_amax(np.abs(kappa * speed))) / limits.yaw_rate_max
         )
         margins[Constraint.CURVATURE_RATE] = (
-            float(np.max(np.abs(kappa_rate))) / limits.kappa_rate_max
+            float(_amax(np.abs(kappa_rate))) / limits.kappa_rate_max
         )
     else:
         degenerate = np.nonzero(~valid)[0]
@@ -174,22 +178,22 @@ def check_candidate(
             f"sample(s), first at t={candidate.times[degenerate[0]]:.3f}"
         )
         if np.any(valid):
-            cross = vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]
+            cross = vx * ay - vy * ax
             kappa = np.where(valid, cross / np.maximum(speed, _DEGENERATE_SPEED) ** 3, 0.0)
             margins[Constraint.CURVATURE] = (
-                float(np.max(np.abs(kappa[valid]))) / limits.kappa_max
+                float(_amax(np.abs(kappa[valid]))) / limits.kappa_max
             )
             margins[Constraint.YAW_RATE] = (
-                float(np.max(np.abs((kappa * speed)[valid]))) / limits.yaw_rate_max
+                float(_amax(np.abs((kappa * speed)[valid]))) / limits.yaw_rate_max
             )
-            kappa_rate = np.gradient(kappa, dt, edge_order=2)
+            kappa_rate = fd_gradient(kappa, dt)
             rate_valid = valid.copy()
             # a rate estimate touching a skipped sample is unreliable
             rate_valid[:-1] &= valid[1:]
             rate_valid[1:] &= valid[:-1]
             if np.any(rate_valid):
                 margins[Constraint.CURVATURE_RATE] = (
-                    float(np.max(np.abs(kappa_rate[rate_valid]))) / limits.kappa_rate_max
+                    float(_amax(np.abs(kappa_rate[rate_valid]))) / limits.kappa_rate_max
                 )
             else:
                 margins[Constraint.CURVATURE_RATE] = 0.0

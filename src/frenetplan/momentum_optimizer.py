@@ -428,28 +428,46 @@ def _fd_accel(p, h):
 
 def _fd_velocity_adjoint(y, h):
     g = np.zeros_like(y)
-    g[..., 2:] += y[..., 1:-1] / (2.0 * h)
-    g[..., :-2] -= y[..., 1:-1] / (2.0 * h)
-    g[..., 0] -= y[..., 0] / h
-    g[..., 1] += y[..., 0] / h
-    g[..., -1] += y[..., -1] / h
-    g[..., -2] -= y[..., -1] / h
+    half = y[..., 1:-1] / (2.0 * h)
+    first = y[..., 0] / h
+    last = y[..., -1] / h
+    g[..., 2:] += half
+    g[..., :-2] -= half
+    g[..., 0] -= first
+    g[..., 1] += first
+    g[..., -1] += last
+    g[..., -2] -= last
     return g
 
 
 def _fd_accel_adjoint(y, h):
+    # 2.0 * (y / h2) equals (2.0 * y) / h2 bitwise: doubling is exact
     h2 = h * h
     g = np.zeros_like(y)
-    g[..., 2:] += y[..., 1:-1] / h2
-    g[..., 1:-1] -= 2.0 * y[..., 1:-1] / h2
-    g[..., :-2] += y[..., 1:-1] / h2
-    g[..., 0] += y[..., 0] / h2
-    g[..., 1] -= 2.0 * y[..., 0] / h2
-    g[..., 2] += y[..., 0] / h2
-    g[..., -1] += y[..., -1] / h2
-    g[..., -2] -= 2.0 * y[..., -1] / h2
-    g[..., -3] += y[..., -1] / h2
+    inner = y[..., 1:-1] / h2
+    first = y[..., 0] / h2
+    last = y[..., -1] / h2
+    g[..., 2:] += inner
+    g[..., 1:-1] -= 2.0 * inner
+    g[..., :-2] += inner
+    g[..., 0] += first
+    g[..., 1] -= 2.0 * first
+    g[..., 2] += first
+    g[..., -1] += last
+    g[..., -2] -= 2.0 * last
+    g[..., -3] += last
     return g
+
+
+def fd_gradient(f, h):
+    """``np.gradient(f, h, edge_order=2)`` of a 1-D array, term for term:
+    central differences inside, second-order one-sided differences at the
+    ends, on uniform spacing ``h``."""
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    out[0] = (-1.5 / h) * f[0] + (2.0 / h) * f[1] + (-0.5 / h) * f[2]
+    out[-1] = (0.5 / h) * f[-3] + (-2.0 / h) * f[-2] + (1.5 / h) * f[-1]
+    return out
 
 
 def _fd_terms(times, ps, pd):
@@ -498,6 +516,55 @@ def _cost_and_gradient(times, ps, pd, ctx, config):
     return cost, np.stack([grad_s[..., lo:hi], grad_d[..., lo:hi]], axis=-1)
 
 
+def _horizon_groups(candidates):
+    """Batches of candidates sharing a sample count and horizon, in order of
+    first appearance: input indices, the candidates, and their stacked
+    longitudinal and lateral position traces."""
+    groups: dict[tuple, list[int]] = {}
+    for i, cand in enumerate(candidates):
+        groups.setdefault((len(cand.times), float(cand.horizon)), []).append(i)
+    for indices in groups.values():
+        batch = [candidates[i] for i in indices]
+        ps = np.stack([c.states[:, 0] for c in batch])
+        pd = np.stack([c.states[:, 3] for c in batch])
+        yield indices, batch, ps, pd
+
+
+def _reg_terms(batch, reference, config, reg):
+    """Weighted terminal deviation of each candidate; zeros when the
+    regularizer is off."""
+    if reference is not None and reg is not None and config.terminal_weight > 0:
+        return np.array(
+            [config.terminal_weight * regulation_energy(c, reference, reg) for c in batch]
+        )
+    return np.zeros(len(batch))
+
+
+def cost_cluster(
+    candidates,
+    ctx: PlanningContext,
+    reference: TrajectoryCandidate | None,
+    config: OptimizerConfig,
+    reg: RegulationConfig | None = None,
+) -> list:
+    """Discretized objective of every candidate, in input order: trapezoid of
+    the running cost plus the weighted terminal deviation against
+    ``reference``, one running-cost pass per horizon group.
+
+    Velocities and accelerations are re-derived from the sampled positions so
+    the value is a pure function of the position trace (the optimizer's own
+    discretization); that keeps descent comparisons exact.
+    """
+    out = [0.0] * len(candidates)
+    for indices, batch, ps, pd in _horizon_groups(candidates):
+        costs = _running_cost(batch[0].times, ps, pd, ctx, config) + _reg_terms(
+            batch, reference, config, reg
+        )
+        for row, i in enumerate(indices):
+            out[i] = float(costs[row])
+    return out
+
+
 def total_cost(
     candidate: TrajectoryCandidate,
     ctx: PlanningContext,
@@ -505,21 +572,8 @@ def total_cost(
     config: OptimizerConfig,
     reg: RegulationConfig | None = None,
 ) -> float:
-    """Discretized objective: trapezoid of the running cost plus the weighted
-    terminal deviation against ``reference``.
-
-    Velocities and accelerations are re-derived from the sampled positions so
-    the value is a pure function of the position trace (the optimizer's own
-    discretization); that keeps descent comparisons exact.
-    """
-    cost = float(
-        _running_cost(
-            candidate.times, candidate.states[:, 0], candidate.states[:, 3], ctx, config
-        )
-    )
-    if reference is not None and reg is not None and config.terminal_weight > 0:
-        cost += config.terminal_weight * regulation_energy(candidate, reference, reg)
-    return cost
+    """``cost_cluster`` of one candidate."""
+    return cost_cluster([candidate], ctx, reference, config, reg)[0]
 
 
 def cost_gradient(
@@ -622,8 +676,8 @@ def _rebuild_candidate(candidate, ps, pd, cost, history) -> TrajectoryCandidate:
     return replace(
         candidate,
         states=states,
-        jerk_lon=np.gradient(states[:, 2], h, edge_order=2),
-        jerk_lat=np.gradient(states[:, 5], h, edge_order=2),
+        jerk_lon=fd_gradient(states[:, 2], h),
+        jerk_lat=fd_gradient(states[:, 5], h),
         cost=cost,
         cost_history=history,
         optimized=True,
@@ -643,31 +697,13 @@ def optimize_trajectory(
     ``cost_history`` (actual objective values, non-increasing); terminates on
     the gradient tolerance, the iteration cap, or a failed line search.
     """
-    reg_term = 0.0
-    if reference is not None and reg is not None and config.terminal_weight > 0:
-        reg_term = config.terminal_weight * regulation_energy(candidate, reference, reg)
-
-    ps, pd, cost, histories = _descend(
-        candidate.times,
-        candidate.states[None, :, 0].copy(),
-        candidate.states[None, :, 3].copy(),
-        ctx,
-        config,
-        np.array([reg_term]),
-    )
-    history = histories[0]
-    if len(history) == 1:
-        out = candidate.copy()
-        out.cost = history[0]
-        out.cost_history = history
-        return out
-    return _rebuild_candidate(candidate, ps[0], pd[0], float(cost[0]), history)
+    return optimize_cluster([candidate], ctx, reference, config, reg)[0]
 
 
 def optimize_cluster(
     candidates,
     ctx: PlanningContext,
-    reference: TrajectoryCandidate,
+    reference: TrajectoryCandidate | None,
     config: OptimizerConfig,
     reg: RegulationConfig | None = None,
 ):
@@ -676,27 +712,10 @@ def optimize_cluster(
     Exactly the per-candidate descent, run in lockstep; returns refined
     candidates in the input order.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, cand in enumerate(candidates):
-        key = (len(cand.times), float(cand.horizon))
-        groups.setdefault(key, []).append(i)
-
     out = list(candidates)
-    for indices in groups.values():
-        batch = [candidates[i] for i in indices]
-        times = batch[0].times
-        ps = np.stack([c.states[:, 0] for c in batch])
-        pd = np.stack([c.states[:, 3] for c in batch])
-        if reg is not None and config.terminal_weight > 0:
-            reg_terms = np.array(
-                [
-                    config.terminal_weight * regulation_energy(c, reference, reg)
-                    for c in batch
-                ]
-            )
-        else:
-            reg_terms = np.zeros(len(batch))
-        ps, pd, costs, histories = _descend(times, ps, pd, ctx, config, reg_terms)
+    for indices, batch, ps, pd in _horizon_groups(candidates):
+        reg_terms = _reg_terms(batch, reference, config, reg)
+        ps, pd, costs, histories = _descend(batch[0].times, ps, pd, ctx, config, reg_terms)
         for row, i in enumerate(indices):
             history = histories[row]
             if len(history) == 1:

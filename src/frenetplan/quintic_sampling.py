@@ -8,7 +8,7 @@ derivatives through the chain rule when sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
@@ -191,6 +191,83 @@ def _lateral_boundary_from_time(initial: FrenetState):
     return initial.d, dp, dpp
 
 
+class _Longitudinal(NamedTuple):
+    """Longitudinal quintic toward one steady terminal, sampled on the
+    horizon grid; every lateral offset at this (horizon, speed) shares it."""
+
+    lon: QuinticCoeffs
+    terminal_s: float
+    terminal_speed: float
+    horizon: float
+    times: np.ndarray
+    s: np.ndarray
+    s_dot: np.ndarray
+    s_ddot: np.ndarray
+    s_jerk: np.ndarray
+    dips: bool
+
+
+def _longitudinal(
+    initial: FrenetState,
+    terminal_s: float,
+    terminal_speed: float,
+    horizon: float,
+    dt: float,
+) -> _Longitudinal:
+    lon = solve_quintic(
+        (initial.s, initial.s_dot, initial.s_ddot),
+        (terminal_s, terminal_speed, 0.0),
+        horizon,
+    )
+    n = max(4, int(round(horizon / dt)))
+    times = np.linspace(0.0, horizon, n + 1)
+    s, s_dot, s_ddot, s_jerk = eval_quintic(lon, times)
+    dips = bool(np.any(np.diff(s) < -1e-10))
+    return _Longitudinal(
+        lon, terminal_s, terminal_speed, horizon, times, s, s_dot, s_ddot, s_jerk, dips
+    )
+
+
+def _with_lateral(
+    initial: FrenetState,
+    lng: _Longitudinal,
+    lateral_offset: float,
+    grid_key: tuple,
+) -> Optional[TrajectoryCandidate]:
+    """Solve the lateral quintic over the longitudinal span and sample the
+    candidate; None when the shared longitudinal samples dip."""
+    span = lng.terminal_s - initial.s
+    d0, dp0, dpp0 = _lateral_boundary_from_time(initial)
+    lat = solve_quintic((d0, dp0, dpp0), (lateral_offset, 0.0, 0.0), span)
+    # tested after the lateral solve, so an ill-conditioned span raises even
+    # where s dips
+    if lng.dips:
+        return None
+    s, s_dot, s_ddot, s_jerk = lng.s, lng.s_dot, lng.s_ddot, lng.s_jerk
+    sigma = s - initial.s
+    d, dp, dpp, dppp = eval_quintic(lat, sigma)
+    d_dot = dp * s_dot
+    d_ddot = dpp * s_dot**2 + dp * s_ddot
+    d_jerk = dppp * s_dot**3 + 3.0 * dpp * s_dot * s_ddot + dp * s_jerk
+
+    states = np.column_stack([s, s_dot, s_ddot, d, d_dot, d_ddot])
+    states[0] = initial.as_array()  # shared initial state, exactly
+    # Snap the terminal sample to the imposed boundary (solver residual is
+    # ~1e-13); exact terminals keep sorting ties and de-duplication stable.
+    states[-1] = (lng.terminal_s, lng.terminal_speed, 0.0, lateral_offset, 0.0, 0.0)
+    return TrajectoryCandidate(
+        lon=lng.lon,
+        lat=lat,
+        lat_span=span,
+        horizon=lng.horizon,
+        times=lng.times.copy(),
+        states=states,
+        jerk_lon=lng.s_jerk.copy(),
+        jerk_lat=d_jerk,
+        grid_key=grid_key,
+    )
+
+
 def build_candidate(
     initial: FrenetState,
     terminal_s: float,
@@ -206,44 +283,10 @@ def build_candidate(
     convention). Returns None for non-forward candidates: nonpositive
     longitudinal span or a sampled dip in s.
     """
-    span = terminal_s - initial.s
-    if span <= 0.0:
+    if terminal_s - initial.s <= 0.0:
         return None
-    lon = solve_quintic(
-        (initial.s, initial.s_dot, initial.s_ddot),
-        (terminal_s, terminal_speed, 0.0),
-        horizon,
-    )
-    d0, dp0, dpp0 = _lateral_boundary_from_time(initial)
-    lat = solve_quintic((d0, dp0, dpp0), (lateral_offset, 0.0, 0.0), span)
-
-    n = max(4, int(round(horizon / dt)))
-    times = np.linspace(0.0, horizon, n + 1)
-    s, s_dot, s_ddot, s_jerk = eval_quintic(lon, times)
-    if np.any(np.diff(s) < -1e-10):
-        return None
-    sigma = s - initial.s
-    d, dp, dpp, dppp = eval_quintic(lat, sigma)
-    d_dot = dp * s_dot
-    d_ddot = dpp * s_dot**2 + dp * s_ddot
-    d_jerk = dppp * s_dot**3 + 3.0 * dpp * s_dot * s_ddot + dp * s_jerk
-
-    states = np.column_stack([s, s_dot, s_ddot, d, d_dot, d_ddot])
-    states[0] = initial.as_array()  # shared initial state, exactly
-    # Snap the terminal sample to the imposed boundary (solver residual is
-    # ~1e-13); exact terminals keep sorting ties and de-duplication stable.
-    states[-1] = (terminal_s, terminal_speed, 0.0, lateral_offset, 0.0, 0.0)
-    return TrajectoryCandidate(
-        lon=lon,
-        lat=lat,
-        lat_span=span,
-        horizon=horizon,
-        times=times,
-        states=states,
-        jerk_lon=np.asarray(s_jerk, dtype=float),
-        jerk_lat=np.asarray(d_jerk, dtype=float),
-        grid_key=grid_key,
-    )
+    lng = _longitudinal(initial, terminal_s, terminal_speed, horizon, dt)
+    return _with_lateral(initial, lng, lateral_offset, grid_key)
 
 
 def generate_cluster(
@@ -253,7 +296,8 @@ def generate_cluster(
 
     Terminal longitudinal position follows the trapezoidal progress
     heuristic s_T = s_0 + (s_dot_0 + v_T)/2 * horizon; triples with
-    nonpositive progress are discarded.
+    nonpositive progress are discarded. The longitudinal quintic of each
+    (horizon, speed) pair is solved and sampled once for all offsets.
     """
     _check_s(path, initial.s)
     kappa = float(path.curvature(initial.s))
@@ -272,16 +316,9 @@ def generate_cluster(
                     f"terminal s={terminal_s:.3f} beyond path end "
                     f"{path.total_length:.3f} (speed {speed}, horizon {horizon})"
                 )
+            lng = _longitudinal(initial, terminal_s, speed, horizon, grid.dt)
             for offset in sorted(grid.lateral_offsets):
-                cand = build_candidate(
-                    initial,
-                    terminal_s,
-                    speed,
-                    offset,
-                    horizon,
-                    grid.dt,
-                    grid_key=(horizon, speed, offset),
-                )
+                cand = _with_lateral(initial, lng, offset, (horizon, speed, offset))
                 if cand is not None:
                     candidates.append(cand)
     if not candidates:

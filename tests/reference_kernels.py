@@ -1,29 +1,60 @@
-"""The force kernels, path frame and two-pass descent as they were before
-refinement moved to component-major arrays and one force-field evaluation per
-iteration, kept as references for the equivalence tests.
+"""Earlier implementations kept as references for the equivalence tests.
 
-Each function is a verbatim copy of the earlier implementation: 2-vectors on
-a trailing axis of length 2, Jacobians of shape (..., 2, 4), and a descent
-that evaluates the cost at each trial point and then the gradient at the
-accepted point. Only the names they call were rebound: ``frame`` and
-``_eval_all`` take the path as an argument, and the per-segment coefficients
-are stacked from the path's splines by ``_coef``.
+The force kernels, path frame and two-pass descent are as they were before
+refinement moved to component-major arrays and one force-field evaluation per
+iteration: 2-vectors on a trailing axis of length 2, Jacobians of shape
+(..., 2, 4), and a descent that evaluates the cost at each trial point and
+then the gradient at the accepted point. The finite-difference adjoints,
+``check_candidate``, ``build_candidate``/``generate_cluster`` and the
+per-candidate ``total_cost`` (with ``cost_each``, the simulator's loop over
+it) are as they were before the cluster was costed per horizon group,
+classification moved to component arrays and the longitudinal quintic was
+shared across offsets.
+
+Each function is a verbatim copy of the earlier implementation. Only the
+names they call were rebound: ``frame`` and ``_eval_all`` take the path as an
+argument, the per-segment coefficients are stacked from the path's splines by
+``_coef``, and ``total_cost`` calls the package's running cost as
+``mo._running_cost``.
 """
+
+from typing import Optional
 
 import numpy as np
 
-from frenetplan.errors import CoincidentNeighbor
+from frenetplan import momentum_optimizer as mo
+from frenetplan.endpoint_regulation import RegulationConfig, regulation_energy
+from frenetplan.errors import (
+    CoincidentNeighbor,
+    EmptyCluster,
+    InvalidLateralOffset,
+    PathTooShort,
+)
+from frenetplan.evaluation import (
+    _DEGENERATE_SPEED,
+    Constraint,
+    FeasibilityReport,
+    KinematicLimits,
+)
+from frenetplan.frenet_geometry import FrenetState, ReferencePath, _check_s
 from frenetplan.momentum_optimizer import (
     _COINCIDENT_DIST,
     _FIXED_EDGE,
     _MAX_BACKTRACKS,
     AssistiveParams,
+    OptimizerConfig,
     PlanningContext,
     _bumps,
     _fd_accel,
-    _fd_accel_adjoint,
     _fd_velocity,
-    _fd_velocity_adjoint,
+)
+from frenetplan.quintic_sampling import (
+    SamplingGrid,
+    TrajectoryCandidate,
+    TrajectoryCluster,
+    _lateral_boundary_from_time,
+    eval_quintic,
+    solve_quintic,
 )
 
 
@@ -280,3 +311,239 @@ def _descend(times, ps, pd, ctx, config, reg_terms):
         if not np.any(alive):
             break
     return ps, pd, cur, histories
+
+
+def _fd_velocity_adjoint(y, h):
+    g = np.zeros_like(y)
+    g[..., 2:] += y[..., 1:-1] / (2.0 * h)
+    g[..., :-2] -= y[..., 1:-1] / (2.0 * h)
+    g[..., 0] -= y[..., 0] / h
+    g[..., 1] += y[..., 0] / h
+    g[..., -1] += y[..., -1] / h
+    g[..., -2] -= y[..., -1] / h
+    return g
+
+
+def _fd_accel_adjoint(y, h):
+    h2 = h * h
+    g = np.zeros_like(y)
+    g[..., 2:] += y[..., 1:-1] / h2
+    g[..., 1:-1] -= 2.0 * y[..., 1:-1] / h2
+    g[..., :-2] += y[..., 1:-1] / h2
+    g[..., 0] += y[..., 0] / h2
+    g[..., 1] -= 2.0 * y[..., 0] / h2
+    g[..., 2] += y[..., 0] / h2
+    g[..., -1] += y[..., -1] / h2
+    g[..., -2] -= 2.0 * y[..., -1] / h2
+    g[..., -3] += y[..., -1] / h2
+    return g
+
+
+def total_cost(
+    candidate: TrajectoryCandidate,
+    ctx: PlanningContext,
+    reference: TrajectoryCandidate | None,
+    config: OptimizerConfig,
+    reg: RegulationConfig | None = None,
+) -> float:
+    """Discretized objective: trapezoid of the running cost plus the weighted
+    terminal deviation against ``reference``.
+
+    Velocities and accelerations are re-derived from the sampled positions so
+    the value is a pure function of the position trace (the optimizer's own
+    discretization); that keeps descent comparisons exact.
+    """
+    cost = float(
+        mo._running_cost(
+            candidate.times, candidate.states[:, 0], candidate.states[:, 3], ctx, config
+        )
+    )
+    if reference is not None and reg is not None and config.terminal_weight > 0:
+        cost += config.terminal_weight * regulation_energy(candidate, reference, reg)
+    return cost
+
+
+def cost_each(candidates, ctx, reference, config, reg):
+    """The simulator's one-shot costing loop over ``total_cost``."""
+    return [total_cost(cand, ctx, reference, config, reg) for cand in candidates]
+
+
+def check_candidate(
+    candidate: TrajectoryCandidate, path: ReferencePath, limits: KinematicLimits
+) -> FeasibilityReport:
+    """Classify one candidate against the kinematic limits.
+
+    Speed/acceleration come from finite differences of the Cartesian trace,
+    curvature from first/second central differences (yaw rate = curvature *
+    speed, curvature rate = d kappa / dt), and jerk from the per-axis stored
+    series. A candidate may violate several constraints at once.
+    """
+    st = candidate.states
+    dt = candidate.dt
+    (px, py), _, _, (nx, ny), _ = path.frame(st[:, 0])
+    d = st[:, 3]
+    xy = np.stack([px + d * nx, py + d * ny], axis=-1)
+
+    vel = np.gradient(xy, dt, axis=0, edge_order=2)
+    acc = np.gradient(vel, dt, axis=0, edge_order=2)
+    speed = np.linalg.norm(vel, axis=1)
+    accel = np.linalg.norm(acc, axis=1)
+
+    margins = {
+        Constraint.VELOCITY: float(np.max(speed)) / limits.v_max,
+        Constraint.ACCELERATION: float(np.max(accel)) / limits.a_max,
+        Constraint.JERK: float(
+            max(np.max(np.abs(candidate.jerk_lon)), np.max(np.abs(candidate.jerk_lat)))
+        )
+        / limits.j_max,
+    }
+
+    notes = []
+    valid = speed > _DEGENERATE_SPEED
+    if np.all(valid):
+        cross = vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]
+        kappa = cross / speed**3
+        kappa_rate = np.gradient(kappa, dt, edge_order=2)
+        margins[Constraint.CURVATURE] = float(np.max(np.abs(kappa))) / limits.kappa_max
+        margins[Constraint.YAW_RATE] = (
+            float(np.max(np.abs(kappa * speed))) / limits.yaw_rate_max
+        )
+        margins[Constraint.CURVATURE_RATE] = (
+            float(np.max(np.abs(kappa_rate))) / limits.kappa_rate_max
+        )
+    else:
+        degenerate = np.nonzero(~valid)[0]
+        notes.append(
+            f"curvature checks skipped at {degenerate.size} near-zero-speed "
+            f"sample(s), first at t={candidate.times[degenerate[0]]:.3f}"
+        )
+        if np.any(valid):
+            cross = vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]
+            kappa = np.where(valid, cross / np.maximum(speed, _DEGENERATE_SPEED) ** 3, 0.0)
+            margins[Constraint.CURVATURE] = (
+                float(np.max(np.abs(kappa[valid]))) / limits.kappa_max
+            )
+            margins[Constraint.YAW_RATE] = (
+                float(np.max(np.abs((kappa * speed)[valid]))) / limits.yaw_rate_max
+            )
+            kappa_rate = np.gradient(kappa, dt, edge_order=2)
+            rate_valid = valid.copy()
+            # a rate estimate touching a skipped sample is unreliable
+            rate_valid[:-1] &= valid[1:]
+            rate_valid[1:] &= valid[:-1]
+            if np.any(rate_valid):
+                margins[Constraint.CURVATURE_RATE] = (
+                    float(np.max(np.abs(kappa_rate[rate_valid]))) / limits.kappa_rate_max
+                )
+            else:
+                margins[Constraint.CURVATURE_RATE] = 0.0
+        else:
+            margins[Constraint.CURVATURE] = 0.0
+            margins[Constraint.YAW_RATE] = 0.0
+            margins[Constraint.CURVATURE_RATE] = 0.0
+
+    violations = frozenset(c for c, m in margins.items() if m > 1.0)
+    return FeasibilityReport(
+        feasible=not violations,
+        violations=violations,
+        worst_margins=margins,
+        notes=tuple(notes),
+    )
+
+
+def build_candidate(
+    initial: FrenetState,
+    terminal_s: float,
+    terminal_speed: float,
+    lateral_offset: float,
+    horizon: float,
+    dt: float,
+    grid_key: tuple = (),
+) -> Optional[TrajectoryCandidate]:
+    """Solve both quintics toward a steady terminal and sample the result.
+
+    Terminal acceleration and lateral rates are zero (steady-terminal
+    convention). Returns None for non-forward candidates: nonpositive
+    longitudinal span or a sampled dip in s.
+    """
+    span = terminal_s - initial.s
+    if span <= 0.0:
+        return None
+    lon = solve_quintic(
+        (initial.s, initial.s_dot, initial.s_ddot),
+        (terminal_s, terminal_speed, 0.0),
+        horizon,
+    )
+    d0, dp0, dpp0 = _lateral_boundary_from_time(initial)
+    lat = solve_quintic((d0, dp0, dpp0), (lateral_offset, 0.0, 0.0), span)
+
+    n = max(4, int(round(horizon / dt)))
+    times = np.linspace(0.0, horizon, n + 1)
+    s, s_dot, s_ddot, s_jerk = eval_quintic(lon, times)
+    if np.any(np.diff(s) < -1e-10):
+        return None
+    sigma = s - initial.s
+    d, dp, dpp, dppp = eval_quintic(lat, sigma)
+    d_dot = dp * s_dot
+    d_ddot = dpp * s_dot**2 + dp * s_ddot
+    d_jerk = dppp * s_dot**3 + 3.0 * dpp * s_dot * s_ddot + dp * s_jerk
+
+    states = np.column_stack([s, s_dot, s_ddot, d, d_dot, d_ddot])
+    states[0] = initial.as_array()  # shared initial state, exactly
+    # Snap the terminal sample to the imposed boundary (solver residual is
+    # ~1e-13); exact terminals keep sorting ties and de-duplication stable.
+    states[-1] = (terminal_s, terminal_speed, 0.0, lateral_offset, 0.0, 0.0)
+    return TrajectoryCandidate(
+        lon=lon,
+        lat=lat,
+        lat_span=span,
+        horizon=horizon,
+        times=times,
+        states=states,
+        jerk_lon=np.asarray(s_jerk, dtype=float),
+        jerk_lat=np.asarray(d_jerk, dtype=float),
+        grid_key=grid_key,
+    )
+
+
+def generate_cluster(
+    initial: FrenetState, path: ReferencePath, grid: SamplingGrid
+) -> TrajectoryCluster:
+    """One candidate per grid triple, ordered by (horizon, speed, offset).
+
+    Terminal longitudinal position follows the trapezoidal progress
+    heuristic s_T = s_0 + (s_dot_0 + v_T)/2 * horizon; triples with
+    nonpositive progress are discarded.
+    """
+    _check_s(path, initial.s)
+    kappa = float(path.curvature(initial.s))
+    if kappa != 0.0 and abs(initial.d) * abs(kappa) >= 1.0:
+        raise InvalidLateralOffset("initial state outside the path validity tube")
+
+    candidates = []
+    for horizon in sorted(grid.horizons):
+        for speed in sorted(grid.terminal_speeds):
+            terminal_s = initial.s + 0.5 * (initial.s_dot + speed) * horizon
+            span = terminal_s - initial.s
+            if span <= 0.0:
+                continue
+            if terminal_s > path.total_length:
+                raise PathTooShort(
+                    f"terminal s={terminal_s:.3f} beyond path end "
+                    f"{path.total_length:.3f} (speed {speed}, horizon {horizon})"
+                )
+            for offset in sorted(grid.lateral_offsets):
+                cand = build_candidate(
+                    initial,
+                    terminal_s,
+                    speed,
+                    offset,
+                    horizon,
+                    grid.dt,
+                    grid_key=(horizon, speed, offset),
+                )
+                if cand is not None:
+                    candidates.append(cand)
+    if not candidates:
+        raise EmptyCluster("all grid triples were discarded")
+    return TrajectoryCluster(candidates=candidates, reference_index=0, initial=initial)

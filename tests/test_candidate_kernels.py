@@ -1,0 +1,327 @@
+"""Per-candidate stages outside refinement against the earlier implementations
+kept in ``reference_kernels``: one-pass cluster costing, classification on
+component arrays, sampling with one longitudinal solve per (horizon, speed),
+the shared gradient stencil and the finite-difference adjoints. Outputs and
+raised exceptions must be bitwise identical, including on the branches the
+bundled scenarios never reach (near-zero speed, dipping or ill-conditioned
+quintics, a path too short, mixed horizons, the terminal regularizer, a
+coincident neighbour).
+"""
+
+import numpy as np
+import pytest
+
+import reference_kernels as ref
+from conftest import (
+    active_context,
+    circle_path,
+    make_candidate,
+    make_context,
+    s_curve_path,
+)
+from frenetplan.endpoint_regulation import RegulationConfig
+from frenetplan.errors import (
+    CoincidentNeighbor,
+    IllConditioned,
+    PathTooShort,
+    PlannerError,
+)
+from frenetplan.evaluation import Constraint, KinematicLimits, check_candidate
+from frenetplan.frenet_geometry import FrenetState
+from frenetplan.momentum_optimizer import (
+    Neighbor,
+    OptimizerConfig,
+    _fd_accel_adjoint,
+    _fd_velocity_adjoint,
+    cost_cluster,
+    fd_gradient,
+    total_cost,
+)
+from frenetplan.quintic_sampling import (
+    QuinticCoeffs,
+    SamplingGrid,
+    TrajectoryCandidate,
+    _longitudinal,
+    build_candidate,
+    generate_cluster,
+)
+
+LIMITS = KinematicLimits()
+TIGHT = KinematicLimits(v_max=0.9, a_max=0.4, j_max=0.8, kappa_max=0.3,
+                        yaw_rate_max=0.3, kappa_rate_max=0.5)
+REG = RegulationConfig(weights=(1.0, 0.5, 1.0, 0.5), max_gap=0.5, min_gap=0.02)
+
+
+def assert_identical(new, old):
+    """Equal shapes, values and signs of zero."""
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.shape == old.shape
+    assert np.array_equal(new, old)
+    assert np.array_equal(np.signbit(new), np.signbit(old))
+
+
+def assert_same_report(new, old):
+    assert new.feasible == old.feasible
+    assert new.violations == old.violations
+    assert new.notes == old.notes
+    assert list(new.worst_margins) == list(old.worst_margins)
+    for key, value in old.worst_margins.items():
+        assert float(new.worst_margins[key]).hex() == float(value).hex(), key
+
+
+def assert_same_candidate(new, old):
+    assert new.grid_key == old.grid_key
+    assert new.horizon == old.horizon
+    assert new.lat_span == old.lat_span
+    for field in ("times", "states", "jerk_lon", "jerk_lat"):
+        assert_identical(getattr(new, field), getattr(old, field))
+    assert_identical(new.lon.c, old.lon.c)
+    assert_identical(new.lat.c, old.lat.c)
+
+
+def outcome(fn, *args):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except PlannerError as err:
+        return type(err), str(err)
+
+
+def random_initial(rng):
+    return FrenetState(
+        s=float(rng.uniform(1.0, 3.0)),
+        s_dot=float(rng.uniform(0.0, 1.5)),
+        s_ddot=float(rng.uniform(-0.6, 0.6)),
+        d=float(rng.uniform(-0.5, 0.5)),
+        d_dot=float(rng.uniform(-0.3, 0.3)),
+        d_ddot=float(rng.uniform(-0.3, 0.3)),
+    )
+
+
+def trace_candidate(s, d, dt, rng):
+    """Candidate straight from position traces, with random rates and jerks."""
+    n = len(s)
+    states = np.column_stack([s, rng.normal(size=n), rng.normal(size=n),
+                              d, rng.normal(size=n), rng.normal(size=n)])
+    zero = QuinticCoeffs(np.zeros(6))
+    return TrajectoryCandidate(
+        lon=zero, lat=zero, lat_span=1.0, horizon=dt * (n - 1),
+        times=np.linspace(0.0, dt * (n - 1), n), states=states,
+        jerk_lon=rng.normal(size=n), jerk_lat=rng.normal(size=n),
+    )
+
+
+# --- shared stencil and adjoints -----------------------------------------------
+
+@pytest.mark.parametrize("n", [3, 4, 5, 17, 41])
+@pytest.mark.parametrize("h", [0.05, 0.1, 0.3])
+def test_fd_gradient_matches_numpy_gradient(n, h):
+    rng = np.random.default_rng(n)
+    f = rng.normal(size=n) * rng.uniform(0.1, 50.0)
+    assert_identical(fd_gradient(f, h), np.gradient(f, h, edge_order=2))
+    # a strided column, as the classifier and candidate rebuild pass them
+    states = rng.normal(size=(n, 6))
+    assert_identical(fd_gradient(states[:, 2], h), np.gradient(states[:, 2], h, edge_order=2))
+
+
+@pytest.mark.parametrize("shape", [(3,), (4,), (5,), (41,), (7, 41), (2, 3, 25)])
+def test_fd_adjoints_match_reference(shape):
+    rng = np.random.default_rng(sum(shape))
+    for h in (0.05, 0.1, 0.25):
+        y = rng.normal(size=shape) * rng.uniform(0.01, 100.0)
+        assert_identical(_fd_velocity_adjoint(y, h), ref._fd_velocity_adjoint(y, h))
+        assert_identical(_fd_accel_adjoint(y, h), ref._fd_accel_adjoint(y, h))
+
+
+# --- classification -------------------------------------------------------------
+
+@pytest.mark.parametrize("limits", [LIMITS, TIGHT])
+def test_check_candidate_matches_reference(limits):
+    rng = np.random.default_rng(11)
+    for path in (s_curve_path(), circle_path(4.0), circle_path(3.0, ccw=False)):
+        for _ in range(12):
+            initial = random_initial(rng)
+            speed = float(rng.uniform(0.3, 1.8))
+            horizon = float(rng.choice([1.0, 2.0, 2.5, 3.0]))
+            terminal_s = initial.s + 0.5 * (initial.s_dot + speed) * horizon
+            cand = build_candidate(initial, terminal_s, speed,
+                                   float(rng.uniform(-0.8, 0.8)), horizon, 0.05)
+            if cand is None:
+                continue
+            assert_same_report(check_candidate(cand, path, limits),
+                               ref.check_candidate(cand, path, limits))
+
+
+def test_check_candidate_matches_reference_with_some_samples_at_rest():
+    rng = np.random.default_rng(5)
+    path = s_curve_path()
+    dt = 0.05
+    # at rest for the first nine samples, then moving along a gentle arc
+    t = np.arange(40) * dt
+    move = np.clip(t - 0.4, 0.0, None)
+    cand = trace_candidate(2.0 + 0.8 * move**2, 0.2 * move**3, dt, rng)
+    new = check_candidate(cand, path, LIMITS)
+    assert new.notes and "near-zero-speed" in new.notes[0]
+    assert_same_report(new, ref.check_candidate(cand, path, LIMITS))
+
+
+def test_check_candidate_matches_reference_with_no_rate_estimate():
+    rng = np.random.default_rng(6)
+    path = s_curve_path()
+    dt = 0.05
+    # one step between rests: only the two samples beside it move, so every
+    # curvature-rate estimate touches a skipped sample
+    s = np.where(np.arange(30) < 15, 3.0, 3.02)
+    cand = trace_candidate(s, np.zeros(30), dt, rng)
+    new = check_candidate(cand, path, LIMITS)
+    assert "28 near-zero-speed" in new.notes[0]
+    assert new.worst_margins[Constraint.CURVATURE_RATE] == 0.0
+    assert_same_report(new, ref.check_candidate(cand, path, LIMITS))
+
+
+def test_check_candidate_matches_reference_with_every_sample_at_rest():
+    rng = np.random.default_rng(7)
+    cand = trace_candidate(np.full(25, 4.0), np.full(25, 0.3), 0.05, rng)
+    new = check_candidate(cand, s_curve_path(), LIMITS)
+    assert "25 near-zero-speed" in new.notes[0]
+    assert_same_report(new, ref.check_candidate(cand, s_curve_path(), LIMITS))
+
+
+# --- sampling --------------------------------------------------------------------
+
+def test_generate_cluster_matches_reference():
+    rng = np.random.default_rng(21)
+    path = s_curve_path()
+    for _ in range(10):
+        grid = SamplingGrid(
+            terminal_speeds=tuple(rng.uniform(0.2, 1.6, 3)),
+            lateral_offsets=tuple(rng.uniform(-0.8, 0.8, 5)),
+            horizons=(1.0, 2.0, 3.0),
+            dt=0.05,
+        )
+        initial = random_initial(rng)
+        old = outcome(ref.generate_cluster, initial, path, grid)
+        if isinstance(old, tuple):
+            assert outcome(generate_cluster, initial, path, grid) == old
+            continue
+        old = old.candidates
+        new = generate_cluster(initial, path, grid).candidates
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            assert_same_candidate(a, b)
+        # candidates own their sample times and longitudinal jerk
+        for a, b in zip(new[:-1], new[1:]):
+            assert not np.shares_memory(a.times, b.times)
+            assert not np.shares_memory(a.jerk_lon, b.jerk_lon)
+
+
+def test_generate_cluster_drops_every_offset_of_a_dipping_pair():
+    path = s_curve_path()
+    # braking from a crawl: over 3 s, s(t) dips on its way to 0.3 m/s but
+    # not on its way to 1.5 m/s; over 1 s neither dips
+    initial = FrenetState(2.0, 0.15, -1.0, 0.1, 0.0, 0.0)
+    grid = SamplingGrid(terminal_speeds=(0.3, 1.5), lateral_offsets=(-0.4, 0.0, 0.4),
+                        horizons=(1.0, 3.0), dt=0.05)
+    old = ref.generate_cluster(initial, path, grid).candidates
+    assert [c.grid_key[:2] for c in old[::3]] == [(1.0, 0.3), (1.0, 1.5), (3.0, 1.5)]
+    new = generate_cluster(initial, path, grid).candidates
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert_same_candidate(a, b)
+
+
+def test_sampling_raises_like_reference():
+    path = s_curve_path()
+    # lateral spans of 1-3 mm are ill-conditioned
+    initial = FrenetState(2.0, 0.0, 0.0, 0.1, 0.0, 0.0)
+    grid = SamplingGrid(terminal_speeds=(0.002,), lateral_offsets=(0.0, 0.2),
+                        horizons=(1.0, 3.0), dt=0.05)
+    old = outcome(ref.generate_cluster, initial, path, grid)
+    assert old[0] is IllConditioned
+    assert outcome(generate_cluster, initial, path, grid) == old
+    # this pair also dips, and the lateral solve still raises first
+    dipping = FrenetState(2.0, 0.1, -1.0, 0.1, 0.0, 0.0)
+    terminal_s = 2.0 + 0.5 * (0.1 - 0.098) * 3.0
+    assert _longitudinal(dipping, terminal_s, -0.098, 3.0, 0.05).dips
+    args = (dipping, terminal_s, -0.098, 0.2, 3.0, 0.05)
+    old = outcome(ref.build_candidate, *args)
+    assert old[0] is IllConditioned
+    assert outcome(build_candidate, *args) == old
+    grid = SamplingGrid(terminal_speeds=(-0.098, 0.3), lateral_offsets=(0.0, 0.2),
+                        horizons=(3.0,), dt=0.05)
+    old = outcome(ref.generate_cluster, dipping, path, grid)
+    assert old[0] is IllConditioned
+    assert outcome(generate_cluster, dipping, path, grid) == old
+    # past the end of the path
+    grid = SamplingGrid(terminal_speeds=(1.0, 80.0), lateral_offsets=(0.0,),
+                        horizons=(1.0,), dt=0.05)
+    old = outcome(ref.generate_cluster, initial, path, grid)
+    assert old[0] is PathTooShort
+    assert outcome(generate_cluster, initial, path, grid) == old
+
+
+def test_build_candidate_matches_reference():
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        initial = random_initial(rng)
+        speed = float(rng.uniform(-0.5, 1.6))
+        horizon = float(rng.choice([1.0, 1.5, 2.5, 3.0]))
+        terminal_s = initial.s + 0.5 * (initial.s_dot + speed) * horizon
+        args = (initial, terminal_s, speed, float(rng.uniform(-1, 1)), horizon, 0.05,
+                (horizon, speed, "inserted"))
+        old = ref.build_candidate(*args)
+        new = build_candidate(*args)
+        if old is None:
+            assert new is None
+        else:
+            assert_same_candidate(new, old)
+
+
+# --- costing ---------------------------------------------------------------------
+
+def mixed_cluster(rng):
+    """Interleaved horizons, including an interpolated 2.5 s insertion."""
+    initial = FrenetState(2.0, 1.0, 0.1, 0.1, 0.05, 0.0)
+    out = []
+    for horizon in (2.0, 3.0, 2.5, 2.0, 3.0, 2.5, 2.0):
+        speed = float(rng.uniform(0.5, 1.4))
+        key = ((horizon, speed, 0.0, "inserted") if horizon == 2.5 else (horizon, speed, 0.0))
+        out.append(make_candidate(initial, speed, float(rng.uniform(-0.6, 0.6)), horizon))
+        out[-1].grid_key = key
+    return out
+
+
+@pytest.mark.parametrize("terminal_weight", [0.0, 1.3])
+def test_cost_cluster_matches_per_candidate_reference(terminal_weight):
+    rng = np.random.default_rng(31)
+    path = s_curve_path()
+    config = OptimizerConfig(terminal_weight=terminal_weight, accel_weight=0.2)
+    # neighbours and bumps, then no neighbours (the force path without frames)
+    for ctx in (active_context(path, rng), make_context(path, sigma=0.3)):
+        cands = mixed_cluster(rng)
+        for reference in (cands[3], None):
+            for reg in (REG, None):
+                old = ref.cost_each(cands, ctx, reference, config, reg)
+                new = cost_cluster(cands, ctx, reference, config, reg)
+                assert [c.hex() for c in new] == [c.hex() for c in old]
+                for cand, want in zip(cands, old):
+                    got = total_cost(cand, ctx, reference, config, reg)
+                    assert got.hex() == want.hex()
+
+
+def test_cost_cluster_raises_like_reference_on_a_coincident_neighbour():
+    path = s_curve_path()
+    rng = np.random.default_rng(37)
+    cands = mixed_cluster(rng)
+    # a resting neighbour on the initial sample the candidates share
+    target = cands[3]
+    ctx = active_context(path)
+    s0, d0 = target.states[0, 0], target.states[0, 3]
+    (px, py), _, _, (nx, ny), _ = path.frame(np.array([s0]))
+    ctx.neighbors = ctx.neighbors + (
+        Neighbor(np.array([px[0] + d0 * nx[0], py[0] + d0 * ny[0]]), np.zeros(2)),
+    )
+    config = OptimizerConfig(terminal_weight=1.0)
+    old = outcome(ref.cost_each, cands, ctx, target, config, REG)
+    assert old[0] is CoincidentNeighbor
+    assert outcome(cost_cluster, cands, ctx, target, config, REG) == old
