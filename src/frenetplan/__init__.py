@@ -1,5 +1,6 @@
-"""Frenet-frame trajectory generation with terminal-state regulation,
-momentum-aware refinement, and a deterministic replanning simulator."""
+"""Frenet-frame trajectory generation with terminal-state regulation, a
+momentum-weighted selection cost, optional momentum-aware refinement, and a
+deterministic replanning simulator."""
 
 __version__ = "0.1.0"
 
@@ -32,7 +33,6 @@ from .frenet_geometry import (
 from .momentum_optimizer import (
     AssistiveParams,
     InteractionParams,
-    KinematicModel,
     Neighbor,
     OptimizerConfig,
     PlanningContext,

@@ -34,14 +34,12 @@ class RegulationConfig:
     """Weights and spacing bounds for terminal-state regulation.
 
     ``weights`` scales the terminal [s_dot, s_ddot, d_dot, d_ddot] deviation;
-    consecutive terminal gaps are repaired into [min_gap, max_gap];
-    ``terminal_weight`` scales the deviation energy inside the total cost.
+    consecutive terminal gaps are repaired into [min_gap, max_gap].
     """
 
     weights: tuple = (1.0, 0.5, 1.0, 0.5)
     max_gap: float = 0.5
     min_gap: float = 0.02
-    terminal_weight: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
@@ -49,8 +47,6 @@ class RegulationConfig:
             raise ValueError("weights must be 4 nonnegative values")
         if not self.max_gap > self.min_gap >= 0:
             raise ValueError("need max_gap > min_gap >= 0")
-        if self.terminal_weight < 0:
-            raise ValueError("terminal_weight must be nonnegative")
 
 
 def terminal_eta(candidate: TrajectoryCandidate) -> np.ndarray:

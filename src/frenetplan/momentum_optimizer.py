@@ -1,4 +1,4 @@
-"""Momentum-aware trajectory refinement.
+"""Momentum-aware trajectory cost and refinement.
 
 The running cost couples kinetic energy, an external momentum-modulation
 force, an acceleration (momentum-change) penalty, and an uncertainty trace,
@@ -12,13 +12,14 @@ Velocities and accelerations entering the cost are derived from the position
 samples by finite differences (central in the interior, one-sided at the
 ends), so the cost is a pure function of the position trace and the descent
 contract is exact. All internals are shape-generic over leading batch axes:
-the simulator descends a whole cluster in lockstep through the same code
+the simulator costs a whole cluster in one pass (``cost_cluster``) and, when
+refinement is switched on, descends it in lockstep through the same code
 that optimizes a single candidate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,44 +41,9 @@ _FIXED_EDGE = 2
 _MAX_BACKTRACKS = 40
 
 
-@dataclass
-class KinematicModel:
-    """Linear kinematic evolution: two chained double integrators.
-
-    State ordering [s, s_dot, s_ddot, d, d_dot, d_ddot]; the control enters
-    the third derivative of each axis. Kept as the model contract for the
-    discretized optimizer, not as a separate solver.
-    """
-
-    A: np.ndarray = field(default_factory=lambda: _chain_a())
-    B: np.ndarray = field(default_factory=lambda: _chain_b())
-    C: np.ndarray = field(default_factory=lambda: np.eye(6))
-    D: np.ndarray = field(default_factory=lambda: np.zeros((6, 2)))
-
-    def derivative(self, state, control):
-        return self.A @ np.asarray(state, float) + self.B @ np.asarray(control, float)
-
-    def observe(self, state, control):
-        return self.C @ np.asarray(state, float) + self.D @ np.asarray(control, float)
-
-
-def _chain_a() -> np.ndarray:
-    a = np.zeros((6, 6))
-    a[0, 1] = a[1, 2] = 1.0
-    a[3, 4] = a[4, 5] = 1.0
-    return a
-
-
-def _chain_b() -> np.ndarray:
-    b = np.zeros((6, 2))
-    b[2, 0] = 1.0
-    b[5, 1] = 1.0
-    return b
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Weights and solver controls for the momentum-aware refinement."""
+    """Weights of the momentum-aware cost and controls of its refinement."""
 
     mass: float = 1.0
     accel_weight: float = 0.1

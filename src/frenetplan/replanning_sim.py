@@ -1,9 +1,10 @@
 """Deterministic closed-loop replanning simulator.
 
-Each cycle builds a cluster at the current state, refines and classifies the
+Each cycle builds a cluster at the current state, costs and classifies the
 candidates, executes the committed prefix of the best feasible one, advances
-the agents, and hands the exact end state to the next cycle. Runs are fully
-deterministic for a fixed scenario.
+the agents, and hands the exact end state to the next cycle. Momentum-aware
+refinement of the candidates runs only when ``ModeSwitches.optimize`` is set.
+Runs are fully deterministic for a fixed scenario.
 """
 
 from __future__ import annotations
@@ -57,17 +58,20 @@ class SimSettings:
 class ModeSwitches:
     """Ablation switches distinguishing the proposed pipeline from the baseline.
 
-    Baseline: raw cluster (no sorting/spacing repair), no refinement, and the
-    momentum-change and terminal weights zeroed in the selection cost.
+    Proposed: regulated cluster, momentum-weighted selection cost, no
+    refinement. Baseline differs by the raw cluster (no sorting/spacing
+    repair) and the momentum-change and terminal weights zeroed in the
+    selection cost. ``optimize`` refines every candidate by momentum-aware
+    descent before classification; neither named mode sets it.
     """
 
     regulate: bool = True
-    optimize: bool = True
+    optimize: bool = False
     momentum_weights: bool = True
 
     @classmethod
     def proposed(cls) -> "ModeSwitches":
-        return cls(True, True, True)
+        return cls(True, False, True)
 
     @classmethod
     def baseline(cls) -> "ModeSwitches":

@@ -9,7 +9,6 @@ from frenetplan import momentum_optimizer
 from frenetplan.momentum_optimizer import (
     AssistiveParams,
     InteractionParams,
-    KinematicModel,
     Neighbor,
     OptimizerConfig,
     assistive_force,
@@ -37,16 +36,6 @@ def rebuilt_positions_cost(candidate, positions, ctx, config):
     states[:, 0] = positions[:, 0]
     states[:, 3] = positions[:, 1]
     return total_cost(replace(candidate, states=states), ctx, None, config)
-
-
-def test_kinematic_model_structure():
-    model = KinematicModel()
-    assert model.A.shape == (6, 6) and model.B.shape == (6, 2)
-    state = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    control = np.array([7.0, 8.0])
-    deriv = model.derivative(state, control)
-    assert np.allclose(deriv, [2.0, 3.0, 7.0, 5.0, 6.0, 8.0])
-    assert np.allclose(model.observe(state, control), state)
 
 
 def test_assistive_equilibrium_is_zero():

@@ -5,7 +5,8 @@ import pytest
 from dataclasses import replace
 
 from frenetplan.errors import NoFeasibleCandidate, ScenarioInvalid
-from frenetplan.evaluation import FeasibilityReport, KinematicLimits
+from frenetplan import replanning_sim
+from frenetplan.evaluation import FeasibilityReport, KinematicLimits, check_candidate
 from frenetplan.quintic_sampling import SamplingGrid
 from frenetplan.replanning_sim import (
     ModeSwitches,
@@ -135,6 +136,44 @@ def test_mode_contract_equalized_switches():
     assert json.dumps(explicit.to_dict()) == json.dumps(named.to_dict())
     assert explicit.mode == "baseline"
     assert run(scn, ModeSwitches.proposed()).mode == "proposed"
+    assert ModeSwitches() == ModeSwitches.proposed()
+
+
+def _classified_candidates(monkeypatch, scn, mode):
+    """Every candidate the run hands to classification, in order."""
+    seen = []
+
+    def spy(candidate, path, limits):
+        seen.append(candidate)
+        return check_candidate(candidate, path, limits)
+
+    monkeypatch.setattr(replanning_sim, "check_candidate", spy)
+    run(scn, mode)
+    return seen
+
+
+def test_proposed_mode_does_not_refine(monkeypatch):
+    seen = _classified_candidates(monkeypatch, straight_crossing(seed=0, n_cycles=2), "proposed")
+    assert seen and not any(c.optimized for c in seen)
+
+
+def test_refine_switch_refines_every_candidate(monkeypatch):
+    scn = straight_crossing(seed=0, n_cycles=2)
+    seen = _classified_candidates(monkeypatch, scn, ModeSwitches(True, True, True))
+    assert seen
+    for cand in seen:
+        assert cand.optimized
+        history = cand.cost_history
+        assert len(history) >= 2
+        assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
+
+
+# s1 variants on which refinement turned every candidate of a cycle infeasible
+# (NoFeasibleCandidate at cycle 3 or 4); the unrefined pipeline completes them.
+@pytest.mark.parametrize("seed", [2041105244, 1156579489, 263207427, 554293607])
+def test_proposed_completes_found_refinement_failures(seed):
+    log = run(straight_crossing(seed=seed, n_cycles=5), "proposed")
+    assert len(log.cycles) == 5
 
 
 def test_no_feasible_candidate_carries_partial_log():
