@@ -1,6 +1,6 @@
 """Frenet-frame trajectory generation with terminal-state regulation, a
-momentum-weighted selection cost, optional momentum-aware refinement, and a
-deterministic replanning simulator."""
+momentum-weighted selection cost, a deterministic replanning simulator, and
+momentum-aware refinement as a library routine."""
 
 __version__ = "0.1.0"
 

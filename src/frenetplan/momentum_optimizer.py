@@ -12,8 +12,8 @@ Velocities and accelerations entering the cost are derived from the position
 samples by finite differences (central in the interior, one-sided at the
 ends), so the cost is a pure function of the position trace and the descent
 contract is exact. All internals are shape-generic over leading batch axes:
-the simulator costs a whole cluster in one pass (``cost_cluster``) and, when
-refinement is switched on, descends it in lockstep through the same code
+the simulator costs a whole cluster in one pass (``cost_cluster``), and
+``optimize_cluster`` descends a cluster in lockstep through the same code
 that optimizes a single candidate.
 """
 

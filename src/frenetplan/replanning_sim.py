@@ -2,9 +2,8 @@
 
 Each cycle builds a cluster at the current state, costs and classifies the
 candidates, executes the committed prefix of the best feasible one, advances
-the agents, and hands the exact end state to the next cycle. Momentum-aware
-refinement of the candidates runs only when ``ModeSwitches.optimize`` is set.
-Runs are fully deterministic for a fixed scenario.
+the agents, and hands the exact end state to the next cycle. Runs are fully
+deterministic for a fixed scenario.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .momentum_optimizer import (
     OptimizerConfig,
     PlanningContext,
     cost_cluster,
-    optimize_cluster,
+    optimize_cluster,  # noqa: F401 - perfbench's tracer wraps this name here
     total_cost,  # noqa: F401 - perfbench's tracer wraps this name here
 )
 from .quintic_sampling import SamplingGrid, generate_cluster
@@ -58,24 +57,22 @@ class SimSettings:
 class ModeSwitches:
     """Ablation switches distinguishing the proposed pipeline from the baseline.
 
-    Proposed: regulated cluster, momentum-weighted selection cost, no
-    refinement. Baseline differs by the raw cluster (no sorting/spacing
-    repair) and the momentum-change and terminal weights zeroed in the
-    selection cost. ``optimize`` refines every candidate by momentum-aware
-    descent before classification; neither named mode sets it.
+    Proposed: regulated cluster and momentum-weighted selection cost.
+    Baseline: raw cluster (no sorting/spacing repair) and the momentum-change
+    and terminal weights zeroed in the selection cost. Neither refines the
+    candidates; ``optimize_cluster`` is a library function, not a mode.
     """
 
     regulate: bool = True
-    optimize: bool = False
     momentum_weights: bool = True
 
     @classmethod
     def proposed(cls) -> "ModeSwitches":
-        return cls(True, False, True)
+        return cls(True, True)
 
     @classmethod
     def baseline(cls) -> "ModeSwitches":
-        return cls(False, False, False)
+        return cls(False, False)
 
     @property
     def label(self) -> str:
@@ -482,16 +479,11 @@ def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimL
             cluster.reference_index = select_reference_candidate(cluster)
         reference = cluster.candidates[cluster.reference_index]
 
-        if switches.optimize:
-            cluster.candidates = optimize_cluster(
-                cluster.candidates, ctx, reference, opt_cfg, scenario.regulation
-            )
-        else:
-            costs = cost_cluster(
-                cluster.candidates, ctx, reference, opt_cfg, scenario.regulation
-            )
-            for cand, cost in zip(cluster.candidates, costs):
-                cand.cost = cost
+        costs = cost_cluster(
+            cluster.candidates, ctx, reference, opt_cfg, scenario.regulation
+        )
+        for cand, cost in zip(cluster.candidates, costs):
+            cand.cost = cost
 
         reports = [
             check_candidate(c, path, scenario.limits) for c in cluster.candidates

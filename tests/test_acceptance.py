@@ -192,7 +192,8 @@ def test_criterion_5_spacing_postcondition():
     print(f"ACCEPTANCE 5 PASS: 100 clusters repaired, {flagged} budget-flagged, idempotent")
 
 
-def test_criterion_6_dispersion_trend(suite_logs):
+def _dispersion_wins(suite_logs):
+    """(runs whose mean within-cluster nn_std is lower under proposed, runs)."""
     wins = total = 0
     for logs in suite_logs.values():
         for lp, lb in zip(logs["proposed"], logs["baseline"]):
@@ -200,11 +201,12 @@ def test_criterion_6_dispersion_trend(suite_logs):
             b = np.mean([r.nn_stats.nn_std for r in lb.cycles if r.nn_stats])
             wins += p < b
             total += 1
-    assert wins >= 0.8 * total, f"nn_std lower in only {wins}/{total} runs"
-    print(f"ACCEPTANCE 6 PASS: within-cluster nn_std lower in {wins}/{total} runs (>= 80%)")
+    return wins, total
 
 
-def test_criterion_7_jerk_trend(suite_logs):
+def _jerk_reduced(suite_logs):
+    """(scenarios whose pooled |jerk| median and IQR drop on both axes under
+    proposed, one "name:reduced|mixed" entry per scenario)."""
     reduced = 0
     summary = []
     for name, logs in suite_logs.items():
@@ -218,10 +220,27 @@ def test_criterion_7_jerk_trend(suite_logs):
         )
         reduced += ok
         summary.append(f"{name}:{'reduced' if ok else 'mixed'}")
-    lon_p, lat_p = _pooled_jerk(suite_logs["s2"], "proposed")
-    lon_b, lat_b = _pooled_jerk(suite_logs["s2"], "baseline")
-    rms_p = float(np.sqrt(np.mean(np.concatenate([lon_p, lat_p]) ** 2)))
-    rms_b = float(np.sqrt(np.mean(np.concatenate([lon_b, lat_b]) ** 2)))
+    return reduced, summary
+
+
+def _s2_rms_jerk(suite_logs):
+    """(proposed, baseline) RMS of the pooled lon+lat jerk in the bump scenario."""
+    rms = []
+    for mode in ("proposed", "baseline"):
+        lon, lat = _pooled_jerk(suite_logs["s2"], mode)
+        rms.append(float(np.sqrt(np.mean(np.concatenate([lon, lat]) ** 2))))
+    return tuple(rms)
+
+
+def test_criterion_6_dispersion_trend(suite_logs):
+    wins, total = _dispersion_wins(suite_logs)
+    assert wins >= 0.8 * total, f"nn_std lower in only {wins}/{total} runs"
+    print(f"ACCEPTANCE 6 PASS: within-cluster nn_std lower in {wins}/{total} runs (>= 80%)")
+
+
+def test_criterion_7_jerk_trend(suite_logs):
+    reduced, summary = _jerk_reduced(suite_logs)
+    rms_p, rms_b = _s2_rms_jerk(suite_logs)
     assert reduced >= 2, f"median+IQR reduced in only {reduced}/3 scenarios ({summary})"
     assert rms_p <= 0.9 * rms_b, f"bump-scenario RMS jerk {rms_p:.3f} vs {rms_b:.3f}"
     print(

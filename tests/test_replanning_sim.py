@@ -131,7 +131,7 @@ def test_executed_pace_converges_to_target():
 
 def test_mode_contract_equalized_switches():
     scn = curved_bumps(seed=1, n_cycles=3)
-    explicit = run(scn, ModeSwitches(regulate=False, optimize=False, momentum_weights=False))
+    explicit = run(scn, ModeSwitches(regulate=False, momentum_weights=False))
     named = run(scn, "baseline")
     assert json.dumps(explicit.to_dict()) == json.dumps(named.to_dict())
     assert explicit.mode == "baseline"
@@ -139,8 +139,7 @@ def test_mode_contract_equalized_switches():
     assert ModeSwitches() == ModeSwitches.proposed()
 
 
-def _classified_candidates(monkeypatch, scn, mode):
-    """Every candidate the run hands to classification, in order."""
+def test_proposed_mode_does_not_refine(monkeypatch):
     seen = []
 
     def spy(candidate, path, limits):
@@ -148,24 +147,8 @@ def _classified_candidates(monkeypatch, scn, mode):
         return check_candidate(candidate, path, limits)
 
     monkeypatch.setattr(replanning_sim, "check_candidate", spy)
-    run(scn, mode)
-    return seen
-
-
-def test_proposed_mode_does_not_refine(monkeypatch):
-    seen = _classified_candidates(monkeypatch, straight_crossing(seed=0, n_cycles=2), "proposed")
+    run(straight_crossing(seed=0, n_cycles=2), "proposed")
     assert seen and not any(c.optimized for c in seen)
-
-
-def test_refine_switch_refines_every_candidate(monkeypatch):
-    scn = straight_crossing(seed=0, n_cycles=2)
-    seen = _classified_candidates(monkeypatch, scn, ModeSwitches(True, True, True))
-    assert seen
-    for cand in seen:
-        assert cand.optimized
-        history = cand.cost_history
-        assert len(history) >= 2
-        assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
 
 # s1 variants on which refinement turned every candidate of a cycle infeasible

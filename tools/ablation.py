@@ -1,15 +1,15 @@
-"""Ablation of the three ModeSwitches over the acceptance batch.
+"""Ablation of the ModeSwitches over the acceptance batch.
 
     PYTHONPATH=src python tools/ablation.py
 
 Runs s1-s3 at the acceptance seeds and cycle count (``SUITE_SEEDS``,
-``SUITE_CYCLES`` of ``tests/test_acceptance.py``) under (regulate, optimize,
-momentum_weights) = (T, T, T), (T, F, T), (T, F, F) and the baseline
-(F, F, F), and prints one markdown table row per switch set: the criterion
-6-8 metrics against the baseline (the baseline row compares it with itself),
-computed as the acceptance tests compute them, the number of runs that raised
+``SUITE_CYCLES`` of ``tests/test_acceptance.py``) under (regulate,
+momentum_weights) = (T, T) (proposed), (T, F) and (F, F) (baseline), and
+prints one markdown table row per switch set: the criterion 6-8 metrics
+against the baseline (the baseline row compares it with itself), computed as
+the acceptance tests compute them, the number of runs that raised
 NoFeasibleCandidate (their partial logs are kept), and the wall time of the
-set's runs. Takes about a minute.
+set's runs. Takes about ten seconds.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tests"))
@@ -31,16 +29,16 @@ from test_acceptance import (  # noqa: E402
     SUITE_CYCLES,
     SUITE_SEEDS,
     _candidate_rates,
-    _iqr,
+    _dispersion_wins,
     _is_inserted,
-    _pooled_jerk,
+    _jerk_reduced,
+    _s2_rms_jerk,
 )
 
 SWITCH_SETS = (
-    ("refine (T, T, T)", ModeSwitches(True, True, True)),
-    ("proposed (T, F, T)", ModeSwitches.proposed()),
-    ("regulate only (T, F, F)", ModeSwitches(True, False, False)),
-    ("baseline (F, F, F)", ModeSwitches.baseline()),
+    ("proposed (T, T)", ModeSwitches.proposed()),
+    ("regulate only (T, F)", ModeSwitches(True, False)),
+    ("baseline (F, F)", ModeSwitches.baseline()),
 )
 
 
@@ -62,27 +60,9 @@ def run_batch(switches):
 def criteria(variant, base):
     """Criterion 6-8 columns of ``variant`` against ``base`` (test_acceptance)."""
     suite = {name: {"proposed": variant[name], "baseline": base[name]} for name in base}
-    wins = total = 0
-    for name in suite:
-        for lp, lb in zip(variant[name], base[name]):
-            p = np.mean([r.nn_stats.nn_std for r in lp.cycles if r.nn_stats])
-            b = np.mean([r.nn_stats.nn_std for r in lb.cycles if r.nn_stats])
-            wins += p < b
-            total += 1
-    reduced = 0
-    for logs in suite.values():
-        lon_p, lat_p = _pooled_jerk(logs, "proposed")
-        lon_b, lat_b = _pooled_jerk(logs, "baseline")
-        reduced += bool(
-            np.median(lon_p) < np.median(lon_b)
-            and np.median(lat_p) < np.median(lat_b)
-            and _iqr(lon_p) < _iqr(lon_b)
-            and _iqr(lat_p) < _iqr(lat_b)
-        )
-    lon_p, lat_p = _pooled_jerk(suite["s2"], "proposed")
-    lon_b, lat_b = _pooled_jerk(suite["s2"], "baseline")
-    rms_p = np.sqrt(np.mean(np.concatenate([lon_p, lat_p]) ** 2))
-    rms_b = np.sqrt(np.mean(np.concatenate([lon_b, lat_b]) ** 2))
+    wins, total = _dispersion_wins(suite)
+    reduced, _ = _jerk_reduced(suite)
+    rms_p, rms_b = _s2_rms_jerk(suite)
     overall_p, rates_p = _candidate_rates(suite, "proposed", lambda row: not _is_inserted(row))
     overall_b, _ = _candidate_rates(suite, "baseline", lambda row: not _is_inserted(row))
     return [
