@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .endpoint_regulation import regulated_cluster, select_reference_candidate
 from .errors import EmptyCluster, NoFeasibleCandidate, PlannerError, ScenarioInvalid
-from .evaluation import CONSTRAINT_ORDER
+from .evaluation import CONSTRAINT_ORDER, abs_summary, nearest_distances
 from .quintic_sampling import generate_cluster
 from .replanning_sim import Scenario, SimLog, run, validate_scenario_dict
 
@@ -83,19 +83,6 @@ def _load_scenario(path_str: str):
     return data, raw
 
 
-def _planner_threads() -> int:
-    """Parallelism cap from PLANNER_THREADS (0 = auto); execution is
-    currently sequential, which satisfies any cap."""
-    value = os.environ.get("PLANNER_THREADS", "0")
-    try:
-        threads = int(value)
-    except ValueError:
-        raise ValueError(f"PLANNER_THREADS must be an integer, got {value!r}")
-    if threads < 0:
-        raise ValueError("PLANNER_THREADS must be nonnegative")
-    return threads
-
-
 def cmd_validate(args) -> int:
     data, _ = _load_scenario(args.scenario)
     if data is None:
@@ -134,19 +121,6 @@ def _executed_series(log: SimLog):
     return rows
 
 
-def _abs_stats(values: np.ndarray) -> tuple:
-    mags = np.abs(values)
-    if mags.size == 0:
-        return 0.0, 0.0, 0.0, 0.0
-    q25, q75 = np.percentile(mags, [25, 75])
-    return (
-        float(np.median(mags)),
-        float(q75 - q25),
-        float(np.sqrt(np.mean(mags**2))),
-        float(mags.max()),
-    )
-
-
 def write_run_outputs(log: SimLog, out_dir: Path) -> list:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -165,8 +139,7 @@ def write_run_outputs(log: SimLog, out_dir: Path) -> list:
     jerk_lat = np.concatenate([rec.jerk_lat for rec in log.cycles]) if log.cycles else np.array([])
     rows = []
     for axis, series in (("longitudinal", jerk_lon), ("lateral", jerk_lat)):
-        median, iqr, rms, peak = _abs_stats(series)
-        rows.append((axis, median, iqr, rms, peak))
+        rows.append((axis, *abs_summary(series)))
     _write_csv(out_dir / "jerk_stats.csv", ("axis", "median", "iqr", "rms", "peak"), rows)
     written.append("jerk_stats.csv")
 
@@ -216,18 +189,10 @@ def cmd_run(args) -> int:
     data, raw = _load_scenario(args.scenario)
     if data is None:
         return 2
-    violations = validate_scenario_dict(data)
-    if violations:
-        for item in violations:
-            print(f"schema violation: {item}", file=sys.stderr)
-        return 2
     scenario = Scenario.from_dict(data)
     if args.seed is not None:
-        from dataclasses import replace
-
         scenario.sim = replace(scenario.sim, seed=args.seed)
 
-    _planner_threads()
     out_dir = Path(args.out)
     started = time.perf_counter()
     try:
@@ -259,11 +224,6 @@ def cmd_run(args) -> int:
 def cmd_cluster(args) -> int:
     data, _ = _load_scenario(args.scenario)
     if data is None:
-        return 2
-    violations = validate_scenario_dict(data)
-    if violations:
-        for item in violations:
-            print(f"schema violation: {item}", file=sys.stderr)
         return 2
     scenario = Scenario.from_dict(data)
     path = scenario.build_path()
@@ -309,10 +269,7 @@ def cmd_cluster(args) -> int:
         )
 
     if len(cluster.candidates) >= 2:
-        diff = terms[:, None, :] - terms[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        np.fill_diagonal(dist, np.inf)
-        nearest = dist.min(axis=1)
+        nearest = nearest_distances(terms)
         edges = np.arange(0.0, nearest.max() + _HIST_BIN, _HIST_BIN)
         if len(edges) < 2:
             edges = np.array([0.0, _HIST_BIN])

@@ -21,6 +21,7 @@ from .quintic_sampling import (
     build_candidate,
     generate_cluster,
 )
+from .schema import check, spec
 
 # Insertions allowed per oversized gap before the budget flag is raised.
 _GAP_BUDGET = 8
@@ -37,16 +38,15 @@ class RegulationConfig:
     consecutive terminal gaps are repaired into [min_gap, max_gap].
     """
 
-    weights: tuple = (1.0, 0.5, 1.0, 0.5)
-    max_gap: float = 0.5
-    min_gap: float = 0.02
+    weights: tuple = spec((1.0, 0.5, 1.0, 0.5), ("nonneg",) * 4)
+    max_gap: float = spec(0.5, "positive")
+    min_gap: float = spec(0.02, "nonneg")
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if len(self.weights) != 4 or any(w < 0 for w in self.weights):
-            raise ValueError("weights must be 4 nonnegative values")
-        if not self.max_gap > self.min_gap >= 0:
-            raise ValueError("need max_gap > min_gap >= 0")
+        check(self)
+        if not self.max_gap > self.min_gap:
+            raise ValueError("max_gap: need max_gap > min_gap >= 0")
 
 
 def terminal_eta(candidate: TrajectoryCandidate) -> np.ndarray:

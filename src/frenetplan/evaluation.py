@@ -14,6 +14,7 @@ from .errors import EmptyInput, TooFewEndpoints
 from .frenet_geometry import ReferencePath
 from .momentum_optimizer import fd_gradient
 from .quintic_sampling import TrajectoryCandidate, TrajectoryCluster
+from .schema import check, spec
 
 # Below this Cartesian speed, curvature-family quantities are undefined and
 # the corresponding checks are skipped at that sample.
@@ -47,23 +48,14 @@ CONSTRAINT_ORDER = (
 class KinematicLimits:
     """Hard limits; walking-pace defaults for the bundled scenarios."""
 
-    v_max: float = 2.0
-    a_max: float = 1.5
-    j_max: float = 4.0
-    kappa_max: float = 1.0
-    yaw_rate_max: float = 1.0
-    kappa_rate_max: float = 2.0
+    v_max: float = spec(2.0, "positive")
+    a_max: float = spec(1.5, "positive")
+    j_max: float = spec(4.0, "positive")
+    kappa_max: float = spec(1.0, "positive")
+    yaw_rate_max: float = spec(1.0, "positive")
+    kappa_rate_max: float = spec(2.0, "positive")
 
-    def __post_init__(self):
-        if min(
-            self.v_max,
-            self.a_max,
-            self.j_max,
-            self.kappa_max,
-            self.yaw_rate_max,
-            self.kappa_rate_max,
-        ) <= 0:
-            raise ValueError("all limits must be strictly positive")
+    __post_init__ = check
 
     def limit_for(self, constraint: Constraint) -> float:
         return {
@@ -211,16 +203,21 @@ def check_candidate(
     )
 
 
+def nearest_distances(points: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row of ``points`` to its nearest other row."""
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.linalg.norm(diff, axis=-1)
+    np.fill_diagonal(dist, np.inf)
+    return dist.min(axis=1)
+
+
 def nn_distance_stats(cluster: TrajectoryCluster) -> ClusterStats:
     """Nearest-neighbor distances between terminal 6-vectors (SI Euclidean)."""
     terms = cluster.terminal_matrix()
     n = terms.shape[0]
     if n < 2:
         raise TooFewEndpoints("need at least 2 endpoints for nearest-neighbor stats")
-    diff = terms[:, None, :] - terms[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    np.fill_diagonal(dist, np.inf)
-    nearest = dist.min(axis=1)
+    nearest = nearest_distances(terms)
     return ClusterStats(
         nn_mean=float(nearest.mean()),
         nn_std=float(nearest.std()),
@@ -230,10 +227,22 @@ def nn_distance_stats(cluster: TrajectoryCluster) -> ClusterStats:
     )
 
 
+def abs_summary(values: np.ndarray) -> tuple:
+    """(median, IQR, RMS, peak) of |values|; all zero for an empty array."""
+    mags = np.abs(values)
+    if mags.size == 0:
+        return 0.0, 0.0, 0.0, 0.0
+    q25, q75 = np.percentile(mags, [25, 75])
+    return (
+        float(np.median(mags)),
+        float(q75 - q25),
+        float(np.sqrt(np.mean(mags**2))),
+        float(mags.max()),
+    )
+
+
 def jerk_statistics(candidate: TrajectoryCandidate) -> JerkStats:
     """Summaries of |jerk| per Frenet axis plus the profile series."""
-    jl = np.abs(candidate.jerk_lon)
-    jt = np.abs(candidate.jerk_lat)
     st = candidate.states
     profile = {
         "t": candidate.times.copy(),
@@ -246,19 +255,11 @@ def jerk_statistics(candidate: TrajectoryCandidate) -> JerkStats:
         "d_ddot": st[:, 5].copy(),
         "jerk_lat": candidate.jerk_lat.copy(),
     }
-    q25l, q75l = np.percentile(jl, [25, 75])
-    q25t, q75t = np.percentile(jt, [25, 75])
     return JerkStats(
-        jerk_lon=candidate.jerk_lon.copy(),
-        jerk_lat=candidate.jerk_lat.copy(),
-        median_lon=float(np.median(jl)),
-        iqr_lon=float(q75l - q25l),
-        rms_lon=float(np.sqrt(np.mean(jl**2))),
-        peak_lon=float(jl.max()),
-        median_lat=float(np.median(jt)),
-        iqr_lat=float(q75t - q25t),
-        rms_lat=float(np.sqrt(np.mean(jt**2))),
-        peak_lat=float(jt.max()),
+        candidate.jerk_lon.copy(),
+        candidate.jerk_lat.copy(),
+        *abs_summary(candidate.jerk_lon),
+        *abs_summary(candidate.jerk_lat),
         profile=profile,
     )
 

@@ -27,6 +27,7 @@ from .endpoint_regulation import RegulationConfig, regulation_energy
 from .errors import CoincidentNeighbor
 from .frenet_geometry import FrenetState, ReferencePath
 from .quintic_sampling import TrajectoryCandidate
+from .schema import ListOf, check, spec
 
 _COINCIDENT_DIST = 1e-9
 
@@ -45,27 +46,17 @@ _MAX_BACKTRACKS = 40
 class OptimizerConfig:
     """Weights of the momentum-aware cost and controls of its refinement."""
 
-    mass: float = 1.0
-    accel_weight: float = 0.1
-    uncertainty_weight: float = 0.05
-    terminal_weight: float = 1.0
-    dt: float = 0.05
-    max_iters: int = 50
-    armijo_c: float = 1e-4
-    step_shrink: float = 0.5
-    grad_tol: float = 1e-6
+    mass: float = spec(1.0, "positive")
+    accel_weight: float = spec(0.1, "nonneg", optional=True)
+    uncertainty_weight: float = spec(0.05, "nonneg", optional=True)
+    terminal_weight: float = spec(1.0, "nonneg", optional=True)
+    dt: float = spec(0.05, "positive")
+    max_iters: int = spec(50, "count")
+    armijo_c: float = spec(1e-4, "open_unit")
+    step_shrink: float = spec(0.5, "open_unit")
+    grad_tol: float = spec(1e-6, "nonneg", optional=True)
 
-    def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
-        if min(self.accel_weight, self.uncertainty_weight, self.terminal_weight) < 0:
-            raise ValueError("weights must be nonnegative")
-        if not 0 < self.armijo_c < 1:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0 < self.step_shrink < 1:
-            raise ValueError("step_shrink must lie in (0, 1)")
-        if self.dt <= 0 or self.max_iters < 0:
-            raise ValueError("dt must be positive and max_iters nonnegative")
+    __post_init__ = check
 
 
 @dataclass(frozen=True)
@@ -76,53 +67,44 @@ class AssistiveParams:
     clipped sum is the surface-irregularity factor along arc length.
     """
 
-    target_speed: float = 1.0
-    speed_gain: float = 0.4
-    centering_gain: float = 0.3
-    damping_gain: float = 0.2
-    max_force: float = 3.0
-    bumps: tuple = ()
+    target_speed: float = spec(1.0, "nonneg")
+    speed_gain: float = spec(0.4, "nonneg")
+    centering_gain: float = spec(0.3, "nonneg")
+    damping_gain: float = spec(0.2, "nonneg")
+    max_force: float = spec(3.0, "positive")
+    bumps: tuple = spec((), ListOf(("finite", "positive", "unit")), optional=True)
 
     def __post_init__(self):
         object.__setattr__(
             self, "bumps", tuple((float(c), float(w), float(a)) for c, w, a in self.bumps)
         )
-        if self.max_force <= 0:
-            raise ValueError("max_force must be positive")
-        for _, width, amp in self.bumps:
-            if width <= 0 or not 0 <= amp <= 1:
-                raise ValueError("bump widths must be positive, amplitudes in [0, 1]")
+        check(self)
 
 
 @dataclass(frozen=True)
 class InteractionParams:
     """Bounded repulsion from surrounding agents."""
 
-    max_intensity: float = 2.0
-    range_scale: float = 0.8
-    speed_scale: float = 1.0
-    cutoff: float = 4.0
+    max_intensity: float = spec(2.0, "positive")
+    range_scale: float = spec(0.8, "positive")
+    speed_scale: float = spec(1.0, "positive")
+    cutoff: float = spec(4.0, "positive")
 
-    def __post_init__(self):
-        if min(self.max_intensity, self.range_scale, self.speed_scale, self.cutoff) <= 0:
-            raise ValueError("interaction parameters must be positive")
+    __post_init__ = check
 
 
 @dataclass
 class Neighbor:
     """Surrounding agent: Cartesian position/velocity and uncertainty trace."""
 
-    position: np.ndarray
-    velocity: np.ndarray
-    covariance_trace: float = 0.0
+    position: np.ndarray = spec(shape=("finite", "finite"))
+    velocity: np.ndarray = spec(shape=("finite", "finite"))
+    covariance_trace: float = spec(0.0, "nonneg", optional=True)
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
         self.velocity = np.asarray(self.velocity, dtype=float)
-        if self.covariance_trace < 0 or not np.all(
-            np.isfinite(self.position)
-        ) or not np.all(np.isfinite(self.velocity)):
-            raise ValueError("neighbor state must be finite with nonnegative trace")
+        check(self)
 
 
 @dataclass

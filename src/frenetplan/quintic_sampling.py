@@ -20,6 +20,7 @@ from .errors import (
     PathTooShort,
 )
 from .frenet_geometry import FrenetState, ReferencePath, _check_s
+from .schema import ListOf, check, spec
 
 if TYPE_CHECKING:  # pragma: no cover
     from .evaluation import FeasibilityReport
@@ -87,27 +88,23 @@ class SamplingGrid:
 
     ``cycle_jitter`` is the half-width of a seeded uniform perturbation the
     simulator applies to speeds and offsets each replanning cycle, modeling
-    independent terminal sampling per cycle; zero disables it.
+    independent terminal sampling per cycle; zero disables it. It is at
+    most 1 (m/s, m): sampling noise on the grid, not a change of its scale.
     """
 
-    terminal_speeds: tuple
-    lateral_offsets: tuple
-    horizons: tuple
-    dt: float = 0.05
-    cycle_jitter: float = 0.0
+    terminal_speeds: tuple = spec(shape=ListOf("finite", 1))
+    lateral_offsets: tuple = spec(shape=ListOf("finite", 1))
+    horizons: tuple = spec(shape=ListOf("positive", 1))
+    dt: float = spec(0.05, "positive")
+    cycle_jitter: float = spec(0.0, "unit", optional=True)
 
     def __post_init__(self):
         object.__setattr__(self, "terminal_speeds", tuple(float(v) for v in self.terminal_speeds))
         object.__setattr__(self, "lateral_offsets", tuple(float(v) for v in self.lateral_offsets))
         object.__setattr__(self, "horizons", tuple(float(v) for v in self.horizons))
-        if not (self.terminal_speeds and self.lateral_offsets and self.horizons):
-            raise ValueError("grid lists must be non-empty")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        check(self)
         if min(self.horizons) < 4 * self.dt:
-            raise ValueError("horizons must be at least 4*dt")
-        if self.cycle_jitter < 0:
-            raise ValueError("cycle_jitter must be nonnegative")
+            raise ValueError("horizons: must be at least 4*dt")
 
     def jittered(self, rng) -> "SamplingGrid":
         """Seeded per-cycle variant; speeds stay positive."""

@@ -8,7 +8,8 @@ deterministic for a fixed scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -39,6 +40,7 @@ from .momentum_optimizer import (
     total_cost,  # noqa: F401 - perfbench's tracer wraps this name here
 )
 from .quintic_sampling import SamplingGrid, generate_cluster
+from .schema import ListOf, check, plain_fields, problem, section_problems, spec
 
 SCHEMA_VERSION = 1
 
@@ -47,10 +49,12 @@ _COST_TIE = 1e-12
 
 @dataclass(frozen=True)
 class SimSettings:
-    cycle_period: float = 1.0
-    commit_horizon: float = 1.0
-    n_cycles: int = 8
-    seed: int = 0
+    cycle_period: float = spec(1.0, "positive")
+    commit_horizon: float = spec(1.0, "positive")
+    n_cycles: int = spec(8, "count")
+    seed: int = spec(0, "count", optional=True)
+
+    __post_init__ = check
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,8 @@ class ModeSwitches:
             return "proposed"
         if self == ModeSwitches.baseline():
             return "baseline"
-        return "custom"
+        on = [f.name for f in fields(self) if getattr(self, f.name)]
+        return f"custom({','.join(on)})"
 
 
 @dataclass
@@ -99,84 +104,19 @@ class Scenario:
     interaction: InteractionParams
     sim: SimSettings
     sigma_baseline: float = 0.0
-    schema_version: int = SCHEMA_VERSION
 
     def build_path(self) -> ReferencePath:
         return build_reference_path(self.waypoints)
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "name": self.name,
-            "waypoints": [[float(x), float(y)] for x, y in np.asarray(self.waypoints)],
-            "initial_state": {
-                "s": self.initial.s,
-                "s_dot": self.initial.s_dot,
-                "s_ddot": self.initial.s_ddot,
-                "d": self.initial.d,
-                "d_dot": self.initial.d_dot,
-                "d_ddot": self.initial.d_ddot,
-            },
-            "agents": [
-                {
-                    "position": [float(v) for v in nb.position],
-                    "velocity": [float(v) for v in nb.velocity],
-                    "covariance_trace": float(nb.covariance_trace),
-                }
-                for nb in self.agents
-            ],
-            "limits": {
-                "v_max": self.limits.v_max,
-                "a_max": self.limits.a_max,
-                "j_max": self.limits.j_max,
-                "kappa_max": self.limits.kappa_max,
-                "yaw_rate_max": self.limits.yaw_rate_max,
-                "kappa_rate_max": self.limits.kappa_rate_max,
-            },
-            "grid": {
-                "terminal_speeds": list(self.grid.terminal_speeds),
-                "lateral_offsets": list(self.grid.lateral_offsets),
-                "horizons": list(self.grid.horizons),
-                "dt": self.grid.dt,
-                "cycle_jitter": self.grid.cycle_jitter,
-            },
-            "regulation": {
-                "weights": list(self.regulation.weights),
-                "max_gap": self.regulation.max_gap,
-                "min_gap": self.regulation.min_gap,
-            },
-            "optimizer": {
-                "mass": self.optimizer.mass,
-                "accel_weight": self.optimizer.accel_weight,
-                "uncertainty_weight": self.optimizer.uncertainty_weight,
-                "terminal_weight": self.optimizer.terminal_weight,
-                "dt": self.optimizer.dt,
-                "max_iters": self.optimizer.max_iters,
-                "armijo_c": self.optimizer.armijo_c,
-                "step_shrink": self.optimizer.step_shrink,
-                "grad_tol": self.optimizer.grad_tol,
-            },
-            "assistive": {
-                "target_speed": self.assistive.target_speed,
-                "speed_gain": self.assistive.speed_gain,
-                "centering_gain": self.assistive.centering_gain,
-                "damping_gain": self.assistive.damping_gain,
-                "max_force": self.assistive.max_force,
-                "bumps": [list(b) for b in self.assistive.bumps],
-            },
-            "interaction": {
-                "max_intensity": self.interaction.max_intensity,
-                "range_scale": self.interaction.range_scale,
-                "speed_scale": self.interaction.speed_scale,
-                "cutoff": self.interaction.cutoff,
-            },
+            "waypoints": np.asarray(self.waypoints, dtype=float).tolist(),
+            "initial_state": plain_fields(self.initial),
+            "agents": [plain_fields(nb) for nb in self.agents],
+            **{key: plain_fields(getattr(self, key)) for key in SECTIONS},
             "uncertainty": {"baseline_trace": self.sigma_baseline},
-            "sim": {
-                "cycle_period": self.sim.cycle_period,
-                "commit_horizon": self.sim.commit_horizon,
-                "n_cycles": self.sim.n_cycles,
-                "seed": self.sim.seed,
-            },
         }
 
     @classmethod
@@ -184,144 +124,86 @@ class Scenario:
         violations = validate_scenario_dict(data)
         if violations:
             raise ScenarioInvalid(violations)
-        init = data["initial_state"]
         return cls(
-            name=str(data.get("name", "unnamed")),
+            name=data.get("name", "unnamed"),
             waypoints=np.asarray(data["waypoints"], dtype=float),
-            initial=FrenetState(
-                init["s"], init["s_dot"], init["s_ddot"],
-                init["d"], init["d_dot"], init["d_ddot"],
-            ),
-            agents=[
-                Neighbor(a["position"], a["velocity"], a.get("covariance_trace", 0.0))
-                for a in data.get("agents", [])
-            ],
-            limits=KinematicLimits(**data["limits"]),
-            grid=SamplingGrid(
-                terminal_speeds=data["grid"]["terminal_speeds"],
-                lateral_offsets=data["grid"]["lateral_offsets"],
-                horizons=data["grid"]["horizons"],
-                dt=data["grid"]["dt"],
-                cycle_jitter=data["grid"].get("cycle_jitter", 0.0),
-            ),
-            regulation=RegulationConfig(
-                weights=data["regulation"]["weights"],
-                max_gap=data["regulation"]["max_gap"],
-                min_gap=data["regulation"]["min_gap"],
-            ),
-            optimizer=OptimizerConfig(**data["optimizer"]),
-            assistive=AssistiveParams(
-                target_speed=data["assistive"]["target_speed"],
-                speed_gain=data["assistive"]["speed_gain"],
-                centering_gain=data["assistive"]["centering_gain"],
-                damping_gain=data["assistive"]["damping_gain"],
-                max_force=data["assistive"]["max_force"],
-                bumps=tuple(tuple(b) for b in data["assistive"].get("bumps", [])),
-            ),
-            interaction=InteractionParams(**data["interaction"]),
-            sim=SimSettings(**data["sim"]),
-            sigma_baseline=float(data.get("uncertainty", {}).get("baseline_trace", 0.0)),
+            initial=FrenetState(**data["initial_state"]),
+            agents=[Neighbor(**agent) for agent in data.get("agents", [])],
+            **{key: kind(**data[key]) for key, kind in SECTIONS.items()},
+            sigma_baseline=float(_Uncertainty(**data.get("uncertainty", {})).baseline_trace),
         )
 
 
+# Scenario sections read and written field by field; each is the Scenario
+# attribute of the same name.
+SECTIONS = {
+    "limits": KinematicLimits,
+    "grid": SamplingGrid,
+    "regulation": RegulationConfig,
+    "optimizer": OptimizerConfig,
+    "assistive": AssistiveParams,
+    "interaction": InteractionParams,
+    "sim": SimSettings,
+}
+
+
+@dataclass(frozen=True)
+class _Uncertainty:
+    """The ``uncertainty`` section: Scenario.sigma_baseline."""
+
+    baseline_trace: float = spec(0.0, "nonneg", optional=True)
+
+
 def _is_multiple(value: float, step: float) -> bool:
-    return abs(value / step - round(value / step)) < 1e-9
+    ratio = value / step
+    return math.isfinite(ratio) and abs(ratio - round(ratio)) < 1e-9
 
 
 def validate_scenario_dict(data: dict) -> list:
     """All schema and invariant violations, each naming the offending key."""
-    v: list[str] = []
     if not isinstance(data, dict):
         return ["scenario: top level must be a JSON object"]
-    if data.get("schema_version") != SCHEMA_VERSION:
+    sections = {"initial_state": FrenetState, **SECTIONS}
+    known = {"schema_version", "name", "waypoints", "agents", "uncertainty", *sections}
+    v = [f"{key}: unknown key" for key in data if key not in known]
+    version = data.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
         v.append(f"schema_version: expected {SCHEMA_VERSION}")
-
-    for key in ("waypoints", "initial_state", "limits", "grid", "regulation",
-                "optimizer", "assistive", "interaction", "sim"):
+    if not isinstance(data.get("name", ""), str):
+        v.append("name: must be a string")
+    if "waypoints" not in data:
+        v.append("waypoints: missing")
+    elif why := problem(ListOf(("finite", "finite"), 4), data["waypoints"]):
+        v.append(f"waypoints{why}")
+    agents = data.get("agents", [])
+    if not isinstance(agents, list):
+        v.append("agents: must be a list")
+    else:
+        for i, agent in enumerate(agents):
+            v += section_problems(Neighbor, agent, f"agents[{i}]")
+    v += section_problems(_Uncertainty, data.get("uncertainty", {}), "uncertainty")
+    for key, kind in sections.items():
         if key not in data:
-            v.append(f"{key}: missing section")
+            v.append(f"{key}: missing")
+        else:
+            v += section_problems(kind, data[key], key)
     if v:
         return v
 
-    wps = data["waypoints"]
-    if not isinstance(wps, list) or len(wps) < 4:
-        v.append("waypoints: need at least 4 points")
-    init = data["initial_state"]
-    for key in ("s", "s_dot", "s_ddot", "d", "d_dot", "d_ddot"):
-        if key not in init or not np.isfinite(init[key]):
-            v.append(f"initial_state.{key}: missing or non-finite")
-
-    lim = data["limits"]
-    for key in ("v_max", "a_max", "j_max", "kappa_max", "yaw_rate_max", "kappa_rate_max"):
-        if lim.get(key, 0) <= 0:
-            v.append(f"limits.{key}: must be strictly positive")
-
-    grid = data["grid"]
-    dt = grid.get("dt", 0)
-    if dt <= 0:
-        v.append("grid.dt: must be positive")
-    for key in ("terminal_speeds", "lateral_offsets", "horizons"):
-        if not grid.get(key):
-            v.append(f"grid.{key}: must be non-empty")
-    if dt > 0 and grid.get("horizons"):
-        if min(grid["horizons"]) < 4 * dt:
-            v.append("grid.horizons: must be at least 4*dt")
-        for hz in grid["horizons"]:
-            if not _is_multiple(hz, dt):
-                v.append(f"grid.horizons: {hz} is not a multiple of grid.dt")
-    if grid.get("cycle_jitter", 0.0) < 0:
-        v.append("grid.cycle_jitter: must be nonnegative")
-
-    regd = data["regulation"]
-    weights = regd.get("weights", [])
-    if len(weights) != 4 or any(w < 0 for w in weights):
-        v.append("regulation.weights: need 4 nonnegative values")
-    if not regd.get("max_gap", 0) > regd.get("min_gap", -1) >= 0:
-        v.append("regulation.max_gap: need max_gap > min_gap >= 0")
-
-    opt = data["optimizer"]
-    if opt.get("mass", 0) <= 0:
-        v.append("optimizer.mass: must be positive")
-    for key in ("accel_weight", "uncertainty_weight", "terminal_weight"):
-        if opt.get(key, 0) < 0:
-            v.append(f"optimizer.{key}: must be nonnegative")
-    if not 0 < opt.get("armijo_c", 0) < 1:
-        v.append("optimizer.armijo_c: must lie in (0, 1)")
-    if not 0 < opt.get("step_shrink", 0) < 1:
-        v.append("optimizer.step_shrink: must lie in (0, 1)")
-    if opt.get("max_iters", -1) < 0:
-        v.append("optimizer.max_iters: must be nonnegative")
-    if dt > 0 and opt.get("dt") != dt:
+    # rules across sections, on values already known to be well formed
+    grid, sim = data["grid"], data["sim"]
+    dt, commit = grid["dt"], sim["commit_horizon"]
+    for hz in grid["horizons"]:
+        if not _is_multiple(hz, dt):
+            v.append(f"grid.horizons: {hz} is not a multiple of grid.dt")
+    if data["optimizer"]["dt"] != dt:
         v.append("optimizer.dt: must equal grid.dt")
-
-    asst = data["assistive"]
-    if asst.get("max_force", 0) <= 0:
-        v.append("assistive.max_force: must be positive")
-    for bump in asst.get("bumps", []):
-        if len(bump) != 3 or bump[1] <= 0 or not 0 <= bump[2] <= 1:
-            v.append("assistive.bumps: entries are (center, width>0, amplitude in [0,1])")
-
-    inter = data["interaction"]
-    for key in ("max_intensity", "range_scale", "speed_scale", "cutoff"):
-        if inter.get(key, 0) <= 0:
-            v.append(f"interaction.{key}: must be positive")
-
-    sim = data["sim"]
-    commit = sim.get("commit_horizon", 0)
-    if commit <= 0:
-        v.append("sim.commit_horizon: must be positive")
-    if sim.get("cycle_period") != commit:
+    if sim["cycle_period"] != commit:
         v.append("sim.cycle_period: must equal sim.commit_horizon")
-    if sim.get("n_cycles", -1) < 0:
-        v.append("sim.n_cycles: must be nonnegative")
-    if grid.get("horizons") and commit > 0 and commit > min(grid["horizons"]):
+    if commit > min(grid["horizons"]):
         v.append("sim.commit_horizon: must not exceed the shortest grid horizon")
-    if dt > 0 and commit > 0 and not _is_multiple(commit, dt):
+    if not _is_multiple(commit, dt):
         v.append("sim.commit_horizon: must be a multiple of grid.dt")
-
-    uncertainty = data.get("uncertainty", {})
-    if uncertainty.get("baseline_trace", 0.0) < 0:
-        v.append("uncertainty.baseline_trace: must be nonnegative")
     return v
 
 

@@ -1,0 +1,129 @@
+"""Field constraints declared once, on the config dataclass fields.
+
+Each field of a config dataclass is declared with :func:`spec`, which stores
+its shape (type and range) and whether a scenario file may omit it in the
+field's metadata. This module is the only reader of that metadata: a
+dataclass's ``__post_init__`` calls :func:`check` on its own values, and the
+scenario loader calls :func:`section_problems` on the raw JSON object, so
+both reject the same values with the same messages. A field declared without
+``spec`` is a required finite number.
+
+A shape is a rule name (a scalar), a tuple of shapes (a list with one entry
+per shape), or a :class:`ListOf` (a list of any length of one shape). Every
+number must be a finite int or float; ``bool`` is never a number.
+"""
+
+from __future__ import annotations
+
+import sys
+from dataclasses import MISSING, field, fields
+from functools import cache
+from itertools import repeat
+from typing import NamedTuple, Optional
+
+_MAX = sys.float_info.max
+_NUMBER = (int, float)
+
+# rule -> (accepted types, test, what a valid value is). Every comparison is
+# false for NaN, and the bounds of the float range reject infinities and ints
+# that no float can hold. Types match exactly, so bool is not a number.
+_RULES = {
+    "finite": (_NUMBER, lambda x: -_MAX <= x <= _MAX, "a finite number"),
+    "positive": (_NUMBER, lambda x: 0 < x <= _MAX, "a positive number"),
+    "nonneg": (_NUMBER, lambda x: 0 <= x <= _MAX, "a nonnegative number"),
+    "unit": (_NUMBER, lambda x: 0 <= x <= 1, "a number in [0, 1]"),
+    "open_unit": (_NUMBER, lambda x: 0 < x < 1, "a number in (0, 1)"),
+    "count": ((int,), lambda x: 0 <= x <= _MAX, "a nonnegative integer"),
+}
+
+
+class ListOf(NamedTuple):
+    """A list of at least ``min_len`` entries of one shape."""
+
+    item: object
+    min_len: int = 0
+
+
+def spec(default=MISSING, shape="finite", *, optional=False):
+    """A dataclass field of the given shape; ``optional`` fields may be
+    omitted from a scenario file and then take ``default``."""
+    return field(default=default, metadata={"shape": shape, "optional": optional})
+
+
+def plain(value):
+    """``value`` as JSON data: NumPy arrays and tuples become lists, NumPy
+    scalars Python numbers."""
+    if type(value) in _NUMBER:
+        return value
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    return value.tolist() if hasattr(value, "tolist") else value
+
+
+@cache
+def _declared(cls) -> dict:
+    """Field name -> (shape, optional) for dataclass ``cls``."""
+    return {
+        f.name: (f.metadata.get("shape", "finite"), f.metadata.get("optional", False))
+        for f in fields(cls)
+    }
+
+
+def plain_fields(obj) -> dict:
+    """A dataclass instance as a JSON-ready dict, one key per field."""
+    return {name: plain(getattr(obj, name)) for name in _declared(type(obj))}
+
+
+def problem(shape, value) -> Optional[str]:
+    """Why the JSON value ``value`` does not fit ``shape``, as a suffix for the
+    key that holds it (``": must be ..."`` or ``"[i]: must be ..."``); None
+    if it fits."""
+    if isinstance(shape, str):
+        kinds, test, text = _RULES[shape]
+        return None if type(value) in kinds and test(value) else f": must be {text}"
+    if not isinstance(value, list):
+        return ": must be a list"
+    if isinstance(shape, ListOf):
+        if len(value) < shape.min_len:
+            return f": must have at least {shape.min_len} entries"
+        shapes = repeat(shape.item)
+    else:
+        if len(value) != len(shape):
+            return f": must have {len(shape)} entries"
+        shapes = shape
+    for i, (sub, v) in enumerate(zip(shapes, value)):
+        why = problem(sub, v)
+        if why:
+            return f"[{i}]{why}"
+    return None
+
+
+def check(obj) -> None:
+    """Raise ValueError naming the first field of ``obj`` outside its shape."""
+    for name, (shape, _) in _declared(type(obj)).items():
+        why = problem(shape, plain(getattr(obj, name)))
+        if why:
+            raise ValueError(f"{name}{why}")
+
+
+def section_problems(cls, data, prefix: str) -> list:
+    """Every violation of the JSON object ``data`` against dataclass ``cls``,
+    each naming its key under ``prefix``: unknown and missing keys, values
+    outside their shape, then the rules ``cls`` checks across its fields."""
+    if not isinstance(data, dict):
+        return [f"{prefix}: must be an object"]
+    declared = _declared(cls)
+    out = [f"{prefix}.{key}: unknown key" for key in data if key not in declared]
+    for name, (shape, optional) in declared.items():
+        if name in data:
+            why = problem(shape, data[name])
+            if why:
+                out.append(f"{prefix}.{name}{why}")
+        elif not optional:
+            out.append(f"{prefix}.{name}: missing")
+    if not out:
+        try:
+            cls(**data)
+        except ValueError as err:
+            out.append(f"{prefix}.{err}")
+    return out

@@ -1,13 +1,16 @@
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frenetplan.cli import main
-from frenetplan.scenarios import curved_bumps, straight_crossing
+from frenetplan.scenarios import BUILDERS, curved_bumps, straight_crossing
 
 REPO = Path(__file__).resolve().parent.parent
 BUNDLED = REPO / "scenarios"
@@ -34,7 +37,6 @@ def test_bundled_scenarios_validate():
 
 def test_bundled_scenarios_match_builders():
     from frenetplan.cli import _quantize
-    from frenetplan.scenarios import BUILDERS
 
     for name, builder in BUILDERS.items():
         on_disk = json.loads((BUNDLED / f"{name}.json").read_text())
@@ -48,6 +50,127 @@ def test_validate_rejects_bad_spacing(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["validate", str(path)]) == 2
     assert "regulation.max_gap" in capsys.readouterr().out
+
+
+REMOVED = object()
+
+# Single-field edits of s1.json that each once crashed a command, passed
+# validate and then failed run, or ran on an invalid value.
+MALFORMED = [
+    (("limits", "v_max"), "fast"),
+    (("initial_state", "s"), None),
+    (("grid", "horizons"), 2.0),
+    (("limits",), [1, 2]),
+    (("grid", "horizons"), [1e308]),
+    (("sim", "commit_horizon"), 1e308),
+    (("assistive", "target_speed"), REMOVED),
+    (("assistive", "speed_gain"), REMOVED),
+    (("assistive", "centering_gain"), REMOVED),
+    (("assistive", "damping_gain"), REMOVED),
+    (("agents", 0, "velocity"), REMOVED),
+    (("sim", "n_cycles"), 2.5),
+    (("sim", "n_cycles"), math.nan),
+    (("sim", "seed"), 1.5),
+    (("optimizer", "unexpected"), 1.0),
+    (("sim", "seed"), "x"),
+    (("agents", 0, "position"), [6.0, -2.5, 0.0]),
+    (("agents", 0, "covariance_trace"), -1),
+    (("uncertainty", "baseline_trace"), math.nan),
+    (("assistive", "max_force"), math.inf),
+    (("interaction", "cutoff"), math.nan),
+    (("regulation", "weights"), [math.nan] * 4),
+    (("limits", "v_max"), True),
+    (("optimizer", "grad_tol"), -1),
+    (("unexpected",), 1.0),
+    (("grid", "terminal_speeds"), [math.nan]),
+]
+
+
+def _dotted(path):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+
+
+def _bundled(name):
+    data = json.loads((BUNDLED / f"{name}.json").read_text())
+    data["sim"]["n_cycles"] = 1
+    return data
+
+
+def _parent(data, path):
+    for key in path[:-1]:
+        data = data[key]
+    return data
+
+
+def _set(data, path, value):
+    parent = _parent(data, path)
+    if value is REMOVED:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+
+
+def _commands(path, out):
+    return (["validate", str(path)], ["run", str(path), "--out", str(out)],
+            ["cluster", str(path), "--out", str(out)])
+
+
+@pytest.mark.parametrize(
+    "path,value", MALFORMED,
+    ids=[f"{_dotted(p)}={'removed' if v is REMOVED else v!r}" for p, v in MALFORMED],
+)
+def test_malformed_field_exits_two_naming_it(tmp_path, capsys, path, value):
+    data = _bundled("s1")
+    _set(data, path, value)
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(data))
+    for argv in _commands(scenario, tmp_path / "out"):
+        assert main(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert _dotted(path) in captured.out + captured.err, argv[0]
+
+
+def _field_paths(node, prefix=()):
+    """Every key of a scenario, at any depth, entering objects inside lists."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from _field_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            if isinstance(value, dict):
+                yield from _field_paths(value, prefix + (i,))
+
+
+def _mutated(value, kind):
+    if kind == "swap":
+        return (value[0] if value else 0) if isinstance(value, list) else [value]
+    return {
+        "wrong type": 1.0 if isinstance(value, str) else "x",
+        "null": None, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+        "1e308": 1e308, "0": 0, "-1": -1, "removed": REMOVED,
+    }[kind]
+
+
+MUTATIONS = ("wrong type", "null", "nan", "inf", "-inf", "1e308", "0", "-1",
+             "swap", "removed", "unknown key")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.data())
+def test_single_field_mutation_never_raises(tmp_path_factory, data):
+    scenario = _bundled(data.draw(st.sampled_from(sorted(BUILDERS)), label="scenario"))
+    path = data.draw(st.sampled_from(list(_field_paths(scenario))), label="field")
+    kind = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    if kind == "unknown key":
+        _set(scenario, path[:-1] + ("unexpected",), 1.0)
+    else:
+        _set(scenario, path, _mutated(_parent(scenario, path)[path[-1]], kind))
+    tmp = tmp_path_factory.mktemp("mutation")
+    (tmp / "s.json").write_text(json.dumps(scenario))
+    validated, ran, dumped = (main(argv) for argv in _commands(tmp / "s.json", tmp / "out"))
+    assert validated in (0, 2) and ran in (0, 1, 2) and dumped in (0, 1, 2)
+    assert (validated == 2) == (ran == 2) == (dumped == 2)
 
 
 def test_validate_reports_json_error_with_line(tmp_path, capsys):
@@ -160,16 +283,6 @@ def test_cluster_regulation_raises_histogram_entropy(tmp_path):
     assert main(["cluster", s2, "--mode", "proposed", "--out", str(out_p)]) == 0
     assert main(["cluster", s2, "--mode", "baseline", "--out", str(out_b)]) == 0
     assert entropy_of_hist(out_p / "nn_hist.csv") > entropy_of_hist(out_b / "nn_hist.csv")
-
-
-def test_planner_threads_env_validated(tmp_path, scenario_file, monkeypatch, capsys):
-    scn = straight_crossing(seed=1, n_cycles=1)
-    path = scenario_file(scn)
-    monkeypatch.setenv("PLANNER_THREADS", "not-a-number")
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "PLANNER_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("PLANNER_THREADS", "2")
-    assert main(["run", str(path), "--out", str(tmp_path / "out2")]) == 0
 
 
 def test_numeric_formatting_is_nine_significant_digits(tmp_path, scenario_file):

@@ -137,6 +137,7 @@ def test_mode_contract_equalized_switches():
     assert explicit.mode == "baseline"
     assert run(scn, ModeSwitches.proposed()).mode == "proposed"
     assert ModeSwitches() == ModeSwitches.proposed()
+    assert ModeSwitches(regulate=True, momentum_weights=False).label == "custom(regulate)"
 
 
 def test_proposed_mode_does_not_refine(monkeypatch):
