@@ -32,14 +32,12 @@ from .frenet_geometry import (
 )
 from .momentum_optimizer import (
     AssistiveParams,
+    CostWeights,
     InteractionParams,
     Neighbor,
     OptimizerConfig,
     PlanningContext,
-    assistive_force,
     cost_gradient,
-    interaction_force,
-    lagrangian_at,
     optimize_trajectory,
     total_cost,
 )

@@ -32,26 +32,25 @@ _TIE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RegulationConfig:
-    """Weights and spacing bounds for terminal-state regulation.
+    """Terminal-speed weight and spacing bounds for terminal-state regulation.
 
-    ``weights`` scales the terminal [s_dot, s_ddot, d_dot, d_ddot] deviation;
-    consecutive terminal gaps are repaired into [min_gap, max_gap].
+    The paper penalises the terminal deviation [s_dot, s_ddot, d_dot, d_ddot]
+    from a reference candidate. Every candidate here ends in a steady
+    terminal (``build_candidate``: s_ddot = d_dot = d_ddot = 0, as in
+    Werling et al., ICRA 2010), so only the speed term can differ between
+    two candidates, and ``speed_weight`` is its weight. A sampler that ends
+    candidates off the steady state must bring the other three weights back.
+    Consecutive terminal gaps are repaired into [min_gap, max_gap].
     """
 
-    weights: tuple = spec((1.0, 0.5, 1.0, 0.5), ("nonneg",) * 4)
+    speed_weight: float = spec(1.0, "nonneg")
     max_gap: float = spec(0.5, "positive")
     min_gap: float = spec(0.02, "nonneg")
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         check(self)
         if not self.max_gap > self.min_gap:
             raise ValueError("max_gap: need max_gap > min_gap >= 0")
-
-
-def terminal_eta(candidate: TrajectoryCandidate) -> np.ndarray:
-    """Terminal kinematics [s_dot, s_ddot, d_dot, d_ddot] at the horizon."""
-    return candidate.states[-1, [1, 2, 4, 5]]
 
 
 def select_reference_candidate(cluster: TrajectoryCluster) -> int:
@@ -75,10 +74,10 @@ def regulation_energy(
     reference: TrajectoryCandidate,
     config: RegulationConfig,
 ) -> float:
-    """Weighted squared terminal deviation against the reference candidate."""
-    delta = terminal_eta(candidate) - terminal_eta(reference)
-    weighted = np.asarray(config.weights) * delta
-    return float(weighted @ weighted)
+    """Weighted squared terminal-speed deviation against the reference
+    candidate: the whole terminal deviation for steady terminals."""
+    x = config.speed_weight * (candidate.states[-1, 1] - reference.states[-1, 1])
+    return float(x * x)
 
 
 def sort_by_terminal(cluster: TrajectoryCluster) -> TrajectoryCluster:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .endpoint_regulation import RegulationConfig, regulation_energy
 from .errors import CoincidentNeighbor
-from .frenet_geometry import FrenetState, ReferencePath
+from .frenet_geometry import ReferencePath
 from .quintic_sampling import TrajectoryCandidate
 from .schema import ListOf, check, spec
 
@@ -43,20 +43,38 @@ _MAX_BACKTRACKS = 40
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    """Weights of the momentum-aware cost and controls of its refinement."""
+class CostWeights:
+    """Weights of the momentum-aware selection cost (the scenario's ``cost``
+    section).
+
+    ``terminal_weight`` scales ``regulation_energy`` against the reference
+    candidate. Every candidate ends in a steady terminal, so of the paper's
+    terminal deviation only the speed term is live there (see
+    ``RegulationConfig``), and in the cost this term acts as
+    ``terminal_weight * speed_weight**2``.
+    """
 
     mass: float = spec(1.0, "positive")
     accel_weight: float = spec(0.1, "nonneg", optional=True)
     uncertainty_weight: float = spec(0.05, "nonneg", optional=True)
     terminal_weight: float = spec(1.0, "nonneg", optional=True)
-    dt: float = spec(0.05, "positive")
+
+    __post_init__ = check
+
+
+@dataclass(frozen=True)
+class OptimizerConfig(CostWeights):
+    """Cost weights plus the controls of the refinement descent.
+
+    Only ``optimize_trajectory``/``optimize_cluster`` read the controls, and
+    the simulator does not refine, so a scenario file carries only the
+    weights.
+    """
+
     max_iters: int = spec(50, "count")
     armijo_c: float = spec(1e-4, "open_unit")
     step_shrink: float = spec(0.5, "open_unit")
     grad_tol: float = spec(1e-6, "nonneg", optional=True)
-
-    __post_init__ = check
 
 
 @dataclass(frozen=True)
@@ -72,7 +90,7 @@ class AssistiveParams:
     centering_gain: float = spec(0.3, "nonneg")
     damping_gain: float = spec(0.2, "nonneg")
     max_force: float = spec(3.0, "positive")
-    bumps: tuple = spec((), ListOf(("finite", "positive", "unit")), optional=True)
+    bumps: tuple = spec((), ListOf(("finite", "length", "unit")), optional=True)
 
     def __post_init__(self):
         object.__setattr__(
@@ -98,7 +116,7 @@ class Neighbor:
     """Surrounding agent: Cartesian position/velocity and uncertainty trace."""
 
     position: np.ndarray = spec(shape=("finite", "finite"))
-    velocity: np.ndarray = spec(shape=("finite", "finite"))
+    velocity: np.ndarray = spec(shape=("bounded", "bounded"))
     covariance_trace: float = spec(0.0, "nonneg", optional=True)
 
     def __post_init__(self):
@@ -140,67 +158,6 @@ def _bumps(s, params: AssistiveParams):
     beta = np.where(over, 1.0, beta)
     dbeta = np.where(over, 0.0, dbeta)
     return beta, dbeta
-
-
-def surface_irregularity(s, params: AssistiveParams):
-    """Surface-irregularity factor beta(s), clipped to [0, 1]."""
-    beta, _ = _bumps(s, params)
-    return beta if np.ndim(s) else float(beta)
-
-
-def assistive_force(state: FrenetState, params: AssistiveParams) -> np.ndarray:
-    """Guidance force in Frenet components, saturated to ``max_force``."""
-    beta = surface_irregularity(state.s, params)
-    raw = np.array(
-        [
-            -params.speed_gain * (state.s_dot - params.target_speed) * (1.0 + beta),
-            -params.centering_gain * state.d - params.damping_gain * state.d_dot,
-        ]
-    )
-    norm = float(np.linalg.norm(raw))
-    if norm > params.max_force:
-        raw *= params.max_force / norm
-    return raw
-
-
-def interaction_force(agent_pos, agent_vel, neighbors, params: InteractionParams) -> np.ndarray:
-    """Summed repulsion in Cartesian coordinates.
-
-    Intensity is max_intensity * min(1, exp(-r/range_scale) * (1 + dv/speed_scale))
-    along the unit vector from neighbor to agent; neighbors beyond the cutoff
-    contribute exactly zero.
-    """
-    agent_pos = np.asarray(agent_pos, dtype=float)
-    agent_vel = np.asarray(agent_vel, dtype=float)
-    total = np.zeros(2)
-    for nb in neighbors:
-        rvec = agent_pos - nb.position
-        r = float(np.linalg.norm(rvec))
-        if r < _COINCIDENT_DIST:
-            raise CoincidentNeighbor("neighbor coincides with the agent")
-        if r > params.cutoff:
-            continue
-        dv = float(np.linalg.norm(agent_vel - nb.velocity))
-        intensity = params.max_intensity * min(
-            1.0, np.exp(-r / params.range_scale) * (1.0 + dv / params.speed_scale)
-        )
-        total += intensity * rvec / r
-    return total
-
-
-def lagrangian_at(
-    state: FrenetState, v_dot, f_ext, sigma_trace: float, config: OptimizerConfig
-) -> float:
-    """Running cost at one state: kinetic - modulation + accel + uncertainty."""
-    v = np.array([state.s_dot, state.d_dot])
-    v_dot = np.asarray(v_dot, dtype=float)
-    f_ext = np.asarray(f_ext, dtype=float)
-    return float(
-        0.5 * config.mass * (v @ v)
-        - f_ext @ v
-        + config.accel_weight * (v_dot @ v_dot)
-        + config.uncertainty_weight * sigma_trace
-    )
 
 
 # --- batched force field and its state Jacobian -------------------------------
@@ -492,7 +449,7 @@ def cost_cluster(
     candidates,
     ctx: PlanningContext,
     reference: TrajectoryCandidate | None,
-    config: OptimizerConfig,
+    config: CostWeights,
     reg: RegulationConfig | None = None,
 ) -> list:
     """Discretized objective of every candidate, in input order: trapezoid of
@@ -517,7 +474,7 @@ def total_cost(
     candidate: TrajectoryCandidate,
     ctx: PlanningContext,
     reference: TrajectoryCandidate | None,
-    config: OptimizerConfig,
+    config: CostWeights,
     reg: RegulationConfig | None = None,
 ) -> float:
     """``cost_cluster`` of one candidate."""
@@ -527,7 +484,7 @@ def total_cost(
 def cost_gradient(
     candidate: TrajectoryCandidate,
     ctx: PlanningContext,
-    config: OptimizerConfig,
+    config: CostWeights,
     positions: np.ndarray | None = None,
 ) -> np.ndarray:
     """Analytic gradient of the discretized cost w.r.t. free positions.

@@ -20,7 +20,7 @@ from .errors import (
     PathTooShort,
 )
 from .frenet_geometry import FrenetState, ReferencePath, _check_s
-from .schema import ListOf, check, spec
+from .schema import SPAN, ListOf, check, spec
 
 if TYPE_CHECKING:  # pragma: no cover
     from .evaluation import FeasibilityReport
@@ -93,7 +93,7 @@ class SamplingGrid:
     """
 
     terminal_speeds: tuple = spec(shape=ListOf("finite", 1))
-    lateral_offsets: tuple = spec(shape=ListOf("finite", 1))
+    lateral_offsets: tuple = spec(shape=ListOf("bounded", 1))
     horizons: tuple = spec(shape=ListOf("positive", 1))
     dt: float = spec(0.05, "positive")
     cycle_jitter: float = spec(0.0, "unit", optional=True)
@@ -107,14 +107,17 @@ class SamplingGrid:
             raise ValueError("horizons: must be at least 4*dt")
 
     def jittered(self, rng) -> "SamplingGrid":
-        """Seeded per-cycle variant; speeds stay positive."""
+        """Seeded per-cycle variant; speeds stay positive and offsets within
+        the coordinate bound."""
         if self.cycle_jitter == 0.0:
             return self
         j = self.cycle_jitter
         speeds = tuple(
             max(0.05, v + rng.uniform(-j, j)) for v in self.terminal_speeds
         )
-        offsets = tuple(o + rng.uniform(-j, j) for o in self.lateral_offsets)
+        offsets = tuple(
+            min(SPAN, max(-SPAN, o + rng.uniform(-j, j))) for o in self.lateral_offsets
+        )
         return replace(self, terminal_speeds=speeds, lateral_offsets=offsets)
 
 

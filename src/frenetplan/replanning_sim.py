@@ -19,7 +19,7 @@ from .endpoint_regulation import (
     regulated_cluster,
     select_reference_candidate,
 )
-from .errors import NoFeasibleCandidate, ScenarioInvalid
+from .errors import NoFeasibleCandidate, PlannerError, ScenarioInvalid
 from .evaluation import (
     CONSTRAINT_ORDER,
     FeasibilityBreakdown,
@@ -31,9 +31,9 @@ from .evaluation import (
 from .frenet_geometry import FrenetState, ReferencePath, build_reference_path
 from .momentum_optimizer import (
     AssistiveParams,
+    CostWeights,
     InteractionParams,
     Neighbor,
-    OptimizerConfig,
     PlanningContext,
     cost_cluster,
     optimize_cluster,  # noqa: F401 - perfbench's tracer wraps this name here
@@ -42,14 +42,18 @@ from .momentum_optimizer import (
 from .quintic_sampling import SamplingGrid, generate_cluster
 from .schema import ListOf, check, plain_fields, problem, section_problems, spec
 
-SCHEMA_VERSION = 1
+# Scenario files and simulation logs are versioned separately.
+SCHEMA_VERSION = 2
+SIMLOG_SCHEMA_VERSION = 1
 
 _COST_TIE = 1e-12
 
 
 @dataclass(frozen=True)
 class SimSettings:
-    cycle_period: float = spec(1.0, "positive")
+    """Run length and seed; each cycle executes ``commit_horizon`` seconds of
+    the selected candidate, which is also the agents' clock step."""
+
     commit_horizon: float = spec(1.0, "positive")
     n_cycles: int = spec(8, "count")
     seed: int = spec(0, "count", optional=True)
@@ -99,7 +103,7 @@ class Scenario:
     limits: KinematicLimits
     grid: SamplingGrid
     regulation: RegulationConfig
-    optimizer: OptimizerConfig
+    cost: CostWeights
     assistive: AssistiveParams
     interaction: InteractionParams
     sim: SimSettings
@@ -140,7 +144,7 @@ SECTIONS = {
     "limits": KinematicLimits,
     "grid": SamplingGrid,
     "regulation": RegulationConfig,
-    "optimizer": OptimizerConfig,
+    "cost": CostWeights,
     "assistive": AssistiveParams,
     "interaction": InteractionParams,
     "sim": SimSettings,
@@ -163,18 +167,27 @@ def validate_scenario_dict(data: dict) -> list:
     """All schema and invariant violations, each naming the offending key."""
     if not isinstance(data, dict):
         return ["scenario: top level must be a JSON object"]
+    version = data.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        # the version says how to read the rest, so nothing else is checked
+        return [
+            f"schema_version: expected {SCHEMA_VERSION} "
+            "(the README lists the changes from schema 1)"
+        ]
     sections = {"initial_state": FrenetState, **SECTIONS}
     known = {"schema_version", "name", "waypoints", "agents", "uncertainty", *sections}
     v = [f"{key}: unknown key" for key in data if key not in known]
-    version = data.get("schema_version")
-    if type(version) is not int or version != SCHEMA_VERSION:
-        v.append(f"schema_version: expected {SCHEMA_VERSION}")
     if not isinstance(data.get("name", ""), str):
         v.append("name: must be a string")
     if "waypoints" not in data:
         v.append("waypoints: missing")
-    elif why := problem(ListOf(("finite", "finite"), 4), data["waypoints"]):
+    elif why := problem(ListOf(("bounded", "bounded"), 4), data["waypoints"]):
         v.append(f"waypoints{why}")
+    else:
+        try:
+            build_reference_path(data["waypoints"])
+        except (PlannerError, ValueError) as err:  # ValueError: scipy's spline fit
+            v.append(f"waypoints: {err}")
     agents = data.get("agents", [])
     if not isinstance(agents, list):
         v.append("agents: must be a list")
@@ -196,10 +209,6 @@ def validate_scenario_dict(data: dict) -> list:
     for hz in grid["horizons"]:
         if not _is_multiple(hz, dt):
             v.append(f"grid.horizons: {hz} is not a multiple of grid.dt")
-    if data["optimizer"]["dt"] != dt:
-        v.append("optimizer.dt: must equal grid.dt")
-    if sim["cycle_period"] != commit:
-        v.append("sim.cycle_period: must equal sim.commit_horizon")
     if commit > min(grid["horizons"]):
         v.append("sim.commit_horizon: must not exceed the shortest grid horizon")
     if not _is_multiple(commit, dt):
@@ -272,7 +281,7 @@ class SimLog:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": SIMLOG_SCHEMA_VERSION,
             "scenario": self.scenario_name,
             "mode": self.mode,
             "seed": self.seed,
@@ -323,9 +332,9 @@ def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimL
         switches = mode
 
     path = scenario.build_path()
-    opt_cfg = scenario.optimizer
+    weights = scenario.cost
     if not switches.momentum_weights:
-        opt_cfg = replace(opt_cfg, accel_weight=0.0, terminal_weight=0.0)
+        weights = replace(weights, accel_weight=0.0, terminal_weight=0.0)
 
     log = SimLog(
         scenario_name=scenario.name, mode=switches.label, seed=scenario.sim.seed
@@ -334,7 +343,7 @@ def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimL
     prev_end: Optional[np.ndarray] = None
 
     for k in range(scenario.sim.n_cycles):
-        elapsed = k * scenario.sim.cycle_period
+        elapsed = k * scenario.sim.commit_horizon
         neighbors = tuple(
             Neighbor(
                 nb.position + elapsed * nb.velocity, nb.velocity, nb.covariance_trace
@@ -362,7 +371,7 @@ def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimL
         reference = cluster.candidates[cluster.reference_index]
 
         costs = cost_cluster(
-            cluster.candidates, ctx, reference, opt_cfg, scenario.regulation
+            cluster.candidates, ctx, reference, weights, scenario.regulation
         )
         for cand, cost in zip(cluster.candidates, costs):
             cand.cost = cost

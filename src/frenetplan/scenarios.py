@@ -14,7 +14,7 @@ import numpy as np
 from .endpoint_regulation import RegulationConfig
 from .evaluation import KinematicLimits
 from .frenet_geometry import FrenetState
-from .momentum_optimizer import AssistiveParams, InteractionParams, Neighbor, OptimizerConfig
+from .momentum_optimizer import AssistiveParams, CostWeights, InteractionParams, Neighbor
 from .quintic_sampling import SamplingGrid
 from .replanning_sim import Scenario, SimSettings
 
@@ -24,7 +24,7 @@ _HORIZONS = (2.0, 3.0)
 # Regulation pull toward the reference terminal speed has to outweigh the
 # mild slow-speed bias of the running cost for pace holding; see the
 # straight-corridor convergence test.
-_REGULATION = dict(weights=(2.0, 0.5, 1.0, 0.5), max_gap=0.7, min_gap=0.2)
+_REGULATION = dict(speed_weight=2.0, max_gap=0.7, min_gap=0.2)
 _TERMINAL_WEIGHT = 2.0
 
 
@@ -65,16 +65,11 @@ def _common(
         limits=KinematicLimits(v_max=1.2),
         grid=grid,
         regulation=RegulationConfig(**_REGULATION),
-        optimizer=OptimizerConfig(
+        cost=CostWeights(
             mass=1.0,
             accel_weight=0.25,
             uncertainty_weight=0.05,
             terminal_weight=_TERMINAL_WEIGHT,
-            dt=_DT,
-            max_iters=16,
-            armijo_c=1e-4,
-            step_shrink=0.5,
-            grad_tol=1e-6,
         ),
         assistive=AssistiveParams(
             target_speed=1.0,
@@ -87,7 +82,7 @@ def _common(
         interaction=InteractionParams(
             max_intensity=2.0, range_scale=0.8, speed_scale=1.0, cutoff=4.0
         ),
-        sim=SimSettings(cycle_period=1.0, commit_horizon=1.0, n_cycles=n_cycles, seed=seed),
+        sim=SimSettings(commit_horizon=1.0, n_cycles=n_cycles, seed=seed),
         sigma_baseline=sigma_baseline,
     )
 

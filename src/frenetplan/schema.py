@@ -23,6 +23,11 @@ from typing import NamedTuple, Optional
 
 _MAX = sys.float_info.max
 _NUMBER = (int, float)
+# Bound on the coordinates (m), speeds (m/s) and lengths (m) that the planner
+# squares, subtracts from one another or multiplies by elapsed time (waypoint
+# chords, terminal gaps, bump widths, agent velocities): far beyond any
+# scenario, and far inside the range where those results stay finite.
+SPAN = 1e6
 
 # rule -> (accepted types, test, what a valid value is). Every comparison is
 # false for NaN, and the bounds of the float range reject infinities and ints
@@ -34,6 +39,8 @@ _RULES = {
     "unit": (_NUMBER, lambda x: 0 <= x <= 1, "a number in [0, 1]"),
     "open_unit": (_NUMBER, lambda x: 0 < x < 1, "a number in (0, 1)"),
     "count": ((int,), lambda x: 0 <= x <= _MAX, "a nonnegative integer"),
+    "bounded": (_NUMBER, lambda x: -SPAN <= x <= SPAN, "a number in [-1e6, 1e6]"),
+    "length": (_NUMBER, lambda x: 0 < x <= SPAN, "a number in (0, 1e6]"),
 }
 
 

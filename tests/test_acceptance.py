@@ -167,7 +167,7 @@ def test_criterion_4_descent_and_boundary_preservation():
 def test_criterion_5_spacing_postcondition():
     rng = np.random.default_rng(105)
     path = straight_path(40.0)
-    config = RegulationConfig(weights=(1, 0.5, 1, 0.5), max_gap=0.6, min_gap=0.1)
+    config = RegulationConfig(max_gap=0.6, min_gap=0.1)
     flagged = 0
     for _ in range(100):
         initial = FrenetState(1.0, float(rng.uniform(0.7, 1.2)), 0.0,

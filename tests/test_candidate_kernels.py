@@ -49,7 +49,7 @@ from frenetplan.quintic_sampling import (
 LIMITS = KinematicLimits()
 TIGHT = KinematicLimits(v_max=0.9, a_max=0.4, j_max=0.8, kappa_max=0.3,
                         yaw_rate_max=0.3, kappa_rate_max=0.5)
-REG = RegulationConfig(weights=(1.0, 0.5, 1.0, 0.5), max_gap=0.5, min_gap=0.02)
+REG = RegulationConfig(speed_weight=1.0, max_gap=0.5, min_gap=0.02)
 
 
 def assert_identical(new, old):

@@ -71,19 +71,36 @@ MALFORMED = [
     (("sim", "n_cycles"), 2.5),
     (("sim", "n_cycles"), math.nan),
     (("sim", "seed"), 1.5),
-    (("optimizer", "unexpected"), 1.0),
+    (("cost", "unexpected"), 1.0),
     (("sim", "seed"), "x"),
     (("agents", 0, "position"), [6.0, -2.5, 0.0]),
     (("agents", 0, "covariance_trace"), -1),
     (("uncertainty", "baseline_trace"), math.nan),
     (("assistive", "max_force"), math.inf),
     (("interaction", "cutoff"), math.nan),
-    (("regulation", "weights"), [math.nan] * 4),
+    (("regulation", "speed_weight"), math.nan),
     (("limits", "v_max"), True),
-    (("optimizer", "grad_tol"), -1),
     (("unexpected",), 1.0),
     (("grid", "terminal_speeds"), [math.nan]),
+    (("waypoints", 3, 1), 1e200),
+    (("waypoints", 3, 1), 1e308),
+    (("grid", "lateral_offsets", 0), 1e200),
+    (("assistive", "bumps", 0, 1), 1e308),
+    (("agents", 0, "velocity", 0), 1e308),
+    (("waypoints",), [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
 ]
+
+# The keys that schema 2 removed, at their schema 1 values in s1-s3; the
+# first of the weights lives on as regulation.speed_weight.
+SCHEMA_1_KEYS = {
+    ("regulation", "weights"): [2.0, 0.5, 1.0, 0.5],
+    ("cost", "dt"): 0.05,
+    ("cost", "max_iters"): 16,
+    ("cost", "armijo_c"): 0.0001,
+    ("cost", "step_shrink"): 0.5,
+    ("cost", "grad_tol"): 1e-06,
+    ("sim", "cycle_period"): 1.0,
+}
 
 
 def _dotted(path):
@@ -130,6 +147,39 @@ def test_malformed_field_exits_two_naming_it(tmp_path, capsys, path, value):
         assert _dotted(path) in captured.out + captured.err, argv[0]
 
 
+def _schema_1(data):
+    """The schema 1 file of a schema 2 scenario."""
+    data["schema_version"] = 1
+    for path, value in SCHEMA_1_KEYS.items():
+        _set(data, path, value)
+    del data["regulation"]["speed_weight"]
+    data["optimizer"] = data.pop("cost")
+    return data
+
+
+def test_schema_1_file_exits_two(tmp_path, capsys):
+    scenario = tmp_path / "v1.json"
+    scenario.write_text(json.dumps(_schema_1(_bundled("s1"))))
+    for argv in _commands(scenario, tmp_path / "out"):
+        assert main(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert "schema_version" in captured.out + captured.err, argv[0]
+
+
+@pytest.mark.parametrize(
+    "path,value", list(SCHEMA_1_KEYS.items()), ids=[_dotted(p) for p in SCHEMA_1_KEYS]
+)
+def test_removed_key_is_unknown(tmp_path, capsys, path, value):
+    data = _bundled("s1")
+    _set(data, path, value)
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(data))
+    for argv in _commands(scenario, tmp_path / "out"):
+        assert main(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert f"{_dotted(path)}: unknown key" in captured.out + captured.err, argv[0]
+
+
 def _field_paths(node, prefix=()):
     """Every key of a scenario, at any depth, entering objects inside lists."""
     if isinstance(node, dict):
@@ -152,8 +202,9 @@ def _mutated(value, kind):
     }[kind]
 
 
-MUTATIONS = ("wrong type", "null", "nan", "inf", "-inf", "1e308", "0", "-1",
-             "swap", "removed", "unknown key")
+ENTRY_MUTATIONS = ("wrong type", "null", "nan", "inf", "-inf", "1e308", "0", "-1",
+                   "swap", "removed")
+MUTATIONS = ENTRY_MUTATIONS + ("unknown key",)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -161,11 +212,17 @@ MUTATIONS = ("wrong type", "null", "nan", "inf", "-inf", "1e308", "0", "-1",
 def test_single_field_mutation_never_raises(tmp_path_factory, data):
     scenario = _bundled(data.draw(st.sampled_from(sorted(BUILDERS)), label="scenario"))
     path = data.draw(st.sampled_from(list(_field_paths(scenario))), label="field")
-    kind = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    value = _parent(scenario, path)[path[-1]]
+    # a list entry, at any depth, in place of the whole key
+    while isinstance(value, list) and value and data.draw(st.booleans(), label="entry"):
+        i = data.draw(st.integers(0, len(value) - 1), label="index")
+        path, value = path + (i,), value[i]
+    menu = MUTATIONS if isinstance(path[-1], str) else ENTRY_MUTATIONS
+    kind = data.draw(st.sampled_from(menu), label="mutation")
     if kind == "unknown key":
         _set(scenario, path[:-1] + ("unexpected",), 1.0)
     else:
-        _set(scenario, path, _mutated(_parent(scenario, path)[path[-1]], kind))
+        _set(scenario, path, _mutated(value, kind))
     tmp = tmp_path_factory.mktemp("mutation")
     (tmp / "s.json").write_text(json.dumps(scenario))
     validated, ran, dumped = (main(argv) for argv in _commands(tmp / "s.json", tmp / "out"))

@@ -11,13 +11,10 @@ from frenetplan.momentum_optimizer import (
     InteractionParams,
     Neighbor,
     OptimizerConfig,
-    assistive_force,
+    PlanningContext,
     cost_gradient,
-    interaction_force,
-    lagrangian_at,
     optimize_cluster,
     optimize_trajectory,
-    surface_irregularity,
     total_cost,
 )
 from frenetplan.quintic_sampling import build_candidate, SamplingGrid
@@ -27,7 +24,7 @@ import reference_kernels
 from conftest import active_context, make_candidate, make_context, random_candidate, straight_path
 
 
-REG = RegulationConfig(weights=(1.0, 0.5, 1.0, 0.5), max_gap=0.5, min_gap=0.02)
+REG = RegulationConfig(speed_weight=1.0, max_gap=0.5, min_gap=0.02)
 
 
 def rebuilt_positions_cost(candidate, positions, ctx, config):
@@ -38,18 +35,43 @@ def rebuilt_positions_cost(candidate, positions, ctx, config):
     return total_cost(replace(candidate, states=states), ctx, None, config)
 
 
+def assistive(state, params):
+    """Guidance force of ``_assistive_batch`` at one state, as (s, d)."""
+    force, _ = momentum_optimizer._assistive_batch(
+        np.array([state.s]), np.array([state.s_dot]), np.array([state.d]),
+        np.array([state.d_dot]), params, want_jac=False,
+    )
+    return np.array([force[0][0], force[1][0]])
+
+
+# Along this path Frenet (s, d) is Cartesian (x, y), so the batched kernel's
+# (tangent, normal) force is the Cartesian repulsion.
+X_AXIS = straight_path(20.0)
+
+
+def interaction(pos, vel, neighbors, params):
+    """Repulsion of ``_interaction_batch`` at one agent state, at time 0."""
+    ctx = PlanningContext(path=X_AXIS, assistive=AssistiveParams(), interaction=params,
+                          neighbors=tuple(neighbors))
+    force, _ = momentum_optimizer._interaction_batch(
+        np.zeros(1), np.array([pos[0]]), np.array([vel[0]]), np.array([pos[1]]),
+        np.array([vel[1]]), ctx, want_jac=False,
+    )
+    return np.array([force[0][0], force[1][0]])
+
+
 def test_assistive_equilibrium_is_zero():
     params = AssistiveParams(target_speed=1.0, speed_gain=0.5, centering_gain=1.0,
                              damping_gain=0.5, max_force=5.0)
     state = FrenetState(0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-    assert np.allclose(assistive_force(state, params), [0.0, 0.0])
+    assert np.allclose(assistive(state, params), [0.0, 0.0])
 
 
 def test_assistive_lateral_shaping():
     params = AssistiveParams(target_speed=1.0, speed_gain=0.5, centering_gain=1.0,
                              damping_gain=0.0, max_force=50.0)
     state = FrenetState(0.0, 1.0, 0.0, 0.5, 0.0, 0.0)
-    assert np.allclose(assistive_force(state, params), [0.0, -0.5], atol=1e-12)
+    assert np.allclose(assistive(state, params), [0.0, -0.5], atol=1e-12)
 
 
 def test_assistive_saturation():
@@ -57,7 +79,7 @@ def test_assistive_saturation():
                              damping_gain=0.0, max_force=1.0)
     # raw force norm is 10x the cap
     state = FrenetState(0.0, 10.0, 0.0, 0.0, 0.0, 0.0)
-    force = assistive_force(state, params)
+    force = assistive(state, params)
     assert abs(np.linalg.norm(force) - params.max_force) <= 1e-9
 
 
@@ -66,30 +88,30 @@ def test_assistive_force_always_bounded():
     params = AssistiveParams(target_speed=1.0, speed_gain=2.0, centering_gain=3.0,
                              damping_gain=1.0, max_force=2.0,
                              bumps=((1.0, 0.5, 0.8),))
-    for _ in range(200):
-        state = FrenetState(*rng.uniform(-4, 4, size=6))
-        assert np.linalg.norm(assistive_force(state, params)) <= params.max_force + 1e-12
+    s, vs, d, vd = rng.uniform(-4, 4, size=(4, 200))
+    (fs, fd), _ = momentum_optimizer._assistive_batch(s, vs, d, vd, params, want_jac=False)
+    assert np.all(np.hypot(fs, fd) <= params.max_force + 1e-12)
 
 
 def test_surface_irregularity_clipped():
     params = AssistiveParams(bumps=((0.0, 0.5, 0.9), (0.2, 0.5, 0.9)))
     s = np.linspace(-2, 2, 101)
-    beta = surface_irregularity(s, params)
+    beta, _ = momentum_optimizer._bumps(s, params)
     assert np.all(beta >= 0.0) and np.all(beta <= 1.0)
-    assert surface_irregularity(0.1, params) == 1.0  # overlapping bumps clip
+    assert momentum_optimizer._bumps(0.1, params)[0] == 1.0  # overlapping bumps clip
 
 
 def test_interaction_empty_and_cutoff():
     params = InteractionParams(max_intensity=2.0, range_scale=1.0, speed_scale=1.0, cutoff=3.0)
-    assert np.allclose(interaction_force((0, 0), (1, 0), [], params), [0, 0])
-    far = Neighbor(position=(10.0, 0.0), velocity=(0.0, 0.0))
-    assert np.allclose(interaction_force((0, 0), (1, 0), [far], params), [0, 0])
+    assert np.allclose(interaction((2, 0), (1, 0), [], params), [0, 0])
+    far = Neighbor(position=(12.0, 0.0), velocity=(0.0, 0.0))
+    assert np.allclose(interaction((2, 0), (1, 0), [far], params), [0, 0])
 
 
 def test_interaction_closed_form_at_range_scale():
     params = InteractionParams(max_intensity=2.0, range_scale=1.0, speed_scale=1.0, cutoff=5.0)
-    neighbor = Neighbor(position=(-1.0, 0.0), velocity=(0.0, 0.0))
-    force = interaction_force((0.0, 0.0), (0.0, 0.0), [neighbor], params)
+    neighbor = Neighbor(position=(1.0, 0.0), velocity=(0.0, 0.0))
+    force = interaction((2.0, 0.0), (0.0, 0.0), [neighbor], params)
     assert np.allclose(force, [2.0 * np.exp(-1.0), 0.0], atol=1e-12)
 
 
@@ -97,30 +119,29 @@ def test_interaction_intensity_bounded():
     rng = np.random.default_rng(17)
     params = InteractionParams(max_intensity=2.0, range_scale=0.5, speed_scale=0.5, cutoff=10.0)
     for _ in range(200):
-        neighbor = Neighbor(position=rng.uniform(-2, 2, 2), velocity=rng.uniform(-2, 2, 2))
-        pos = rng.uniform(-2, 2, 2)
+        neighbor = Neighbor(position=rng.uniform(2, 6, 2) - (0, 4), velocity=rng.uniform(-2, 2, 2))
+        pos = rng.uniform(2, 6, 2) - (0, 4)
         if np.linalg.norm(pos - neighbor.position) < 1e-6:
             continue
-        force = interaction_force(pos, rng.uniform(-2, 2, 2), [neighbor], params)
+        force = interaction(pos, rng.uniform(-2, 2, 2), [neighbor], params)
         assert np.linalg.norm(force) <= params.max_intensity + 1e-12
 
 
 def test_interaction_coincident_raises():
     params = InteractionParams()
-    neighbor = Neighbor(position=(0.0, 0.0), velocity=(0.0, 0.0))
+    neighbor = Neighbor(position=(2.0, 0.0), velocity=(0.0, 0.0))
     with pytest.raises(CoincidentNeighbor):
-        interaction_force((0.0, 0.0), (1.0, 0.0), [neighbor], params)
+        interaction((2.0, 0.0), (1.0, 0.0), [neighbor], params)
 
 
 def test_lagrangian_examples():
-    zero = FrenetState(0, 0, 0, 0, 0, 0)
-    cfg = OptimizerConfig()
-    assert lagrangian_at(zero, (0, 0), (0, 0), 0.0, cfg) == 0.0
-    cfg2 = OptimizerConfig(mass=2.0)
-    moving = FrenetState(0, 1.0, 0, 0, 0, 0)
-    assert abs(lagrangian_at(moving, (0, 0), (0, 0), 0.0, cfg2) - 1.0) <= 1e-12
+    integrand = momentum_optimizer._integrand
+    ctx = make_context(X_AXIS, sigma=0.0)
+    assert integrand(0.0, 0.0, 0.0, 0.0, (0.0, 0.0), ctx, OptimizerConfig()) == 0.0
+    assert abs(integrand(1.0, 0.0, 0.0, 0.0, (0.0, 0.0), ctx, OptimizerConfig(mass=2.0))
+               - 1.0) <= 1e-12
     cfg3 = OptimizerConfig(mass=1.0, accel_weight=0.5, uncertainty_weight=1.0)
-    value = lagrangian_at(moving, (2.0, 0.0), (2.0, 0.0), 3.0, cfg3)
+    value = integrand(1.0, 0.0, 2.0, 0.0, (2.0, 0.0), make_context(X_AXIS, sigma=3.0), cfg3)
     assert abs(value - 3.5) <= 1e-12
 
 

@@ -52,13 +52,9 @@ def test_scenario_validation_catches_violations():
     assert any("regulation.max_gap" in m for m in messages)
     bad = json.loads(json.dumps(data))
     bad["sim"]["commit_horizon"] = 5.0
-    bad["sim"]["cycle_period"] = 5.0
     assert any("commit_horizon" in m for m in validate_scenario_dict(bad))
-    bad = json.loads(json.dumps(data))
-    bad["optimizer"]["dt"] = 0.1
-    assert any("optimizer.dt" in m for m in validate_scenario_dict(bad))
     with pytest.raises(ScenarioInvalid):
-        Scenario.from_dict({"schema_version": 2})
+        Scenario.from_dict({"schema_version": 1})
 
 
 def _fake_report(feasible):
@@ -106,7 +102,7 @@ def test_splice_continuity():
 def test_agents_advance_exactly():
     scn = narrow_oncoming(seed=5, n_cycles=4)
     log = run(scn, "baseline")
-    period = scn.sim.cycle_period
+    period = scn.sim.commit_horizon
     for rec in log.cycles:
         for agent, nb in zip(rec.agent_positions, scn.agents):
             expected = nb.position + rec.cycle * period * nb.velocity
