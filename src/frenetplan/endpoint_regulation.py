@@ -15,10 +15,11 @@ import numpy as np
 from .errors import EmptyCluster
 from .frenet_geometry import FrenetState, ReferencePath
 from .quintic_sampling import (
+    CandidateSpec,
     SamplingGrid,
     TrajectoryCandidate,
     TrajectoryCluster,
-    build_candidate,
+    build_candidates,
     generate_cluster,
 )
 from .schema import check, spec
@@ -111,7 +112,9 @@ def enforce_spacing(
     Near-duplicates (gap below the floor) are dropped keeping the earlier
     candidate; oversized gaps are filled by re-solving quintics toward
     linearly interpolated terminal configurations, up to 8 insertions per
-    gap (beyond that the budget flag is set instead of failing).
+    gap (beyond that the budget flag is set instead of failing). The
+    insertions are built in one batch per snapped horizon. The cluster's
+    ``reference_index`` is not read; the repaired cluster selects its own.
     """
     if not cluster.candidates:
         raise EmptyCluster("cannot enforce spacing on an empty cluster")
@@ -123,9 +126,9 @@ def enforce_spacing(
             kept.append(cand)
 
     budget_exhausted = False
-    out: list[TrajectoryCandidate] = []
-    for a, b in zip(kept[:-1], kept[1:]):
-        out.append(a)
+    specs: list[CandidateSpec] = []
+    after: list[int] = []  # index in ``kept`` of the candidate each insertion follows
+    for k, (a, b) in enumerate(zip(kept[:-1], kept[1:])):
         term_a = a.states[-1]
         term_b = b.states[-1]
         gap = float(np.linalg.norm(term_b - term_a))
@@ -141,18 +144,23 @@ def enforce_spacing(
             # so sorting ties stay ties and the repaired chain order holds
             target = term_a + alpha * (term_b - term_a)
             horizon = _snap_to_grid(a.horizon + alpha * (b.horizon - a.horizon), grid.dt)
-            cand = build_candidate(
-                cluster.initial,
-                terminal_s=float(target[0]),
-                terminal_speed=float(target[1]),
-                lateral_offset=float(target[3]),
-                horizon=horizon,
-                dt=grid.dt,
-                grid_key=(horizon, float(target[1]), float(target[3]), "inserted"),
+            specs.append(
+                CandidateSpec(
+                    terminal_s=float(target[0]),
+                    terminal_speed=float(target[1]),
+                    lateral_offset=float(target[3]),
+                    horizon=horizon,
+                    grid_key=(horizon, float(target[1]), float(target[3]), "inserted"),
+                )
             )
-            if cand is not None:
-                out.append(cand)
-    out.append(kept[-1])
+            after.append(k)
+
+    # built per snapped horizon, then put back into the chain in order
+    following: list[list] = [[] for _ in kept]
+    for k, cand in zip(after, build_candidates(cluster.initial, specs, grid.dt)):
+        if cand is not None:
+            following[k].append(cand)
+    out = [c for a, extra in zip(kept, following) for c in (a, *extra)]
 
     repaired = TrajectoryCluster(
         candidates=out,
@@ -174,7 +182,6 @@ def regulated_cluster(
     """Generate, sort, and spacing-repair a cluster, annotating each candidate
     with its deviation energy against the selected reference."""
     cluster = sort_by_terminal(generate_cluster(initial, path, grid))
-    cluster.reference_index = select_reference_candidate(cluster)
     cluster = enforce_spacing(cluster, config, path, grid)
     reference = cluster.candidates[cluster.reference_index]
     for cand in cluster.candidates:

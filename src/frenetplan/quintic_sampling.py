@@ -8,7 +8,7 @@ derivatives through the chain rule when sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -74,7 +74,17 @@ def eval_quintic(coeffs: QuinticCoeffs, x):
 
     Accepts a scalar or an array abscissa; extrapolation is permitted.
     """
-    c0, c1, c2, c3, c4, c5 = coeffs.c
+    return _horner(coeffs.c, x)
+
+
+def _horner(c, x):
+    """Value and first three derivatives of c0 + c1 x + ... + c5 x^5.
+
+    The coefficients are scalars, or arrays broadcasting against ``x`` (a
+    batch of quintics as (k, 1) columns over (k, n) or (n,) abscissae); each
+    element takes the same operations either way.
+    """
+    c0, c1, c2, c3, c4, c5 = c
     value = ((((c5 * x + c4) * x + c3) * x + c2) * x + c1) * x + c0
     d1 = (((5 * c5 * x + 4 * c4) * x + 3 * c3) * x + 2 * c2) * x + c1
     d2 = ((20 * c5 * x + 12 * c4) * x + 6 * c3) * x + 2 * c2
@@ -191,81 +201,123 @@ def _lateral_boundary_from_time(initial: FrenetState):
     return initial.d, dp, dpp
 
 
-class _Longitudinal(NamedTuple):
-    """Longitudinal quintic toward one steady terminal, sampled on the
-    horizon grid; every lateral offset at this (horizon, speed) shares it."""
+class CandidateSpec(NamedTuple):
+    """Steady terminal configuration of one candidate and its horizon."""
 
-    lon: QuinticCoeffs
     terminal_s: float
     terminal_speed: float
+    lateral_offset: float
     horizon: float
-    times: np.ndarray
-    s: np.ndarray
-    s_dot: np.ndarray
-    s_ddot: np.ndarray
-    s_jerk: np.ndarray
-    dips: bool
+    grid_key: tuple = ()
 
 
-def _longitudinal(
-    initial: FrenetState,
-    terminal_s: float,
-    terminal_speed: float,
-    horizon: float,
-    dt: float,
-) -> _Longitudinal:
-    lon = solve_quintic(
+class _Solved(NamedTuple):
+    """Both quintics of one candidate, not yet sampled."""
+
+    spec: CandidateSpec
+    lon: QuinticCoeffs
+    lat: QuinticCoeffs
+    lat_span: float
+
+
+def _solve_longitudinal(
+    initial: FrenetState, terminal_s: float, terminal_speed: float, horizon: float
+) -> QuinticCoeffs:
+    return solve_quintic(
         (initial.s, initial.s_dot, initial.s_ddot),
         (terminal_s, terminal_speed, 0.0),
         horizon,
     )
+
+
+def _solve_lateral(
+    initial: FrenetState, boundary: tuple, target: CandidateSpec, lon: QuinticCoeffs
+) -> _Solved:
+    """Lateral quintic over the longitudinal span; ``boundary`` is
+    ``_lateral_boundary_from_time(initial)``."""
+    span = target.terminal_s - initial.s
+    lat = solve_quintic(boundary, (target.lateral_offset, 0.0, 0.0), span)
+    return _Solved(target, lon, lat, span)
+
+
+def _coefficient_columns(quintics) -> np.ndarray:
+    """c0..c5 of k quintics, each as a (k, 1) column for ``_horner``."""
+    return np.array([q.c for q in quintics]).T[:, :, None]
+
+
+def _sample(
+    initial: FrenetState, horizon: float, dt: float, solved: Sequence[_Solved]
+) -> list:
+    """Sample solved candidates sharing one horizon as (k, n) arrays.
+
+    Returns one candidate per entry, in order, or None where the
+    longitudinal samples dip. Each candidate's arrays are rows of blocks
+    shared by the batch: disjoint memory, states a row of one (k, n, 6) block.
+    """
     n = max(4, int(round(horizon / dt)))
     times = np.linspace(0.0, horizon, n + 1)
-    s, s_dot, s_ddot, s_jerk = eval_quintic(lon, times)
-    dips = bool(np.any(np.diff(s) < -1e-10))
-    return _Longitudinal(
-        lon, terminal_s, terminal_speed, horizon, times, s, s_dot, s_ddot, s_jerk, dips
-    )
-
-
-def _with_lateral(
-    initial: FrenetState,
-    lng: _Longitudinal,
-    lateral_offset: float,
-    grid_key: tuple,
-) -> Optional[TrajectoryCandidate]:
-    """Solve the lateral quintic over the longitudinal span and sample the
-    candidate; None when the shared longitudinal samples dip."""
-    span = lng.terminal_s - initial.s
-    d0, dp0, dpp0 = _lateral_boundary_from_time(initial)
-    lat = solve_quintic((d0, dp0, dpp0), (lateral_offset, 0.0, 0.0), span)
-    # tested after the lateral solve, so an ill-conditioned span raises even
-    # where s dips
-    if lng.dips:
-        return None
-    s, s_dot, s_ddot, s_jerk = lng.s, lng.s_dot, lng.s_ddot, lng.s_jerk
-    sigma = s - initial.s
-    d, dp, dpp, dppp = eval_quintic(lat, sigma)
+    s, s_dot, s_ddot, s_jerk = _horner(_coefficient_columns([x.lon for x in solved]), times)
+    dips = np.any(np.diff(s, axis=1) < -1e-10, axis=1)
+    d, dp, dpp, dppp = _horner(_coefficient_columns([x.lat for x in solved]), s - initial.s)
     d_dot = dp * s_dot
     d_ddot = dpp * s_dot**2 + dp * s_ddot
     d_jerk = dppp * s_dot**3 + 3.0 * dpp * s_dot * s_ddot + dp * s_jerk
 
-    states = np.column_stack([s, s_dot, s_ddot, d, d_dot, d_ddot])
-    states[0] = initial.as_array()  # shared initial state, exactly
+    states = np.stack((s, s_dot, s_ddot, d, d_dot, d_ddot), axis=2)
+    states[:, 0] = initial.as_array()  # shared initial state, exactly
     # Snap the terminal sample to the imposed boundary (solver residual is
     # ~1e-13); exact terminals keep sorting ties and de-duplication stable.
-    states[-1] = (lng.terminal_s, lng.terminal_speed, 0.0, lateral_offset, 0.0, 0.0)
-    return TrajectoryCandidate(
-        lon=lng.lon,
-        lat=lat,
-        lat_span=span,
-        horizon=lng.horizon,
-        times=lng.times.copy(),
-        states=states,
-        jerk_lon=lng.s_jerk.copy(),
-        jerk_lat=d_jerk,
-        grid_key=grid_key,
-    )
+    states[:, -1] = [
+        (x.spec.terminal_s, x.spec.terminal_speed, 0.0, x.spec.lateral_offset, 0.0, 0.0)
+        for x in solved
+    ]
+    times = np.tile(times, (len(solved), 1))
+    return [
+        None
+        if dips[i]
+        else TrajectoryCandidate(
+            lon=x.lon,
+            lat=x.lat,
+            lat_span=x.lat_span,
+            horizon=horizon,
+            times=times[i],
+            states=states[i],
+            jerk_lon=s_jerk[i],
+            jerk_lat=d_jerk[i],
+            grid_key=x.spec.grid_key,
+        )
+        for i, x in enumerate(solved)
+    ]
+
+
+def build_candidates(
+    initial: FrenetState, specs: Sequence[CandidateSpec], dt: float
+) -> list:
+    """Solve both quintics toward each spec's steady terminal and sample them.
+
+    Terminal acceleration and lateral rates are zero (steady-terminal
+    convention). Returns one entry per spec, in order: the candidate, or None
+    for a non-forward one (nonpositive longitudinal span or a sampled dip in
+    s). Every spec is solved first, in order, so the first ill-conditioned
+    one raises; then each horizon's candidates are sampled in one batch.
+    """
+    boundary = _lateral_boundary_from_time(initial)
+    by_horizon: dict = {}
+    for i, target in enumerate(specs):
+        if target.terminal_s - initial.s <= 0.0:
+            continue
+        lon = _solve_longitudinal(
+            initial, target.terminal_s, target.terminal_speed, target.horizon
+        )
+        by_horizon.setdefault(target.horizon, []).append(
+            (i, _solve_lateral(initial, boundary, target, lon))
+        )
+    out = [None] * len(specs)
+    for horizon, group in by_horizon.items():
+        index, solved = zip(*group)
+        for i, cand in zip(index, _sample(initial, horizon, dt, solved)):
+            out[i] = cand
+    return out
 
 
 def build_candidate(
@@ -277,16 +329,10 @@ def build_candidate(
     dt: float,
     grid_key: tuple = (),
 ) -> Optional[TrajectoryCandidate]:
-    """Solve both quintics toward a steady terminal and sample the result.
-
-    Terminal acceleration and lateral rates are zero (steady-terminal
-    convention). Returns None for non-forward candidates: nonpositive
-    longitudinal span or a sampled dip in s.
-    """
-    if terminal_s - initial.s <= 0.0:
-        return None
-    lng = _longitudinal(initial, terminal_s, terminal_speed, horizon, dt)
-    return _with_lateral(initial, lng, lateral_offset, grid_key)
+    """One candidate toward a steady terminal (``build_candidates``), or
+    None if it is not forward."""
+    target = CandidateSpec(terminal_s, terminal_speed, lateral_offset, horizon, grid_key)
+    return build_candidates(initial, [target], dt)[0]
 
 
 def generate_cluster(
@@ -297,15 +343,18 @@ def generate_cluster(
     Terminal longitudinal position follows the trapezoidal progress
     heuristic s_T = s_0 + (s_dot_0 + v_T)/2 * horizon; triples with
     nonpositive progress are discarded. The longitudinal quintic of each
-    (horizon, speed) pair is solved and sampled once for all offsets.
+    (horizon, speed) pair is solved once for all offsets, and each horizon's
+    candidates are sampled in one batch.
     """
     _check_s(path, initial.s)
     kappa = float(path.curvature(initial.s))
     if kappa != 0.0 and abs(initial.d) * abs(kappa) >= 1.0:
         raise InvalidLateralOffset("initial state outside the path validity tube")
 
+    boundary = _lateral_boundary_from_time(initial)
     candidates = []
     for horizon in sorted(grid.horizons):
+        solved = []
         for speed in sorted(grid.terminal_speeds):
             terminal_s = initial.s + 0.5 * (initial.s_dot + speed) * horizon
             span = terminal_s - initial.s
@@ -316,11 +365,13 @@ def generate_cluster(
                     f"terminal s={terminal_s:.3f} beyond path end "
                     f"{path.total_length:.3f} (speed {speed}, horizon {horizon})"
                 )
-            lng = _longitudinal(initial, terminal_s, speed, horizon, grid.dt)
+            lon = _solve_longitudinal(initial, terminal_s, speed, horizon)
             for offset in sorted(grid.lateral_offsets):
-                cand = _with_lateral(initial, lng, offset, (horizon, speed, offset))
-                if cand is not None:
-                    candidates.append(cand)
+                target = CandidateSpec(terminal_s, speed, offset, horizon, (horizon, speed, offset))
+                solved.append(_solve_lateral(initial, boundary, target, lon))
+        if solved:
+            sampled = _sample(initial, horizon, grid.dt, solved)
+            candidates += [c for c in sampled if c is not None]
     if not candidates:
         raise EmptyCluster("all grid triples were discarded")
     return TrajectoryCluster(candidates=candidates, reference_index=0, initial=initial)

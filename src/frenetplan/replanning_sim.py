@@ -48,6 +48,10 @@ SIMLOG_SCHEMA_VERSION = 1
 
 _COST_TIE = 1e-12
 
+# simlog names of the constraints, in CONSTRAINT_ORDER: looked up once here
+# rather than through Enum.value for every candidate row
+_CONSTRAINT_NAMES = {c: c.value for c in CONSTRAINT_ORDER}
+
 
 @dataclass(frozen=True)
 class SimSettings:
@@ -108,8 +112,15 @@ class Scenario:
     interaction: InteractionParams
     sim: SimSettings
     sigma_baseline: float = 0.0
+    # (waypoints, path) fitted while ``from_dict`` validated the file
+    _fitted: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def build_path(self) -> ReferencePath:
+        """The reference path through the waypoints; a scenario read by
+        ``from_dict`` reuses the fit its validation made, while its
+        waypoints are unchanged."""
+        if self._fitted is not None and np.array_equal(self._fitted[0], self.waypoints):
+            return self._fitted[1]
         return build_reference_path(self.waypoints)
 
     def to_dict(self) -> dict:
@@ -125,10 +136,10 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        violations = validate_scenario_dict(data)
+        violations, path = _check_scenario_dict(data)
         if violations:
             raise ScenarioInvalid(violations)
-        return cls(
+        scenario = cls(
             name=data.get("name", "unnamed"),
             waypoints=np.asarray(data["waypoints"], dtype=float),
             initial=FrenetState(**data["initial_state"]),
@@ -136,6 +147,8 @@ class Scenario:
             **{key: kind(**data[key]) for key, kind in SECTIONS.items()},
             sigma_baseline=float(_Uncertainty(**data.get("uncertainty", {})).baseline_trace),
         )
+        scenario._fitted = (scenario.waypoints.copy(), path)
+        return scenario
 
 
 # Scenario sections read and written field by field; each is the Scenario
@@ -165,18 +178,25 @@ def _is_multiple(value: float, step: float) -> bool:
 
 def validate_scenario_dict(data: dict) -> list:
     """All schema and invariant violations, each naming the offending key."""
+    return _check_scenario_dict(data)[0]
+
+
+def _check_scenario_dict(data: dict) -> tuple:
+    """``validate_scenario_dict``'s violations, and the reference path it
+    fitted to check the waypoints (None if it fitted none)."""
     if not isinstance(data, dict):
-        return ["scenario: top level must be a JSON object"]
+        return ["scenario: top level must be a JSON object"], None
     version = data.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
         # the version says how to read the rest, so nothing else is checked
         return [
             f"schema_version: expected {SCHEMA_VERSION} "
             "(the README lists the changes from schema 1)"
-        ]
+        ], None
     sections = {"initial_state": FrenetState, **SECTIONS}
     known = {"schema_version", "name", "waypoints", "agents", "uncertainty", *sections}
     v = [f"{key}: unknown key" for key in data if key not in known]
+    path = None
     if not isinstance(data.get("name", ""), str):
         v.append("name: must be a string")
     if "waypoints" not in data:
@@ -185,7 +205,7 @@ def validate_scenario_dict(data: dict) -> list:
         v.append(f"waypoints{why}")
     else:
         try:
-            build_reference_path(data["waypoints"])
+            path = build_reference_path(data["waypoints"])
         except (PlannerError, ValueError) as err:  # ValueError: scipy's spline fit
             v.append(f"waypoints: {err}")
     agents = data.get("agents", [])
@@ -201,7 +221,7 @@ def validate_scenario_dict(data: dict) -> list:
         else:
             v += section_problems(kind, data[key], key)
     if v:
-        return v
+        return v, path
 
     # rules across sections, on values already known to be well formed
     grid, sim = data["grid"], data["sim"]
@@ -213,7 +233,7 @@ def validate_scenario_dict(data: dict) -> list:
         v.append("sim.commit_horizon: must not exceed the shortest grid horizon")
     if not _is_multiple(commit, dt):
         v.append("sim.commit_horizon: must be a multiple of grid.dt")
-    return v
+    return v, path
 
 
 @dataclass
@@ -254,7 +274,8 @@ class CycleRecord:
             "feasibility": {
                 "overall_ratio": self.breakdown.overall_ratio,
                 "violation_rates": {
-                    c.value: self.breakdown.violation_rates[c] for c in CONSTRAINT_ORDER
+                    name: self.breakdown.violation_rates[c]
+                    for c, name in _CONSTRAINT_NAMES.items()
                 },
             },
             "nn_stats": nn,
@@ -419,8 +440,8 @@ def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimL
                 "key": [str(p) if isinstance(p, str) else float(p) for p in c.grid_key],
                 "cost": float(c.cost),
                 "feasible": bool(r.feasible),
-                "violations": sorted(v.value for v in r.violations),
-                "margins": {c2.value: r.worst_margins[c2] for c2 in CONSTRAINT_ORDER},
+                "violations": sorted(_CONSTRAINT_NAMES[v] for v in r.violations),
+                "margins": {name: r.worst_margins[c2] for c2, name in _CONSTRAINT_NAMES.items()},
             }
             for i, (c, r) in enumerate(zip(cluster.candidates, reports))
         ]

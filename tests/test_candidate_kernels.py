@@ -1,15 +1,19 @@
 """Per-candidate stages outside refinement against the earlier implementations
 kept in ``reference_kernels``: one-pass cluster costing, classification on
-component arrays, sampling with one longitudinal solve per (horizon, speed),
-the shared gradient stencil and the finite-difference adjoints. Outputs and
-raised exceptions must be bitwise identical, including on the branches the
-bundled scenarios never reach (near-zero speed, dipping or ill-conditioned
-quintics, a path too short, mixed horizons, the terminal regularizer, a
-coincident neighbour).
+component arrays, sampling in one batch per horizon (grid candidates and
+spacing-repair insertions alike), the shared gradient stencil and the
+finite-difference adjoints. Outputs and raised exceptions must be bitwise
+identical, including on the branches the bundled scenarios never reach
+(near-zero speed, dipping or ill-conditioned quintics, a path too short, mixed
+horizons, the terminal regularizer, a coincident neighbour).
 """
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_kernels as ref
 from conftest import (
@@ -19,7 +23,8 @@ from conftest import (
     make_context,
     s_curve_path,
 )
-from frenetplan.endpoint_regulation import RegulationConfig
+from frenetplan import endpoint_regulation
+from frenetplan.endpoint_regulation import RegulationConfig, regulated_cluster
 from frenetplan.errors import (
     CoincidentNeighbor,
     IllConditioned,
@@ -38,12 +43,15 @@ from frenetplan.momentum_optimizer import (
     total_cost,
 )
 from frenetplan.quintic_sampling import (
+    CandidateSpec,
     QuinticCoeffs,
     SamplingGrid,
     TrajectoryCandidate,
-    _longitudinal,
     build_candidate,
+    build_candidates,
+    eval_quintic,
     generate_cluster,
+    solve_quintic,
 )
 
 LIMITS = KinematicLimits()
@@ -242,7 +250,9 @@ def test_sampling_raises_like_reference():
     # this pair also dips, and the lateral solve still raises first
     dipping = FrenetState(2.0, 0.1, -1.0, 0.1, 0.0, 0.0)
     terminal_s = 2.0 + 0.5 * (0.1 - 0.098) * 3.0
-    assert _longitudinal(dipping, terminal_s, -0.098, 3.0, 0.05).dips
+    lon = solve_quintic((2.0, 0.1, -1.0), (terminal_s, -0.098, 0.0), 3.0)
+    s = eval_quintic(lon, np.linspace(0.0, 3.0, 61))[0]
+    assert np.any(np.diff(s) < -1e-10)
     args = (dipping, terminal_s, -0.098, 0.2, 3.0, 0.05)
     old = outcome(ref.build_candidate, *args)
     assert old[0] is IllConditioned
@@ -275,6 +285,135 @@ def test_build_candidate_matches_reference():
             assert new is None
         else:
             assert_same_candidate(new, old)
+
+
+def built_alone(builder, initial, specs, dt):
+    """Each spec built by its own ``builder`` call, in order."""
+    return [builder(initial, t.terminal_s, t.terminal_speed, t.lateral_offset, t.horizon,
+                    dt, t.grid_key) for t in specs]
+
+
+def assert_same_builds(new, old):
+    assert [c is None for c in new] == [c is None for c in old]
+    for a, b in zip(new, old):
+        if b is not None:
+            assert_same_candidate(a, b)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    initial=st.builds(
+        FrenetState, st.floats(1.0, 3.0), st.floats(0.0, 1.5), st.floats(-1.2, 0.6),
+        st.floats(-0.5, 0.5), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
+    ),
+    targets=st.lists(
+        st.tuples(
+            st.floats(-0.6, 1.6),  # terminal speed
+            st.floats(-1.0, 1.0),  # lateral offset
+            st.sampled_from((1.0, 1.35, 2.0, 2.35, 2.5, 3.0)),  # horizon
+            st.floats(-0.2, 1.3),  # share of the heuristic progress
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_batch_equals_each_built_alone(initial, targets):
+    # nonpositive spans, dips and ill-conditioned spans all occur here
+    specs = [
+        CandidateSpec(initial.s + share * 0.5 * (initial.s_dot + speed) * horizon,
+                      speed, offset, horizon, (horizon, speed, offset, i))
+        for i, (speed, offset, horizon, share) in enumerate(targets)
+    ]
+    batch = outcome(build_candidates, initial, specs, 0.05)
+    for builder in (build_candidate, ref.build_candidate):
+        alone = outcome(built_alone, builder, initial, specs, 0.05)
+        if isinstance(alone, tuple):
+            assert batch == alone
+        else:
+            assert_same_builds(batch, alone)
+
+
+def test_batch_raises_for_the_first_ill_conditioned_spec_in_input_order():
+    initial = FrenetState(2.0, 0.5, 0.0, 0.1, 0.0, 0.0)
+    # lateral spans of 2 mm and 1 mm, both ill-conditioned: solved in
+    # horizon order, the 1 s spec would raise first
+    specs = [CandidateSpec(2.3, 0.5, 0.0, 2.0), CandidateSpec(2.002, 0.5, 0.2, 3.0),
+             CandidateSpec(2.001, 0.5, 0.2, 1.0)]
+    old = outcome(built_alone, ref.build_candidate, initial, specs, 0.05)
+    assert old[0] is IllConditioned and "span 0.00199" in old[1]
+    assert outcome(build_candidates, initial, specs, 0.05) == old
+
+
+def regulation_cases():
+    """(initial, grid): random grids over three horizons, so the insertions
+    snap to many horizons, and a braking crawl whose 2.35 s insertions
+    partly dip."""
+    rng = np.random.default_rng(41)
+    cases = [(
+        FrenetState(2.0, 0.13, -0.6, -0.08, 0.0, 0.0),
+        SamplingGrid(terminal_speeds=(0.2, 1.5), lateral_offsets=(-0.4, 0.0, 0.4),
+                     horizons=(1.0, 3.0), dt=0.05),
+    )]
+    for _ in range(8):
+        grid = SamplingGrid(
+            terminal_speeds=tuple(rng.uniform(0.2, 1.6, 3)),
+            lateral_offsets=tuple(rng.uniform(-0.8, 0.8, 5)),
+            horizons=(1.0, 2.0, 3.0),
+            dt=0.05,
+        )
+        cases.append((random_initial(rng), grid))
+    return cases
+
+
+def test_spacing_insertions_match_reference_built_alone(monkeypatch):
+    path = s_curve_path()
+    built = []
+
+    def each_alone(initial, specs, dt):
+        out = built_alone(ref.build_candidate, initial, specs, dt)
+        built.extend((initial, t, c) for t, c in zip(specs, out))
+        return out
+
+    tied_insertions = 0
+    for initial, grid in regulation_cases():
+        new = regulated_cluster(initial, path, grid, REG)
+        with monkeypatch.context() as m:
+            m.setattr(endpoint_regulation, "build_candidates", each_alone)
+            old = regulated_cluster(initial, path, grid, REG)
+        assert new.reference_index == old.reference_index
+        assert new.spacing_budget_exhausted == old.spacing_budget_exhausted
+        assert len(new.candidates) == len(old.candidates)
+        for a, b in zip(new.candidates, old.candidates):
+            assert_same_candidate(a, b)
+            assert a.regulation_energy.hex() == b.regulation_energy.hex()
+        # the insertions go back into the repaired chain in order: grid
+        # candidates that differ only in horizon tie in (d, speed), and the
+        # insertions between them keep the tie, ordered by terminal s
+        for a, b in zip(new.candidates[:-1], new.candidates[1:]):
+            if a.states[-1, 3] == b.states[-1, 3] and a.states[-1, 1] == b.states[-1, 1]:
+                assert a.states[-1, 0] < b.states[-1, 0]
+                tied_insertions += "inserted" in a.grid_key + b.grid_key
+    assert tied_insertions
+    # the cases reach what they are for: several snapped horizons, and a
+    # horizon batch that drops a dipping insertion and keeps others
+    assert len({t.horizon for _, t, _ in built}) >= 5
+    dropped = {(i, t.horizon) for i, t, c in built if c is None and t.terminal_s > i.s}
+    kept = {(i, t.horizon) for i, t, c in built if c is not None}
+    assert dropped & kept
+
+
+def test_cluster_candidates_share_no_array_memory():
+    path = s_curve_path()
+    for initial, grid in regulation_cases()[:3]:
+        for cluster in (generate_cluster(initial, path, grid),
+                        regulated_cluster(initial, path, grid, REG)):
+            arrays = [
+                (i, getattr(cand, name))
+                for i, cand in enumerate(cluster.candidates)
+                for name in ("times", "states", "jerk_lon", "jerk_lat")
+            ]
+            for (i, x), (j, y) in itertools.combinations(arrays, 2):
+                assert not np.shares_memory(x, y), (i, j)
 
 
 # --- costing ---------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frenetplan import replanning_sim
 from frenetplan.cli import main
 from frenetplan.scenarios import BUILDERS, curved_bumps, straight_crossing
 
@@ -240,6 +241,17 @@ def test_validate_reports_json_error_with_line(tmp_path, capsys):
 def test_missing_file_is_usage_error(capsys):
     assert main(["validate", "no/such/file.json"]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "cluster"])
+def test_command_fits_the_reference_path_once(tmp_path, monkeypatch, command):
+    fits = []
+    fit = replanning_sim.build_reference_path
+    monkeypatch.setattr(replanning_sim, "build_reference_path",
+                        lambda waypoints: fits.append(1) or fit(waypoints))
+    out = tmp_path / "out"
+    assert main([command, str(BUNDLED / "s1.json"), "--mode", "baseline", "--out", str(out)]) == 0
+    assert len(fits) == 1
 
 
 def test_run_writes_all_outputs(tmp_path, scenario_file):

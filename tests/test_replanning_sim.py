@@ -7,6 +7,7 @@ from dataclasses import replace
 from frenetplan.errors import NoFeasibleCandidate, ScenarioInvalid
 from frenetplan import replanning_sim
 from frenetplan.evaluation import FeasibilityReport, KinematicLimits, check_candidate
+from frenetplan.frenet_geometry import build_reference_path
 from frenetplan.quintic_sampling import SamplingGrid
 from frenetplan.replanning_sim import (
     ModeSwitches,
@@ -41,6 +42,28 @@ def test_scenario_dict_roundtrip():
     data = scn.to_dict()
     again = Scenario.from_dict(data).to_dict()
     assert json.dumps(data, sort_keys=True) == json.dumps(again, sort_keys=True)
+
+
+def test_build_path_reuses_the_validation_fit_while_waypoints_are_unchanged():
+    data = straight_crossing(seed=0).to_dict()
+    scn = Scenario.from_dict(data)
+    path = scn.build_path()
+    assert scn.build_path() is path
+    s = np.linspace(0.0, path.total_length, 97)
+    fresh = build_reference_path(data["waypoints"])
+    assert np.array_equal(path.arc_length_knots, fresh.arc_length_knots)
+    assert np.array_equal(path.position(s), fresh.position(s))
+    # a changed waypoint, in place or by assignment, is fitted anew
+    scn.waypoints[2, 1] += 0.3
+    moved = scn.build_path()
+    assert moved is not path
+    assert np.array_equal(moved.position(s), build_reference_path(scn.waypoints).position(s))
+    assert not np.array_equal(moved.position(s), path.position(s))
+    scn.waypoints = np.asarray(data["waypoints"], dtype=float) * 2.0
+    assert scn.build_path().total_length > 1.9 * path.total_length
+    # and a scenario built directly fits on every call
+    built = straight_crossing(seed=0)
+    assert built.build_path() is not built.build_path()
 
 
 def test_scenario_validation_catches_violations():
