@@ -8,8 +8,8 @@ from .endpoint_regulation import (
     RegulationConfig,
     enforce_spacing,
     regulated_cluster,
-    regulation_energy,
     select_reference_candidate,
+    terminal_deviation,
 )
 from .evaluation import (
     ClusterStats,

@@ -20,11 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .endpoint_regulation import regulated_cluster, select_reference_candidate
+from .endpoint_regulation import terminal_deviation
 from .errors import EmptyCluster, NoFeasibleCandidate, PlannerError, ScenarioInvalid
 from .evaluation import CONSTRAINT_ORDER, abs_summary, nearest_distances
-from .quintic_sampling import generate_cluster
-from .replanning_sim import Scenario, SimLog, run, validate_scenario_dict
+from .replanning_sim import Scenario, SimLog, cycle_cluster, run, validate_scenario_dict
 
 _HIST_BIN = 0.05
 
@@ -166,7 +165,7 @@ def write_run_outputs(log: SimLog, out_dir: Path) -> list:
                     cand["feasible"],
                     cand["cost"],
                     ";".join(cand["violations"]),
-                    *(cand["margins"][c.value] for c in CONSTRAINT_ORDER),
+                    *(cand["margins"][c] for c in CONSTRAINT_ORDER),
                 )
             )
     _write_csv(
@@ -177,7 +176,7 @@ def write_run_outputs(log: SimLog, out_dir: Path) -> list:
             "feasible",
             "cost",
             "violations",
-            *(f"margin_{c.value}" for c in CONSTRAINT_ORDER),
+            *(f"margin_{c}" for c in CONSTRAINT_ORDER),
         ),
         feas_rows,
     )
@@ -226,15 +225,12 @@ def cmd_cluster(args) -> int:
     if data is None:
         return 2
     scenario = Scenario.from_dict(data)
-    path = scenario.build_path()
+    proposed = args.mode == "proposed"
     try:
-        if args.mode == "proposed":
-            cluster = regulated_cluster(
-                scenario.initial, path, scenario.grid, scenario.regulation
-            )
-        else:
-            cluster = generate_cluster(scenario.initial, path, scenario.grid)
-            cluster.reference_index = select_reference_candidate(cluster)
+        cluster = cycle_cluster(
+            scenario.initial, scenario.build_path(), scenario.grid, scenario.regulation,
+            regulate=proposed,
+        )
     except EmptyCluster as err:
         print(f"cluster generation failed: {err}", file=sys.stderr)
         return 1
@@ -244,11 +240,17 @@ def cmd_cluster(args) -> int:
     terms = cluster.terminal_matrix()
 
     if args.dump == "endpoints":
+        # the terminal term the proposed selection cost adds; baseline adds none
+        energy = [""] * len(cluster.candidates)
+        if proposed:
+            reference = cluster.candidates[cluster.reference_index]
+            energy = terminal_deviation(
+                cluster.candidates, reference, scenario.cost.terminal_weight
+            )
         rows = []
-        for i, cand in enumerate(cluster.candidates):
+        for i in range(len(cluster.candidates)):
             gap = 0.0 if i == 0 else float(np.linalg.norm(terms[i] - terms[i - 1]))
-            energy = cand.regulation_energy if cand.regulation_energy is not None else ""
-            rows.append((i, *terms[i], gap, energy))
+            rows.append((i, *terms[i], gap, energy[i]))
         _write_csv(
             out_dir / "endpoints.csv",
             ("index", "s", "s_dot", "s_ddot", "d", "d_dot", "d_ddot",

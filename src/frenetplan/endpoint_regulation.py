@@ -1,8 +1,9 @@
-"""Terminal-state regulation: soft deviation energy plus spacing repair.
+"""Terminal-state regulation: spacing repair plus the terminal-deviation term.
 
-The cluster's terminal states are compared against a reference candidate
-through a weighted deviation energy, de-duplicated below a spacing floor,
-and densified wherever consecutive terminal gaps exceed the spacing cap.
+The cluster's terminal states are de-duplicated below a spacing floor and
+densified wherever consecutive terminal gaps exceed the spacing cap; the
+selection cost compares each candidate's terminal state against a reference
+candidate through ``terminal_deviation``.
 """
 
 from __future__ import annotations
@@ -33,18 +34,13 @@ _TIE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RegulationConfig:
-    """Terminal-speed weight and spacing bounds for terminal-state regulation.
+    """Spacing bounds of terminal-state regulation: consecutive terminal gaps
+    are repaired into [min_gap, max_gap].
 
-    The paper penalises the terminal deviation [s_dot, s_ddot, d_dot, d_ddot]
-    from a reference candidate. Every candidate here ends in a steady
-    terminal (``build_candidate``: s_ddot = d_dot = d_ddot = 0, as in
-    Werling et al., ICRA 2010), so only the speed term can differ between
-    two candidates, and ``speed_weight`` is its weight. A sampler that ends
-    candidates off the steady state must bring the other three weights back.
-    Consecutive terminal gaps are repaired into [min_gap, max_gap].
+    The terminal-deviation weight is ``CostWeights.terminal_weight``, the only
+    place it acts (see ``terminal_deviation``).
     """
 
-    speed_weight: float = spec(1.0, "nonneg")
     max_gap: float = spec(0.5, "positive")
     min_gap: float = spec(0.02, "nonneg")
 
@@ -70,15 +66,23 @@ def select_reference_candidate(cluster: TrajectoryCluster) -> int:
     return best
 
 
-def regulation_energy(
-    candidate: TrajectoryCandidate,
-    reference: TrajectoryCandidate,
-    config: RegulationConfig,
-) -> float:
-    """Weighted squared terminal-speed deviation against the reference
-    candidate: the whole terminal deviation for steady terminals."""
-    x = config.speed_weight * (candidate.states[-1, 1] - reference.states[-1, 1])
-    return float(x * x)
+def terminal_deviation(
+    candidates, reference: TrajectoryCandidate | None, weight: float
+) -> np.ndarray:
+    """``weight * (v_T - v_T,ref)**2`` per candidate, the terminal term of the
+    selection cost; zeros without a reference.
+
+    The paper penalises the terminal deviation [s_dot, s_ddot, d_dot, d_ddot]
+    from a reference candidate. Every candidate here ends in a steady terminal
+    (``build_candidates``: s_ddot = d_dot = d_ddot = 0, as in Werling et al.,
+    ICRA 2010), so only the speed term can differ between two candidates. A
+    sampler that ends candidates off the steady state must bring the other
+    three terms back.
+    """
+    if reference is None:
+        return np.zeros(len(candidates))
+    dv = np.array([c.states[-1, 1] for c in candidates]) - reference.states[-1, 1]
+    return weight * (dv * dv)
 
 
 def sort_by_terminal(cluster: TrajectoryCluster) -> TrajectoryCluster:
@@ -104,7 +108,6 @@ def _snap_to_grid(value: float, dt: float) -> float:
 def enforce_spacing(
     cluster: TrajectoryCluster,
     config: RegulationConfig,
-    path: ReferencePath,
     grid: SamplingGrid,
 ) -> TrajectoryCluster:
     """Repair consecutive terminal gaps into [min_gap, max_gap].
@@ -112,8 +115,9 @@ def enforce_spacing(
     Near-duplicates (gap below the floor) are dropped keeping the earlier
     candidate; oversized gaps are filled by re-solving quintics toward
     linearly interpolated terminal configurations, up to 8 insertions per
-    gap (beyond that the budget flag is set instead of failing). The
-    insertions are built in one batch per snapped horizon. The cluster's
+    gap (beyond that the budget flag is set instead of failing). Insertion
+    horizons snap to multiples of ``grid.dt``, the only grid field read, and
+    the insertions are built in one batch per snapped horizon. The cluster's
     ``reference_index`` is not read; the repaired cluster selects its own.
     """
     if not cluster.candidates:
@@ -179,11 +183,7 @@ def regulated_cluster(
     grid: SamplingGrid,
     config: RegulationConfig,
 ) -> TrajectoryCluster:
-    """Generate, sort, and spacing-repair a cluster, annotating each candidate
-    with its deviation energy against the selected reference."""
+    """Generate, sort, and spacing-repair a cluster; its ``reference_index``
+    names the reference of the selection cost's terminal term."""
     cluster = sort_by_terminal(generate_cluster(initial, path, grid))
-    cluster = enforce_spacing(cluster, config, path, grid)
-    reference = cluster.candidates[cluster.reference_index]
-    for cand in cluster.candidates:
-        cand.regulation_energy = regulation_energy(cand, reference, config)
-    return cluster
+    return enforce_spacing(cluster, config, grid)

@@ -25,7 +25,10 @@ _DEGENERATE_SPEED = 1e-3
 _amax = np.maximum.reduce
 
 
-class Constraint(enum.Enum):
+class Constraint(str, enum.Enum):
+    """A kinematic constraint; each member is a ``str`` equal to its simlog
+    and CSV name (``Constraint.YAW_RATE == "yaw_rate"``)."""
+
     VELOCITY = "velocity"
     ACCELERATION = "acceleration"
     JERK = "jerk"
@@ -33,15 +36,12 @@ class Constraint(enum.Enum):
     YAW_RATE = "yaw_rate"
     CURVATURE_RATE = "curvature_rate"
 
+    # str() and f-strings give the name on every Python version; from 3.11
+    # they would give "Constraint.YAW_RATE"
+    __str__ = str.__str__
 
-CONSTRAINT_ORDER = (
-    Constraint.VELOCITY,
-    Constraint.ACCELERATION,
-    Constraint.JERK,
-    Constraint.CURVATURE,
-    Constraint.YAW_RATE,
-    Constraint.CURVATURE_RATE,
-)
+
+CONSTRAINT_ORDER = tuple(Constraint)
 
 
 @dataclass(frozen=True)
@@ -56,16 +56,6 @@ class KinematicLimits:
     kappa_rate_max: float = spec(2.0, "positive")
 
     __post_init__ = check
-
-    def limit_for(self, constraint: Constraint) -> float:
-        return {
-            Constraint.VELOCITY: self.v_max,
-            Constraint.ACCELERATION: self.a_max,
-            Constraint.JERK: self.j_max,
-            Constraint.CURVATURE: self.kappa_max,
-            Constraint.YAW_RATE: self.yaw_rate_max,
-            Constraint.CURVATURE_RATE: self.kappa_rate_max,
-        }[constraint]
 
 
 @dataclass
@@ -106,19 +96,6 @@ class JerkStats:
     rms_lat: float
     peak_lat: float
     profile: dict
-
-
-PROFILE_COLUMNS = (
-    "t",
-    "s",
-    "s_dot",
-    "s_ddot",
-    "jerk_lon",
-    "d",
-    "d_dot",
-    "d_ddot",
-    "jerk_lat",
-)
 
 
 def check_candidate(

@@ -2,8 +2,8 @@
 
 The running cost couples kinetic energy, an external momentum-modulation
 force, an acceleration (momentum-change) penalty, and an uncertainty trace,
-integrated by trapezoid over the sampled horizon with a terminal-deviation
-regularizer. Minimization is projected gradient descent with Armijo
+integrated by trapezoid over the sampled horizon, plus the weighted
+terminal deviation from a reference candidate. Minimization is projected gradient descent with Armijo
 backtracking over the free position samples; the boundary samples are never
 touched, which is what carries momentum consistency across replanning
 segments.
@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .endpoint_regulation import RegulationConfig, regulation_energy
+from .endpoint_regulation import terminal_deviation
 from .errors import CoincidentNeighbor
 from .frenet_geometry import ReferencePath
 from .quintic_sampling import TrajectoryCandidate
@@ -47,11 +47,10 @@ class CostWeights:
     """Weights of the momentum-aware selection cost (the scenario's ``cost``
     section).
 
-    ``terminal_weight`` scales ``regulation_energy`` against the reference
-    candidate. Every candidate ends in a steady terminal, so of the paper's
-    terminal deviation only the speed term is live there (see
-    ``RegulationConfig``), and in the cost this term acts as
-    ``terminal_weight * speed_weight**2``.
+    ``terminal_weight`` is the only weight of the terminal term,
+    ``terminal_weight * (v_T - v_T,ref)**2`` against the reference candidate
+    (``terminal_deviation``): every candidate ends in a steady terminal, so
+    of the paper's terminal deviation only the speed term is live.
     """
 
     mass: float = spec(1.0, "positive")
@@ -435,22 +434,11 @@ def _horizon_groups(candidates):
         yield indices, batch, ps, pd
 
 
-def _reg_terms(batch, reference, config, reg):
-    """Weighted terminal deviation of each candidate; zeros when the
-    regularizer is off."""
-    if reference is not None and reg is not None and config.terminal_weight > 0:
-        return np.array(
-            [config.terminal_weight * regulation_energy(c, reference, reg) for c in batch]
-        )
-    return np.zeros(len(batch))
-
-
 def cost_cluster(
     candidates,
     ctx: PlanningContext,
     reference: TrajectoryCandidate | None,
     config: CostWeights,
-    reg: RegulationConfig | None = None,
 ) -> list:
     """Discretized objective of every candidate, in input order: trapezoid of
     the running cost plus the weighted terminal deviation against
@@ -462,9 +450,8 @@ def cost_cluster(
     """
     out = [0.0] * len(candidates)
     for indices, batch, ps, pd in _horizon_groups(candidates):
-        costs = _running_cost(batch[0].times, ps, pd, ctx, config) + _reg_terms(
-            batch, reference, config, reg
-        )
+        running = _running_cost(batch[0].times, ps, pd, ctx, config)
+        costs = running + terminal_deviation(batch, reference, config.terminal_weight)
         for row, i in enumerate(indices):
             out[i] = float(costs[row])
     return out
@@ -475,10 +462,9 @@ def total_cost(
     ctx: PlanningContext,
     reference: TrajectoryCandidate | None,
     config: CostWeights,
-    reg: RegulationConfig | None = None,
 ) -> float:
     """``cost_cluster`` of one candidate."""
-    return cost_cluster([candidate], ctx, reference, config, reg)[0]
+    return cost_cluster([candidate], ctx, reference, config)[0]
 
 
 def cost_gradient(
@@ -491,7 +477,7 @@ def cost_gradient(
 
     Free positions are the samples between the fixed two-node boundary
     buffers; returns shape (n_samples - 4, 2) with columns (longitudinal,
-    lateral). The terminal regularizer depends only on the fixed endpoint
+    lateral). The terminal term depends only on the fixed endpoint
     and thus contributes nothing.
     """
     if positions is None:
@@ -503,18 +489,18 @@ def cost_gradient(
     return _cost_and_gradient(candidate.times, ps, pd, ctx, config)[1]
 
 
-def _descend(times, ps, pd, ctx, config, reg_terms):
+def _descend(times, ps, pd, ctx, config, terminal):
     """Lockstep Armijo descent over a batch of position traces.
 
     ``ps``/``pd`` have shape (batch, n_samples); each row carries its own
-    constant regularizer term, cost history, and line-search step. Rows stop
+    constant terminal term, cost history, and line-search step. Rows stop
     independently on the gradient tolerance or a failed line search. Each
     trial point is evaluated once, for its cost and gradient together; an
     accepted row carries that gradient into the next iteration.
     """
     n_batch, n_nodes = ps.shape
     cur, grad = _cost_and_gradient(times, ps, pd, ctx, config)
-    cur = cur + reg_terms
+    cur = cur + terminal
     histories = [[float(c)] for c in cur]
     if config.max_iters == 0 or n_nodes <= 2 * _FIXED_EDGE:
         return ps, pd, cur, histories
@@ -546,7 +532,7 @@ def _descend(times, ps, pd, ctx, config, reg_terms):
             ps_try[:, lo:hi] -= alpha[:, None] * grad[..., 0]
             pd_try[:, lo:hi] -= alpha[:, None] * grad[..., 1]
             costs, grad_try = _cost_and_gradient(times, ps_try, pd_try, ctx, config)
-            costs = costs + reg_terms
+            costs = costs + terminal
             ok = trying & (costs <= cur - config.armijo_c * alpha * gnorm2)
             if np.any(ok):
                 ps[ok] = ps_try[ok]
@@ -594,7 +580,6 @@ def optimize_trajectory(
     ctx: PlanningContext,
     reference: TrajectoryCandidate | None,
     config: OptimizerConfig,
-    reg: RegulationConfig | None = None,
 ) -> TrajectoryCandidate:
     """Refine free position samples by Armijo-backtracked descent.
 
@@ -602,7 +587,7 @@ def optimize_trajectory(
     ``cost_history`` (actual objective values, non-increasing); terminates on
     the gradient tolerance, the iteration cap, or a failed line search.
     """
-    return optimize_cluster([candidate], ctx, reference, config, reg)[0]
+    return optimize_cluster([candidate], ctx, reference, config)[0]
 
 
 def optimize_cluster(
@@ -610,7 +595,6 @@ def optimize_cluster(
     ctx: PlanningContext,
     reference: TrajectoryCandidate | None,
     config: OptimizerConfig,
-    reg: RegulationConfig | None = None,
 ):
     """Optimize a whole cluster, batching candidates that share a horizon.
 
@@ -619,8 +603,8 @@ def optimize_cluster(
     """
     out = list(candidates)
     for indices, batch, ps, pd in _horizon_groups(candidates):
-        reg_terms = _reg_terms(batch, reference, config, reg)
-        ps, pd, costs, histories = _descend(batch[0].times, ps, pd, ctx, config, reg_terms)
+        terminal = terminal_deviation(batch, reference, config.terminal_weight)
+        ps, pd, costs, histories = _descend(batch[0].times, ps, pd, ctx, config, terminal)
         for row, i in enumerate(indices):
             history = histories[row]
             if len(history) == 1:

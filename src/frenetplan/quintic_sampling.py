@@ -8,7 +8,7 @@ derivatives through the chain rule when sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -21,9 +21,6 @@ from .errors import (
 )
 from .frenet_geometry import FrenetState, ReferencePath, _check_s
 from .schema import SPAN, ListOf, check, spec
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .evaluation import FeasibilityReport
 
 # Below this longitudinal speed the lateral spatial derivatives of the initial
 # state are taken as zero (the d(s) parameterization degenerates at rest).
@@ -150,8 +147,6 @@ class TrajectoryCandidate:
     jerk_lat: np.ndarray
     grid_key: tuple = ()
     cost: Optional[float] = None
-    feasibility: Optional["FeasibilityReport"] = None
-    regulation_energy: Optional[float] = None
     cost_history: Optional[list] = None
     optimized: bool = False
 

@@ -39,18 +39,14 @@ from .momentum_optimizer import (
     optimize_cluster,  # noqa: F401 - perfbench's tracer wraps this name here
     total_cost,  # noqa: F401 - perfbench's tracer wraps this name here
 )
-from .quintic_sampling import SamplingGrid, generate_cluster
+from .quintic_sampling import SamplingGrid, TrajectoryCluster, generate_cluster
 from .schema import ListOf, check, plain_fields, problem, section_problems, spec
 
 # Scenario files and simulation logs are versioned separately.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 SIMLOG_SCHEMA_VERSION = 1
 
 _COST_TIE = 1e-12
-
-# simlog names of the constraints, in CONSTRAINT_ORDER: looked up once here
-# rather than through Enum.value for every candidate row
-_CONSTRAINT_NAMES = {c: c.value for c in CONSTRAINT_ORDER}
 
 
 @dataclass(frozen=True)
@@ -191,7 +187,7 @@ def _check_scenario_dict(data: dict) -> tuple:
         # the version says how to read the rest, so nothing else is checked
         return [
             f"schema_version: expected {SCHEMA_VERSION} "
-            "(the README lists the changes from schema 1)"
+            "(the README lists the changes from schemas 1 and 2)"
         ], None
     sections = {"initial_state": FrenetState, **SECTIONS}
     known = {"schema_version", "name", "waypoints", "agents", "uncertainty", *sections}
@@ -274,8 +270,7 @@ class CycleRecord:
             "feasibility": {
                 "overall_ratio": self.breakdown.overall_ratio,
                 "violation_rates": {
-                    name: self.breakdown.violation_rates[c]
-                    for c, name in _CONSTRAINT_NAMES.items()
+                    c: self.breakdown.violation_rates[c] for c in CONSTRAINT_ORDER
                 },
             },
             "nn_stats": nn,
@@ -334,6 +329,26 @@ def select_candidate(candidates, reports) -> int:
     return best
 
 
+def cycle_cluster(
+    state: FrenetState,
+    path: ReferencePath,
+    grid: SamplingGrid,
+    regulation: RegulationConfig,
+    regulate: bool,
+) -> TrajectoryCluster:
+    """One cycle's cluster and its reference candidate: regulated (sorted and
+    spacing-repaired) if ``regulate``, else raw as sampled.
+
+    The sampling and reference functions are looked up as this module's
+    globals at each call, where perfbench's tracer wraps them.
+    """
+    if regulate:
+        return regulated_cluster(state, path, grid, regulation)
+    cluster = generate_cluster(state, path, grid)
+    cluster.reference_index = select_reference_candidate(cluster)
+    return cluster
+
+
 def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimLog:
     """Execute the closed-loop replanning run.
 
@@ -384,24 +399,16 @@ def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimL
             np.random.default_rng([scenario.sim.seed, k])
         )
 
-        if switches.regulate:
-            cluster = regulated_cluster(state, path, grid, scenario.regulation)
-        else:
-            cluster = generate_cluster(state, path, grid)
-            cluster.reference_index = select_reference_candidate(cluster)
+        cluster = cycle_cluster(state, path, grid, scenario.regulation, switches.regulate)
         reference = cluster.candidates[cluster.reference_index]
 
-        costs = cost_cluster(
-            cluster.candidates, ctx, reference, weights, scenario.regulation
-        )
+        costs = cost_cluster(cluster.candidates, ctx, reference, weights)
         for cand, cost in zip(cluster.candidates, costs):
             cand.cost = cost
 
         reports = [
             check_candidate(c, path, scenario.limits) for c in cluster.candidates
         ]
-        for cand, report in zip(cluster.candidates, reports):
-            cand.feasibility = report
 
         breakdown = feasibility_breakdown(reports)
         nn = nn_distance_stats(cluster) if len(cluster.candidates) >= 2 else None
@@ -440,8 +447,8 @@ def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimL
                 "key": [str(p) if isinstance(p, str) else float(p) for p in c.grid_key],
                 "cost": float(c.cost),
                 "feasible": bool(r.feasible),
-                "violations": sorted(_CONSTRAINT_NAMES[v] for v in r.violations),
-                "margins": {name: r.worst_margins[c2] for c2, name in _CONSTRAINT_NAMES.items()},
+                "violations": sorted(r.violations),
+                "margins": {c2: r.worst_margins[c2] for c2 in CONSTRAINT_ORDER},
             }
             for i, (c, r) in enumerate(zip(cluster.candidates, reports))
         ]

@@ -21,11 +21,11 @@ from .replanning_sim import Scenario, SimSettings
 _DT = 0.05
 _HORIZONS = (2.0, 3.0)
 
-# Regulation pull toward the reference terminal speed has to outweigh the
-# mild slow-speed bias of the running cost for pace holding; see the
-# straight-corridor convergence test.
-_REGULATION = dict(speed_weight=2.0, max_gap=0.7, min_gap=0.2)
-_TERMINAL_WEIGHT = 2.0
+# The pull toward the reference terminal speed has to outweigh the mild
+# slow-speed bias of the running cost for pace holding; see
+# test_executed_pace_converges_to_target.
+_REGULATION = dict(max_gap=0.7, min_gap=0.2)
+_TERMINAL_WEIGHT = 8.0
 
 
 def _straight_waypoints(length: float, step: float = 0.5) -> np.ndarray:

@@ -14,8 +14,9 @@ shared across offsets.
 Each function is a verbatim copy of the earlier implementation. Only the
 names they call were rebound: ``frame`` and ``_eval_all`` take the path as an
 argument, the per-segment coefficients are stacked from the path's splines by
-``_coef``, and ``total_cost`` calls the package's running cost as
-``mo._running_cost``.
+``_coef``, ``total_cost`` calls the package's running cost as
+``mo._running_cost``, and ``regulation_energy`` comes from the schema 2
+adapter in ``schema2_regulation``.
 """
 
 from typing import Optional
@@ -23,7 +24,6 @@ from typing import Optional
 import numpy as np
 
 from frenetplan import momentum_optimizer as mo
-from frenetplan.endpoint_regulation import RegulationConfig, regulation_energy
 from frenetplan.errors import (
     CoincidentNeighbor,
     EmptyCluster,
@@ -56,6 +56,7 @@ from frenetplan.quintic_sampling import (
     eval_quintic,
     solve_quintic,
 )
+from schema2_regulation import RegulationConfig, regulation_energy
 
 
 def _coef(path):

@@ -148,14 +148,13 @@ def test_criterion_4_descent_and_boundary_preservation():
     rng = np.random.default_rng(104)
     path = straight_path(30.0)
     config = OptimizerConfig(max_iters=10)
-    reg = RegulationConfig()
     done = 0
     while done < 100:
         candidate = random_candidate(rng, dt=0.1)
         if candidate is None:
             continue
         ctx = active_context(path, rng)
-        refined = optimize_trajectory(candidate, ctx, candidate, config, reg)
+        refined = optimize_trajectory(candidate, ctx, candidate, config)
         history = refined.cost_history
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
         assert np.max(np.abs(refined.states[0] - candidate.states[0])) <= 1e-9
@@ -179,14 +178,14 @@ def test_criterion_5_spacing_postcondition():
             0.05,
         )
         cluster = sort_by_terminal(generate_cluster(initial, path, grid))
-        repaired = enforce_spacing(cluster, config, path, grid)
+        repaired = enforce_spacing(cluster, config, grid)
         gaps = np.linalg.norm(np.diff(repaired.terminal_matrix(), axis=0), axis=1)
         if repaired.spacing_budget_exhausted:
             flagged += 1
             continue
         assert np.all(gaps >= config.min_gap - 1e-12)
         assert np.all(gaps <= config.max_gap + 1e-12)
-        again = enforce_spacing(repaired, config, path, grid)
+        again = enforce_spacing(repaired, config, grid)
         assert len(again.candidates) == len(repaired.candidates)
         assert np.array_equal(again.terminal_matrix(), repaired.terminal_matrix())
     print(f"ACCEPTANCE 5 PASS: 100 clusters repaired, {flagged} budget-flagged, idempotent")

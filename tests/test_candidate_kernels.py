@@ -9,6 +9,7 @@ horizons, the terminal regularizer, a coincident neighbour).
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
+import schema2_regulation as schema2
 from conftest import (
     active_context,
     circle_path,
@@ -57,7 +59,7 @@ from frenetplan.quintic_sampling import (
 LIMITS = KinematicLimits()
 TIGHT = KinematicLimits(v_max=0.9, a_max=0.4, j_max=0.8, kappa_max=0.3,
                         yaw_rate_max=0.3, kappa_rate_max=0.5)
-REG = RegulationConfig(speed_weight=1.0, max_gap=0.5, min_gap=0.02)
+REG = RegulationConfig(max_gap=0.5, min_gap=0.02)
 
 
 def assert_identical(new, old):
@@ -385,7 +387,6 @@ def test_spacing_insertions_match_reference_built_alone(monkeypatch):
         assert len(new.candidates) == len(old.candidates)
         for a, b in zip(new.candidates, old.candidates):
             assert_same_candidate(a, b)
-            assert a.regulation_energy.hex() == b.regulation_energy.hex()
         # the insertions go back into the repaired chain in order: grid
         # candidates that differ only in horizon tie in (d, speed), and the
         # insertions between them keep the tie, ordered by terminal s
@@ -430,21 +431,30 @@ def mixed_cluster(rng):
     return out
 
 
-@pytest.mark.parametrize("terminal_weight", [0.0, 1.3])
-def test_cost_cluster_matches_per_candidate_reference(terminal_weight):
+# (schema 2 terminal_weight, speed_weight); schema 3's one weight is
+# terminal_weight * speed_weight**2, 8.0 for the bundled scenarios' (2.0, 2.0)
+@pytest.mark.parametrize(
+    "terminal_weight,speed_weight",
+    [pytest.param(0.0, 1.0, id="0.0"), pytest.param(1.3, 1.0, id="1.3"),
+     pytest.param(2.0, 2.0, id="2.0x2.0")],
+)
+def test_cost_cluster_matches_per_candidate_reference(terminal_weight, speed_weight):
     rng = np.random.default_rng(31)
     path = s_curve_path()
-    config = OptimizerConfig(terminal_weight=terminal_weight, accel_weight=0.2)
+    old_config = OptimizerConfig(terminal_weight=terminal_weight, accel_weight=0.2)
     # neighbours and bumps, then no neighbours (the force path without frames)
     for ctx in (active_context(path, rng), make_context(path, sigma=0.3)):
         cands = mixed_cluster(rng)
         for reference in (cands[3], None):
-            for reg in (REG, None):
-                old = ref.cost_each(cands, ctx, reference, config, reg)
-                new = cost_cluster(cands, ctx, reference, config, reg)
+            # schema 2 also costed without its regulation section: no term
+            for reg in (schema2.RegulationConfig(speed_weight), None):
+                weight = terminal_weight * speed_weight**2 if reg else 0.0
+                config = replace(old_config, terminal_weight=weight)
+                old = ref.cost_each(cands, ctx, reference, old_config, reg)
+                new = cost_cluster(cands, ctx, reference, config)
                 assert [c.hex() for c in new] == [c.hex() for c in old]
                 for cand, want in zip(cands, old):
-                    got = total_cost(cand, ctx, reference, config, reg)
+                    got = total_cost(cand, ctx, reference, config)
                     assert got.hex() == want.hex()
 
 
@@ -461,6 +471,6 @@ def test_cost_cluster_raises_like_reference_on_a_coincident_neighbour():
         Neighbor(np.array([px[0] + d0 * nx[0], py[0] + d0 * ny[0]]), np.zeros(2)),
     )
     config = OptimizerConfig(terminal_weight=1.0)
-    old = outcome(ref.cost_each, cands, ctx, target, config, REG)
+    old = outcome(ref.cost_each, cands, ctx, target, config, schema2.RegulationConfig())
     assert old[0] is CoincidentNeighbor
-    assert outcome(cost_cluster, cands, ctx, target, config, REG) == old
+    assert outcome(cost_cluster, cands, ctx, target, config) == old

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from frenetplan import replanning_sim
 from frenetplan.cli import main
+from frenetplan.endpoint_regulation import terminal_deviation
+from frenetplan.momentum_optimizer import PlanningContext, cost_cluster
 from frenetplan.scenarios import BUILDERS, curved_bumps, straight_crossing
 
 REPO = Path(__file__).resolve().parent.parent
@@ -79,7 +82,7 @@ MALFORMED = [
     (("uncertainty", "baseline_trace"), math.nan),
     (("assistive", "max_force"), math.inf),
     (("interaction", "cutoff"), math.nan),
-    (("regulation", "speed_weight"), math.nan),
+    (("cost", "terminal_weight"), math.nan),
     (("limits", "v_max"), True),
     (("unexpected",), 1.0),
     (("grid", "terminal_speeds"), [math.nan]),
@@ -92,7 +95,7 @@ MALFORMED = [
 ]
 
 # The keys that schema 2 removed, at their schema 1 values in s1-s3; the
-# first of the weights lives on as regulation.speed_weight.
+# first of the weights became schema 2's regulation.speed_weight.
 SCHEMA_1_KEYS = {
     ("regulation", "weights"): [2.0, 0.5, 1.0, 0.5],
     ("cost", "dt"): 0.05,
@@ -148,8 +151,24 @@ def test_malformed_field_exits_two_naming_it(tmp_path, capsys, path, value):
         assert _dotted(path) in captured.out + captured.err, argv[0]
 
 
+def _with_speed_weight(data):
+    """s1-s3's schema 3 ``cost.terminal_weight`` of 8.0 split back into the
+    schema 2 pair: terminal_weight 2.0 and regulation.speed_weight 2.0."""
+    data["cost"]["terminal_weight"] = 2.0
+    data["regulation"]["speed_weight"] = 2.0
+    return data
+
+
+def _schema_2(data):
+    """The schema 2 file of a schema 3 scenario."""
+    data = _with_speed_weight(data)
+    data["schema_version"] = 2
+    return data
+
+
 def _schema_1(data):
-    """The schema 1 file of a schema 2 scenario."""
+    """The schema 1 file of a schema 3 scenario."""
+    data = _schema_2(data)
     data["schema_version"] = 1
     for path, value in SCHEMA_1_KEYS.items():
         _set(data, path, value)
@@ -159,12 +178,18 @@ def _schema_1(data):
 
 
 def test_schema_1_file_exits_two(tmp_path, capsys):
-    scenario = tmp_path / "v1.json"
-    scenario.write_text(json.dumps(_schema_1(_bundled("s1"))))
-    for argv in _commands(scenario, tmp_path / "out"):
-        assert main(argv) == 2, argv[0]
-        captured = capsys.readouterr()
-        assert "schema_version" in captured.out + captured.err, argv[0]
+    files = {
+        "v1.json": (_schema_1, "schema_version: expected 3"),
+        "v2.json": (_schema_2, "schema_version: expected 3"),
+        "v3_speed_weight.json": (_with_speed_weight, "regulation.speed_weight: unknown key"),
+    }
+    for name, (make, message) in files.items():
+        scenario = tmp_path / name
+        scenario.write_text(json.dumps(make(_bundled("s1"))))
+        for argv in _commands(scenario, tmp_path / "out"):
+            assert main(argv) == 2, (name, argv[0])
+            captured = capsys.readouterr()
+            assert message in captured.out + captured.err, (name, argv[0])
 
 
 @pytest.mark.parametrize(
@@ -337,6 +362,29 @@ def test_cluster_full_dump(tmp_path):
     rows = read_csv(out / "states.csv")
     assert {"candidate", "t", "s", "d", "jerk_lon"} <= set(rows[0])
     assert len(rows) > 100
+
+
+def test_cluster_column_is_the_terminal_term_the_cost_adds(tmp_path):
+    scn = replanning_sim.Scenario.from_dict(_bundled("s1"))
+    path = scn.build_path()
+    cluster = replanning_sim.cycle_cluster(scn.initial, path, scn.grid, scn.regulation, True)
+    reference = cluster.candidates[cluster.reference_index]
+    term = terminal_deviation(cluster.candidates, reference, scn.cost.terminal_weight)
+    assert term[cluster.reference_index] == 0.0 and np.any(term > 0.0)
+    # the first cycle's costs, as run() takes them
+    ctx = PlanningContext(path, scn.assistive, scn.interaction, tuple(scn.agents),
+                          scn.sigma_baseline)
+    full = cost_cluster(cluster.candidates, ctx, reference, scn.cost)
+    zero = cost_cluster(cluster.candidates, ctx, reference,
+                        replace(scn.cost, terminal_weight=0.0))
+    assert [c.hex() for c in full] == [float(z + t).hex() for z, t in zip(zero, term)]
+
+    for mode, want in (("proposed", [f"{t:.9g}" for t in term]), ("baseline", None)):
+        out = tmp_path / mode
+        assert main(["cluster", str(BUNDLED / "s1.json"), "--mode", mode,
+                     "--out", str(out)]) == 0
+        column = [r["regulation_energy"] for r in read_csv(out / "endpoints.csv")]
+        assert column == (want or [""] * len(column)), mode
 
 
 def entropy_of_hist(path):

@@ -7,9 +7,9 @@ from frenetplan.endpoint_regulation import (
     RegulationConfig,
     enforce_spacing,
     regulated_cluster,
-    regulation_energy,
     select_reference_candidate,
     sort_by_terminal,
+    terminal_deviation,
 )
 from frenetplan.errors import EmptyCluster
 from frenetplan.evaluation import nn_distance_stats
@@ -53,17 +53,16 @@ def test_reference_median_tie_goes_to_smaller_index():
 
 
 def test_energy_examples():
-    config = RegulationConfig(speed_weight=1.0, max_gap=0.5, min_gap=0.02)
     ref = with_terminal(speed=1.0)
-    assert regulation_energy(ref, ref, config) == 0.0
     unit = with_terminal(speed=2.0)
-    assert abs(regulation_energy(unit, ref, config) - 1.0) <= 1e-12
-    config2 = RegulationConfig(speed_weight=2.0, max_gap=0.5, min_gap=0.02)
-    assert abs(regulation_energy(unit, ref, config2) - 4.0) <= 1e-12
+    assert list(terminal_deviation([ref, unit], ref, 1.0)) == [0.0, 1.0]
+    assert list(terminal_deviation([ref, unit], ref, 4.0)) == [0.0, 4.0]
+    # no reference, no term
+    assert list(terminal_deviation([ref, unit], None, 4.0)) == [0.0, 0.0]
     # only the terminal speed is weighed: the sampler ends every candidate
     # with zero terminal acceleration and lateral rates
     unsteady = with_terminal(speed=2.0, accel=1.0, lat_rate=0.5, lat_accel=0.5)
-    assert regulation_energy(unsteady, ref, config2) == regulation_energy(unit, ref, config2)
+    assert terminal_deviation([unsteady], ref, 4.0)[0] == 4.0
 
 
 def test_energy_scaling_and_argmin_invariance():
@@ -78,11 +77,9 @@ def test_energy_scaling_and_argmin_invariance():
         )
         for _ in range(12)
     ]
-    base = RegulationConfig(speed_weight=1.0, max_gap=0.5, min_gap=0.02)
-    scaled = RegulationConfig(speed_weight=3.0, max_gap=0.5, min_gap=0.02)
-    e_base = [regulation_energy(c, ref, base) for c in cands]
-    e_scaled = [regulation_energy(c, ref, scaled) for c in cands]
-    assert np.allclose(e_scaled, 9.0 * np.array(e_base), rtol=1e-12)
+    e_base = terminal_deviation(cands, ref, 1.0)
+    e_scaled = terminal_deviation(cands, ref, 9.0)
+    assert np.allclose(e_scaled, 9.0 * e_base, rtol=1e-12)
     assert int(np.argmin(e_base)) == int(np.argmin(e_scaled))
     assert min(e_base) >= 0.0
 
@@ -91,29 +88,28 @@ def _spacing_inputs(offsets, speeds=(1.0,), horizons=(2.0,)):
     path = straight_path(30.0)
     initial = FrenetState(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
     grid = SamplingGrid(speeds, offsets, horizons, 0.05)
-    cluster = sort_by_terminal(generate_cluster(initial, path, grid))
-    return cluster, path, grid
+    return sort_by_terminal(generate_cluster(initial, path, grid)), grid
 
 
 def test_spacing_leaves_satisfied_cluster_alone():
-    cluster, path, grid = _spacing_inputs(offsets=(0.0, 0.2, 0.4))
+    cluster, grid = _spacing_inputs(offsets=(0.0, 0.2, 0.4))
     config = RegulationConfig(max_gap=0.5, min_gap=0.02)
-    out = enforce_spacing(cluster, config, path, grid)
+    out = enforce_spacing(cluster, config, grid)
     assert len(out.candidates) == len(cluster.candidates)
     assert np.array_equal(out.terminal_matrix(), cluster.terminal_matrix())
 
 
 def test_spacing_removes_duplicates():
-    cluster, path, grid = _spacing_inputs(offsets=(0.0, 0.0, 0.5))
+    cluster, grid = _spacing_inputs(offsets=(0.0, 0.0, 0.5))
     config = RegulationConfig(max_gap=0.6, min_gap=0.01)
-    out = enforce_spacing(cluster, config, path, grid)
+    out = enforce_spacing(cluster, config, grid)
     assert len(out.candidates) == 2
 
 
 def test_spacing_inserts_interpolated_candidates():
-    cluster, path, grid = _spacing_inputs(offsets=(0.0, 1.0))
+    cluster, grid = _spacing_inputs(offsets=(0.0, 1.0))
     config = RegulationConfig(max_gap=0.3, min_gap=0.02)
-    out = enforce_spacing(cluster, config, path, grid)
+    out = enforce_spacing(cluster, config, grid)
     # ceil(1.0 / 0.3) - 1 = 3 insertions
     assert len(out.candidates) == 5
     gaps = np.linalg.norm(np.diff(out.terminal_matrix(), axis=0), axis=1)
@@ -122,9 +118,9 @@ def test_spacing_inserts_interpolated_candidates():
 
 
 def test_spacing_budget_flag():
-    cluster, path, grid = _spacing_inputs(offsets=(0.0, 8.0))
+    cluster, grid = _spacing_inputs(offsets=(0.0, 8.0))
     config = RegulationConfig(max_gap=0.5, min_gap=0.02)
-    out = enforce_spacing(cluster, config, path, grid)
+    out = enforce_spacing(cluster, config, grid)
     assert out.spacing_budget_exhausted
     # budget of 8 insertions for the one oversized gap
     assert len(out.candidates) == 10
@@ -144,12 +140,12 @@ def test_spacing_postcondition_and_idempotence():
             0.05,
         )
         cluster = sort_by_terminal(generate_cluster(initial, path, grid))
-        out = enforce_spacing(cluster, config, path, grid)
+        out = enforce_spacing(cluster, config, grid)
         gaps = np.linalg.norm(np.diff(out.terminal_matrix(), axis=0), axis=1)
         if not out.spacing_budget_exhausted:
             assert np.all(gaps >= config.min_gap - 1e-12)
             assert np.all(gaps <= config.max_gap + 1e-12)
-            again = enforce_spacing(out, config, path, grid)
+            again = enforce_spacing(out, config, grid)
             assert len(again.candidates) == len(out.candidates)
             assert np.array_equal(again.terminal_matrix(), out.terminal_matrix())
 
@@ -169,7 +165,7 @@ def test_regulated_single_cell():
     config = RegulationConfig()
     cluster = regulated_cluster(initial, path, grid, config)
     assert len(cluster.candidates) == 1
-    assert cluster.candidates[0].regulation_energy == 0.0
+    assert cluster.reference_index == 0
 
 
 def test_regulated_offset_row_respects_bounds():
@@ -181,8 +177,6 @@ def test_regulated_offset_row_respects_bounds():
     gaps = np.linalg.norm(np.diff(cluster.terminal_matrix(), axis=0), axis=1)
     assert np.all(gaps <= config.max_gap + 1e-12)
     assert np.all(gaps >= config.min_gap - 1e-12)
-    for cand in cluster.candidates:
-        assert cand.regulation_energy is not None and cand.regulation_energy >= 0.0
 
 
 def test_regulation_lowers_nn_dispersion():
@@ -208,11 +202,11 @@ def test_regulation_lowers_nn_dispersion():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        RegulationConfig(speed_weight=-1.0, max_gap=0.5, min_gap=0.02)
+        RegulationConfig(max_gap=0.5, min_gap=-0.02)
     with pytest.raises(ValueError):
-        RegulationConfig(speed_weight=float("nan"), max_gap=0.5, min_gap=0.02)
+        RegulationConfig(max_gap=float("nan"), min_gap=0.02)
     with pytest.raises(ValueError):
-        RegulationConfig(speed_weight=1.0, max_gap=0.02, min_gap=0.5)
+        RegulationConfig(max_gap=0.02, min_gap=0.5)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -227,7 +221,7 @@ def test_config_validation():
     max_gap=st.floats(0.15, 0.8),
 )
 def test_every_candidate_ends_steady(initial, speeds, offsets, horizons, max_gap):
-    # regulation_energy weighs only the terminal speed because of this
+    # terminal_deviation weighs only the terminal speed because of this
     path = straight_path(30.0)
     grid = SamplingGrid(tuple(speeds), tuple(offsets), tuple(horizons), 0.05)
     config = RegulationConfig(max_gap=max_gap, min_gap=0.02)
@@ -238,15 +232,14 @@ def test_every_candidate_ends_steady(initial, speeds, offsets, horizons, max_gap
     regulated = regulated_cluster(initial, path, grid, config)
     reference = regulated.candidates[regulated.reference_index]
     refined = optimize_cluster(
-        regulated.candidates, make_context(path), reference, OptimizerConfig(max_iters=2),
-        config,
+        regulated.candidates, make_context(path), reference, OptimizerConfig(max_iters=2)
     )
     for origin, cands in (("sampled", raw.candidates), ("regulated", regulated.candidates),
                           ("refined", refined)):
         for cand in cands:
             assert np.all(cand.states[-1, [2, 4, 5]] == 0.0), (
                 f"{origin} candidate {cand.grid_key} ends with terminal s_ddot, d_dot, "
-                f"d_ddot = {cand.states[-1, [2, 4, 5]]}; regulation_energy weighs only "
+                f"d_ddot = {cand.states[-1, [2, 4, 5]]}; terminal_deviation weighs only "
                 "the terminal speed, so restore the schema 1 weights of these terms "
                 "together with any sampler that makes them nonzero"
             )

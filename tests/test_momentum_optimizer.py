@@ -24,7 +24,7 @@ import reference_kernels
 from conftest import active_context, make_candidate, make_context, random_candidate, straight_path
 
 
-REG = RegulationConfig(speed_weight=1.0, max_gap=0.5, min_gap=0.02)
+REG = RegulationConfig(max_gap=0.5, min_gap=0.02)
 
 
 def rebuilt_positions_cost(candidate, positions, ctx, config):
@@ -154,7 +154,7 @@ def test_total_cost_zero_motion():
     cand.states[:, :] = 0.0
     cand.states[:, 0] = 2.0
     cfg = OptimizerConfig(accel_weight=0.0, uncertainty_weight=0.0)
-    assert abs(total_cost(cand, ctx, cand, cfg, REG)) <= 1e-12
+    assert abs(total_cost(cand, ctx, cand, cfg)) <= 1e-12
 
 
 def test_total_cost_constant_velocity():
@@ -264,7 +264,7 @@ def test_optimize_zero_iterations_returns_input():
     path = straight_path(30.0)
     ctx = active_context(path, rng)
     cand = random_candidate(rng)
-    out = optimize_trajectory(cand, ctx, cand, OptimizerConfig(max_iters=0), REG)
+    out = optimize_trajectory(cand, ctx, cand, OptimizerConfig(max_iters=0))
     assert np.array_equal(out.states, cand.states)
     assert out.cost is not None and len(out.cost_history) == 1
 
@@ -278,9 +278,9 @@ def test_optimize_descends_and_preserves_boundaries():
         if cand is None:
             continue
         ctx = active_context(path, rng)
-        before = total_cost(cand, ctx, cand, cfg, REG)
-        out = optimize_trajectory(cand, ctx, cand, cfg, REG)
-        after = total_cost(out, ctx, out, cfg, REG)
+        before = total_cost(cand, ctx, cand, cfg)
+        out = optimize_trajectory(cand, ctx, cand, cfg)
+        after = total_cost(out, ctx, out, cfg)
         hist = out.cost_history
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
         assert after <= before + 1e-12
@@ -296,9 +296,9 @@ def test_cluster_optimization_matches_single():
     ctx = active_context(path)
     ref = cluster.candidates[cluster.reference_index]
     cfg = OptimizerConfig(max_iters=10)
-    batched = optimize_cluster(cluster.candidates, ctx, ref, cfg, REG)
+    batched = optimize_cluster(cluster.candidates, ctx, ref, cfg)
     for cand, bat in zip(cluster.candidates, batched):
-        single = optimize_trajectory(cand, ctx, ref, cfg, REG)
+        single = optimize_trajectory(cand, ctx, ref, cfg)
         assert np.array_equal(single.states, bat.states)
         assert single.cost == bat.cost
         assert single.cost_history == bat.cost_history
