@@ -15,6 +15,9 @@ import json
 import sys
 import time
 from dataclasses import replace
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -23,45 +26,171 @@ from . import __version__
 from .endpoint_regulation import terminal_deviation
 from .errors import EmptyCluster, NoFeasibleCandidate, PlannerError, ScenarioInvalid
 from .evaluation import CONSTRAINT_ORDER, abs_summary, nearest_distances
-from .replanning_sim import Scenario, SimLog, cycle_cluster, run, validate_scenario_dict
+from .replanning_sim import (
+    Scenario,
+    SimLog,
+    cycle_cluster,
+    cycle_grid,
+    run,
+    validate_scenario_dict,
+)
 
 _HIST_BIN = 0.05
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+def _float_texts(values) -> list:
+    """Each value rounded to nine significant digits, spelled as
+    ``json.dumps`` spells the rounded float; all formatted in one call."""
+    texts = ("%.9g\0" * len(values) % tuple(values)).split("\0")
+    texts.pop()
+    # where %g writes a point and no exponent, its text is the shortest that
+    # reads back as the rounded float, in the fixed notation repr uses there
+    return [
+        t if "." in t and "e" not in t else _NON_FINITE.get(t) or repr(float(t))
+        for t in texts
+    ]
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _plain(value):
+    """``value`` as the built-in type that ``_json_texts`` encodes it as:
+    numpy scalars as Python ones, arrays and tuples as lists."""
     if isinstance(value, str):
-        return value
-    return f"{float(value):.9g}"
+        return str.__str__(value)
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    if isinstance(value, dict):
+        return dict(value)
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    if isinstance(value, np.ndarray):
+        return list(value.tolist())
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _quantize(obj):
-    """Round floats to 9 significant digits for stable serialized output."""
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.9g}")
-    if isinstance(obj, dict):
-        return {k: _quantize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_quantize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_quantize(v) for v in obj.tolist()]
-    return obj
+_PLAIN = {float, int, bool, str, type(None), list, dict}
+
+
+def _dict_format(keys: tuple, nl: str) -> str:
+    """The %-format of a dict with these keys, to be filled with the texts
+    of its values; the keys are spelled as ``json.dumps`` spells them
+    (non-string keys unrounded)."""
+    inner = nl + "  "
+    items = []
+    for key in keys:
+        if not isinstance(key, str):
+            if not (isinstance(key, (int, float)) or key is None):
+                raise TypeError(
+                    f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                )
+            key = json.dumps(key)
+        items.append(encode_basestring_ascii(key).replace("%", "%%") + ": %s")
+    return "{" + inner + ("," + inner).join(items) + nl + "}"
+
+
+def _json_texts(values: list, nl: str) -> list:
+    """The text that ``json.dumps`` writes at an indent of 2 for each value,
+    with its floats rounded to nine significant digits; ``nl`` is the line
+    break and indent of the line that each value starts on.
+
+    Values of one type are encoded together, and so are the items of a list
+    of lists and each key's values in a list of dicts: the floats of a whole
+    run log are formatted in a few batches.
+    """
+    if not values:
+        return []
+    kinds = set(map(type, values))
+    if not kinds <= _PLAIN:
+        values = [v if type(v) in _PLAIN else _plain(v) for v in values]
+        kinds = set(map(type, values))
+    if len(kinds) > 1:
+        texts = [None] * len(values)
+        for kind in kinds:
+            at = [i for i, v in enumerate(values) if type(v) is kind]
+            for i, text in zip(at, _json_texts([values[i] for i in at], nl)):
+                texts[i] = text
+        return texts
+    kind = kinds.pop()
+    if kind is float:
+        return _float_texts(values)
+    if kind is int:
+        return list(map(str, values))
+    if kind is str:
+        return list(map(encode_basestring_ascii, values))
+    if kind is bool:
+        return ["true" if v else "false" for v in values]
+    if kind is type(None):
+        return ["null"] * len(values)
+    inner = nl + "  "
+    if kind is list:
+        items = iter(_json_texts(list(chain.from_iterable(values)), inner))
+        sep = "," + inner
+        return [
+            "[" + inner + sep.join(islice(items, len(v))) + nl + "]" if v else "[]"
+            for v in values
+        ]
+    shapes = list(map(tuple, values))
+    if shapes.count(shapes[0]) == len(shapes):
+        return _dict_texts(values, shapes[0], nl)
+    texts = [None] * len(values)
+    groups = {}
+    for i, keys in enumerate(shapes):
+        groups.setdefault(keys, []).append(i)
+    for keys, at in groups.items():
+        for i, text in zip(at, _dict_texts([values[i] for i in at], keys, nl)):
+            texts[i] = text
+    return texts
+
+
+def _dict_texts(rows: list, keys: tuple, nl: str) -> list:
+    """``_json_texts`` of dicts that all have these keys, in this order."""
+    if not keys:
+        return ["{}"] * len(rows)
+    inner = nl + "  "
+    columns = [_json_texts(list(map(itemgetter(k), rows)), inner) for k in keys]
+    if all(isinstance(k, str) for k in keys):
+        fmt = _dict_format(keys, nl)
+        return [fmt % cells for cells in zip(*columns)]
+    # keys that compare equal, such as 1 and True, are spelled apart
+    return [_dict_format(tuple(row), nl) % cells for row, cells in zip(rows, zip(*columns))]
+
+
+def _json_text(obj) -> str:
+    """The text that ``json.dumps`` writes at an indent of 2, with every
+    float rounded to nine significant digits, and numpy scalars and arrays
+    as Python ones."""
+    return _json_texts([obj], "\n")[0]
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_quantize(payload), indent=2) + "\n")
+    path.write_text(_json_text(payload) + "\n")
+
+
+def _row_format(types: tuple) -> str:
+    """The CSV line format of a row whose cells have these types: ints and
+    bools as integers, strings as they are, anything else as a float at
+    nine significant digits."""
+    return ",".join(
+        "%d" if issubclass(t, (int, np.integer, np.bool_))
+        else "%s" if issubclass(t, str)
+        else "%.9g"
+        for t in types
+    )
 
 
 def _write_csv(path: Path, header, rows) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    formats = {}
+    for row in rows:
+        types = tuple(map(type, row))
+        fmt = formats.get(types) or formats.setdefault(types, _row_format(types))
+        lines.append(fmt % tuple(row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -101,22 +230,10 @@ def _executed_series(log: SimLog):
     rows = []
     for rec in log.cycles:
         start = 1 if rec.cycle > 0 else 0
-        for i in range(start, len(rec.times)):
-            st = rec.states[i]
-            rows.append(
-                (
-                    rec.cycle,
-                    rec.times[i],
-                    st[0],
-                    st[1],
-                    st[2],
-                    rec.jerk_lon[i],
-                    st[3],
-                    st[4],
-                    st[5],
-                    rec.jerk_lat[i],
-                )
-            )
+        samples = np.column_stack(
+            (rec.times, rec.states[:, :3], rec.jerk_lon, rec.states[:, 3:], rec.jerk_lat)
+        )
+        rows.extend((rec.cycle, *sample) for sample in samples[start:].tolist())
     return rows
 
 
@@ -155,19 +272,19 @@ def write_run_outputs(log: SimLog, out_dir: Path) -> list:
     )
     written.append("endpoint_nn.csv")
 
-    feas_rows = []
-    for rec in log.cycles:
-        for cand in rec.candidates:
-            feas_rows.append(
-                (
-                    rec.cycle,
-                    cand["index"],
-                    cand["feasible"],
-                    cand["cost"],
-                    ";".join(cand["violations"]),
-                    *(cand["margins"][c] for c in CONSTRAINT_ORDER),
-                )
-            )
+    margins = itemgetter(*CONSTRAINT_ORDER)
+    feas_rows = [
+        (
+            rec.cycle,
+            cand["index"],
+            cand["feasible"],
+            cand["cost"],
+            ";".join(cand["violations"]),
+            *margins(cand["margins"]),
+        )
+        for rec in log.cycles
+        for cand in rec.candidates
+    ]
     _write_csv(
         out_dir / "feasibility.csv",
         (
@@ -228,8 +345,8 @@ def cmd_cluster(args) -> int:
     proposed = args.mode == "proposed"
     try:
         cluster = cycle_cluster(
-            scenario.initial, scenario.build_path(), scenario.grid, scenario.regulation,
-            regulate=proposed,
+            scenario.initial, scenario.build_path(), cycle_grid(scenario, 0),
+            scenario.regulation, regulate=proposed,
         )
     except EmptyCluster as err:
         print(f"cluster generation failed: {err}", file=sys.stderr)

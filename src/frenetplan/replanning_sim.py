@@ -329,6 +329,12 @@ def select_candidate(candidates, reports) -> int:
     return best
 
 
+def cycle_grid(scenario: Scenario, cycle: int) -> SamplingGrid:
+    """The grid that ``run`` samples in cycle ``cycle``: terminal sampling
+    is independent per cycle, and identical in both modes."""
+    return scenario.grid.jittered(np.random.default_rng([scenario.sim.seed, cycle]))
+
+
 def cycle_cluster(
     state: FrenetState,
     path: ReferencePath,
@@ -394,12 +400,9 @@ def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimL
             sigma_baseline=scenario.sigma_baseline,
         )
 
-        # independent terminal sampling per cycle, identical in both modes
-        grid = scenario.grid.jittered(
-            np.random.default_rng([scenario.sim.seed, k])
+        cluster = cycle_cluster(
+            state, path, cycle_grid(scenario, k), scenario.regulation, switches.regulate
         )
-
-        cluster = cycle_cluster(state, path, grid, scenario.regulation, switches.regulate)
         reference = cluster.candidates[cluster.reference_index]
 
         costs = cost_cluster(cluster.candidates, ctx, reference, weights)

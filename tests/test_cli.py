@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frenetplan import replanning_sim
-from frenetplan.cli import main
+from frenetplan.cli import _json_text, main
 from frenetplan.endpoint_regulation import terminal_deviation
+from frenetplan.errors import NoFeasibleCandidate
 from frenetplan.momentum_optimizer import PlanningContext, cost_cluster
 from frenetplan.scenarios import BUILDERS, curved_bumps, straight_crossing
 
@@ -34,17 +35,21 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def rounded(payload):
+    """``payload`` read back from JSON with every float at nine significant
+    digits, as the run outputs hold it."""
+    return json.loads(json.dumps(payload), parse_float=lambda t: float(f"{float(t):.9g}"))
+
+
 def test_bundled_scenarios_validate():
     for name in ("s1", "s2", "s3"):
         assert main(["validate", str(BUNDLED / f"{name}.json")]) == 0
 
 
 def test_bundled_scenarios_match_builders():
-    from frenetplan.cli import _quantize
-
     for name, builder in BUILDERS.items():
         on_disk = json.loads((BUNDLED / f"{name}.json").read_text())
-        assert on_disk == _quantize(builder(seed=0, n_cycles=8).to_dict())
+        assert on_disk == json.loads(_json_text(builder(seed=0, n_cycles=8).to_dict()))
 
 
 def test_validate_rejects_bad_spacing(tmp_path, capsys):
@@ -317,13 +322,19 @@ def test_run_modes_show_dispersion_trend(tmp_path):
 
 
 def test_run_infeasible_scenario_exits_one(tmp_path, scenario_file, capsys):
-    scn = straight_crossing(seed=0, n_cycles=2)
-    scn.limits = type(scn.limits)(v_max=0.05)
-    path = scenario_file(scn)
-    out = tmp_path / "out"
-    assert main(["run", str(path), "--mode", "baseline", "--out", str(out)]) == 1
-    assert (out / "simlog.json").exists()
-    assert not (out / "manifest.json").exists()
+    # infeasible from cycle 0, and from cycle 1 after one recorded cycle
+    for seed, v_max, recorded in ((0, 0.05, 0), (2, 1.0, 1)):
+        scn = straight_crossing(seed=seed, n_cycles=2)
+        scn.limits = type(scn.limits)(v_max=v_max)
+        path = scenario_file(scn, f"infeasible-{seed}.json")
+        out = tmp_path / f"out-{seed}"
+        assert main(["run", str(path), "--mode", "baseline", "--out", str(out)]) == 1
+        assert not (out / "manifest.json").exists()
+        with pytest.raises(NoFeasibleCandidate) as failed:
+            replanning_sim.run(scn, "baseline")
+        partial = failed.value.partial_log.to_dict()
+        assert len(partial["cycles"]) == recorded
+        assert json.loads((out / "simlog.json").read_text()) == rounded(partial)
 
 
 def test_run_seed_override(tmp_path, scenario_file):
@@ -367,7 +378,9 @@ def test_cluster_full_dump(tmp_path):
 def test_cluster_column_is_the_terminal_term_the_cost_adds(tmp_path):
     scn = replanning_sim.Scenario.from_dict(_bundled("s1"))
     path = scn.build_path()
-    cluster = replanning_sim.cycle_cluster(scn.initial, path, scn.grid, scn.regulation, True)
+    cluster = replanning_sim.cycle_cluster(
+        scn.initial, path, replanning_sim.cycle_grid(scn, 0), scn.regulation, True
+    )
     reference = cluster.candidates[cluster.reference_index]
     term = terminal_deviation(cluster.candidates, reference, scn.cost.terminal_weight)
     assert term[cluster.reference_index] == 0.0 and np.any(term > 0.0)
@@ -385,6 +398,25 @@ def test_cluster_column_is_the_terminal_term_the_cost_adds(tmp_path):
                      "--out", str(out)]) == 0
         column = [r["regulation_energy"] for r in read_csv(out / "endpoints.csv")]
         assert column == (want or [""] * len(column)), mode
+
+
+@pytest.mark.parametrize("mode", ["proposed", "baseline"])
+@pytest.mark.parametrize("name", ["s1", "s2", "s3"])
+def test_cluster_dumps_the_first_cycle_of_run(tmp_path, name, mode):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_bundled(name)))
+    run_out, cluster_out = tmp_path / "run", tmp_path / "cluster"
+    seed = str(_bundled(name)["sim"]["seed"])
+    assert main(["run", str(path), "--mode", mode, "--seed", seed, "--out", str(run_out)]) == 0
+    assert main(["cluster", str(path), "--mode", mode, "--out", str(cluster_out)]) == 0
+    planned = json.loads((run_out / "simlog.json").read_text())["cycles"][0]["candidates"]
+    dumped = read_csv(cluster_out / "endpoints.csv")
+    assert len(dumped) == len(planned)
+    # a candidate's key holds its terminal speed and offset
+    for column, at in (("s_dot", 1), ("d", 2)):
+        assert [float(r[column]) for r in dumped] == pytest.approx(
+            [c["key"][at] for c in planned], abs=1e-6
+        ), column
 
 
 def entropy_of_hist(path):
