@@ -15,11 +15,9 @@ from .evaluation import (
     ClusterStats,
     Constraint,
     FeasibilityReport,
-    JerkStats,
     KinematicLimits,
     check_candidate,
     feasibility_breakdown,
-    jerk_statistics,
     nn_distance_stats,
 )
 from .frenet_geometry import (

@@ -208,6 +208,9 @@ def _load_scenario(path_str: str):
             file=sys.stderr,
         )
         return None, None
+    except RecursionError:
+        print("error: malformed JSON: nested too deeply", file=sys.stderr)
+        return None, None
     return data, raw
 
 
@@ -337,6 +340,17 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _hist_edges(peak: float) -> np.ndarray:
+    """Edges of ``_HIST_BIN``-wide bins from 0, the last one at least
+    ``peak`` so that the histogram counts every value up to it."""
+    edges = np.arange(0.0, peak + _HIST_BIN, _HIST_BIN)
+    if len(edges) < 2:
+        return np.array([0.0, _HIST_BIN])
+    if edges[-1] < peak:  # the rounded stop fell short of one more edge
+        edges = np.append(edges, len(edges) * _HIST_BIN)
+    return edges
+
+
 def cmd_cluster(args) -> int:
     data, _ = _load_scenario(args.scenario)
     if data is None:
@@ -389,10 +403,7 @@ def cmd_cluster(args) -> int:
 
     if len(cluster.candidates) >= 2:
         nearest = nearest_distances(terms)
-        edges = np.arange(0.0, nearest.max() + _HIST_BIN, _HIST_BIN)
-        if len(edges) < 2:
-            edges = np.array([0.0, _HIST_BIN])
-        counts, edges = np.histogram(nearest, bins=edges)
+        counts, edges = np.histogram(nearest, bins=_hist_edges(nearest.max()))
         _write_csv(
             out_dir / "nn_hist.csv",
             ("bin_lo", "bin_hi", "count"),

@@ -124,18 +124,19 @@ def enforce_spacing(
         raise EmptyCluster("cannot enforce spacing on an empty cluster")
 
     kept: list[TrajectoryCandidate] = [cluster.candidates[0]]
+    gaps: list[float] = []  # terminal gap from each kept candidate to the next
     for cand in cluster.candidates[1:]:
         gap = float(np.linalg.norm(cand.states[-1] - kept[-1].states[-1]))
         if gap >= config.min_gap:
             kept.append(cand)
+            gaps.append(gap)
 
     budget_exhausted = False
     specs: list[CandidateSpec] = []
     after: list[int] = []  # index in ``kept`` of the candidate each insertion follows
-    for k, (a, b) in enumerate(zip(kept[:-1], kept[1:])):
+    for k, (a, b, gap) in enumerate(zip(kept[:-1], kept[1:], gaps)):
         term_a = a.states[-1]
         term_b = b.states[-1]
-        gap = float(np.linalg.norm(term_b - term_a))
         if gap <= config.max_gap:
             continue
         n_insert = math.ceil(gap / config.max_gap) - 1

@@ -77,27 +77,6 @@ class ClusterStats:
     count: int
 
 
-@dataclass
-class JerkStats:
-    """Per-axis jerk magnitude summary plus plot-ready profile series.
-
-    Statistics are over |jerk|; ``profile`` maps column names to arrays,
-    one entry per sample.
-    """
-
-    jerk_lon: np.ndarray
-    jerk_lat: np.ndarray
-    median_lon: float
-    iqr_lon: float
-    rms_lon: float
-    peak_lon: float
-    median_lat: float
-    iqr_lat: float
-    rms_lat: float
-    peak_lat: float
-    profile: dict
-
-
 def check_candidate(
     candidate: TrajectoryCandidate, path: ReferencePath, limits: KinematicLimits
 ) -> FeasibilityReport:
@@ -215,29 +194,6 @@ def abs_summary(values: np.ndarray) -> tuple:
         float(q75 - q25),
         float(np.sqrt(np.mean(mags**2))),
         float(mags.max()),
-    )
-
-
-def jerk_statistics(candidate: TrajectoryCandidate) -> JerkStats:
-    """Summaries of |jerk| per Frenet axis plus the profile series."""
-    st = candidate.states
-    profile = {
-        "t": candidate.times.copy(),
-        "s": st[:, 0].copy(),
-        "s_dot": st[:, 1].copy(),
-        "s_ddot": st[:, 2].copy(),
-        "jerk_lon": candidate.jerk_lon.copy(),
-        "d": st[:, 3].copy(),
-        "d_dot": st[:, 4].copy(),
-        "d_ddot": st[:, 5].copy(),
-        "jerk_lat": candidate.jerk_lat.copy(),
-    }
-    return JerkStats(
-        candidate.jerk_lon.copy(),
-        candidate.jerk_lat.copy(),
-        *abs_summary(candidate.jerk_lon),
-        *abs_summary(candidate.jerk_lat),
-        profile=profile,
     )
 
 

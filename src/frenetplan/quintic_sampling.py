@@ -215,26 +215,6 @@ class _Solved(NamedTuple):
     lat_span: float
 
 
-def _solve_longitudinal(
-    initial: FrenetState, terminal_s: float, terminal_speed: float, horizon: float
-) -> QuinticCoeffs:
-    return solve_quintic(
-        (initial.s, initial.s_dot, initial.s_ddot),
-        (terminal_s, terminal_speed, 0.0),
-        horizon,
-    )
-
-
-def _solve_lateral(
-    initial: FrenetState, boundary: tuple, target: CandidateSpec, lon: QuinticCoeffs
-) -> _Solved:
-    """Lateral quintic over the longitudinal span; ``boundary`` is
-    ``_lateral_boundary_from_time(initial)``."""
-    span = target.terminal_s - initial.s
-    lat = solve_quintic(boundary, (target.lateral_offset, 0.0, 0.0), span)
-    return _Solved(target, lon, lat, span)
-
-
 def _coefficient_columns(quintics) -> np.ndarray:
     """c0..c5 of k quintics, each as a (k, 1) column for ``_horner``."""
     return np.array([q.c for q in quintics]).T[:, :, None]
@@ -294,19 +274,27 @@ def build_candidates(
     convention). Returns one entry per spec, in order: the candidate, or None
     for a non-forward one (nonpositive longitudinal span or a sampled dip in
     s). Every spec is solved first, in order, so the first ill-conditioned
-    one raises; then each horizon's candidates are sampled in one batch.
+    one raises; specs sharing (terminal s, terminal speed, horizon) share one
+    longitudinal solve. Then each horizon's candidates are sampled in one
+    batch.
     """
     boundary = _lateral_boundary_from_time(initial)
+    lon_solves: dict = {}
     by_horizon: dict = {}
     for i, target in enumerate(specs):
-        if target.terminal_s - initial.s <= 0.0:
+        span = target.terminal_s - initial.s
+        if span <= 0.0:
             continue
-        lon = _solve_longitudinal(
-            initial, target.terminal_s, target.terminal_speed, target.horizon
-        )
-        by_horizon.setdefault(target.horizon, []).append(
-            (i, _solve_lateral(initial, boundary, target, lon))
-        )
+        key = (target.terminal_s, target.terminal_speed, target.horizon)
+        lon = lon_solves.get(key)
+        if lon is None:
+            lon = lon_solves[key] = solve_quintic(
+                (initial.s, initial.s_dot, initial.s_ddot),
+                (target.terminal_s, target.terminal_speed, 0.0),
+                target.horizon,
+            )
+        lat = solve_quintic(boundary, (target.lateral_offset, 0.0, 0.0), span)
+        by_horizon.setdefault(target.horizon, []).append((i, _Solved(target, lon, lat, span)))
     out = [None] * len(specs)
     for horizon, group in by_horizon.items():
         index, solved = zip(*group)
@@ -333,40 +321,37 @@ def build_candidate(
 def generate_cluster(
     initial: FrenetState, path: ReferencePath, grid: SamplingGrid
 ) -> TrajectoryCluster:
-    """One candidate per grid triple, ordered by (horizon, speed, offset).
+    """One candidate per grid triple, ordered by (horizon, speed, offset),
+    built by ``build_candidates``.
 
     Terminal longitudinal position follows the trapezoidal progress
     heuristic s_T = s_0 + (s_dot_0 + v_T)/2 * horizon; triples with
-    nonpositive progress are discarded. The longitudinal quintic of each
-    (horizon, speed) pair is solved once for all offsets, and each horizon's
-    candidates are sampled in one batch.
+    nonpositive progress are discarded.
     """
     _check_s(path, initial.s)
     kappa = float(path.curvature(initial.s))
     if kappa != 0.0 and abs(initial.d) * abs(kappa) >= 1.0:
         raise InvalidLateralOffset("initial state outside the path validity tube")
 
-    boundary = _lateral_boundary_from_time(initial)
-    candidates = []
+    specs = []
     for horizon in sorted(grid.horizons):
-        solved = []
         for speed in sorted(grid.terminal_speeds):
             terminal_s = initial.s + 0.5 * (initial.s_dot + speed) * horizon
-            span = terminal_s - initial.s
-            if span <= 0.0:
+            if terminal_s - initial.s <= 0.0:
                 continue
             if terminal_s > path.total_length:
+                # the triples before this pair are solved first, so an
+                # ill-conditioned one among them raises instead
+                build_candidates(initial, specs, grid.dt)
                 raise PathTooShort(
                     f"terminal s={terminal_s:.3f} beyond path end "
                     f"{path.total_length:.3f} (speed {speed}, horizon {horizon})"
                 )
-            lon = _solve_longitudinal(initial, terminal_s, speed, horizon)
-            for offset in sorted(grid.lateral_offsets):
-                target = CandidateSpec(terminal_s, speed, offset, horizon, (horizon, speed, offset))
-                solved.append(_solve_lateral(initial, boundary, target, lon))
-        if solved:
-            sampled = _sample(initial, horizon, grid.dt, solved)
-            candidates += [c for c in sampled if c is not None]
+            specs += [
+                CandidateSpec(terminal_s, speed, offset, horizon, (horizon, speed, offset))
+                for offset in sorted(grid.lateral_offsets)
+            ]
+    candidates = [c for c in build_candidates(initial, specs, grid.dt) if c is not None]
     if not candidates:
         raise EmptyCluster("all grid triples were discarded")
     return TrajectoryCluster(candidates=candidates, reference_index=0, initial=initial)

@@ -270,6 +270,12 @@ def test_sampling_raises_like_reference():
     old = outcome(ref.generate_cluster, initial, path, grid)
     assert old[0] is PathTooShort
     assert outcome(generate_cluster, initial, path, grid) == old
+    # an ill-conditioned pair sorted before one past the end raises first
+    grid = SamplingGrid(terminal_speeds=(0.002, 80.0), lateral_offsets=(0.0,),
+                        horizons=(1.0,), dt=0.05)
+    old = outcome(ref.generate_cluster, initial, path, grid)
+    assert old[0] is IllConditioned
+    assert outcome(generate_cluster, initial, path, grid) == old
 
 
 def test_build_candidate_matches_reference():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frenetplan import replanning_sim
-from frenetplan.cli import _json_text, main
+from frenetplan.cli import _hist_edges, _json_text, main
 from frenetplan.endpoint_regulation import terminal_deviation
 from frenetplan.errors import NoFeasibleCandidate
 from frenetplan.momentum_optimizer import PlanningContext, cost_cluster
@@ -268,6 +268,15 @@ def test_validate_reports_json_error_with_line(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "cluster"])
+def test_deeply_nested_json_is_malformed(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    argv = [command, str(path)] + ([] if command == "validate" else ["--out", str(tmp_path)])
+    assert main(argv) == 2
+    assert "malformed JSON" in capsys.readouterr().err
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["validate", "no/such/file.json"]) == 2
     assert "not found" in capsys.readouterr().err
@@ -432,6 +441,23 @@ def test_cluster_regulation_raises_histogram_entropy(tmp_path):
     assert main(["cluster", s2, "--mode", "proposed", "--out", str(out_p)]) == 0
     assert main(["cluster", s2, "--mode", "baseline", "--out", str(out_b)]) == 0
     assert entropy_of_hist(out_p / "nn_hist.csv") > entropy_of_hist(out_b / "nn_hist.csv")
+
+
+@pytest.mark.parametrize("peak", [0.05000000000000001, 0.4000000000000001])
+def test_nn_histogram_counts_the_largest_distance(peak):
+    nearest = np.array([0.01, peak])
+    counts, _ = np.histogram(nearest, bins=_hist_edges(peak))
+    assert counts.sum() == len(nearest)
+
+
+def test_nn_histogram_edges_are_kept_where_they_reached_the_peak():
+    rng = np.random.default_rng(7)
+    peaks = np.concatenate([rng.uniform(0.0, 3.0, 500), np.arange(0, 61) * 0.05])
+    for peak in peaks:
+        edges = np.arange(0.0, peak + 0.05, 0.05)
+        if len(edges) >= 2 and edges[-1] >= peak:
+            assert np.array_equal(_hist_edges(peak), edges), peak
+        assert _hist_edges(peak)[-1] >= peak
 
 
 def test_numeric_formatting_is_nine_significant_digits(tmp_path, scenario_file):

@@ -6,9 +6,9 @@ from frenetplan.evaluation import (
     Constraint,
     FeasibilityReport,
     KinematicLimits,
+    abs_summary,
     check_candidate,
     feasibility_breakdown,
-    jerk_statistics,
     nn_distance_stats,
 )
 from frenetplan.frenet_geometry import FrenetState
@@ -126,30 +126,31 @@ def test_nn_requires_two_endpoints():
 
 def test_jerk_zero_for_constant_velocity():
     cand = constant_speed_candidate(1.0)
-    stats = jerk_statistics(cand)
-    assert stats.rms_lon <= 1e-9 and stats.rms_lat <= 1e-9
-    assert stats.peak_lon <= 1e-9
+    _, _, rms_lon, peak_lon = abs_summary(cand.jerk_lon)
+    _, _, rms_lat, _ = abs_summary(cand.jerk_lat)
+    assert rms_lon <= 1e-9 and rms_lat <= 1e-9
+    assert peak_lon <= 1e-9
 
 
 def test_jerk_of_rest_to_rest_quintic():
     lon = solve_quintic((0, 0, 0), (1, 0, 0), 1.0)
     lat = QuinticCoeffs(np.zeros(6))
     cand = manual_candidate(lon, lat, horizon=1.0)
-    stats = jerk_statistics(cand)
+    peak = abs_summary(cand.jerk_lon)[3]
     # j(t) = 60 - 360 t + 360 t^2: 60 at both ends, -30 at the midpoint
     assert abs(cand.jerk_lon[0] - 60.0) <= 1e-9
-    assert abs(stats.peak_lon - 60.0) <= 1e-9
+    assert abs(peak - 60.0) <= 1e-9
+
+
+def test_abs_summary_of_an_empty_series_is_zero():
+    assert abs_summary(np.array([])) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_profile_series_consistency():
     cand = make_candidate(terminal_speed=1.3, offset=0.5)
-    stats = jerk_statistics(cand)
-    profile = stats.profile
     dt = cand.dt
-    fd_acc = np.gradient(profile["s_dot"], dt, edge_order=2)
-    assert np.max(np.abs(fd_acc - profile["s_ddot"])) <= 2 * dt * LIMITS.j_max
-    assert set(profile) == {"t", "s", "s_dot", "s_ddot", "jerk_lon",
-                            "d", "d_dot", "d_ddot", "jerk_lat"}
+    fd_acc = np.gradient(cand.states[:, 1], dt, edge_order=2)
+    assert np.max(np.abs(fd_acc - cand.states[:, 2])) <= 2 * dt * LIMITS.j_max
 
 
 def _report(violations):
