@@ -53,6 +53,7 @@ from .replanning_sim import (
     Scenario,
     SimLog,
     SimSettings,
+    Uncertainty,
     run,
     select_candidate,
     validate_scenario_dict,

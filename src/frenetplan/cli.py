@@ -27,6 +27,7 @@ from .endpoint_regulation import terminal_deviation
 from .errors import EmptyCluster, NoFeasibleCandidate, PlannerError, ScenarioInvalid
 from .evaluation import CONSTRAINT_ORDER, abs_summary, nearest_distances
 from .replanning_sim import (
+    MODES,
     Scenario,
     SimLog,
     cycle_cluster,
@@ -195,29 +196,24 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _load_scenario(path_str: str):
+    """The parsed JSON of a scenario file, which may be any JSON value, and
+    its bytes; ValueError (exit 2) if the file is missing or not JSON."""
     path = Path(path_str)
     if not path.is_file():
-        print(f"error: scenario file not found: {path}", file=sys.stderr)
-        return None, None
+        raise ValueError(f"scenario file not found: {path}")
     raw = path.read_bytes()
     try:
-        data = json.loads(raw.decode("utf-8"))
+        return json.loads(raw.decode("utf-8")), raw
     except json.JSONDecodeError as err:
-        print(
-            f"error: malformed JSON at line {err.lineno}, column {err.colno}: {err.msg}",
-            file=sys.stderr,
-        )
-        return None, None
+        raise ValueError(
+            f"malformed JSON at line {err.lineno}, column {err.colno}: {err.msg}"
+        ) from None
     except RecursionError:
-        print("error: malformed JSON: nested too deeply", file=sys.stderr)
-        return None, None
-    return data, raw
+        raise ValueError("malformed JSON: nested too deeply") from None
 
 
 def cmd_validate(args) -> int:
     data, _ = _load_scenario(args.scenario)
-    if data is None:
-        return 2
     violations = validate_scenario_dict(data)
     if violations:
         print(f"scenario invalid ({len(violations)} violation(s)):")
@@ -306,8 +302,6 @@ def write_run_outputs(log: SimLog, out_dir: Path) -> list:
 
 def cmd_run(args) -> int:
     data, raw = _load_scenario(args.scenario)
-    if data is None:
-        return 2
     scenario = Scenario.from_dict(data)
     if args.seed is not None:
         scenario.sim = replace(scenario.sim, seed=args.seed)
@@ -353,14 +347,12 @@ def _hist_edges(peak: float) -> np.ndarray:
 
 def cmd_cluster(args) -> int:
     data, _ = _load_scenario(args.scenario)
-    if data is None:
-        return 2
     scenario = Scenario.from_dict(data)
-    proposed = args.mode == "proposed"
+    switches = MODES[args.mode]
     try:
         cluster = cycle_cluster(
-            scenario.initial, scenario.build_path(), cycle_grid(scenario, 0),
-            scenario.regulation, regulate=proposed,
+            scenario.initial_state, scenario.build_path(), cycle_grid(scenario, 0),
+            scenario.regulation, regulate=switches.regulate,
         )
     except EmptyCluster as err:
         print(f"cluster generation failed: {err}", file=sys.stderr)
@@ -371,9 +363,9 @@ def cmd_cluster(args) -> int:
     terms = cluster.terminal_matrix()
 
     if args.dump == "endpoints":
-        # the terminal term the proposed selection cost adds; baseline adds none
+        # the terminal term the selection cost adds; without momentum weights none
         energy = [""] * len(cluster.candidates)
-        if proposed:
+        if switches.momentum_weights:
             reference = cluster.candidates[cluster.reference_index]
             energy = terminal_deviation(
                 cluster.candidates, reference, scenario.cost.terminal_weight
@@ -427,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a closed-loop replanning run")
     p_run.add_argument("scenario")
-    p_run.add_argument("--mode", choices=("proposed", "baseline"), default="proposed")
+    p_run.add_argument("--mode", choices=tuple(MODES), default="proposed")
     p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.set_defaults(func=cmd_run)
@@ -435,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl = sub.add_parser("cluster", help="dump one planning cluster at the initial state")
     p_cl.add_argument("scenario")
     p_cl.add_argument("--dump", choices=("endpoints", "full"), default="endpoints")
-    p_cl.add_argument("--mode", choices=("proposed", "baseline"), default="proposed")
+    p_cl.add_argument("--mode", choices=tuple(MODES), default="proposed")
     p_cl.add_argument("--out", default="out", help="output directory")
     p_cl.set_defaults(func=cmd_cluster)
     return parser

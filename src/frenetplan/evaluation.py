@@ -107,48 +107,31 @@ def check_candidate(
         / limits.j_max,
     }
 
+    # one pass: where the speed is degenerate, kappa and every curvature rate
+    # whose stencil touches such a sample are zeroed, so they never exceed a
+    # margin and leave 0.0 when no sample is left
     notes = []
     valid = speed > _DEGENERATE_SPEED
-    if valid.all():
-        kappa = (vx * ay - vy * ax) / speed**3
-        kappa_rate = fd_gradient(kappa, dt)
-        margins[Constraint.CURVATURE] = float(_amax(np.abs(kappa))) / limits.kappa_max
-        margins[Constraint.YAW_RATE] = (
-            float(_amax(np.abs(kappa * speed))) / limits.yaw_rate_max
-        )
-        margins[Constraint.CURVATURE_RATE] = (
-            float(_amax(np.abs(kappa_rate))) / limits.kappa_rate_max
-        )
-    else:
-        degenerate = np.nonzero(~valid)[0]
+    degenerate = not valid.all()
+    kappa = (vx * ay - vy * ax) / np.maximum(speed, _DEGENERATE_SPEED) ** 3
+    if degenerate:
+        skipped = np.nonzero(~valid)[0]
         notes.append(
-            f"curvature checks skipped at {degenerate.size} near-zero-speed "
-            f"sample(s), first at t={candidate.times[degenerate[0]]:.3f}"
+            f"curvature checks skipped at {skipped.size} near-zero-speed "
+            f"sample(s), first at t={candidate.times[skipped[0]]:.3f}"
         )
-        if np.any(valid):
-            cross = vx * ay - vy * ax
-            kappa = np.where(valid, cross / np.maximum(speed, _DEGENERATE_SPEED) ** 3, 0.0)
-            margins[Constraint.CURVATURE] = (
-                float(_amax(np.abs(kappa[valid]))) / limits.kappa_max
-            )
-            margins[Constraint.YAW_RATE] = (
-                float(_amax(np.abs((kappa * speed)[valid]))) / limits.yaw_rate_max
-            )
-            kappa_rate = fd_gradient(kappa, dt)
-            rate_valid = valid.copy()
-            # a rate estimate touching a skipped sample is unreliable
-            rate_valid[:-1] &= valid[1:]
-            rate_valid[1:] &= valid[:-1]
-            if np.any(rate_valid):
-                margins[Constraint.CURVATURE_RATE] = (
-                    float(_amax(np.abs(kappa_rate[rate_valid]))) / limits.kappa_rate_max
-                )
-            else:
-                margins[Constraint.CURVATURE_RATE] = 0.0
-        else:
-            margins[Constraint.CURVATURE] = 0.0
-            margins[Constraint.YAW_RATE] = 0.0
-            margins[Constraint.CURVATURE_RATE] = 0.0
+        kappa[~valid] = 0.0
+    kappa_rate = fd_gradient(kappa, dt)
+    if degenerate:
+        rate_valid = valid.copy()
+        rate_valid[:-1] &= valid[1:]
+        rate_valid[1:] &= valid[:-1]
+        kappa_rate[~rate_valid] = 0.0
+    margins[Constraint.CURVATURE] = float(_amax(np.abs(kappa))) / limits.kappa_max
+    margins[Constraint.YAW_RATE] = float(_amax(np.abs(kappa * speed))) / limits.yaw_rate_max
+    margins[Constraint.CURVATURE_RATE] = (
+        float(_amax(np.abs(kappa_rate))) / limits.kappa_rate_max
+    )
 
     violations = frozenset(c for c, m in margins.items() if m > 1.0)
     return FeasibilityReport(

@@ -40,7 +40,7 @@ from .momentum_optimizer import (
     total_cost,  # noqa: F401 - perfbench's tracer wraps this name here
 )
 from .quintic_sampling import SamplingGrid, TrajectoryCluster, generate_cluster
-from .schema import ListOf, check, plain_fields, problem, section_problems, spec
+from .schema import ListOf, build, check, plain_fields, section_problems, spec
 
 # Scenario files and simulation logs are versioned separately.
 SCHEMA_VERSION = 3
@@ -76,40 +76,62 @@ class ModeSwitches:
 
     @classmethod
     def proposed(cls) -> "ModeSwitches":
-        return cls(True, True)
+        return MODES["proposed"]
 
     @classmethod
     def baseline(cls) -> "ModeSwitches":
-        return cls(False, False)
+        return MODES["baseline"]
 
     @property
     def label(self) -> str:
-        if self == ModeSwitches.proposed():
-            return "proposed"
-        if self == ModeSwitches.baseline():
-            return "baseline"
+        for name, switches in MODES.items():
+            if self == switches:
+                return name
         on = [f.name for f in fields(self) if getattr(self, f.name)]
         return f"custom({','.join(on)})"
 
 
-@dataclass
-class Scenario:
-    """Complete description of one closed-loop run."""
+# The named modes: what ``run`` and the command line's ``--mode`` accept.
+MODES = {
+    "proposed": ModeSwitches(regulate=True, momentum_weights=True),
+    "baseline": ModeSwitches(regulate=False, momentum_weights=False),
+}
 
-    name: str
-    waypoints: np.ndarray
-    initial: FrenetState
-    agents: list
-    limits: KinematicLimits
-    grid: SamplingGrid
-    regulation: RegulationConfig
-    cost: CostWeights
-    assistive: AssistiveParams
-    interaction: InteractionParams
-    sim: SimSettings
-    sigma_baseline: float = 0.0
+
+@dataclass(frozen=True)
+class Uncertainty:
+    """The ``uncertainty`` section: the scenario's baseline uncertainty
+    trace, to which each cycle adds the agents' covariance traces."""
+
+    baseline_trace: float = spec(0.0, "nonneg", optional=True)
+
+    __post_init__ = check
+
+
+@dataclass(kw_only=True)
+class Scenario:
+    """Complete description of one closed-loop run. Its fields are the
+    scenario file's keys, in file order, each declared once with ``spec``:
+    ``from_dict``, ``to_dict`` and ``validate_scenario_dict`` walk them."""
+
+    name: str = spec("unnamed", "string", optional=True)
+    waypoints: np.ndarray = spec(shape=ListOf(("bounded", "bounded"), 4))
+    initial_state: FrenetState = spec(shape=FrenetState)
+    agents: list = spec((), ListOf(Neighbor), optional=True)
+    limits: KinematicLimits = spec(shape=KinematicLimits)
+    grid: SamplingGrid = spec(shape=SamplingGrid)
+    regulation: RegulationConfig = spec(shape=RegulationConfig)
+    cost: CostWeights = spec(shape=CostWeights)
+    assistive: AssistiveParams = spec(shape=AssistiveParams)
+    interaction: InteractionParams = spec(shape=InteractionParams)
+    uncertainty: Uncertainty = spec(Uncertainty(), Uncertainty, optional=True)
+    sim: SimSettings = spec(shape=SimSettings)
     # (waypoints, path) fitted while ``from_dict`` validated the file
     _fitted: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.waypoints = np.asarray(self.waypoints, dtype=float)
+        self.agents = list(self.agents)
 
     def build_path(self) -> ReferencePath:
         """The reference path through the waypoints; a scenario read by
@@ -120,51 +142,16 @@ class Scenario:
         return build_reference_path(self.waypoints)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "name": self.name,
-            "waypoints": np.asarray(self.waypoints, dtype=float).tolist(),
-            "initial_state": plain_fields(self.initial),
-            "agents": [plain_fields(nb) for nb in self.agents],
-            **{key: plain_fields(getattr(self, key)) for key in SECTIONS},
-            "uncertainty": {"baseline_trace": self.sigma_baseline},
-        }
+        return {"schema_version": SCHEMA_VERSION, **plain_fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
         violations, path = _check_scenario_dict(data)
         if violations:
             raise ScenarioInvalid(violations)
-        scenario = cls(
-            name=data.get("name", "unnamed"),
-            waypoints=np.asarray(data["waypoints"], dtype=float),
-            initial=FrenetState(**data["initial_state"]),
-            agents=[Neighbor(**agent) for agent in data.get("agents", [])],
-            **{key: kind(**data[key]) for key, kind in SECTIONS.items()},
-            sigma_baseline=float(_Uncertainty(**data.get("uncertainty", {})).baseline_trace),
-        )
+        scenario = build(cls, data)
         scenario._fitted = (scenario.waypoints.copy(), path)
         return scenario
-
-
-# Scenario sections read and written field by field; each is the Scenario
-# attribute of the same name.
-SECTIONS = {
-    "limits": KinematicLimits,
-    "grid": SamplingGrid,
-    "regulation": RegulationConfig,
-    "cost": CostWeights,
-    "assistive": AssistiveParams,
-    "interaction": InteractionParams,
-    "sim": SimSettings,
-}
-
-
-@dataclass(frozen=True)
-class _Uncertainty:
-    """The ``uncertainty`` section: Scenario.sigma_baseline."""
-
-    baseline_trace: float = spec(0.0, "nonneg", optional=True)
 
 
 def _is_multiple(value: float, step: float) -> bool:
@@ -189,33 +176,14 @@ def _check_scenario_dict(data: dict) -> tuple:
             f"schema_version: expected {SCHEMA_VERSION} "
             "(the README lists the changes from schemas 1 and 2)"
         ], None
-    sections = {"initial_state": FrenetState, **SECTIONS}
-    known = {"schema_version", "name", "waypoints", "agents", "uncertainty", *sections}
-    v = [f"{key}: unknown key" for key in data if key not in known]
+    v = section_problems(Scenario, {k: x for k, x in data.items() if k != "schema_version"})
     path = None
-    if not isinstance(data.get("name", ""), str):
-        v.append("name: must be a string")
-    if "waypoints" not in data:
-        v.append("waypoints: missing")
-    elif why := problem(ListOf(("bounded", "bounded"), 4), data["waypoints"]):
-        v.append(f"waypoints{why}")
-    else:
+    # the reference path is fitted to well-formed waypoints only
+    if not any(x.startswith(("waypoints:", "waypoints[")) for x in v):
         try:
             path = build_reference_path(data["waypoints"])
         except (PlannerError, ValueError) as err:  # ValueError: scipy's spline fit
             v.append(f"waypoints: {err}")
-    agents = data.get("agents", [])
-    if not isinstance(agents, list):
-        v.append("agents: must be a list")
-    else:
-        for i, agent in enumerate(agents):
-            v += section_problems(Neighbor, agent, f"agents[{i}]")
-    v += section_problems(_Uncertainty, data.get("uncertainty", {}), "uncertainty")
-    for key, kind in sections.items():
-        if key not in data:
-            v.append(f"{key}: missing")
-        else:
-            v += section_problems(kind, data[key], key)
     if v:
         return v, path
 
@@ -358,16 +326,13 @@ def cycle_cluster(
 def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimLog:
     """Execute the closed-loop replanning run.
 
-    ``mode`` is "proposed", "baseline", or explicit ModeSwitches. Raises
+    ``mode`` is a name in ``MODES`` or explicit ModeSwitches. Raises
     NoFeasibleCandidate (carrying the partial log) if a cycle has no
     feasible candidate.
     """
     if isinstance(mode, str):
         try:
-            switches = {
-                "proposed": ModeSwitches.proposed(),
-                "baseline": ModeSwitches.baseline(),
-            }[mode]
+            switches = MODES[mode]
         except KeyError:
             raise ValueError(f"unknown mode {mode!r}") from None
     else:
@@ -381,7 +346,7 @@ def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimL
     log = SimLog(
         scenario_name=scenario.name, mode=switches.label, seed=scenario.sim.seed
     )
-    state = scenario.initial
+    state = scenario.initial_state
     prev_end: Optional[np.ndarray] = None
 
     for k in range(scenario.sim.n_cycles):
@@ -397,7 +362,7 @@ def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimL
             assistive=scenario.assistive,
             interaction=scenario.interaction,
             neighbors=neighbors,
-            sigma_baseline=scenario.sigma_baseline,
+            sigma_baseline=scenario.uncertainty.baseline_trace,
         )
 
         cluster = cycle_cluster(

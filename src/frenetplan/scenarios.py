@@ -16,7 +16,7 @@ from .evaluation import KinematicLimits
 from .frenet_geometry import FrenetState
 from .momentum_optimizer import AssistiveParams, CostWeights, InteractionParams, Neighbor
 from .quintic_sampling import SamplingGrid
-from .replanning_sim import Scenario, SimSettings
+from .replanning_sim import Scenario, SimSettings, Uncertainty
 
 _DT = 0.05
 _HORIZONS = (2.0, 3.0)
@@ -49,18 +49,18 @@ def _curved_waypoints(lead: float = 6.0, radius: float = 5.0, tail: float = 6.0)
 def _common(
     name: str,
     waypoints: np.ndarray,
-    initial: FrenetState,
+    initial_state: FrenetState,
     agents: list,
     grid: SamplingGrid,
     n_cycles: int,
     seed: int,
     bumps: tuple = (),
-    sigma_baseline: float = 0.05,
+    baseline_trace: float = 0.05,
 ) -> Scenario:
     return Scenario(
         name=name,
         waypoints=waypoints,
-        initial=initial,
+        initial_state=initial_state,
         agents=agents,
         limits=KinematicLimits(v_max=1.2),
         grid=grid,
@@ -82,8 +82,8 @@ def _common(
         interaction=InteractionParams(
             max_intensity=2.0, range_scale=0.8, speed_scale=1.0, cutoff=4.0
         ),
+        uncertainty=Uncertainty(baseline_trace=baseline_trace),
         sim=SimSettings(commit_horizon=1.0, n_cycles=n_cycles, seed=seed),
-        sigma_baseline=sigma_baseline,
     )
 
 
@@ -128,7 +128,7 @@ def straight_crossing(seed: int = 0, n_cycles: int = 6) -> Scenario:
     return _common(
         name="s1-straight-crossing",
         waypoints=_straight_waypoints(40.0),
-        initial=_jittered_initial(rng),
+        initial_state=_jittered_initial(rng),
         agents=[agent],
         grid=_jittered_grid(rng, offset_half_width=0.8),
         n_cycles=n_cycles,
@@ -147,13 +147,13 @@ def curved_bumps(seed: int = 0, n_cycles: int = 6) -> Scenario:
     return _common(
         name="s2-curved-bumps",
         waypoints=_curved_waypoints(),
-        initial=_jittered_initial(rng),
+        initial_state=_jittered_initial(rng),
         agents=[],
         grid=_jittered_grid(rng, offset_half_width=0.7),
         n_cycles=n_cycles,
         seed=seed,
         bumps=bumps,
-        sigma_baseline=0.1,
+        baseline_trace=0.1,
     )
 
 
@@ -178,7 +178,7 @@ def narrow_oncoming(seed: int = 0, n_cycles: int = 6) -> Scenario:
     return _common(
         name="s3-narrow-oncoming",
         waypoints=_straight_waypoints(40.0),
-        initial=_jittered_initial(rng),
+        initial_state=_jittered_initial(rng),
         agents=agents,
         grid=_jittered_grid(rng, offset_half_width=0.45),
         n_cycles=n_cycles,

@@ -9,14 +9,18 @@ both reject the same values with the same messages. A field declared without
 ``spec`` is a required finite number.
 
 A shape is a rule name (a scalar), a tuple of shapes (a list with one entry
-per shape), or a :class:`ListOf` (a list of any length of one shape). Every
-number must be a finite int or float; ``bool`` is never a number.
+per shape), a :class:`ListOf` (a list of any length of one shape), or a
+section: a config dataclass, read from a JSON object. A dataclass whose
+fields include sections (``Scenario``, the whole file) is walked key by key
+and never constructed during validation; it keeps its rules across sections
+elsewhere. Every number must be a finite int or float; ``bool`` is never a
+number.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import MISSING, field, fields
+from dataclasses import MISSING, field, fields, is_dataclass
 from functools import cache
 from itertools import repeat
 from typing import NamedTuple, Optional
@@ -41,6 +45,7 @@ _RULES = {
     "count": ((int,), lambda x: 0 <= x <= _MAX, "a nonnegative integer"),
     "bounded": (_NUMBER, lambda x: -SPAN <= x <= SPAN, "a number in [-1e6, 1e6]"),
     "length": (_NUMBER, lambda x: 0 < x <= SPAN, "a number in (0, 1e6]"),
+    "string": ((str,), lambda x: True, "a string"),
 }
 
 
@@ -59,26 +64,60 @@ def spec(default=MISSING, shape="finite", *, optional=False):
 
 def plain(value):
     """``value`` as JSON data: NumPy arrays and tuples become lists, NumPy
-    scalars Python numbers."""
+    scalars Python numbers, sections dicts."""
     if type(value) in _NUMBER:
         return value
     if isinstance(value, (list, tuple)):
         return [plain(v) for v in value]
-    return value.tolist() if hasattr(value, "tolist") else value
+    if hasattr(value, "tolist"):
+        return value.tolist()
+    return plain_fields(value) if is_dataclass(value) else value
 
 
 @cache
 def _declared(cls) -> dict:
-    """Field name -> (shape, optional) for dataclass ``cls``."""
+    """Field name -> (shape, optional) for dataclass ``cls``, over the
+    fields its constructor takes."""
     return {
         f.name: (f.metadata.get("shape", "finite"), f.metadata.get("optional", False))
         for f in fields(cls)
+        if f.init
     }
+
+
+@cache
+def _sections(cls) -> dict:
+    """Field name -> (section, whether a list of them) for the fields of
+    dataclass ``cls`` that hold sections."""
+    out = {}
+    for name, (shape, _) in _declared(cls).items():
+        many = isinstance(shape, ListOf)
+        item = shape.item if many else shape
+        if isinstance(item, type):
+            out[name] = (item, many)
+    return out
 
 
 def plain_fields(obj) -> dict:
     """A dataclass instance as a JSON-ready dict, one key per field."""
     return {name: plain(getattr(obj, name)) for name in _declared(type(obj))}
+
+
+def build(cls, data: dict):
+    """Dataclass ``cls`` from the JSON object ``data``, which
+    :func:`section_problems` found well formed: each section built from its
+    object, each omitted field left at its default. A ``cls`` that holds
+    sections ignores the keys it does not declare (a file's
+    ``schema_version``)."""
+    sections = _sections(cls)
+    if not sections:
+        return cls(**data)
+    args = {name: data[name] for name in _declared(cls) if name in data}
+    for name, (section, many) in sections.items():
+        if name in args:
+            value = args[name]
+            args[name] = [build(section, v) for v in value] if many else build(section, value)
+    return cls(**args)
 
 
 def problem(shape, value) -> Optional[str]:
@@ -88,6 +127,8 @@ def problem(shape, value) -> Optional[str]:
     if isinstance(shape, str):
         kinds, test, text = _RULES[shape]
         return None if type(value) in kinds and test(value) else f": must be {text}"
+    if isinstance(shape, type):
+        return None  # a section: section_problems checks its object
     if not isinstance(value, list):
         return ": must be a list"
     if isinstance(shape, ListOf):
@@ -113,24 +154,35 @@ def check(obj) -> None:
             raise ValueError(f"{name}{why}")
 
 
-def section_problems(cls, data, prefix: str) -> list:
+def section_problems(cls, data, prefix: str = "") -> list:
     """Every violation of the JSON object ``data`` against dataclass ``cls``,
-    each naming its key under ``prefix``: unknown and missing keys, values
-    outside their shape, then the rules ``cls`` checks across its fields."""
+    each naming its key under ``prefix`` (none at the top of a file):
+    unknown keys, then missing keys and values outside their shape in
+    declaration order, sections entered; then, if ``cls`` holds no
+    sections, the rules its constructor checks across its fields."""
     if not isinstance(data, dict):
         return [f"{prefix}: must be an object"]
+    at = f"{prefix}." if prefix else ""
     declared = _declared(cls)
-    out = [f"{prefix}.{key}: unknown key" for key in data if key not in declared]
+    out = [f"{at}{key}: unknown key" for key in data if key not in declared]
+    sections = _sections(cls)
     for name, (shape, optional) in declared.items():
-        if name in data:
-            why = problem(shape, data[name])
-            if why:
-                out.append(f"{prefix}.{name}{why}")
-        elif not optional:
-            out.append(f"{prefix}.{name}: missing")
-    if not out:
+        key = at + name
+        if name not in data:
+            if not optional:
+                out.append(f"{key}: missing")
+        elif why := problem(shape, data[name]):
+            out.append(f"{key}{why}")
+        elif name in sections:
+            section, many = sections[name]
+            if many:
+                for i, item in enumerate(data[name]):
+                    out += section_problems(section, item, f"{key}[{i}]")
+            else:
+                out += section_problems(section, data[name], key)
+    if not out and not sections:
         try:
             cls(**data)
         except ValueError as err:
-            out.append(f"{prefix}.{err}")
+            out.append(f"{at}{err}")
     return out

@@ -2,7 +2,8 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,9 @@ from frenetplan.cli import _hist_edges, _json_text, main
 from frenetplan.endpoint_regulation import terminal_deviation
 from frenetplan.errors import NoFeasibleCandidate
 from frenetplan.momentum_optimizer import PlanningContext, cost_cluster
+from frenetplan.replanning_sim import Scenario
 from frenetplan.scenarios import BUILDERS, curved_bumps, straight_crossing
+from frenetplan.schema import ListOf
 
 REPO = Path(__file__).resolve().parent.parent
 BUNDLED = REPO / "scenarios"
@@ -50,6 +53,49 @@ def test_bundled_scenarios_match_builders():
     for name, builder in BUILDERS.items():
         on_disk = json.loads((BUNDLED / f"{name}.json").read_text())
         assert on_disk == json.loads(_json_text(builder(seed=0, n_cycles=8).to_dict()))
+
+
+@pytest.mark.parametrize("name", ["s1", "s2", "s3"])
+def test_bundled_file_is_its_scenario_written_back(name):
+    text = (BUNDLED / f"{name}.json").read_text()
+    scenario = Scenario.from_dict(json.loads(text))
+    assert json.dumps(scenario.to_dict(), indent=2) + "\n" == text
+
+
+def _declared_keys(cls, prefix=""):
+    """The scenario file keys that dataclass ``cls`` declares under
+    ``prefix``, as the README schema table names them."""
+    for f in fields(cls):
+        if not f.init:
+            continue
+        shape, key = f.metadata.get("shape", "finite"), prefix + f.name
+        section = shape.item if isinstance(shape, ListOf) else shape
+        if not isinstance(section, type):
+            yield key
+        elif section is shape:
+            yield from _declared_keys(section, key + ".")
+        else:
+            yield key
+            yield from _declared_keys(section, key + "[].")
+
+
+def _readme_schema_keys():
+    text = (REPO / "README.md").read_text().split("## Scenario schema", 1)[1]
+    keys = set()
+    for line in text.split("\n## ", 1)[0].splitlines():
+        if not line.startswith("| `"):
+            continue
+        for key in re.findall(r"`([^`]+)`", line.split("|")[1]):
+            group = re.fullmatch(r"(.*)\{(.*)\}", key)
+            if group:
+                keys |= {group[1] + name.strip() for name in group[2].split(",")}
+            else:
+                keys.add(key)
+    return keys
+
+
+def test_readme_schema_table_lists_the_declared_keys():
+    assert _readme_schema_keys() == {"schema_version", *_declared_keys(Scenario)}
 
 
 def test_validate_rejects_bad_spacing(tmp_path, capsys):
@@ -277,6 +323,17 @@ def test_deeply_nested_json_is_malformed(tmp_path, capsys, command):
     assert "malformed JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["null", "[]", "0"])
+@pytest.mark.parametrize("command", ["validate", "run", "cluster"])
+def test_json_that_is_not_an_object_is_a_schema_error(tmp_path, capsys, command, text):
+    path = tmp_path / "scenario.json"
+    path.write_text(text + "\n")
+    argv = [command, str(path)] + ([] if command == "validate" else ["--out", str(tmp_path)])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "scenario: top level must be a JSON object" in captured.out + captured.err
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["validate", "no/such/file.json"]) == 2
     assert "not found" in capsys.readouterr().err
@@ -388,14 +445,14 @@ def test_cluster_column_is_the_terminal_term_the_cost_adds(tmp_path):
     scn = replanning_sim.Scenario.from_dict(_bundled("s1"))
     path = scn.build_path()
     cluster = replanning_sim.cycle_cluster(
-        scn.initial, path, replanning_sim.cycle_grid(scn, 0), scn.regulation, True
+        scn.initial_state, path, replanning_sim.cycle_grid(scn, 0), scn.regulation, True
     )
     reference = cluster.candidates[cluster.reference_index]
     term = terminal_deviation(cluster.candidates, reference, scn.cost.terminal_weight)
     assert term[cluster.reference_index] == 0.0 and np.any(term > 0.0)
     # the first cycle's costs, as run() takes them
     ctx = PlanningContext(path, scn.assistive, scn.interaction, tuple(scn.agents),
-                          scn.sigma_baseline)
+                          scn.uncertainty.baseline_trace)
     full = cost_cluster(cluster.candidates, ctx, reference, scn.cost)
     zero = cost_cluster(cluster.candidates, ctx, reference,
                         replace(scn.cost, terminal_weight=0.0))

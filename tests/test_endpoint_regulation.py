@@ -192,8 +192,8 @@ def test_regulation_lowers_nn_dispersion():
             path = scn.build_path()
             for k in range(5):
                 grid = scn.grid.jittered(np.random.default_rng([scn.sim.seed, k]))
-                raw = generate_cluster(scn.initial, path, grid)
-                reg = regulated_cluster(scn.initial, path, grid, scn.regulation)
+                raw = generate_cluster(scn.initial_state, path, grid)
+                reg = regulated_cluster(scn.initial_state, path, grid, scn.regulation)
                 raw_stds.append(nn_distance_stats(raw).nn_std)
                 reg_stds.append(nn_distance_stats(reg).nn_std)
         wins += np.mean(reg_stds) < np.mean(raw_stds)

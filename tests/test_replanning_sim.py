@@ -102,7 +102,7 @@ def test_zero_cycles_echoes_initial_state():
     scn = straight_crossing(seed=1, n_cycles=0)
     log = run(scn, "proposed")
     assert log.cycles == [] and log.splices == []
-    assert np.array_equal(log.final_state.as_array(), scn.initial.as_array())
+    assert np.array_equal(log.final_state.as_array(), scn.initial_state.as_array())
 
 
 def test_run_is_deterministic():
