@@ -16,8 +16,10 @@ from .evaluation import (
     Constraint,
     FeasibilityReport,
     KinematicLimits,
+    KinematicPeaks,
     check_candidate,
     feasibility_breakdown,
+    kinematic_peaks,
     nn_distance_stats,
 )
 from .frenet_geometry import (

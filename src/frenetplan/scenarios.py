@@ -192,8 +192,3 @@ BUILDERS = {
     "s2": curved_bumps,
     "s3": narrow_oncoming,
 }
-
-
-def suite(seed: int = 0, n_cycles: int = 6):
-    """The three bundled scenarios at one seed."""
-    return [builder(seed=seed, n_cycles=n_cycles) for builder in BUILDERS.values()]

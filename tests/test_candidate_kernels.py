@@ -1,6 +1,6 @@
 """Per-candidate stages outside refinement against the earlier implementations
-kept in ``reference_kernels``: one-pass cluster costing, classification on
-component arrays, sampling in one batch per horizon (grid candidates and
+kept in ``reference_kernels``: one-pass cluster costing, classification in
+one pass per horizon group, sampling in one batch per horizon (grid candidates and
 spacing-repair insertions alike), the shared gradient stencil and the
 finite-difference adjoints. Outputs and raised exceptions must be bitwise
 identical, including on the branches the bundled scenarios never reach
@@ -26,14 +26,24 @@ from conftest import (
     s_curve_path,
 )
 from frenetplan import endpoint_regulation
-from frenetplan.endpoint_regulation import RegulationConfig, regulated_cluster
+from frenetplan.endpoint_regulation import (
+    RegulationConfig,
+    enforce_spacing,
+    regulated_cluster,
+    sort_by_terminal,
+)
 from frenetplan.errors import (
     CoincidentNeighbor,
     IllConditioned,
     PathTooShort,
     PlannerError,
 )
-from frenetplan.evaluation import Constraint, KinematicLimits, check_candidate
+from frenetplan.evaluation import (
+    Constraint,
+    KinematicLimits,
+    check_candidate,
+    kinematic_peaks,
+)
 from frenetplan.frenet_geometry import FrenetState
 from frenetplan.momentum_optimizer import (
     Neighbor,
@@ -49,6 +59,7 @@ from frenetplan.quintic_sampling import (
     QuinticCoeffs,
     SamplingGrid,
     TrajectoryCandidate,
+    TrajectoryCluster,
     build_candidate,
     build_candidates,
     eval_quintic,
@@ -129,9 +140,15 @@ def test_fd_gradient_matches_numpy_gradient(n, h):
     rng = np.random.default_rng(n)
     f = rng.normal(size=n) * rng.uniform(0.1, 50.0)
     assert_identical(fd_gradient(f, h), np.gradient(f, h, edge_order=2))
-    # a strided column, as the classifier and candidate rebuild pass them
+    # a strided column, as the candidate rebuild passes them
     states = rng.normal(size=(n, 6))
     assert_identical(fd_gradient(states[:, 2], h), np.gradient(states[:, 2], h, edge_order=2))
+    # a (k, n) horizon group, as the classifier passes them: row by row
+    rows = rng.normal(size=(5, n)) * rng.uniform(0.1, 50.0, size=(5, 1))
+    grouped = fd_gradient(rows, h)
+    assert_identical(grouped, np.gradient(rows, h, axis=-1, edge_order=2))
+    for row, values in zip(grouped, rows):
+        assert_identical(row, fd_gradient(values, h))
 
 
 @pytest.mark.parametrize("shape", [(3,), (4,), (5,), (41,), (7, 41), (2, 3, 25)])
@@ -195,6 +212,92 @@ def test_check_candidate_matches_reference_with_every_sample_at_rest():
     new = check_candidate(cand, s_curve_path(), LIMITS)
     assert "25 near-zero-speed" in new.notes[0]
     assert_same_report(new, ref.check_candidate(cand, s_curve_path(), LIMITS))
+
+
+PATHS = (s_curve_path(), circle_path(4.0), circle_path(3.0, ccw=False))
+
+
+def rest_candidate(initial, horizon, rest, gain, bend, step, seed):
+    """A candidate on the sample times of a built ``horizon`` candidate, at
+    rest for the first ``rest`` share of them (all of them from 1 on), then
+    moving along an arc; with ``step``, one 2 cm step between two rests."""
+    n = int(round(horizon / 0.05)) + 1
+    t = np.linspace(0.0, horizon, n)
+    if step:
+        s = np.where(np.arange(n) < n // 2, initial.s, initial.s + 0.02)
+        d = np.full(n, initial.d)
+    else:
+        move = np.clip(t - rest * horizon, 0.0, None)
+        s = initial.s + gain * move**2
+        d = initial.d + bend * move**3
+    cand = trace_candidate(s, d, 0.05, np.random.default_rng(seed))
+    cand.times = t
+    cand.horizon = horizon
+    return cand
+
+
+member = st.one_of(
+    st.tuples(
+        st.just("built"),
+        st.floats(0.0, 1.8),  # terminal speed
+        st.floats(-0.9, 0.9),  # lateral offset
+        st.sampled_from((1.0, 1.35, 2.0, 2.35, 2.5, 3.0)),  # horizon
+        st.booleans(),  # inserted
+    ),
+    st.tuples(
+        st.just("rest"),
+        st.sampled_from((1.0, 2.0, 2.35, 3.0)),  # horizon
+        st.floats(0.0, 1.2),  # share of the horizon at rest
+        st.floats(0.0, 1.5),  # gain of s after the rest
+        st.floats(-0.5, 0.5),  # bend of d after the rest
+        st.booleans(),  # one step between rests
+        st.integers(0, 2**16),  # seed of the stored rates and jerks
+    ),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    path=st.sampled_from(PATHS),
+    limits=st.sampled_from((LIMITS, TIGHT)),
+    initial=st.builds(
+        FrenetState, st.floats(1.0, 3.0), st.floats(0.0, 1.5), st.floats(-0.6, 0.6),
+        st.floats(-0.5, 0.5), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
+    ),
+    members=st.lists(member, min_size=1, max_size=10),
+)
+def test_cluster_peaks_classify_like_reference(path, limits, initial, members):
+    # mixed and interleaved horizons, one-candidate groups, and rows at rest
+    # (partly, wholly, or all but one step) inside a group of moving ones
+    cands = []
+    for kind, *args in members:
+        if kind == "rest":
+            cands.append(rest_candidate(initial, *args))
+            continue
+        speed, offset, horizon, inserted = args
+        terminal_s = initial.s + 0.5 * (initial.s_dot + speed) * horizon
+        # None for a dipping pair, a tuple for an ill-conditioned span
+        cand = outcome(build_candidate, initial, terminal_s, speed, offset, horizon, 0.05)
+        if isinstance(cand, TrajectoryCandidate):
+            cand.grid_key += ("inserted",) * inserted
+            cands.append(cand)
+    peaks = kinematic_peaks(cands, path)
+    assert len(peaks) == len(cands)
+    for cand, p in zip(cands, peaks):
+        old = ref.check_candidate(cand, path, limits)
+        assert_same_report(check_candidate(cand, path, limits, p), old)
+        assert_same_report(check_candidate(cand, path, limits), old)
+
+
+def test_regulated_cluster_peaks_classify_like_reference():
+    path = s_curve_path()
+    for initial, grid in regulation_cases():
+        cands = regulated_cluster(initial, path, grid, REG).candidates
+        assert any("inserted" in c.grid_key for c in cands)
+        for limits in (LIMITS, TIGHT):
+            for cand, p in zip(cands, kinematic_peaks(cands, path)):
+                assert_same_report(check_candidate(cand, path, limits, p),
+                                   ref.check_candidate(cand, path, limits))
 
 
 # --- sampling --------------------------------------------------------------------
@@ -421,6 +524,39 @@ def test_cluster_candidates_share_no_array_memory():
             ]
             for (i, x), (j, y) in itertools.combinations(arrays, 2):
                 assert not np.shares_memory(x, y), (i, j)
+
+
+def test_terminal_gaps_in_one_call_equal_the_per_row_norm():
+    # enforce_spacing measures every consecutive gap in one vecdot call; the
+    # gaps must keep the bits of one np.linalg.norm call per row (a batched
+    # np.linalg.norm(axis=1) does not)
+    diff = np.random.default_rng(0).normal(size=(50_000, 6))
+    assert_identical(np.sqrt(np.vecdot(diff, diff)),
+                     np.array([np.linalg.norm(row) for row in diff]))
+
+
+def test_spacing_measures_past_dropped_near_duplicates():
+    path = s_curve_path()
+    for initial, grid in regulation_cases()[:4]:
+        cluster = sort_by_terminal(generate_cluster(initial, path, grid))
+        # each candidate followed by exact copies, which are dropped; the gap
+        # to the next one is then measured from the kept original
+        doubled = replace(cluster, candidates=[
+            c.copy() for i, cand in enumerate(cluster.candidates)
+            for c in (cand,) * (1 + i % 3)
+        ])
+        assert len(doubled.candidates) > len(cluster.candidates)
+        new = enforce_spacing(doubled, REG, grid)
+        old = enforce_spacing(cluster, REG, grid)
+        assert new.reference_index == old.reference_index
+        assert new.spacing_budget_exhausted == old.spacing_budget_exhausted
+        assert len(new.candidates) == len(old.candidates)
+        for a, b in zip(new.candidates, old.candidates):
+            assert_same_candidate(a, b)
+    # a one-candidate cluster has no gap to measure
+    one = TrajectoryCluster(candidates=cluster.candidates[:1], reference_index=0,
+                            initial=cluster.initial)
+    assert len(enforce_spacing(one, REG, grid).candidates) == 1
 
 
 # --- costing ---------------------------------------------------------------------

@@ -162,9 +162,9 @@ def test_mode_contract_equalized_switches():
 def test_proposed_mode_does_not_refine(monkeypatch):
     seen = []
 
-    def spy(candidate, path, limits):
+    def spy(candidate, path, limits, peaks=None):
         seen.append(candidate)
-        return check_candidate(candidate, path, limits)
+        return check_candidate(candidate, path, limits, peaks)
 
     monkeypatch.setattr(replanning_sim, "check_candidate", spy)
     run(straight_crossing(seed=0, n_cycles=2), "proposed")
