@@ -11,10 +11,10 @@ segments.
 Velocities and accelerations entering the cost are derived from the position
 samples by finite differences (central in the interior, one-sided at the
 ends), so the cost is a pure function of the position trace and the descent
-contract is exact. All internals are shape-generic over leading batch axes:
-the simulator costs a whole cluster in one pass (``cost_cluster``), and
-``optimize_cluster`` descends a cluster in lockstep through the same code
-that optimizes a single candidate.
+contract is exact. The cost and force kernels are shape-generic over
+leading batch axes, so the simulator costs a whole cluster in one pass
+(``cost_cluster``). Refinement descends one candidate at a time
+(``optimize_trajectory``); ``optimize_cluster`` maps it over a cluster.
 """
 
 from __future__ import annotations
@@ -492,20 +492,20 @@ def cost_gradient(
 
 
 def _descend(times, ps, pd, ctx, config, terminal):
-    """Lockstep Armijo descent over a batch of position traces.
+    """Armijo descent of one position trace over its free samples.
 
-    ``ps``/``pd`` have shape (batch, n_samples); each row carries its own
-    constant terminal term, cost history, and line-search step. Rows stop
-    independently on the gradient tolerance or a failed line search. Each
-    trial point is evaluated once, for its cost and gradient together; an
-    accepted row carries that gradient into the next iteration.
+    ``ps``/``pd`` have shape (n_samples,) and are not written; ``terminal``
+    is the constant terminal term. Stops on the gradient tolerance, the iteration cap or a
+    failed line search. Each trial point is evaluated once, for its cost and
+    gradient together; an accepted point carries that gradient into the next
+    iteration. Returns the positions and the cost history.
     """
-    n_batch, n_nodes = ps.shape
     cur, grad = _cost_and_gradient(times, ps, pd, ctx, config)
     cur = cur + terminal
-    histories = [[float(c)] for c in cur]
+    history = [float(cur)]
+    n_nodes = len(times)
     if config.max_iters == 0 or n_nodes <= 2 * _FIXED_EDGE:
-        return ps, pd, cur, histories
+        return ps, pd, history
 
     h = float(times[1] - times[0])
     # Fixed step at the curvature scale of the acceleration penalty
@@ -515,55 +515,39 @@ def _descend(times, ps, pd, ctx, config, terminal):
     step0 = 1.0 / (1.0 + 32.0 * config.accel_weight / h**3 + config.mass / h)
     lo, hi = _FIXED_EDGE, n_nodes - _FIXED_EDGE
 
-    alive = np.ones(n_batch, dtype=bool)
     for _ in range(config.max_iters):
-        gnorm2 = np.sum(grad * grad, axis=(-2, -1))
-        alive &= np.sqrt(gnorm2) > config.grad_tol
-        if not np.any(alive):
+        gnorm2 = np.sum(grad * grad)
+        if not np.sqrt(gnorm2) > config.grad_tol:
             break
-        alpha = np.full(n_batch, step0)
-        trying = alive.copy()
-        accepted = np.zeros(n_batch, dtype=bool)
-        # rows still backtracking keep stepping along this iteration's gradient
-        next_grad = grad.copy()
+        alpha = step0
         for _ in range(_MAX_BACKTRACKS):
-            if not np.any(trying):
-                break
             ps_try = ps.copy()
             pd_try = pd.copy()
-            ps_try[:, lo:hi] -= alpha[:, None] * grad[..., 0]
-            pd_try[:, lo:hi] -= alpha[:, None] * grad[..., 1]
-            costs, grad_try = _cost_and_gradient(times, ps_try, pd_try, ctx, config)
-            costs = costs + terminal
-            ok = trying & (costs <= cur - config.armijo_c * alpha * gnorm2)
-            if np.any(ok):
-                ps[ok] = ps_try[ok]
-                pd[ok] = pd_try[ok]
-                cur[ok] = costs[ok]
-                next_grad[ok] = grad_try[ok]
-                accepted |= ok
-                for i in np.nonzero(ok)[0]:
-                    histories[i].append(float(costs[i]))
-            trying &= ~ok
-            alpha[trying] *= config.step_shrink
-        grad = next_grad
-        alive &= accepted
-        if not np.any(alive):
+            ps_try[lo:hi] -= alpha * grad[:, 0]
+            pd_try[lo:hi] -= alpha * grad[:, 1]
+            cost, grad_try = _cost_and_gradient(times, ps_try, pd_try, ctx, config)
+            cost = cost + terminal
+            if cost <= cur - config.armijo_c * alpha * gnorm2:
+                break
+            alpha *= config.step_shrink
+        else:
             break
-    return ps, pd, cur, histories
+        ps, pd, cur, grad = ps_try, pd_try, cost, grad_try
+        history.append(float(cur))
+    return ps, pd, history
 
 
-def _rebuild_candidate(candidate, ps, pd, cost, history) -> TrajectoryCandidate:
+def _rebuild_candidate(candidate, ps, pd, history) -> TrajectoryCandidate:
     """Candidate with refined positions; interior derivatives by central
     differences, endpoint rows kept at the original boundary values."""
     h = candidate.dt
     states = candidate.states.copy()
     states[:, 0] = ps
     states[:, 3] = pd
-    states[1:-1, 1] = (ps[2:] - ps[:-2]) / (2.0 * h)
-    states[1:-1, 2] = (ps[2:] - 2.0 * ps[1:-1] + ps[:-2]) / (h * h)
-    states[1:-1, 4] = (pd[2:] - pd[:-2]) / (2.0 * h)
-    states[1:-1, 5] = (pd[2:] - 2.0 * pd[1:-1] + pd[:-2]) / (h * h)
+    states[1:-1, 1] = _fd_velocity(ps, h)[1:-1]
+    states[1:-1, 2] = _fd_accel(ps, h)[1:-1]
+    states[1:-1, 4] = _fd_velocity(pd, h)[1:-1]
+    states[1:-1, 5] = _fd_accel(pd, h)[1:-1]
     states[0] = candidate.states[0]
     states[-1] = candidate.states[-1]
     return replace(
@@ -571,7 +555,7 @@ def _rebuild_candidate(candidate, ps, pd, cost, history) -> TrajectoryCandidate:
         states=states,
         jerk_lon=fd_gradient(states[:, 2], h),
         jerk_lat=fd_gradient(states[:, 5], h),
-        cost=cost,
+        cost=history[-1],
         cost_history=history,
         optimized=True,
     )
@@ -589,7 +573,16 @@ def optimize_trajectory(
     ``cost_history`` (actual objective values, non-increasing); terminates on
     the gradient tolerance, the iteration cap, or a failed line search.
     """
-    return optimize_cluster([candidate], ctx, reference, config)[0]
+    terminal = terminal_deviation([candidate], reference, config.terminal_weight)[0]
+    ps, pd, history = _descend(
+        candidate.times, candidate.states[:, 0], candidate.states[:, 3], ctx, config, terminal
+    )
+    if len(history) > 1:
+        return _rebuild_candidate(candidate, ps, pd, history)
+    refined = candidate.copy()
+    refined.cost = history[0]
+    refined.cost_history = history
+    return refined
 
 
 def optimize_cluster(
@@ -598,24 +591,5 @@ def optimize_cluster(
     reference: TrajectoryCandidate | None,
     config: OptimizerConfig,
 ):
-    """Optimize a whole cluster, batching candidates that share a horizon.
-
-    Exactly the per-candidate descent, run in lockstep; returns refined
-    candidates in the input order.
-    """
-    out = list(candidates)
-    for indices, batch, ps, pd in horizon_groups(candidates):
-        terminal = terminal_deviation(batch, reference, config.terminal_weight)
-        ps, pd, costs, histories = _descend(batch[0].times, ps, pd, ctx, config, terminal)
-        for row, i in enumerate(indices):
-            history = histories[row]
-            if len(history) == 1:
-                refined = candidates[i].copy()
-                refined.cost = history[0]
-                refined.cost_history = history
-            else:
-                refined = _rebuild_candidate(
-                    candidates[i], ps[row], pd[row], float(costs[row]), history
-                )
-            out[i] = refined
-    return out
+    """``optimize_trajectory`` of each candidate, in input order."""
+    return [optimize_trajectory(c, ctx, reference, config) for c in candidates]

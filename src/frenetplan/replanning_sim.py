@@ -75,14 +75,6 @@ class ModeSwitches:
     regulate: bool = True
     momentum_weights: bool = True
 
-    @classmethod
-    def proposed(cls) -> "ModeSwitches":
-        return MODES["proposed"]
-
-    @classmethod
-    def baseline(cls) -> "ModeSwitches":
-        return MODES["baseline"]
-
     @property
     def label(self) -> str:
         for name, switches in MODES.items():
@@ -190,15 +182,23 @@ def _check_scenario_dict(data: dict) -> tuple:
 
     # rules across sections, on values already known to be well formed
     grid, sim = data["grid"], data["sim"]
-    dt, commit = grid["dt"], sim["commit_horizon"]
-    for hz in grid["horizons"]:
-        if not _is_multiple(hz, dt):
-            v.append(f"grid.horizons: {hz} is not a multiple of grid.dt")
-    if commit > min(grid["horizons"]):
+    return _timing_problems(grid["horizons"], grid["dt"], sim["commit_horizon"]), path
+
+
+def _timing_problems(horizons, dt, commit) -> list:
+    """The rules across ``grid`` and ``sim``: every horizon and the commit
+    horizon are whole numbers of samples, and a cycle commits no more than
+    its shortest candidate."""
+    v = [
+        f"grid.horizons: {hz} is not a multiple of grid.dt"
+        for hz in horizons
+        if not _is_multiple(hz, dt)
+    ]
+    if commit > min(horizons):
         v.append("sim.commit_horizon: must not exceed the shortest grid horizon")
     if not _is_multiple(commit, dt):
         v.append("sim.commit_horizon: must be a multiple of grid.dt")
-    return v, path
+    return v
 
 
 @dataclass
@@ -328,6 +328,7 @@ def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimL
     """Execute the closed-loop replanning run.
 
     ``mode`` is a name in ``MODES`` or explicit ModeSwitches. Raises
+    ScenarioInvalid if the grid and sim timing disagree, and
     NoFeasibleCandidate (carrying the partial log) if a cycle has no
     feasible candidate.
     """
@@ -338,20 +339,22 @@ def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimL
             raise ValueError(f"unknown mode {mode!r}") from None
     else:
         switches = mode
+    grid, sim = scenario.grid, scenario.sim
+    problems = _timing_problems(grid.horizons, grid.dt, sim.commit_horizon)
+    if problems:
+        raise ScenarioInvalid(problems)
+    commit_idx = int(round(sim.commit_horizon / grid.dt))
 
     path = scenario.build_path()
     weights = scenario.cost
     if not switches.momentum_weights:
         weights = replace(weights, accel_weight=0.0, terminal_weight=0.0)
 
-    log = SimLog(
-        scenario_name=scenario.name, mode=switches.label, seed=scenario.sim.seed
-    )
+    log = SimLog(scenario_name=scenario.name, mode=switches.label, seed=sim.seed)
     state = scenario.initial_state
-    prev_end: Optional[np.ndarray] = None
 
-    for k in range(scenario.sim.n_cycles):
-        elapsed = k * scenario.sim.commit_horizon
+    for k in range(sim.n_cycles):
+        elapsed = k * sim.commit_horizon
         neighbors = tuple(
             Neighbor(
                 nb.position + elapsed * nb.velocity, nb.velocity, nb.covariance_trace
@@ -397,14 +400,9 @@ def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimL
             ) from err
         chosen = cluster.candidates[idx]
 
-        commit_idx = int(round(scenario.sim.commit_horizon / chosen.dt))
-        if abs(commit_idx * chosen.dt - scenario.sim.commit_horizon) > 1e-9:
-            raise ScenarioInvalid(
-                [f"sim.commit_horizon: not aligned with candidate sampling ({chosen.dt})"]
-            )
-
-        if prev_end is not None:
-            gap = cluster.initial.as_array() - prev_end
+        if log.cycles:
+            # the executed first sample against the previous committed end
+            gap = chosen.states[0] - log.cycles[-1].states[-1]
             log.splices.append(
                 {
                     "cycle": k,
@@ -445,7 +443,6 @@ def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimL
             )
         )
 
-        prev_end = chosen.states[commit_idx].copy()
         state = FrenetState.from_array(chosen.states[commit_idx])
 
     log.final_state = state

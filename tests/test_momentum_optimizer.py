@@ -18,7 +18,7 @@ from frenetplan.momentum_optimizer import (
     total_cost,
 )
 from frenetplan.quintic_sampling import build_candidate, SamplingGrid
-from frenetplan.endpoint_regulation import regulated_cluster
+from frenetplan.endpoint_regulation import regulated_cluster, terminal_deviation
 
 import reference_kernels
 from conftest import active_context, make_candidate, make_context, random_candidate, straight_path
@@ -288,20 +288,30 @@ def test_optimize_descends_and_preserves_boundaries():
         assert np.array_equal(out.states[-1], cand.states[-1])
 
 
-def test_cluster_optimization_matches_single():
+def test_cluster_optimization_matches_reference_descent():
+    # a mixed-horizon regulated cluster, spacing insertions included: each
+    # refined candidate is the earlier lockstep descent's row, bit for bit
     path = straight_path(40.0)
     initial = FrenetState(1.0, 0.9, 0.0, 0.1, 0.0, 0.0)
-    grid = SamplingGrid((0.8, 1.1), (-0.4, 0.0, 0.4), (2.0,), 0.05)
+    grid = SamplingGrid((0.8, 1.1), (-0.4, 0.0, 0.4), (2.0, 3.0), 0.05)
     cluster = regulated_cluster(initial, path, grid, REG)
+    assert {2.0, 3.0} <= {c.horizon for c in cluster.candidates}
+    assert any("inserted" in c.grid_key for c in cluster.candidates)
     ctx = active_context(path)
     ref = cluster.candidates[cluster.reference_index]
     cfg = OptimizerConfig(max_iters=10)
-    batched = optimize_cluster(cluster.candidates, ctx, ref, cfg)
-    for cand, bat in zip(cluster.candidates, batched):
-        single = optimize_trajectory(cand, ctx, ref, cfg)
-        assert np.array_equal(single.states, bat.states)
-        assert single.cost == bat.cost
-        assert single.cost_history == bat.cost_history
+    refined = optimize_cluster(cluster.candidates, ctx, ref, cfg)
+    assert len(refined) == len(cluster.candidates)
+    for cand, out in zip(cluster.candidates, refined):
+        terminal = terminal_deviation([cand], ref, cfg.terminal_weight)
+        ps, pd, cur, histories = reference_kernels._descend(
+            cand.times, cand.states[None, :, 0].copy(), cand.states[None, :, 3].copy(),
+            ctx, cfg, terminal,
+        )
+        assert np.array_equal(out.states[:, 0], ps[0])
+        assert np.array_equal(out.states[:, 3], pd[0])
+        assert out.cost == cur[0]
+        assert out.cost_history == histories[0]
 
 
 def test_fused_descent_matches_two_pass_reference_when_backtracking(monkeypatch):
@@ -342,11 +352,15 @@ def test_fused_descent_matches_two_pass_reference_when_backtracking(monkeypatch)
     # one cost evaluation per trial: more than one trial in some iteration
     assert calls["cost"] > 1 + calls["gradient"]
 
-    got = momentum_optimizer._descend(times, ps.copy(), pd.copy(), ctx, cfg, reg_terms.copy())
-    for value, reference in zip(got[:3], expected[:3]):
-        assert np.array_equal(value, reference)
-    assert got[3] == expected[3]
-    assert all(len(h) > 1 for h in got[3])
+    for row in range(len(batch)):
+        got = momentum_optimizer._descend(
+            times, ps[row].copy(), pd[row].copy(), ctx, cfg, reg_terms[row]
+        )
+        assert np.array_equal(got[0], expected[0][row])
+        assert np.array_equal(got[1], expected[1][row])
+        assert got[2][-1] == expected[2][row]
+        assert got[2] == expected[3][row]
+        assert len(got[2]) > 1
 
 
 def test_config_validation():

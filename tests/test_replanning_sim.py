@@ -5,11 +5,12 @@ import pytest
 from dataclasses import replace
 
 from frenetplan.errors import NoFeasibleCandidate, ScenarioInvalid
-from frenetplan import replanning_sim
+from frenetplan import quintic_sampling, replanning_sim
 from frenetplan.evaluation import FeasibilityReport, KinematicLimits, check_candidate
 from frenetplan.frenet_geometry import build_reference_path
 from frenetplan.quintic_sampling import SamplingGrid
 from frenetplan.replanning_sim import (
+    MODES,
     ModeSwitches,
     Scenario,
     run,
@@ -122,6 +123,36 @@ def test_splice_continuity():
         assert splice["acceleration_gap"] <= 1e-9
 
 
+def test_splice_gap_measures_the_executed_trace(monkeypatch):
+    # a sampler that moves every candidate's first sample off the cycle's
+    # initial state must show up as a position gap at every splice
+    sample = quintic_sampling._sample
+
+    def shifted(*args):
+        out = sample(*args)
+        for cand in out:
+            if cand is not None:
+                cand.states[0, 0] += 1e-4
+        return out
+
+    monkeypatch.setattr(quintic_sampling, "_sample", shifted)
+    log = run(straight_crossing(seed=4, n_cycles=3), "proposed")
+    assert len(log.splices) == 2
+    for splice in log.splices:
+        assert splice["position_gap"] == pytest.approx(1e-4, rel=1e-6)
+
+
+def test_run_rejects_a_commit_horizon_beyond_the_shortest_horizon():
+    scn = straight_crossing(seed=0, n_cycles=2)
+    assert min(scn.grid.horizons) == 2.0
+    scn.sim = replace(scn.sim, commit_horizon=2.5)
+    with pytest.raises(ScenarioInvalid) as err:
+        run(scn, "proposed")
+    assert err.value.violations == [
+        "sim.commit_horizon: must not exceed the shortest grid horizon"
+    ]
+
+
 def test_agents_advance_exactly():
     scn = narrow_oncoming(seed=5, n_cycles=4)
     log = run(scn, "baseline")
@@ -154,8 +185,8 @@ def test_mode_contract_equalized_switches():
     named = run(scn, "baseline")
     assert json.dumps(explicit.to_dict()) == json.dumps(named.to_dict())
     assert explicit.mode == "baseline"
-    assert run(scn, ModeSwitches.proposed()).mode == "proposed"
-    assert ModeSwitches() == ModeSwitches.proposed()
+    assert run(scn, MODES["proposed"]).mode == "proposed"
+    assert ModeSwitches() == MODES["proposed"]
     assert ModeSwitches(regulate=True, momentum_weights=False).label == "custom(regulate)"
 
 
