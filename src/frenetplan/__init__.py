@@ -42,7 +42,6 @@ from .momentum_optimizer import (
     total_cost,
 )
 from .quintic_sampling import (
-    QuinticCoeffs,
     SamplingGrid,
     TrajectoryCandidate,
     TrajectoryCluster,

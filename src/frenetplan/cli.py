@@ -442,7 +442,7 @@ def main(argv=None) -> int:
         for item in err.violations:
             print(f"schema violation: {item}", file=sys.stderr)
         return 2
-    except (NoFeasibleCandidate, EmptyCluster, PlannerError) as err:
+    except PlannerError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except ValueError as err:

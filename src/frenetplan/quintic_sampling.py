@@ -2,7 +2,8 @@
 
 Longitudinal motion s(t) is a quintic in time; lateral motion d(sigma) is a
 quintic in the longitudinal displacement sigma = s - s(0), converted to time
-derivatives through the chain rule when sampling.
+derivatives through the chain rule when sampling. A quintic is the float
+(6,) array of its monomial coefficients c0..c5 over its native abscissa.
 """
 
 from __future__ import annotations
@@ -29,18 +30,9 @@ _SLOW_SPEED = 1e-9
 _COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class QuinticCoeffs:
-    """Monomial coefficients c0..c5 over the native abscissa."""
-
-    c: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
-
-
-def solve_quintic(b0, bT, span) -> QuinticCoeffs:
-    """Unique quintic matching (value, d1, d2) at abscissa 0 and at ``span``.
+def solve_quintic(b0, bT, span) -> np.ndarray:
+    """Monomial coefficients c0..c5 of the unique quintic matching (value,
+    d1, d2) at abscissa 0 and at ``span``, as a float (6,) array.
 
     Solved in closed form; the conditioning of the equivalent boundary system
     scales like max(span, 1/span)^5 and is rejected beyond 1e12.
@@ -63,23 +55,16 @@ def solve_quintic(b0, bT, span) -> QuinticCoeffs:
     c3 = (20.0 * y1 - 8.0 * y2 * T + y3 * T2) / (2.0 * T**3)
     c4 = (-30.0 * y1 + 14.0 * y2 * T - 2.0 * y3 * T2) / (2.0 * T**4)
     c5 = (12.0 * y1 - 6.0 * y2 * T + y3 * T2) / (2.0 * T**5)
-    return QuinticCoeffs(np.array([c0, c1, c2, c3, c4, c5]))
+    return np.array([c0, c1, c2, c3, c4, c5])
 
 
-def eval_quintic(coeffs: QuinticCoeffs, x):
-    """Evaluate the polynomial and its first three derivatives (Horner).
+def eval_quintic(c, x):
+    """Value and first three derivatives of c0 + c1 x + ... + c5 x^5 (Horner).
 
-    Accepts a scalar or an array abscissa; extrapolation is permitted.
-    """
-    return _horner(coeffs.c, x)
-
-
-def _horner(c, x):
-    """Value and first three derivatives of c0 + c1 x + ... + c5 x^5.
-
-    The coefficients are scalars, or arrays broadcasting against ``x`` (a
-    batch of quintics as (k, 1) columns over (k, n) or (n,) abscissae); each
-    element takes the same operations either way.
+    ``c`` holds one quintic's six coefficients, with a scalar or an array
+    abscissa ``x``, or a (6, k, 1) batch of k quintics as columns over (k, n)
+    abscissae; each element takes the same operations either way.
+    Extrapolation is permitted.
     """
     c0, c1, c2, c3, c4, c5 = c
     value = ((((c5 * x + c4) * x + c3) * x + c2) * x + c1) * x + c0
@@ -132,13 +117,16 @@ class SamplingGrid:
 class TrajectoryCandidate:
     """One sampled trajectory: paired quintics plus the discretized states.
 
-    ``states`` rows are [s, s_dot, s_ddot, d, d_dot, d_ddot] at ``times``;
-    ``jerk_lon``/``jerk_lat`` hold the per-sample third time derivatives
-    (polynomial-exact at generation, finite-difference after refinement).
+    ``lon`` holds the coefficients c0..c5 of s(t) and ``lat`` those of
+    d(sigma) over [0, ``lat_span``], each a float (6,) array that candidates
+    sharing a solve share. ``states`` rows are [s, s_dot, s_ddot, d, d_dot,
+    d_ddot] at ``times``; ``jerk_lon``/``jerk_lat`` hold the per-sample
+    third time derivatives (polynomial-exact at generation,
+    finite-difference after refinement).
     """
 
-    lon: QuinticCoeffs
-    lat: QuinticCoeffs
+    lon: np.ndarray
+    lat: np.ndarray
     lat_span: float
     horizon: float
     times: np.ndarray
@@ -206,34 +194,27 @@ class CandidateSpec(NamedTuple):
     grid_key: tuple = ()
 
 
-class _Solved(NamedTuple):
-    """Both quintics of one candidate, not yet sampled."""
-
-    spec: CandidateSpec
-    lon: QuinticCoeffs
-    lat: QuinticCoeffs
-    lat_span: float
-
-
-def _coefficient_columns(quintics) -> np.ndarray:
-    """c0..c5 of k quintics, each as a (k, 1) column for ``_horner``."""
-    return np.array([q.c for q in quintics]).T[:, :, None]
-
-
 def _sample(
-    initial: FrenetState, horizon: float, dt: float, solved: Sequence[_Solved]
+    initial: FrenetState,
+    horizon: float,
+    dt: float,
+    specs: Sequence[CandidateSpec],
+    lon: Sequence[np.ndarray],
+    lat: Sequence[np.ndarray],
+    lat_spans: Sequence[float],
 ) -> list:
-    """Sample solved candidates sharing one horizon as (k, n) arrays.
+    """Sample candidates sharing one horizon as (k, n) arrays: spec i with
+    the coefficient rows ``lon[i]`` and ``lat[i]`` over ``lat_spans[i]``.
 
-    Returns one candidate per entry, in order, or None where the
+    Returns one candidate per spec, in order, or None where the
     longitudinal samples dip. Each candidate's arrays are rows of blocks
     shared by the batch: disjoint memory, states a row of one (k, n, 6) block.
     """
     n = max(4, int(round(horizon / dt)))
     times = np.linspace(0.0, horizon, n + 1)
-    s, s_dot, s_ddot, s_jerk = _horner(_coefficient_columns([x.lon for x in solved]), times)
+    s, s_dot, s_ddot, s_jerk = eval_quintic(np.array(lon).T[:, :, None], times)
     dips = np.any(np.diff(s, axis=1) < -1e-10, axis=1)
-    d, dp, dpp, dppp = _horner(_coefficient_columns([x.lat for x in solved]), s - initial.s)
+    d, dp, dpp, dppp = eval_quintic(np.array(lat).T[:, :, None], s - initial.s)
     d_dot = dp * s_dot
     d_ddot = dpp * s_dot**2 + dp * s_ddot
     d_jerk = dppp * s_dot**3 + 3.0 * dpp * s_dot * s_ddot + dp * s_jerk
@@ -243,25 +224,24 @@ def _sample(
     # Snap the terminal sample to the imposed boundary (solver residual is
     # ~1e-13); exact terminals keep sorting ties and de-duplication stable.
     states[:, -1] = [
-        (x.spec.terminal_s, x.spec.terminal_speed, 0.0, x.spec.lateral_offset, 0.0, 0.0)
-        for x in solved
+        (x.terminal_s, x.terminal_speed, 0.0, x.lateral_offset, 0.0, 0.0) for x in specs
     ]
-    times = np.tile(times, (len(solved), 1))
+    times = np.tile(times, (len(specs), 1))
     return [
         None
         if dips[i]
         else TrajectoryCandidate(
-            lon=x.lon,
-            lat=x.lat,
-            lat_span=x.lat_span,
+            lon=lon[i],
+            lat=lat[i],
+            lat_span=lat_spans[i],
             horizon=horizon,
             times=times[i],
             states=states[i],
             jerk_lon=s_jerk[i],
             jerk_lat=d_jerk[i],
-            grid_key=x.spec.grid_key,
+            grid_key=x.grid_key,
         )
-        for i, x in enumerate(solved)
+        for i, x in enumerate(specs)
     ]
 
 
@@ -294,11 +274,11 @@ def build_candidates(
                 target.horizon,
             )
         lat = solve_quintic(boundary, (target.lateral_offset, 0.0, 0.0), span)
-        by_horizon.setdefault(target.horizon, []).append((i, _Solved(target, lon, lat, span)))
+        by_horizon.setdefault(target.horizon, []).append((i, target, lon, lat, span))
     out = [None] * len(specs)
     for horizon, group in by_horizon.items():
-        index, solved = zip(*group)
-        for i, cand in zip(index, _sample(initial, horizon, dt, solved)):
+        index, group_specs, lon, lat, spans = zip(*group)
+        for i, cand in zip(index, _sample(initial, horizon, dt, group_specs, lon, lat, spans)):
             out[i] = cand
     return out
 
@@ -357,8 +337,8 @@ def generate_cluster(
     return TrajectoryCluster(candidates=candidates, reference_index=0, initial=initial)
 
 
-def integrated_squared_jerk(coeffs: QuinticCoeffs, span: float) -> float:
+def integrated_squared_jerk(coeffs, span: float) -> float:
     """Exact integral of the squared third derivative over [0, span]."""
-    poly = np.polynomial.Polynomial(coeffs.c)
+    poly = np.polynomial.Polynomial(coeffs)
     jerk = poly.deriv(3)
     return float((jerk * jerk).integ()(span) - (jerk * jerk).integ()(0.0))

@@ -328,9 +328,9 @@ def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimL
     """Execute the closed-loop replanning run.
 
     ``mode`` is a name in ``MODES`` or explicit ModeSwitches. Raises
-    ScenarioInvalid if the grid and sim timing disagree, and
-    NoFeasibleCandidate (carrying the partial log) if a cycle has no
-    feasible candidate.
+    ScenarioInvalid if the grid and sim timing disagree, PlannerError if a
+    candidate's cost is not finite, and NoFeasibleCandidate (carrying the
+    partial log) if a cycle has no feasible candidate.
     """
     if isinstance(mode, str):
         try:
@@ -375,7 +375,12 @@ def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimL
         reference = cluster.candidates[cluster.reference_index]
 
         costs = cost_cluster(cluster.candidates, ctx, reference, weights)
-        for cand, cost in zip(cluster.candidates, costs):
+        for i, (cand, cost) in enumerate(zip(cluster.candidates, costs)):
+            if not math.isfinite(cost):
+                # selection would pass over it silently
+                raise PlannerError(
+                    f"cycle {k}: candidate {i} {cand.grid_key} has non-finite cost {cost}"
+                )
             cand.cost = cost
 
         # one classification pass over the cluster; the per-candidate calls

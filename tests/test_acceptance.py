@@ -75,11 +75,11 @@ def test_criterion_1_quintic_boundary_satisfaction():
         span = float(rng.uniform(0.3, 5.0))
         coeffs = solve_quintic(b0, bT, span)
         for x, b in ((0.0, b0), (span, bT)):
-            value = oracle_eval(coeffs.c, x)
+            value = oracle_eval(coeffs, x)
             worst = max(worst, *(abs(value[k] - b[k]) for k in range(3)))
     rest = solve_quintic((0, 0, 0), (1, 0, 0), 1.0)
-    assert np.allclose(rest.c, [0, 0, 0, 10, -15, 6], atol=1e-9)
-    assert np.allclose(oracle_solve((0, 0, 0), (1, 0, 0), 1.0), rest.c, atol=1e-9)
+    assert np.allclose(rest, [0, 0, 0, 10, -15, 6], atol=1e-9)
+    assert np.allclose(oracle_solve((0, 0, 0), (1, 0, 0), 1.0), rest, atol=1e-9)
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-9
     assert elapsed < 1.0

@@ -56,7 +56,6 @@ from frenetplan.momentum_optimizer import (
 )
 from frenetplan.quintic_sampling import (
     CandidateSpec,
-    QuinticCoeffs,
     SamplingGrid,
     TrajectoryCandidate,
     TrajectoryCluster,
@@ -96,8 +95,8 @@ def assert_same_candidate(new, old):
     assert new.lat_span == old.lat_span
     for field in ("times", "states", "jerk_lon", "jerk_lat"):
         assert_identical(getattr(new, field), getattr(old, field))
-    assert_identical(new.lon.c, old.lon.c)
-    assert_identical(new.lat.c, old.lat.c)
+    assert_identical(new.lon, old.lon)
+    assert_identical(new.lat, old.lat)
 
 
 def outcome(fn, *args):
@@ -124,7 +123,7 @@ def trace_candidate(s, d, dt, rng):
     n = len(s)
     states = np.column_stack([s, rng.normal(size=n), rng.normal(size=n),
                               d, rng.normal(size=n), rng.normal(size=n)])
-    zero = QuinticCoeffs(np.zeros(6))
+    zero = np.zeros(6)
     return TrajectoryCandidate(
         lon=zero, lat=zero, lat_span=1.0, horizon=dt * (n - 1),
         times=np.linspace(0.0, dt * (n - 1), n), states=states,

@@ -50,9 +50,10 @@ def test_bundled_scenarios_validate():
 
 
 def test_bundled_scenarios_match_builders():
+    # byte for byte: the files are the builders' scenarios as the CLI writes JSON
     for name, builder in BUILDERS.items():
-        on_disk = json.loads((BUNDLED / f"{name}.json").read_text())
-        assert on_disk == json.loads(_json_text(builder(seed=0, n_cycles=8).to_dict()))
+        on_disk = (BUNDLED / f"{name}.json").read_text()
+        assert on_disk == _json_text(builder(seed=0, n_cycles=8).to_dict()) + "\n"
 
 
 @pytest.mark.parametrize("name", ["s1", "s2", "s3"])
@@ -401,6 +402,16 @@ def test_run_infeasible_scenario_exits_one(tmp_path, scenario_file, capsys):
         partial = failed.value.partial_log.to_dict()
         assert len(partial["cycles"]) == recorded
         assert json.loads((out / "simlog.json").read_text()) == rounded(partial)
+
+
+def test_run_non_finite_cost_exits_one(tmp_path, scenario_file, capsys):
+    scn = straight_crossing(seed=0, n_cycles=2)
+    scn.cost = replace(scn.cost, mass=1.3e308)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        assert main(["run", str(scenario_file(scn)), "--out", str(out)]) == 1
+    assert "has non-finite cost" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_seed_override(tmp_path, scenario_file):

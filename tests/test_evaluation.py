@@ -13,7 +13,6 @@ from frenetplan.evaluation import (
 )
 from frenetplan.frenet_geometry import FrenetState
 from frenetplan.quintic_sampling import (
-    QuinticCoeffs,
     TrajectoryCandidate,
     TrajectoryCluster,
     build_candidate,
@@ -134,7 +133,7 @@ def test_jerk_zero_for_constant_velocity():
 
 def test_jerk_of_rest_to_rest_quintic():
     lon = solve_quintic((0, 0, 0), (1, 0, 0), 1.0)
-    lat = QuinticCoeffs(np.zeros(6))
+    lat = np.zeros(6)
     cand = manual_candidate(lon, lat, horizon=1.0)
     peak = abs_summary(cand.jerk_lon)[3]
     # j(t) = 60 - 360 t + 360 t^2: 60 at both ends, -30 at the midpoint

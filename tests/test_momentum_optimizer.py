@@ -186,7 +186,7 @@ def test_total_cost_trapezoid_convergence():
     errors = []
     for dt in (0.1, 0.05):
         cand = build_candidate(initial, 1.0 + 0.5 * (0.6 + v_T) * T, v_T, 0.0, T, dt)
-        poly = np.polynomial.Polynomial(cand.lon.c)
+        poly = np.polynomial.Polynomial(cand.lon)
         speed_sq = poly.deriv(1) ** 2
         exact = 0.5 * float(speed_sq.integ()(T) - speed_sq.integ()(0.0))
         errors.append(abs(total_cost(cand, ctx, None, cfg) - exact))

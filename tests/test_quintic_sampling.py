@@ -9,7 +9,6 @@ from frenetplan.errors import (
 )
 from frenetplan.frenet_geometry import FrenetState
 from frenetplan.quintic_sampling import (
-    QuinticCoeffs,
     SamplingGrid,
     eval_quintic,
     generate_cluster,
@@ -40,18 +39,18 @@ def oracle_eval(coeffs, x):
 def test_rest_to_rest_unit_displacement():
     got = solve_quintic((0, 0, 0), (1, 0, 0), 1.0)
     expected = np.array([0.0, 0.0, 0.0, 10.0, -15.0, 6.0])
-    assert np.allclose(got.c, expected, atol=1e-9)
+    assert np.allclose(got, expected, atol=1e-9)
     assert np.allclose(oracle_solve((0, 0, 0), (1, 0, 0), 1.0), expected, atol=1e-9)
 
 
 def test_zero_boundaries_give_zero_polynomial():
     got = solve_quintic((0, 0, 0), (0, 0, 0), 1.0)
-    assert np.allclose(got.c, 0.0, atol=1e-12)
+    assert np.allclose(got, 0.0, atol=1e-12)
 
 
 def test_constant_velocity_line():
     got = solve_quintic((0, 1, 0), (1, 1, 0), 1.0)
-    assert np.allclose(got.c, [0, 1, 0, 0, 0, 0], atol=1e-9)
+    assert np.allclose(got, [0, 1, 0, 0, 0, 0], atol=1e-9)
 
 
 def test_random_boundaries_match_oracle():
@@ -61,9 +60,10 @@ def test_random_boundaries_match_oracle():
         bT = tuple(rng.uniform(-3, 3, size=3))
         T = float(rng.uniform(0.3, 5.0))
         got = solve_quintic(b0, bT, T)
-        assert np.allclose(got.c, oracle_solve(b0, bT, T), rtol=1e-8, atol=1e-9)
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (6,)
+        assert np.allclose(got, oracle_solve(b0, bT, T), rtol=1e-8, atol=1e-9)
         for x, b in ((0.0, b0), (T, bT)):
-            val = oracle_eval(got.c, x)
+            val = oracle_eval(got, x)
             assert abs(val[0] - b[0]) <= 1e-9
             assert abs(val[1] - b[1]) <= 1e-9
             assert abs(val[2] - b[2]) <= 1e-9
@@ -79,19 +79,28 @@ def test_span_errors():
 
 
 def test_eval_quintic_examples():
-    c = QuinticCoeffs(np.array([0.0, 0.0, 0.0, 10.0, -15.0, 6.0]))
+    c = np.array([0.0, 0.0, 0.0, 10.0, -15.0, 6.0])
     assert np.allclose(eval_quintic(c, 0.5), (0.5, 1.875, 0.0, -30.0), atol=1e-12)
     assert np.allclose(eval_quintic(c, 0.0), (0.0, 0.0, 0.0, 60.0), atol=1e-12)
-    line = QuinticCoeffs(np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0]))
+    line = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     assert np.allclose(eval_quintic(line, 7.0), (7.0, 1.0, 0.0, 0.0), atol=1e-12)
 
 
 def test_eval_quintic_against_symbolic_oracle():
     rng = np.random.default_rng(4)
     for _ in range(50):
-        c = QuinticCoeffs(rng.uniform(-2, 2, size=6))
+        c = rng.uniform(-2, 2, size=6)
         x = float(rng.uniform(-2, 2))
-        assert np.allclose(eval_quintic(c, x), oracle_eval(c.c, x), rtol=1e-10, atol=1e-10)
+        assert np.allclose(eval_quintic(c, x), oracle_eval(c, x), rtol=1e-10, atol=1e-10)
+    # a (6, k, 1) batch over (k, n) abscissae: row i is quintic i alone
+    rows = rng.uniform(-2, 2, size=(7, 6))
+    x = rng.uniform(-2, 2, size=(7, 11))
+    batch = eval_quintic(rows.T[:, :, None], x)
+    for i, c in enumerate(rows):
+        alone = eval_quintic(c, x[i])
+        for got, want in zip(batch, alone):
+            assert got[i].tobytes() == want.tobytes()
+        assert np.allclose(alone, oracle_eval(c, x[i]), rtol=1e-10, atol=1e-10)
 
 
 def test_quintic_minimizes_squared_jerk_among_septics():
@@ -106,7 +115,7 @@ def test_quintic_minimizes_squared_jerk_among_septics():
     ) ** 3
     for _ in range(100):
         a, b = rng.uniform(-5, 5, size=2)
-        septic = np.polynomial.Polynomial(quintic.c) + bubble * np.polynomial.Polynomial([a, b])
+        septic = np.polynomial.Polynomial(quintic) + bubble * np.polynomial.Polynomial([a, b])
         jerk = septic.deriv(3)
         cost = float((jerk * jerk).integ()(T) - (jerk * jerk).integ()(0.0))
         assert cost >= base - 1e-9

@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from dataclasses import replace
 
-from frenetplan.errors import NoFeasibleCandidate, ScenarioInvalid
+from frenetplan.errors import NoFeasibleCandidate, PlannerError, ScenarioInvalid
 from frenetplan import quintic_sampling, replanning_sim
 from frenetplan.evaluation import FeasibilityReport, KinematicLimits, check_candidate
 from frenetplan.frenet_geometry import build_reference_path
@@ -217,6 +218,19 @@ def test_no_feasible_candidate_carries_partial_log():
         run(scn, "baseline")
     assert err.value.partial_log is not None
     assert err.value.partial_log.final_state is not None
+
+
+def test_non_finite_cost_is_an_error():
+    # a mass that validates, but overflows the running cost of some candidates
+    scn = straight_crossing(seed=0, n_cycles=2)
+    scn.cost = replace(scn.cost, mass=1.3e308)
+    for mode in MODES:
+        with np.errstate(over="ignore"), pytest.raises(PlannerError) as err:
+            run(scn, mode)
+        assert type(err.value) is PlannerError
+        assert re.fullmatch(
+            r"cycle 0: candidate \d+ \(.+\) has non-finite cost (inf|-inf|nan)", str(err.value)
+        )
 
 
 def test_unknown_mode_rejected():
