@@ -58,7 +58,8 @@ def select_reference_candidate(cluster: TrajectoryCluster) -> int:
     terms = cluster.terminal_matrix()
     target = np.array([0.0, float(np.median(terms[:, 1]))])
     dev = np.column_stack([terms[:, 3], terms[:, 1]]) - target
-    dist2 = np.sum(dev * dev, axis=1)
+    # Python floats hold float64 exactly, and compare faster than numpy scalars
+    dist2 = np.sum(dev * dev, axis=1).tolist()
     best = 0
     for i in range(1, len(dist2)):
         if dist2[i] < dist2[best] - _TIE_TOL:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import EmptyInput, TooFewEndpoints
 from .frenet_geometry import ReferencePath
-from .momentum_optimizer import fd_gradient, horizon_groups
+from .momentum_optimizer import SampleRows, fd_gradient
 from .quintic_sampling import TrajectoryCandidate, TrajectoryCluster
 from .schema import check, spec
 
@@ -21,9 +21,9 @@ from .schema import check, spec
 # the corresponding checks are skipped at that sample.
 _DEGENERATE_SPEED = 1e-3
 
-# np.max without its Python-level dispatch, which costs more than the
-# reduction itself on arrays of a horizon group's size
-_amax = np.maximum.reduce
+# the largest value of each row of a ``SampleRows`` axis, given the rows'
+# starts: max is exact in any order, so each row gets the bits of np.max
+_row_max = np.maximum.reduceat
 
 
 class Constraint(str, enum.Enum):
@@ -92,63 +92,74 @@ class KinematicPeaks(NamedTuple):
     notes: tuple
 
 
-def kinematic_peaks(candidates, path: ReferencePath) -> list:
-    """``KinematicPeaks`` of each candidate, in input order, in one pass per
-    horizon group (``horizon_groups``) with one path-frame evaluation each.
+def kinematic_peaks(
+    candidates, path: ReferencePath, rows: Optional[SampleRows] = None
+) -> list:
+    """``KinematicPeaks`` of each candidate, in input order, in one pass over
+    the candidates' ``SampleRows`` (``rows``, built here if not given) and
+    their one path-frame evaluation.
 
     Speed/acceleration come from finite differences of the Cartesian trace,
     curvature from first/second central differences (yaw rate = curvature *
     speed, curvature rate = d kappa / dt), and jerk from the per-axis stored
     series. Every step is elementwise along a row or a max over it, so a
-    candidate's peaks do not depend on the rest of its group.
+    candidate's peaks do not depend on the rest of the cluster.
     """
-    out = [None] * len(candidates)
-    for indices, batch, ps, pd in horizon_groups(candidates):
-        dt = batch[0].dt
-        (px, py), _, _, (nx, ny), _ = path.frame(ps)
-        vx = fd_gradient(px + pd * nx, dt)
-        vy = fd_gradient(py + pd * ny, dt)
-        ax = fd_gradient(vx, dt)
-        ay = fd_gradient(vy, dt)
-        speed = np.sqrt(vx * vx + vy * vy)
-        accel = np.sqrt(ax * ax + ay * ay)
-        jerk_lon = _amax(np.abs(np.stack([c.jerk_lon for c in batch])), axis=1)
-        jerk_lat = _amax(np.abs(np.stack([c.jerk_lat for c in batch])), axis=1)
+    if not candidates:
+        return []
+    if rows is None:
+        rows = SampleRows.of(candidates, path)
+    h, first, last = rows.h, rows.starts, rows.last
+    (px, py), _, _, (nx, ny), _ = rows.frame or path.frame(rows.s)
+    vx = fd_gradient(px + rows.d * nx, h, first, last)
+    vy = fd_gradient(py + rows.d * ny, h, first, last)
+    ax = fd_gradient(vx, h, first, last)
+    ay = fd_gradient(vy, h, first, last)
+    speed = np.sqrt(vx * vx + vy * vy)
+    accel = np.sqrt(ax * ax + ay * ay)
+    jerk_lon = _row_max(np.abs(np.concatenate([c.jerk_lon for c in candidates])), first)
+    jerk_lat = _row_max(np.abs(np.concatenate([c.jerk_lat for c in candidates])), first)
 
-        # where the speed is degenerate, kappa and every curvature rate whose
-        # stencil touches such a sample are zeroed, so they never exceed a
-        # margin and leave 0.0 when no sample of the row is left
-        valid = speed > _DEGENERATE_SPEED
-        kappa = (vx * ay - vy * ax) / np.maximum(speed, _DEGENERATE_SPEED) ** 3
-        kappa[~valid] = 0.0
-        kappa_rate = fd_gradient(kappa, dt)
-        rate_valid = valid.copy()
-        rate_valid[:, :-1] &= valid[:, 1:]
-        rate_valid[:, 1:] &= valid[:, :-1]
-        kappa_rate[~rate_valid] = 0.0
+    # where the speed is degenerate, kappa and every curvature rate whose
+    # stencil touches such a sample of its own row are zeroed, so they never
+    # exceed a margin and leave 0.0 when no sample of the row is left
+    valid = speed > _DEGENERATE_SPEED
+    kappa = (vx * ay - vy * ax) / np.maximum(speed, _DEGENERATE_SPEED) ** 3
+    kappa[~valid] = 0.0
+    kappa_rate = fd_gradient(kappa, h, first, last)
+    rate_valid = valid.copy()
+    rate_valid[:-1] &= valid[1:]
+    rate_valid[1:] &= valid[:-1]
+    # the shifts above cross row boundaries: redo each row's end samples
+    rate_valid[first] = valid[first] & valid[first + 1]
+    rate_valid[last] = valid[last] & valid[last - 1]
+    kappa_rate[~rate_valid] = 0.0
 
-        peaks = np.stack(
-            [
-                _amax(speed, axis=1),
-                _amax(accel, axis=1),
-                # Python's max(lon, lat), NaN included
-                np.where(jerk_lat > jerk_lon, jerk_lat, jerk_lon),
-                _amax(np.abs(kappa), axis=1),
-                _amax(np.abs(kappa * speed), axis=1),
-                _amax(np.abs(kappa_rate), axis=1),
-            ],
-            axis=1,
-        ).tolist()
-        degenerate = (~valid.all(axis=1)).tolist()
-        for row, i in enumerate(indices):
-            notes = ()
-            if degenerate[row]:
-                skipped = np.flatnonzero(~valid[row])
-                notes = (
-                    f"curvature checks skipped at {skipped.size} near-zero-speed "
-                    f"sample(s), first at t={batch[row].times[skipped[0]]:.3f}",
-                )
-            out[i] = KinematicPeaks(*peaks[row], notes)
+    peaks = np.stack(
+        [
+            _row_max(speed, first),
+            _row_max(accel, first),
+            # Python's max(lon, lat), NaN included
+            np.where(jerk_lat > jerk_lon, jerk_lat, jerk_lon),
+            _row_max(np.abs(kappa), first),
+            _row_max(np.abs(kappa * speed), first),
+            _row_max(np.abs(kappa_rate), first),
+        ],
+        axis=1,
+    ).tolist()
+    degenerate = (~np.logical_and.reduceat(valid, first)).tolist()
+    out = []
+    for cand, start, end, row, skips in zip(
+        candidates, first.tolist(), rows.ends.tolist(), peaks, degenerate
+    ):
+        notes = ()
+        if skips:
+            skipped = np.flatnonzero(~valid[start:end])
+            notes = (
+                f"curvature checks skipped at {skipped.size} near-zero-speed "
+                f"sample(s), first at t={cand.times[skipped[0]]:.3f}",
+            )
+        out.append(KinematicPeaks(*row, notes))
     return out
 
 

@@ -11,15 +11,18 @@ segments.
 Velocities and accelerations entering the cost are derived from the position
 samples by finite differences (central in the interior, one-sided at the
 ends), so the cost is a pure function of the position trace and the descent
-contract is exact. The cost and force kernels are shape-generic over
-leading batch axes, so the simulator costs a whole cluster in one pass
-(``cost_cluster``). Refinement descends one candidate at a time
-(``optimize_trajectory``); ``optimize_cluster`` maps it over a cluster.
+contract is exact. The cost and force kernels are elementwise along the
+sample axis, so the simulator costs a whole cluster in one pass over its
+candidates laid back to back (``SampleRows``, ``cost_cluster``); the same
+layout and its one path-frame evaluation serve classification. Refinement
+descends one candidate at a time (``optimize_trajectory``);
+``optimize_cluster`` maps it over a cluster.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -207,19 +210,21 @@ def _assistive_batch(s, vs, d, vd, params: AssistiveParams, want_jac: bool):
     return force, jac
 
 
-def _interaction_batch(times, s, vs, d, vd, ctx: PlanningContext, want_jac: bool):
+def _interaction_batch(times, s, vs, d, vd, ctx: PlanningContext, want_jac: bool,
+                       frame=None):
     """Repulsion projected on the local (tangent, normal) frame per node.
 
     The agent's Cartesian position is r(s) + d*n(s) and its velocity is
     approximated as vs*t(s) + vd*n(s); both are differentiated exactly
     against the implemented spline geometry (parameter speed included).
+    ``frame`` is ``ctx.path.frame(s)`` if the caller has it already.
     """
     shape = np.shape(s)
     if not ctx.neighbors:
         jac = tuple([np.zeros(shape) for _ in range(4)] for _ in range(2)) if want_jac else None
         return (np.zeros(shape), np.zeros(shape)), jac
 
-    (px, py), gamma, (tx, ty), (nx, ny), kappa = ctx.path.frame(s)
+    (px, py), gamma, (tx, ty), (nx, ny), kappa = frame or ctx.path.frame(s)
     ax = px + d * nx
     ay = py + d * ny
     ux = vs * tx + vd * nx
@@ -297,10 +302,10 @@ def _interaction_batch(times, s, vs, d, vd, ctx: PlanningContext, want_jac: bool
     return force, jac
 
 
-def _force_field(times, s, vs, d, vd, ctx: PlanningContext, want_jac: bool):
+def _force_field(times, s, vs, d, vd, ctx: PlanningContext, want_jac: bool, frame=None):
     """External modulation F_ext = -F_assistive + F_interaction per node."""
     f_asst, j_asst = _assistive_batch(s, vs, d, vd, ctx.assistive, want_jac)
-    f_int, j_int = _interaction_batch(times, s, vs, d, vd, ctx, want_jac)
+    f_int, j_int = _interaction_batch(times, s, vs, d, vd, ctx, want_jac, frame)
     force = (f_int[0] - f_asst[0], f_int[1] - f_asst[1])
     jac = None
     if want_jac:
@@ -311,22 +316,31 @@ def _force_field(times, s, vs, d, vd, ctx: PlanningContext, want_jac: bool):
     return force, jac
 
 
-# --- finite-difference stencils over the position trace -----------------------
+# --- finite-difference stencils over position traces ---------------------------
+# Each stencil runs along the last axis. ``first``/``last`` index the first and
+# last sample of every row on it (by default the whole axis is one row), and
+# ``h`` is the sample step: a scalar, or one per sample. The central rows are
+# written over the whole axis first and the one-sided rows over them at each
+# row's ends, so rows laid back to back (``SampleRows``) get the bits each
+# would get alone.
 
-def _fd_velocity(p, h):
+def _fd_velocity(p, h, first=0, last=-1):
+    h = np.broadcast_to(h, p.shape)
     v = np.empty_like(p)
-    v[..., 0] = (p[..., 1] - p[..., 0]) / h
-    v[..., -1] = (p[..., -1] - p[..., -2]) / h
-    v[..., 1:-1] = (p[..., 2:] - p[..., :-2]) / (2.0 * h)
+    v[..., 1:-1] = (p[..., 2:] - p[..., :-2]) / (2.0 * h[..., 1:-1])
+    v[..., first] = (p[..., first + 1] - p[..., first]) / h[..., first]
+    v[..., last] = (p[..., last] - p[..., last - 1]) / h[..., last]
     return v
 
 
-def _fd_accel(p, h):
-    h2 = h * h
+def _fd_accel(p, h, first=0, last=-1):
+    h2 = np.broadcast_to(h * h, p.shape)
     a = np.empty_like(p)
-    a[..., 1:-1] = (p[..., 2:] - 2.0 * p[..., 1:-1] + p[..., :-2]) / h2
-    a[..., 0] = (p[..., 0] - 2.0 * p[..., 1] + p[..., 2]) / h2
-    a[..., -1] = (p[..., -1] - 2.0 * p[..., -2] + p[..., -3]) / h2
+    a[..., 1:-1] = (p[..., 2:] - 2.0 * p[..., 1:-1] + p[..., :-2]) / h2[..., 1:-1]
+    a[..., first] = (
+        p[..., first] - 2.0 * p[..., first + 1] + p[..., first + 2]
+    ) / h2[..., first]
+    a[..., last] = (p[..., last] - 2.0 * p[..., last - 1] + p[..., last - 2]) / h2[..., last]
     return a
 
 
@@ -363,15 +377,24 @@ def _fd_accel_adjoint(y, h):
     return g
 
 
-def fd_gradient(f, h):
-    """``np.gradient(f, h, axis=-1, edge_order=2)``, term for term: central
-    differences inside, second-order one-sided differences at the ends, on
-    uniform spacing ``h`` along the last axis (each row of a 2-D array gets
-    the bits of its own 1-D gradient)."""
+def fd_gradient(f, h, first=0, last=-1):
+    """``np.gradient(f, h, axis=-1, edge_order=2)`` of each row, term for
+    term: central differences inside, second-order one-sided differences at
+    the row's ends, on uniform spacing ``h`` (each row of a 2-D array, and
+    each row of a ``SampleRows`` axis, gets the bits of its own 1-D
+    gradient)."""
+    h = np.broadcast_to(h, f.shape)
     out = np.empty_like(f)
-    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h)
-    out[..., 0] = (-1.5 / h) * f[..., 0] + (2.0 / h) * f[..., 1] + (-0.5 / h) * f[..., 2]
-    out[..., -1] = (0.5 / h) * f[..., -3] + (-2.0 / h) * f[..., -2] + (1.5 / h) * f[..., -1]
+    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h[..., 1:-1])
+    hf, hl = h[..., first], h[..., last]
+    out[..., first] = (
+        (-1.5 / hf) * f[..., first] + (2.0 / hf) * f[..., first + 1]
+        + (-0.5 / hf) * f[..., first + 2]
+    )
+    out[..., last] = (
+        (0.5 / hl) * f[..., last - 2] + (-2.0 / hl) * f[..., last - 1]
+        + (1.5 / hl) * f[..., last]
+    )
     return out
 
 
@@ -389,13 +412,6 @@ def _integrand(vs, vd, a_s, a_d, force, ctx, config):
         + config.accel_weight * (a_s * a_s + a_d * a_d)
         + config.uncertainty_weight * ctx.sigma_trace()
     )
-
-
-def _running_cost(times, ps, pd, ctx, config):
-    """Trapezoid of the running cost; broadcasts over leading batch axes."""
-    _, vs, vd, a_s, a_d = _fd_terms(times, ps, pd)
-    force, _ = _force_field(times, ps, vs, pd, vd, ctx, want_jac=False)
-    return np.trapezoid(_integrand(vs, vd, a_s, a_d, force, ctx, config), times, axis=-1)
 
 
 def _cost_and_gradient(times, ps, pd, ctx, config):
@@ -421,19 +437,61 @@ def _cost_and_gradient(times, ps, pd, ctx, config):
     return cost, np.stack([grad_s[..., lo:hi], grad_d[..., lo:hi]], axis=-1)
 
 
-def horizon_groups(candidates):
-    """Batches of candidates sharing a sample count and horizon, in order of
-    first appearance: input indices, the candidates, and their stacked
-    longitudinal and lateral position traces. The one-pass stages (costing,
-    classification) take the first candidate's sample times for the batch."""
-    groups: dict[tuple, list[int]] = {}
-    for i, cand in enumerate(candidates):
-        groups.setdefault((len(cand.times), float(cand.horizon)), []).append(i)
-    for indices in groups.values():
-        batch = [candidates[i] for i in indices]
-        ps = np.stack([c.states[:, 0] for c in batch])
-        pd = np.stack([c.states[:, 3] for c in batch])
-        yield indices, batch, ps, pd
+@dataclass(frozen=True)
+class SampleRows:
+    """Candidates' samples back to back on one axis, in input order.
+
+    Row ``r`` (candidate ``r``) is samples ``starts[r]:ends[r]``, ``last``
+    its last sample. Per sample: the row's own ``times``, its step ``h`` (the
+    candidate's ``dt``, ``times[1] - times[0]``), and the longitudinal and
+    lateral positions ``s`` and ``d``. ``frame`` is ``path.frame(s)`` if the
+    layout was built with a path, else None.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    last: np.ndarray
+    times: np.ndarray
+    h: np.ndarray
+    s: np.ndarray
+    d: np.ndarray
+    frame: Optional[tuple] = None
+
+    @classmethod
+    def of(cls, candidates, path: ReferencePath | None = None) -> "SampleRows":
+        counts = [len(c.times) for c in candidates]
+        if min(counts) < 3:
+            # the one-sided stencils would reach into the next row
+            raise ValueError("every candidate needs at least 3 samples")
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        times = np.concatenate([c.times for c in candidates])
+        states = np.concatenate([c.states for c in candidates])
+        s = np.ascontiguousarray(states[:, 0])
+        return cls(
+            starts=starts,
+            ends=ends,
+            last=ends - 1,
+            times=times,
+            h=np.repeat(times[starts + 1] - times[starts], counts),
+            s=s,
+            d=np.ascontiguousarray(states[:, 3]),
+            frame=None if path is None else path.frame(s),
+        )
+
+    def trapezoid(self, y) -> np.ndarray:
+        """``np.trapezoid`` of each row of ``y`` over its ``times``, bit for
+        bit: the terms over the whole axis, then each row's summed in a
+        contiguous block with the rows of its sample count, so numpy's pairwise
+        sum sees the row alone (a sequential ``np.add.reduceat`` does not)."""
+        t = self.times
+        terms = (t[1:] - t[:-1]) * (y[1:] + y[:-1]) / 2.0
+        counts = self.ends - self.starts
+        out = np.empty(len(counts))
+        for n in np.unique(counts).tolist():
+            rows = np.flatnonzero(counts == n)
+            out[rows] = terms[self.starts[rows, None] + np.arange(n - 1)].sum(axis=-1)
+        return out
 
 
 def cost_cluster(
@@ -441,22 +499,32 @@ def cost_cluster(
     ctx: PlanningContext,
     reference: TrajectoryCandidate | None,
     config: CostWeights,
+    rows: SampleRows | None = None,
 ) -> list:
     """Discretized objective of every candidate, in input order: trapezoid of
     the running cost plus the weighted terminal deviation against
-    ``reference``, one running-cost pass per horizon group.
+    ``reference``, in one pass over the candidates' ``SampleRows`` (``rows``,
+    built here if not given; its frame, if it has one, serves the agents'
+    force).
 
     Velocities and accelerations are re-derived from the sampled positions so
     the value is a pure function of the position trace (the optimizer's own
-    discretization); that keeps descent comparisons exact.
+    discretization); that keeps descent comparisons exact. Every step is
+    elementwise along a row or a sum over it, so a candidate's cost does not
+    depend on the rest of the cluster.
     """
-    out = [0.0] * len(candidates)
-    for indices, batch, ps, pd in horizon_groups(candidates):
-        running = _running_cost(batch[0].times, ps, pd, ctx, config)
-        costs = running + terminal_deviation(batch, reference, config.terminal_weight)
-        for row, i in enumerate(indices):
-            out[i] = float(costs[row])
-    return out
+    if not candidates:
+        return []
+    if rows is None:
+        rows = SampleRows.of(candidates)
+    ps, pd, h, first, last = rows.s, rows.d, rows.h, rows.starts, rows.last
+    vs = _fd_velocity(ps, h, first, last)
+    vd = _fd_velocity(pd, h, first, last)
+    a_s = _fd_accel(ps, h, first, last)
+    a_d = _fd_accel(pd, h, first, last)
+    force, _ = _force_field(rows.times, ps, vs, pd, vd, ctx, False, rows.frame)
+    running = rows.trapezoid(_integrand(vs, vd, a_s, a_d, force, ctx, config))
+    return (running + terminal_deviation(candidates, reference, config.terminal_weight)).tolist()
 
 
 def total_cost(

@@ -36,6 +36,7 @@ from .momentum_optimizer import (
     InteractionParams,
     Neighbor,
     PlanningContext,
+    SampleRows,
     cost_cluster,
     optimize_cluster,  # noqa: F401 - perfbench's tracer wraps this name here
     total_cost,  # noqa: F401 - perfbench's tracer wraps this name here
@@ -374,7 +375,10 @@ def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimL
         )
         reference = cluster.candidates[cluster.reference_index]
 
-        costs = cost_cluster(cluster.candidates, ctx, reference, weights)
+        # the candidates back to back, with the one path-frame evaluation that
+        # costing (the agents' force) and classification both read
+        rows = SampleRows.of(cluster.candidates, path)
+        costs = cost_cluster(cluster.candidates, ctx, reference, weights, rows)
         for i, (cand, cost) in enumerate(zip(cluster.candidates, costs)):
             if not math.isfinite(cost):
                 # selection would pass over it silently
@@ -385,7 +389,7 @@ def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimL
 
         # one classification pass over the cluster; the per-candidate calls
         # only divide by the limits (perfbench's tracer wraps check_candidate)
-        peaks = kinematic_peaks(cluster.candidates, path)
+        peaks = kinematic_peaks(cluster.candidates, path, rows)
         reports = [
             check_candidate(c, path, scenario.limits, p)
             for c, p in zip(cluster.candidates, peaks)

@@ -134,6 +134,8 @@ def problem(shape, value) -> Optional[str]:
     if isinstance(shape, ListOf):
         if len(value) < shape.min_len:
             return f": must have at least {shape.min_len} entries"
+        if _fits_rows(shape.item, value):
+            return None
         shapes = repeat(shape.item)
     else:
         if len(value) != len(shape):
@@ -144,6 +146,23 @@ def problem(shape, value) -> Optional[str]:
         if why:
             return f"[{i}]{why}"
     return None
+
+
+def _fits_rows(item, rows) -> bool:
+    """Whether every entry of the list ``rows`` fits ``item``, a tuple of
+    rule names, checked column by column: types and bounds only, no message
+    built. False for any other ``item``; the entry-by-entry walk of
+    :func:`problem` then finds the violation and words it."""
+    if not (isinstance(item, tuple) and all(isinstance(rule, str) for rule in item)):
+        return False
+    # a list subclass, which the walk accepts, is left to the walk
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {len(item)}):
+        return False
+    for rule, column in zip(item, zip(*rows)):
+        kinds, test, _ = _RULES[rule]
+        if not (set(map(type, column)) <= set(kinds) and all(map(test, column))):
+            return False
+    return True
 
 
 def check(obj) -> None:

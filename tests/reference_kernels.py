@@ -14,16 +14,16 @@ shared across offsets.
 Each function is a verbatim copy of the earlier implementation. Only the
 names they call were rebound: ``frame`` and ``_eval_all`` take the path as an
 argument, the per-segment coefficients are stacked from the path's splines by
-``_coef``, ``total_cost`` calls the package's running cost as
-``mo._running_cost``, and ``regulation_energy`` comes from the schema 2
-adapter in ``schema2_regulation``.
+``_coef``, ``total_cost`` calls the ``_running_cost`` kept here (the package
+now costs every candidate of a cluster in one pass over ``SampleRows``), and
+``regulation_energy`` comes from the schema 2 adapter in
+``schema2_regulation``.
 """
 
 from typing import Optional
 
 import numpy as np
 
-from frenetplan import momentum_optimizer as mo
 from frenetplan.errors import (
     CoincidentNeighbor,
     EmptyCluster,
@@ -355,7 +355,7 @@ def total_cost(
     discretization); that keeps descent comparisons exact.
     """
     cost = float(
-        mo._running_cost(
+        _running_cost(
             candidate.times, candidate.states[:, 0], candidate.states[:, 3], ctx, config
         )
     )

@@ -1,11 +1,12 @@
 """Per-candidate stages outside refinement against the earlier implementations
-kept in ``reference_kernels``: one-pass cluster costing, classification in
-one pass per horizon group, sampling in one batch per horizon (grid candidates and
-spacing-repair insertions alike), the shared gradient stencil and the
-finite-difference adjoints. Outputs and raised exceptions must be bitwise
-identical, including on the branches the bundled scenarios never reach
-(near-zero speed, dipping or ill-conditioned quintics, a path too short, mixed
-horizons, the terminal regularizer, a coincident neighbour).
+kept in ``reference_kernels``: cluster costing and classification in one pass
+over the candidates' samples laid back to back, sampling in one batch per
+horizon (grid candidates and spacing-repair insertions alike), the shared
+gradient stencil and the finite-difference adjoints. Outputs and raised
+exceptions must be bitwise identical, including on the branches the bundled
+scenarios never reach (near-zero speed, dipping or ill-conditioned quintics, a
+path too short, mixed horizons, the terminal regularizer, a coincident
+neighbour, rows of every length and rows at rest at their ends).
 """
 
 import itertools
@@ -48,6 +49,7 @@ from frenetplan.frenet_geometry import FrenetState
 from frenetplan.momentum_optimizer import (
     Neighbor,
     OptimizerConfig,
+    SampleRows,
     _fd_accel_adjoint,
     _fd_velocity_adjoint,
     cost_cluster,
@@ -142,7 +144,7 @@ def test_fd_gradient_matches_numpy_gradient(n, h):
     # a strided column, as the candidate rebuild passes them
     states = rng.normal(size=(n, 6))
     assert_identical(fd_gradient(states[:, 2], h), np.gradient(states[:, 2], h, edge_order=2))
-    # a (k, n) horizon group, as the classifier passes them: row by row
+    # a (k, n) stack of rows: row by row
     rows = rng.normal(size=(5, n)) * rng.uniform(0.1, 50.0, size=(5, 1))
     grouped = fd_gradient(rows, h)
     assert_identical(grouped, np.gradient(rows, h, axis=-1, edge_order=2))
@@ -615,3 +617,109 @@ def test_cost_cluster_raises_like_reference_on_a_coincident_neighbour():
     old = outcome(ref.cost_each, cands, ctx, target, config, schema2.RegulationConfig())
     assert old[0] is CoincidentNeighbor
     assert outcome(cost_cluster, cands, ctx, target, config) == old
+
+
+# --- one pass over the candidates' samples laid back to back ----------------------
+
+def assert_rows_like_reference(cands, path, ctx):
+    """Costs and classification of a cluster, each candidate against its own
+    reference cost and report."""
+    config = OptimizerConfig(terminal_weight=1.3, accel_weight=0.2)
+    reference = cands[len(cands) // 2]
+    reg = schema2.RegulationConfig(1.0)
+    old = ref.cost_each(cands, ctx, reference, config, reg)
+    # as the simulator calls them: one layout, with its path frame, for both
+    rows = SampleRows.of(cands, path)
+    for new in (cost_cluster(cands, ctx, reference, config),
+                cost_cluster(cands, ctx, reference, config, rows)):
+        assert [c.hex() for c in new] == [c.hex() for c in old]
+    assert kinematic_peaks(cands, path, rows) == kinematic_peaks(cands, path)
+    for limits in (LIMITS, TIGHT):
+        for cand, p in zip(cands, kinematic_peaks(cands, path)):
+            assert_same_report(check_candidate(cand, path, limits, p),
+                               ref.check_candidate(cand, path, limits))
+
+
+def test_empty_cluster_costs_and_classifies_to_nothing():
+    path = s_curve_path()
+    assert cost_cluster([], active_context(path), None, OptimizerConfig()) == []
+    assert kinematic_peaks([], path) == []
+
+
+def test_a_row_too_short_for_the_stencils_is_refused():
+    # the reference raises too (np.gradient needs three samples); laid back to
+    # back, a shorter row would read its neighbour's samples instead
+    rng = np.random.default_rng(59)
+    path = s_curve_path()
+    t = np.arange(6) * 0.05
+    long = trace_candidate(2.0 + 0.8 * t, 0.1 * t, 0.05, rng)
+    short = trace_candidate(3.0 + 0.8 * t[:2], 0.1 * t[:2], 0.05, rng)
+    with pytest.raises(ValueError):
+        ref.check_candidate(short, path, LIMITS)
+    for cands in ([short], [long, short, long]):
+        with pytest.raises(ValueError, match="at least 3 samples"):
+            kinematic_peaks(cands, path)
+        with pytest.raises(ValueError, match="at least 3 samples"):
+            cost_cluster(cands, make_context(path), None, OptimizerConfig())
+
+
+def test_one_candidate_cluster_matches_reference():
+    rng = np.random.default_rng(43)
+    path = s_curve_path()
+    for ctx in (active_context(path, rng), make_context(path, sigma=0.3)):
+        for horizon in (1.0, 2.35, 3.0):
+            cand = make_candidate(terminal_speed=float(rng.uniform(0.5, 1.4)),
+                                  offset=float(rng.uniform(-0.6, 0.6)), horizon=horizon)
+            assert_rows_like_reference([cand], path, ctx)
+
+
+def test_rows_of_every_sample_count_in_one_cluster_match_reference():
+    # every count from the fewest the stencils take (3) up to 41, each twice,
+    # shuffled: one-row and two-row trapezoid blocks, ends next to all lengths
+    rng = np.random.default_rng(47)
+    path = s_curve_path()
+    counts = rng.permutation(np.repeat(np.arange(3, 42), 2))
+    cands = []
+    for n in counts.tolist():
+        t = np.arange(n) * 0.05
+        s = 2.0 + rng.uniform(0.3, 1.2) * t + rng.uniform(-0.2, 0.2) * t**2
+        d = rng.uniform(-0.4, 0.4) + rng.uniform(-0.3, 0.3) * t**3
+        cands.append(trace_candidate(s, d, 0.05, rng))
+    assert {len(c.times) for c in cands} == set(range(3, 42))
+    for ctx in (active_context(path, rng), make_context(path, sigma=0.3)):
+        assert_rows_like_reference(cands, path, ctx)
+
+
+def test_near_zero_speed_at_row_ends_stays_in_its_row():
+    # rows that start or end at rest, next to rows that move and bend hardest
+    # at their own ends: a speed mask or a curvature-rate validity shift that
+    # crossed a row boundary would zero a neighbour's end sample
+    rng = np.random.default_rng(53)
+    path = s_curve_path()
+    n = 31
+    t = np.arange(n) * 0.05
+    tail = t[-1] - t
+    rows = {
+        "rest first": (3.0 + 0.6 * t**2, 0.1 + 0.2 * t**4),
+        "rest last": (3.0 - 0.6 * tail**2, 0.1 - 0.2 * tail**4),
+        "bend late": (2.0 + 0.3 * t, 0.01 * t**5),
+        "bend early": (2.0 + 0.3 * t, 0.01 * tail**5),
+    }
+    order = ["bend late", "rest first", "rest last", "bend early", "rest last",
+             "bend late", "rest first", "bend early", "rest first", "rest last"]
+    cands = [trace_candidate(*rows[name], 0.05, rng) for name in order]
+    peaks = kinematic_peaks(cands, path)
+    notes = {name: p.notes for name, p in zip(order, peaks)}
+    assert "near-zero-speed" in notes["rest first"][0] and "t=0.000" in notes["rest first"][0]
+    assert "near-zero-speed" in notes["rest last"][0] and "t=1.500" in notes["rest last"][0]
+    assert notes["bend late"] == notes["bend early"] == ()
+    # the moving rows' largest curvature rate is at the end next to a rest
+    for name, end in (("bend late", -1), ("bend early", 0)):
+        alone = kinematic_peaks([cands[order.index(name)]], path)[0]
+        assert alone.curvature_rate == peaks[order.index(name)].curvature_rate
+        cut = cands[order.index(name)].copy()
+        cut.states = np.delete(cut.states, end, axis=0)
+        cut.times = cut.times[:-1]
+        cut.jerk_lon, cut.jerk_lat = cut.jerk_lon[:-1], cut.jerk_lat[:-1]
+        assert kinematic_peaks([cut], path)[0].curvature_rate < 0.9 * alone.curvature_rate
+    assert_rows_like_reference(cands, path, make_context(path, sigma=0.3))

@@ -18,7 +18,7 @@ from frenetplan.errors import NoFeasibleCandidate
 from frenetplan.momentum_optimizer import PlanningContext, cost_cluster
 from frenetplan.replanning_sim import Scenario
 from frenetplan.scenarios import BUILDERS, curved_bumps, straight_crossing
-from frenetplan.schema import ListOf
+from frenetplan.schema import ListOf, problem
 
 REPO = Path(__file__).resolve().parent.parent
 BUNDLED = REPO / "scenarios"
@@ -201,6 +201,52 @@ def test_malformed_field_exits_two_naming_it(tmp_path, capsys, path, value):
         assert main(argv) == 2, argv[0]
         captured = capsys.readouterr()
         assert _dotted(path) in captured.out + captured.err, argv[0]
+
+
+def _entry_by_entry(item, values):
+    """The first violation of ``values`` as a walk over its entries words it."""
+    for i, value in enumerate(values):
+        why = problem(item, value)
+        if why:
+            return f"[{i}]{why}"
+    return None
+
+
+def _replaced(values, index, value):
+    values = [list(v) if isinstance(v, list) else v for v in values]
+    if isinstance(index, tuple):
+        values[index[0]][index[1]] = value
+    else:
+        values[index] = value
+    return values
+
+
+WAYPOINTS = _bundled("s1")["waypoints"]
+MALFORMED_WAYPOINTS = {
+    "string coordinate": _replaced(WAYPOINTS, (3, 1), "x"),
+    "1e7": _replaced(WAYPOINTS, (5, 0), 1e7),
+    "three-entry point": _replaced(WAYPOINTS, 2, [1.0, 2.0, 3.0]),
+    "true coordinate": _replaced(WAYPOINTS, (4, 0), True),
+    "true point": _replaced(WAYPOINTS, 4, True),
+    "two violations": _replaced(_replaced(WAYPOINTS, (40, 1), -1e7), 7, [0.0]),
+    "too few points": WAYPOINTS[:3],
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_WAYPOINTS))
+def test_malformed_waypoints_are_worded_as_the_entry_walk_words_them(case):
+    # valid waypoint lists are checked in one pass over their values; an
+    # invalid one must still get the entry-by-entry walk's text
+    values = MALFORMED_WAYPOINTS[case]
+    shape = ListOf(("bounded", "bounded"), 4)
+    want = (": must have at least 4 entries" if len(values) < 4
+            else _entry_by_entry(shape.item, values))
+    assert want is not None
+    assert problem(shape, values) == want
+    data = _bundled("s1")
+    data["waypoints"] = values
+    assert replanning_sim.validate_scenario_dict(data) == [f"waypoints{want}"]
+    assert problem(shape, WAYPOINTS) is None
 
 
 def _with_speed_weight(data):

@@ -8,7 +8,7 @@ from dataclasses import replace
 from frenetplan.errors import NoFeasibleCandidate, PlannerError, ScenarioInvalid
 from frenetplan import quintic_sampling, replanning_sim
 from frenetplan.evaluation import FeasibilityReport, KinematicLimits, check_candidate
-from frenetplan.frenet_geometry import build_reference_path
+from frenetplan.frenet_geometry import ReferencePath, build_reference_path
 from frenetplan.quintic_sampling import SamplingGrid
 from frenetplan.replanning_sim import (
     MODES,
@@ -201,6 +201,28 @@ def test_proposed_mode_does_not_refine(monkeypatch):
     monkeypatch.setattr(replanning_sim, "check_candidate", spy)
     run(straight_crossing(seed=0, n_cycles=2), "proposed")
     assert seen and not any(c.optimized for c in seen)
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+@pytest.mark.parametrize("builder", [straight_crossing, curved_bumps], ids=["s1", "s2"])
+def test_one_path_frame_per_cycle_and_one_check_per_candidate(monkeypatch, builder, mode):
+    # costing (with agents, s1, or without, s2) and classification read one
+    # frame of the cluster's samples; the per-candidate check divides by limits
+    scn = builder(seed=3, n_cycles=3)
+    assert bool(scn.agents) == (builder is straight_crossing)
+    frames, checks = [], []
+    frame = ReferencePath.frame
+    monkeypatch.setattr(ReferencePath, "frame",
+                        lambda path, s: frames.append(np.shape(s)) or frame(path, s))
+    monkeypatch.setattr(replanning_sim, "check_candidate",
+                        lambda *args: checks.append(args[0]) or check_candidate(*args))
+    log = run(scn, mode)
+    assert len(frames) == len(log.cycles) == 3
+    assert len(checks) == sum(c.n_candidates for c in log.cycles)
+    # each cycle's one frame covers the samples of all of its candidates
+    bounds = np.cumsum([0] + [c.n_candidates for c in log.cycles]).tolist()
+    samples = [sum(len(c.times) for c in checks[a:b]) for a, b in zip(bounds, bounds[1:])]
+    assert frames == [(n,) for n in samples]
 
 
 # s1 variants on which refinement turned every candidate of a cycle infeasible
