@@ -118,7 +118,7 @@ def enforce_spacing(
     linearly interpolated terminal configurations, up to 8 insertions per
     gap (beyond that the budget flag is set instead of failing). Insertion
     horizons snap to multiples of ``grid.dt``, the only grid field read, and
-    the insertions are built in one batch per snapped horizon. The cluster's
+    the insertions are built in one ``build_candidates`` call. The cluster's
     ``reference_index`` is not read; the repaired cluster selects its own.
     """
     if not cluster.candidates:
@@ -130,48 +130,56 @@ def enforce_spacing(
     diff = terms[1:] - terms[:-1]
     consecutive = np.sqrt(np.vecdot(diff, diff)).tolist()
     kept: list[TrajectoryCandidate] = [cluster.candidates[0]]
+    kept_rows: list[int] = [0]  # input index of each kept candidate
     gaps: list[float] = []  # terminal gap from each kept candidate to the next
-    last = 0  # input index of kept[-1]
     for i, cand in enumerate(cluster.candidates[1:], 1):
+        last = kept_rows[-1]
         if last == i - 1:
             gap = consecutive[last]
         else:  # a near-duplicate was dropped since the last kept candidate
             gap = float(np.linalg.norm(terms[i] - terms[last]))
         if gap >= config.min_gap:
             kept.append(cand)
+            kept_rows.append(i)
             gaps.append(gap)
-            last = i
 
     budget_exhausted = False
-    specs: list[CandidateSpec] = []
     after: list[int] = []  # index in ``kept`` of the candidate each insertion follows
-    for k, (a, b, gap) in enumerate(zip(kept[:-1], kept[1:], gaps)):
-        term_a = a.states[-1]
-        term_b = b.states[-1]
+    alphas: list[float] = []
+    horizons: list[float] = []
+    for k, gap in enumerate(gaps):
         if gap <= config.max_gap:
             continue
         n_insert = math.ceil(gap / config.max_gap) - 1
         if n_insert > _GAP_BUDGET:
             n_insert = _GAP_BUDGET
             budget_exhausted = True
+        h_a, h_b = kept[k].horizon, kept[k + 1].horizon
         for j in range(1, n_insert + 1):
             alpha = j / (n_insert + 1)
-            # one-sided form: exact when components of a and b coincide,
-            # so sorting ties stay ties and the repaired chain order holds
-            target = term_a + alpha * (term_b - term_a)
-            horizon = _snap_to_grid(a.horizon + alpha * (b.horizon - a.horizon), grid.dt)
-            specs.append(
-                CandidateSpec(
-                    terminal_s=float(target[0]),
-                    terminal_speed=float(target[1]),
-                    lateral_offset=float(target[3]),
-                    horizon=horizon,
-                    grid_key=(horizon, float(target[1]), float(target[3]), "inserted"),
-                )
-            )
             after.append(k)
+            alphas.append(alpha)
+            horizons.append(_snap_to_grid(h_a + alpha * (h_b - h_a), grid.dt))
 
-    # built per snapped horizon, then put back into the chain in order
+    # every insertion target in one expression; one-sided form: exact when
+    # components of a and b coincide, so sorting ties stay ties and the
+    # repaired chain order holds
+    kept_terms = terms[kept_rows]
+    at = np.array(after, dtype=int)
+    term_a, term_b = kept_terms[at], kept_terms[at + 1]
+    targets = (term_a + np.array(alphas)[:, None] * (term_b - term_a)).tolist()
+    specs = [
+        CandidateSpec(
+            terminal_s=s,
+            terminal_speed=speed,
+            lateral_offset=offset,
+            horizon=horizon,
+            grid_key=(horizon, speed, offset, "inserted"),
+        )
+        for (s, speed, _, offset, _, _), horizon in zip(targets, horizons)
+    ]
+
+    # built in one call, then put back into the chain in order
     following: list[list] = [[] for _ in kept]
     for k, cand in zip(after, build_candidates(cluster.initial, specs, grid.dt)):
         if cand is not None:

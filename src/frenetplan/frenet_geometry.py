@@ -1,8 +1,8 @@
 """Reference-path geometry: arc-length cubic splines and Frenet conversions.
 
-The reference path is a natural cubic spline per coordinate, parameterized by
-arc length. The normal is the tangent rotated +90 degrees (left of travel),
-so positive lateral offsets lie left of the path.
+The reference path is one natural cubic spline through both coordinates,
+parameterized by arc length. The normal is the tangent rotated +90 degrees
+(left of travel), so positive lateral offsets lie left of the path.
 """
 
 from __future__ import annotations
@@ -56,15 +56,13 @@ class ReferencePath:
     scalars or arrays of arc length and are safe to call concurrently.
     """
 
-    def __init__(self, waypoints, knots, spline_x, spline_y):
+    def __init__(self, waypoints, knots, spline):
         self.waypoints = waypoints
         self.arc_length_knots = knots
-        self._sx = spline_x
-        self._sy = spline_y
+        self._spline = spline
         # per-segment cubic coefficients of each coordinate, shape
         # (4, n_segments), highest power first
-        self._cx = spline_x.c
-        self._cy = spline_y.c
+        self._cx, self._cy = np.moveaxis(spline.c, -1, 0)
         self.total_length = float(knots[-1])
 
     def _eval_all(self, s):
@@ -92,8 +90,7 @@ class ReferencePath:
     def derivative(self, s, order=1):
         if order in (1, 2):
             return np.stack(self._eval_all(s)[order], axis=-1)
-        s = np.asarray(s, dtype=float)
-        return np.stack([self._sx(s, order), self._sy(s, order)], axis=-1)
+        return self._spline(np.asarray(s, dtype=float), order)
 
     def tangent(self, s):
         d1 = np.stack(self._eval_all(s)[1], axis=-1)
@@ -126,7 +123,7 @@ class ReferencePath:
         return pos, gamma, (tx, ty), (-ty, tx), kappa
 
 
-def _segment_lengths(sx, sy, knots):
+def _segment_lengths(spline, knots):
     """Arc length of each spline segment by 20-point Gauss-Legendre."""
     lo = knots[:-1]
     hi = knots[1:]
@@ -134,7 +131,8 @@ def _segment_lengths(sx, sy, knots):
     mid = 0.5 * (hi + lo)
     # (n_seg, n_nodes) evaluation points
     u = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    speed = np.hypot(sx(u, 1), sy(u, 1))
+    d1 = spline(u, 1)
+    speed = np.hypot(d1[..., 0], d1[..., 1])
     return half * (speed @ _GL_WEIGHTS)
 
 
@@ -158,13 +156,10 @@ def build_reference_path(waypoints) -> ReferencePath:
         raise DuplicateWaypoint(f"waypoints {idx} and {idx + 1} coincide")
 
     knots = np.concatenate([[0.0], np.cumsum(seg)])
-    sx = CubicSpline(knots, pts[:, 0], bc_type="natural")
-    sy = CubicSpline(knots, pts[:, 1], bc_type="natural")
+    spline = CubicSpline(knots, pts, bc_type="natural")
     # One reparameterization pass: chord knots -> quadrature arc length -> refit.
-    knots = np.concatenate([[0.0], np.cumsum(_segment_lengths(sx, sy, knots))])
-    sx = CubicSpline(knots, pts[:, 0], bc_type="natural")
-    sy = CubicSpline(knots, pts[:, 1], bc_type="natural")
-    return ReferencePath(pts, knots, sx, sy)
+    knots = np.concatenate([[0.0], np.cumsum(_segment_lengths(spline, knots))])
+    return ReferencePath(pts, knots, CubicSpline(knots, pts, bc_type="natural"))
 
 
 def _check_s(path: ReferencePath, s: float) -> float:

@@ -4,6 +4,10 @@ Longitudinal motion s(t) is a quintic in time; lateral motion d(sigma) is a
 quintic in the longitudinal displacement sigma = s - s(0), converted to time
 derivatives through the chain rule when sampling. A quintic is the float
 (6,) array of its monomial coefficients c0..c5 over its native abscissa.
+
+``build_candidates`` is the one builder: it solves a call's quintics in two
+array calls of ``solve_quintic`` and samples them in two ``eval_quintic``
+calls over ragged sample axes, whatever the mix of horizons.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .errors import (
     InvalidLateralOffset,
     NonPositiveSpan,
     PathTooShort,
+    PlannerError,
 )
 from .frenet_geometry import FrenetState, ReferencePath, _check_s
 from .schema import SPAN, ListOf, check, spec
@@ -32,39 +37,56 @@ _COND_LIMIT = 1e12
 
 def solve_quintic(b0, bT, span) -> np.ndarray:
     """Monomial coefficients c0..c5 of the unique quintic matching (value,
-    d1, d2) at abscissa 0 and at ``span``, as a float (6,) array.
+    d1, d2) at abscissa 0 and at ``span``, as a float (6,) array; for a 1-D
+    array of k spans, the (6, k) array of the k quintics as columns, each
+    boundary entry a scalar or a (k,) array.
 
-    Solved in closed form; the conditioning of the equivalent boundary system
-    scales like max(span, 1/span)^5 and is rejected beyond 1e12.
+    Solved in closed form, every element with the float operations of a
+    scalar solve. The conditioning of the equivalent boundary system scales
+    like max(span, 1/span)^5 and is rejected beyond 1e12; spans are checked
+    in order, so the first bad one raises.
     """
-    T = float(span)
-    if T <= 0.0:
-        raise NonPositiveSpan(f"span must be positive, got {T}")
-    if max(T, 1.0 / T) ** 5 > _COND_LIMIT:
-        raise IllConditioned(f"boundary system ill-conditioned for span {T}")
+    span = np.asarray(span, dtype=float)
+    T = span.reshape(-1)
+    powers = []
+    for t in T.tolist():
+        if t <= 0.0:
+            raise NonPositiveSpan(f"span must be positive, got {t}")
+        if max(t, 1.0 / t) ** 5 > _COND_LIMIT:
+            raise IllConditioned(f"boundary system ill-conditioned for span {t}")
+        # Python float powers: NumPy's SIMD pow can differ from libm's in
+        # the last bit
+        powers += (t**3, t**4, t**5)
+    T3, T4, T5 = np.array(powers).reshape(-1, 3).T
 
-    x0, v0, a0 = (float(v) for v in b0)
-    x1, v1, a1 = (float(v) for v in bT)
-    c0 = x0
-    c1 = v0
-    c2 = 0.5 * a0
-    y1 = x1 - (c0 + c1 * T + c2 * T * T)
-    y2 = v1 - (c1 + 2.0 * c2 * T)
-    y3 = a1 - 2.0 * c2
-    T2 = T * T
-    c3 = (20.0 * y1 - 8.0 * y2 * T + y3 * T2) / (2.0 * T**3)
-    c4 = (-30.0 * y1 + 14.0 * y2 * T - 2.0 * y3 * T2) / (2.0 * T**4)
-    c5 = (12.0 * y1 - 6.0 * y2 * T + y3 * T2) / (2.0 * T**5)
-    return np.array([c0, c1, c2, c3, c4, c5])
+    x0, v0, a0, x1, v1, a1 = (
+        float(v) if isinstance(v, (int, float)) else np.asarray(v, dtype=float)
+        for v in (*b0, *bT)
+    )
+    c = np.empty((6, len(T)))
+    # overflow to inf stays silent, as it is in Python float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        c[0] = x0
+        c[1] = v0
+        c[2] = c2 = 0.5 * a0
+        y1 = x1 - (x0 + v0 * T + c2 * T * T)
+        y2 = v1 - (v0 + 2.0 * c2 * T)
+        y3 = a1 - 2.0 * c2
+        T2 = T * T
+        c[3] = (20.0 * y1 - 8.0 * y2 * T + y3 * T2) / (2.0 * T3)
+        c[4] = (-30.0 * y1 + 14.0 * y2 * T - 2.0 * y3 * T2) / (2.0 * T4)
+        c[5] = (12.0 * y1 - 6.0 * y2 * T + y3 * T2) / (2.0 * T5)
+    return c.reshape((6,) + span.shape)
 
 
 def eval_quintic(c, x):
     """Value and first three derivatives of c0 + c1 x + ... + c5 x^5 (Horner).
 
     ``c`` holds one quintic's six coefficients, with a scalar or an array
-    abscissa ``x``, or a (6, k, 1) batch of k quintics as columns over (k, n)
-    abscissae; each element takes the same operations either way.
-    Extrapolation is permitted.
+    abscissa ``x``, or coefficients broadcasting against ``x``: a (6, k, 1)
+    batch of k quintics as columns over (k, n) abscissae, or a (6, N) column
+    per sample of N samples laid back to back. Each element takes the same
+    operations either way. Extrapolation is permitted.
     """
     c0, c1, c2, c3, c4, c5 = c
     value = ((((c5 * x + c4) * x + c3) * x + c2) * x + c1) * x + c0
@@ -194,57 +216,6 @@ class CandidateSpec(NamedTuple):
     grid_key: tuple = ()
 
 
-def _sample(
-    initial: FrenetState,
-    horizon: float,
-    dt: float,
-    specs: Sequence[CandidateSpec],
-    lon: Sequence[np.ndarray],
-    lat: Sequence[np.ndarray],
-    lat_spans: Sequence[float],
-) -> list:
-    """Sample candidates sharing one horizon as (k, n) arrays: spec i with
-    the coefficient rows ``lon[i]`` and ``lat[i]`` over ``lat_spans[i]``.
-
-    Returns one candidate per spec, in order, or None where the
-    longitudinal samples dip. Each candidate's arrays are rows of blocks
-    shared by the batch: disjoint memory, states a row of one (k, n, 6) block.
-    """
-    n = max(4, int(round(horizon / dt)))
-    times = np.linspace(0.0, horizon, n + 1)
-    s, s_dot, s_ddot, s_jerk = eval_quintic(np.array(lon).T[:, :, None], times)
-    dips = np.any(np.diff(s, axis=1) < -1e-10, axis=1)
-    d, dp, dpp, dppp = eval_quintic(np.array(lat).T[:, :, None], s - initial.s)
-    d_dot = dp * s_dot
-    d_ddot = dpp * s_dot**2 + dp * s_ddot
-    d_jerk = dppp * s_dot**3 + 3.0 * dpp * s_dot * s_ddot + dp * s_jerk
-
-    states = np.stack((s, s_dot, s_ddot, d, d_dot, d_ddot), axis=2)
-    states[:, 0] = initial.as_array()  # shared initial state, exactly
-    # Snap the terminal sample to the imposed boundary (solver residual is
-    # ~1e-13); exact terminals keep sorting ties and de-duplication stable.
-    states[:, -1] = [
-        (x.terminal_s, x.terminal_speed, 0.0, x.lateral_offset, 0.0, 0.0) for x in specs
-    ]
-    times = np.tile(times, (len(specs), 1))
-    return [
-        None
-        if dips[i]
-        else TrajectoryCandidate(
-            lon=lon[i],
-            lat=lat[i],
-            lat_span=lat_spans[i],
-            horizon=horizon,
-            times=times[i],
-            states=states[i],
-            jerk_lon=s_jerk[i],
-            jerk_lat=d_jerk[i],
-            grid_key=x.grid_key,
-        )
-        for i, x in enumerate(specs)
-    ]
-
-
 def build_candidates(
     initial: FrenetState, specs: Sequence[CandidateSpec], dt: float
 ) -> list:
@@ -253,33 +224,100 @@ def build_candidates(
     Terminal acceleration and lateral rates are zero (steady-terminal
     convention). Returns one entry per spec, in order: the candidate, or None
     for a non-forward one (nonpositive longitudinal span or a sampled dip in
-    s). Every spec is solved first, in order, so the first ill-conditioned
-    one raises; specs sharing (terminal s, terminal speed, horizon) share one
-    longitudinal solve. Then each horizon's candidates are sampled in one
-    batch.
+    s). Specs sharing (terminal s, terminal speed, horizon) share one
+    longitudinal quintic. The distinct longitudinal quintics are solved in
+    one array call and the lateral ones in another; if a span is ill-posed,
+    the first spec in input order whose solve fails raises.
+
+    Sampling takes two ``eval_quintic`` calls, each over samples laid back to
+    back on one axis (like ``SampleRows``): every longitudinal quintic over
+    its own horizon, which decides its dip once, then every kept candidate's
+    lateral quintic over the longitudinal row it gathers. Each candidate's
+    ``times``, ``states`` and jerks are disjoint slices of the shared blocks.
     """
-    boundary = _lateral_boundary_from_time(initial)
-    lon_solves: dict = {}
-    by_horizon: dict = {}
-    for i, target in enumerate(specs):
-        span = target.terminal_s - initial.s
-        if span <= 0.0:
-            continue
-        key = (target.terminal_s, target.terminal_speed, target.horizon)
-        lon = lon_solves.get(key)
-        if lon is None:
-            lon = lon_solves[key] = solve_quintic(
-                (initial.s, initial.s_dot, initial.s_ddot),
-                (target.terminal_s, target.terminal_speed, 0.0),
-                target.horizon,
-            )
-        lat = solve_quintic(boundary, (target.lateral_offset, 0.0, 0.0), span)
-        by_horizon.setdefault(target.horizon, []).append((i, target, lon, lat, span))
     out = [None] * len(specs)
-    for horizon, group in by_horizon.items():
-        index, group_specs, lon, lat, spans = zip(*group)
-        for i, cand in zip(index, _sample(initial, horizon, dt, group_specs, lon, lat, spans)):
-            out[i] = cand
+    keys: dict = {}  # longitudinal key -> its column among the solves
+    index, kept, columns, spans = [], [], [], []  # of the forward specs
+    for i, x in enumerate(specs):
+        span = x.terminal_s - initial.s
+        if span > 0.0:
+            index.append(i)
+            kept.append(x)
+            key = (x.terminal_s, x.terminal_speed, x.horizon)
+            columns.append(keys.setdefault(key, len(keys)))
+            spans.append(span)
+    if not kept:
+        return out
+    boundary = _lateral_boundary_from_time(initial)
+    start = (initial.s, initial.s_dot, initial.s_ddot)
+    try:
+        ends_s, speeds, horizons = np.array(list(keys)).T
+        lon = solve_quintic(start, (ends_s, speeds, 0.0), horizons)
+        lat = solve_quintic(boundary, ([x.lateral_offset for x in kept], 0.0, 0.0), spans)
+    except (PlannerError, ArithmeticError):
+        # raise what the first failing spec raises when solved alone: its
+        # longitudinal quintic (if new) before its lateral one
+        solved = set()
+        for x, col, span in zip(kept, columns, spans):
+            if col not in solved:
+                solved.add(col)
+                solve_quintic(start, (x.terminal_s, x.terminal_speed, 0.0), x.horizon)
+            solve_quintic(boundary, (x.lateral_offset, 0.0, 0.0), span)
+        raise
+
+    # longitudinal pass: each quintic over its own horizon's samples, at
+    # the times of np.linspace(0, horizon, count), bit for bit
+    counts = np.array([max(4, int(round(h / dt))) + 1 for h in horizons.tolist()])
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    times = (np.arange(ends[-1]) - np.repeat(starts, counts)) * np.repeat(
+        horizons / (counts - 1), counts
+    )
+    times[ends - 1] = horizons
+    s, s_dot, s_ddot, s_jerk = eval_quintic(np.repeat(lon, counts, axis=1), times)
+    drops = np.diff(s) < -1e-10
+    drops[ends[:-1] - 1] = False  # a row's last sample to the next row's first
+    dips = np.logical_or.reduceat(drops, starts)
+
+    # lateral pass: each forward candidate gathers its longitudinal row
+    columns = np.array(columns)
+    own = np.flatnonzero(~dips[columns])
+    if not len(own):
+        return out
+    col = columns[own]
+    n = counts[col]
+    row_ends = np.cumsum(n)
+    row_starts = row_ends - n
+    take = np.arange(row_ends[-1]) + np.repeat(starts[col] - row_starts, n)
+    s, s_dot, s_ddot, s_jerk = s[take], s_dot[take], s_ddot[take], s_jerk[take]
+    d, dp, dpp, dppp = eval_quintic(np.repeat(lat[:, own], n, axis=1), s - initial.s)
+    d_dot = dp * s_dot
+    d_ddot = dpp * s_dot**2 + dp * s_ddot
+    d_jerk = dppp * s_dot**3 + 3.0 * dpp * s_dot * s_ddot + dp * s_jerk
+
+    states = np.stack((s, s_dot, s_ddot, d, d_dot, d_ddot), axis=1)
+    states[row_starts] = initial.as_array()  # shared initial state, exactly
+    # Snap the terminal sample to the imposed boundary (solver residual is
+    # ~1e-13); exact terminals keep sorting ties and de-duplication stable.
+    built = [kept[j] for j in own.tolist()]
+    states[row_ends - 1] = [
+        (x.terminal_s, x.terminal_speed, 0.0, x.lateral_offset, 0.0, 0.0) for x in built
+    ]
+    times = times[take]
+    for j, k, x, a, b in zip(
+        own.tolist(), col.tolist(), built, row_starts.tolist(), row_ends.tolist()
+    ):
+        out[index[j]] = TrajectoryCandidate(
+            lon=lon[:, k],
+            lat=lat[:, j],
+            lat_span=spans[j],
+            horizon=x.horizon,
+            times=times[a:b],
+            states=states[a:b],
+            jerk_lon=s_jerk[a:b],
+            jerk_lat=d_jerk[a:b],
+            grid_key=x.grid_key,
+        )
     return out
 
 

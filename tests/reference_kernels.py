@@ -9,12 +9,14 @@ then the gradient at the accepted point. The finite-difference adjoints,
 per-candidate ``total_cost`` (with ``cost_each``, the simulator's loop over
 it) are as they were before the cluster was costed per horizon group,
 classification moved to component arrays and the longitudinal quintic was
-shared across offsets.
+shared across offsets. ``solve_quintic`` is the scalar closed form as it was
+before the candidate builder solved its quintics in array calls;
+``build_candidate`` calls it.
 
 Each function is a verbatim copy of the earlier implementation. Only the
 names they call were rebound: ``frame`` and ``_eval_all`` take the path as an
-argument, the per-segment coefficients are stacked from the path's splines by
-``_coef``, ``total_cost`` calls the ``_running_cost`` kept here (the package
+argument, the per-segment coefficients of both coordinates are read from the
+path's spline by ``_coef``, ``total_cost`` calls the ``_running_cost`` kept here (the package
 now costs every candidate of a cluster in one pass over ``SampleRows``), and
 ``regulation_energy`` comes from the schema 2 adapter in
 ``schema2_regulation``.
@@ -27,7 +29,9 @@ import numpy as np
 from frenetplan.errors import (
     CoincidentNeighbor,
     EmptyCluster,
+    IllConditioned,
     InvalidLateralOffset,
+    NonPositiveSpan,
     PathTooShort,
 )
 from frenetplan.evaluation import (
@@ -49,20 +53,20 @@ from frenetplan.momentum_optimizer import (
     _fd_velocity,
 )
 from frenetplan.quintic_sampling import (
+    _COND_LIMIT,
     SamplingGrid,
     TrajectoryCandidate,
     TrajectoryCluster,
     _lateral_boundary_from_time,
     eval_quintic,
-    solve_quintic,
 )
 from schema2_regulation import RegulationConfig, regulation_energy
 
 
 def _coef(path):
-    # per-segment cubic coefficients stacked for both coordinates,
+    # per-segment cubic coefficients of both coordinates,
     # shape (4, n_segments, 2), highest power first
-    return np.stack([path._sx.c, path._sy.c], axis=-1)
+    return path._spline.c
 
 
 def _eval_all(path, s):
@@ -450,6 +454,34 @@ def check_candidate(
         worst_margins=margins,
         notes=tuple(notes),
     )
+
+
+def solve_quintic(b0, bT, span) -> np.ndarray:
+    """Monomial coefficients c0..c5 of the unique quintic matching (value,
+    d1, d2) at abscissa 0 and at ``span``, as a float (6,) array.
+
+    Solved in closed form; the conditioning of the equivalent boundary system
+    scales like max(span, 1/span)^5 and is rejected beyond 1e12.
+    """
+    T = float(span)
+    if T <= 0.0:
+        raise NonPositiveSpan(f"span must be positive, got {T}")
+    if max(T, 1.0 / T) ** 5 > _COND_LIMIT:
+        raise IllConditioned(f"boundary system ill-conditioned for span {T}")
+
+    x0, v0, a0 = (float(v) for v in b0)
+    x1, v1, a1 = (float(v) for v in bT)
+    c0 = x0
+    c1 = v0
+    c2 = 0.5 * a0
+    y1 = x1 - (c0 + c1 * T + c2 * T * T)
+    y2 = v1 - (c1 + 2.0 * c2 * T)
+    y3 = a1 - 2.0 * c2
+    T2 = T * T
+    c3 = (20.0 * y1 - 8.0 * y2 * T + y3 * T2) / (2.0 * T**3)
+    c4 = (-30.0 * y1 + 14.0 * y2 * T - 2.0 * y3 * T2) / (2.0 * T**4)
+    c5 = (12.0 * y1 - 6.0 * y2 * T + y3 * T2) / (2.0 * T**5)
+    return np.array([c0, c1, c2, c3, c4, c5])
 
 
 def build_candidate(

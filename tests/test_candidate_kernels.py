@@ -1,7 +1,8 @@
 """Per-candidate stages outside refinement against the earlier implementations
 kept in ``reference_kernels``: cluster costing and classification in one pass
-over the candidates' samples laid back to back, sampling in one batch per
-horizon (grid candidates and spacing-repair insertions alike), the shared
+over the candidates' samples laid back to back, sampling in one build of
+two array solves and two passes over ragged sample axes (grid candidates
+and spacing-repair insertions alike), the shared
 gradient stencil and the finite-difference adjoints. Outputs and raised
 exceptions must be bitwise identical, including on the branches the bundled
 scenarios never reach (near-zero speed, dipping or ill-conditioned quintics, a
@@ -26,7 +27,7 @@ from conftest import (
     make_context,
     s_curve_path,
 )
-from frenetplan import endpoint_regulation
+from frenetplan import endpoint_regulation, quintic_sampling
 from frenetplan.endpoint_regulation import (
     RegulationConfig,
     enforce_spacing,
@@ -456,6 +457,33 @@ def test_batch_raises_for_the_first_ill_conditioned_spec_in_input_order():
     assert outcome(build_candidates, initial, specs, 0.05) == old
 
 
+def test_a_build_makes_two_solves_and_two_evaluations(monkeypatch):
+    calls = {"solve_quintic": 0, "eval_quintic": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(quintic_sampling, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(quintic_sampling, name, counted)
+    # a braking crawl: six horizons, two speeds, dipping and forward pairs,
+    # and one spec behind the initial state
+    initial = FrenetState(2.0, 0.15, -1.0, 0.1, 0.0, 0.0)
+    horizons = (1.0, 1.35, 2.0, 2.35, 2.5, 3.0)
+    specs = [
+        CandidateSpec(2.0 + 0.5 * (0.15 + speed) * horizon, speed, offset, horizon)
+        for horizon in horizons for speed in (0.3, 1.5) for offset in (-0.4, 0.4)
+    ] + [CandidateSpec(1.9, 0.3, 0.0, 2.0)]
+    out = build_candidates(initial, specs, 0.05)
+    assert calls == {"solve_quintic": 2, "eval_quintic": 2}
+    assert {c.horizon for c in out if c is not None} == set(horizons)
+    assert out[-1] is None and out[:-1].count(None) > 0
+    # a regulated cluster builds the grid and its insertions in one call each
+    calls.update(solve_quintic=0, eval_quintic=0)
+    initial, grid = regulation_cases()[1]
+    cluster = regulated_cluster(initial, s_curve_path(), grid, REG)
+    assert any("inserted" in c.grid_key for c in cluster.candidates)
+    assert calls == {"solve_quintic": 4, "eval_quintic": 4}
+
+
 def regulation_cases():
     """(initial, grid): random grids over three horizons, so the insertions
     snap to many horizons, and a braking crawl whose 2.35 s insertions
@@ -506,7 +534,7 @@ def test_spacing_insertions_match_reference_built_alone(monkeypatch):
                 tied_insertions += "inserted" in a.grid_key + b.grid_key
     assert tied_insertions
     # the cases reach what they are for: several snapped horizons, and a
-    # horizon batch that drops a dipping insertion and keeps others
+    # horizon whose insertions are partly dropped as dipping and partly kept
     assert len({t.horizon for _, t, _ in built}) >= 5
     dropped = {(i, t.horizon) for i, t, c in built if c is None and t.terminal_s > i.s}
     kept = {(i, t.horizon) for i, t, c in built if c is not None}

@@ -16,6 +16,7 @@ from frenetplan.quintic_sampling import (
     solve_quintic,
 )
 
+import reference_kernels as ref
 from conftest import straight_path
 
 
@@ -76,6 +77,37 @@ def test_span_errors():
         solve_quintic((0, 0, 0), (1, 0, 0), -1.0)
     with pytest.raises(IllConditioned):
         solve_quintic((0, 0, 0), (1, 0, 0), 1e-7)
+
+
+def test_array_solve_equals_each_span_solved_alone():
+    # the (6, k) solve against the earlier scalar closed form, bit for bit:
+    # NumPy's pow on the spans differs from a Python float power in the last
+    # bit for a few percent of spans, so 10^4 of them would catch it
+    rng = np.random.default_rng(8)
+    k = 10_000
+    spans = rng.uniform(0.01, 10.0, k)
+    b0 = rng.uniform(-3, 3, size=(3, k))
+    bT = rng.uniform(-3, 3, size=(3, k))
+    got = solve_quintic(b0, bT, spans)
+    assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (6, k)
+    want = np.stack([ref.solve_quintic(b0[:, i], bT[:, i], spans[i]) for i in range(k)], axis=1)
+    assert got.tobytes() == want.tobytes()
+    # scalar boundaries broadcast over the spans, as the builder passes them
+    got = solve_quintic(b0[:, 0], (bT[0], 0.0, 0.0), spans)
+    want = [ref.solve_quintic(b0[:, 0], (bT[0, i], 0.0, 0.0), spans[i]) for i in range(k)]
+    assert got.tobytes() == np.stack(want, axis=1).tobytes()
+    # a scalar span is the (6,) case of the same solve
+    for i in range(0, k, 97):
+        alone = solve_quintic(b0[:, i], bT[:, i], spans[i])
+        assert alone.shape == (6,)
+        assert alone.tobytes() == ref.solve_quintic(b0[:, i], bT[:, i], spans[i]).tobytes()
+
+
+def test_array_solve_raises_for_the_first_bad_span():
+    with pytest.raises(IllConditioned, match="span 1e-07"):
+        solve_quintic((0, 0, 0), (1, 0, 0), [1.0, 1e-7, -1.0])
+    with pytest.raises(NonPositiveSpan, match="got -1.0"):
+        solve_quintic((0, 0, 0), (1, 0, 0), [1.0, -1.0, 1e-7])
 
 
 def test_eval_quintic_examples():

@@ -6,7 +6,7 @@ import pytest
 from dataclasses import replace
 
 from frenetplan.errors import NoFeasibleCandidate, PlannerError, ScenarioInvalid
-from frenetplan import quintic_sampling, replanning_sim
+from frenetplan import endpoint_regulation, quintic_sampling, replanning_sim
 from frenetplan.evaluation import FeasibilityReport, KinematicLimits, check_candidate
 from frenetplan.frenet_geometry import ReferencePath, build_reference_path
 from frenetplan.quintic_sampling import SamplingGrid
@@ -127,16 +127,18 @@ def test_splice_continuity():
 def test_splice_gap_measures_the_executed_trace(monkeypatch):
     # a sampler that moves every candidate's first sample off the cycle's
     # initial state must show up as a position gap at every splice
-    sample = quintic_sampling._sample
+    build = quintic_sampling.build_candidates
 
     def shifted(*args):
-        out = sample(*args)
+        out = build(*args)
         for cand in out:
             if cand is not None:
                 cand.states[0, 0] += 1e-4
         return out
 
-    monkeypatch.setattr(quintic_sampling, "_sample", shifted)
+    # the grid and the spacing-repair insertions each call the builder
+    monkeypatch.setattr(quintic_sampling, "build_candidates", shifted)
+    monkeypatch.setattr(endpoint_regulation, "build_candidates", shifted)
     log = run(straight_crossing(seed=4, n_cycles=3), "proposed")
     assert len(log.splices) == 2
     for splice in log.splices:
