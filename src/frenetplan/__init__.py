@@ -55,6 +55,7 @@ from .replanning_sim import (
     SimLog,
     SimSettings,
     Uncertainty,
+    plan_cycle,
     run,
     select_candidate,
     validate_scenario_dict,

@@ -31,7 +31,6 @@ from .replanning_sim import (
     Scenario,
     SimLog,
     cycle_cluster,
-    cycle_grid,
     run,
     validate_scenario_dict,
 )
@@ -351,8 +350,7 @@ def cmd_cluster(args) -> int:
     switches = MODES[args.mode]
     try:
         cluster = cycle_cluster(
-            scenario.initial_state, scenario.build_path(), cycle_grid(scenario, 0),
-            scenario.regulation, regulate=switches.regulate,
+            scenario, scenario.build_path(), scenario.initial_state, 0, switches.regulate
         )
     except EmptyCluster as err:
         print(f"cluster generation failed: {err}", file=sys.stderr)

@@ -23,7 +23,6 @@ from .errors import (
     InvalidLateralOffset,
     NonPositiveSpan,
     PathTooShort,
-    PlannerError,
 )
 from .frenet_geometry import FrenetState, ReferencePath, _check_s
 from .schema import SPAN, ListOf, check, spec
@@ -33,6 +32,16 @@ from .schema import SPAN, ListOf, check, spec
 _SLOW_SPEED = 1e-9
 
 _COND_LIMIT = 1e12
+
+
+def _check_span(t: float) -> None:
+    """Raise unless ``t`` is a positive span whose boundary system is
+    well conditioned, in Python float arithmetic."""
+    t = float(t)
+    if t <= 0.0:
+        raise NonPositiveSpan(f"span must be positive, got {t}")
+    if max(t, 1.0 / t) ** 5 > _COND_LIMIT:
+        raise IllConditioned(f"boundary system ill-conditioned for span {t}")
 
 
 def solve_quintic(b0, bT, span) -> np.ndarray:
@@ -50,10 +59,7 @@ def solve_quintic(b0, bT, span) -> np.ndarray:
     T = span.reshape(-1)
     powers = []
     for t in T.tolist():
-        if t <= 0.0:
-            raise NonPositiveSpan(f"span must be positive, got {t}")
-        if max(t, 1.0 / t) ** 5 > _COND_LIMIT:
-            raise IllConditioned(f"boundary system ill-conditioned for span {t}")
+        _check_span(t)
         # Python float powers: NumPy's SIMD pow can differ from libm's in
         # the last bit
         powers += (t**3, t**4, t**5)
@@ -226,8 +232,10 @@ def build_candidates(
     for a non-forward one (nonpositive longitudinal span or a sampled dip in
     s). Specs sharing (terminal s, terminal speed, horizon) share one
     longitudinal quintic. The distinct longitudinal quintics are solved in
-    one array call and the lateral ones in another; if a span is ill-posed,
-    the first spec in input order whose solve fails raises.
+    one array call and the lateral ones in another. The spans are checked
+    first, in input order, so if a span is ill-posed the first spec whose
+    solve would fail raises: its longitudinal span (if new) before its
+    lateral one.
 
     Sampling takes two ``eval_quintic`` calls, each over samples laid back to
     back on one axis (like ``SampleRows``): every longitudinal quintic over
@@ -244,26 +252,18 @@ def build_candidates(
             index.append(i)
             kept.append(x)
             key = (x.terminal_s, x.terminal_speed, x.horizon)
+            if key not in keys:
+                _check_span(x.horizon)
+            _check_span(span)
             columns.append(keys.setdefault(key, len(keys)))
             spans.append(span)
     if not kept:
         return out
     boundary = _lateral_boundary_from_time(initial)
     start = (initial.s, initial.s_dot, initial.s_ddot)
-    try:
-        ends_s, speeds, horizons = np.array(list(keys)).T
-        lon = solve_quintic(start, (ends_s, speeds, 0.0), horizons)
-        lat = solve_quintic(boundary, ([x.lateral_offset for x in kept], 0.0, 0.0), spans)
-    except (PlannerError, ArithmeticError):
-        # raise what the first failing spec raises when solved alone: its
-        # longitudinal quintic (if new) before its lateral one
-        solved = set()
-        for x, col, span in zip(kept, columns, spans):
-            if col not in solved:
-                solved.add(col)
-                solve_quintic(start, (x.terminal_s, x.terminal_speed, 0.0), x.horizon)
-            solve_quintic(boundary, (x.lateral_offset, 0.0, 0.0), span)
-        raise
+    ends_s, speeds, horizons = np.array(list(keys)).T
+    lon = solve_quintic(start, (ends_s, speeds, 0.0), horizons)
+    lat = solve_quintic(boundary, ([x.lateral_offset for x in kept], 0.0, 0.0), spans)
 
     # longitudinal pass: each quintic over its own horizon's samples, at
     # the times of np.linspace(0, horizon, count), bit for bit

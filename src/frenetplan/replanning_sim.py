@@ -1,9 +1,10 @@
 """Deterministic closed-loop replanning simulator.
 
-Each cycle builds a cluster at the current state, costs and classifies the
-candidates, executes the committed prefix of the best feasible one, advances
-the agents, and hands the exact end state to the next cycle. Runs are fully
-deterministic for a fixed scenario.
+One cycle is ``plan_cycle``: it advances the agents, builds a cluster at
+the current state, costs and classifies the candidates, and returns the
+record of the committed prefix of the best feasible one. ``run`` is the
+loop: it splices each record onto the previous one and hands its exact end
+state to the next cycle. Runs are fully deterministic for a fixed scenario.
 """
 
 from __future__ import annotations
@@ -299,34 +300,118 @@ def select_candidate(candidates, reports) -> int:
     return best
 
 
-def cycle_grid(scenario: Scenario, cycle: int) -> SamplingGrid:
-    """The grid that ``run`` samples in cycle ``cycle``: terminal sampling
-    is independent per cycle, and identical in both modes."""
-    return scenario.grid.jittered(np.random.default_rng([scenario.sim.seed, cycle]))
-
-
 def cycle_cluster(
-    state: FrenetState,
-    path: ReferencePath,
-    grid: SamplingGrid,
-    regulation: RegulationConfig,
-    regulate: bool,
+    scenario: Scenario, path: ReferencePath, state: FrenetState, k: int, regulate: bool
 ) -> TrajectoryCluster:
-    """One cycle's cluster and its reference candidate: regulated (sorted and
-    spacing-repaired) if ``regulate``, else raw as sampled.
+    """Cycle ``k``'s cluster at ``state`` and its reference candidate. Its
+    terminals are sampled independently per cycle, the same in both modes;
+    it is regulated (sorted and spacing-repaired) if ``regulate``.
 
     The sampling and reference functions are looked up as this module's
     globals at each call, where perfbench's tracer wraps them.
     """
+    grid = scenario.grid.jittered(np.random.default_rng([scenario.sim.seed, k]))
     if regulate:
-        return regulated_cluster(state, path, grid, regulation)
+        return regulated_cluster(state, path, grid, scenario.regulation)
     cluster = generate_cluster(state, path, grid)
     cluster.reference_index = select_reference_candidate(cluster)
     return cluster
 
 
+def plan_cycle(
+    scenario: Scenario, path: ReferencePath, switches: ModeSwitches,
+    state: FrenetState, k: int,
+) -> CycleRecord:
+    """Cycle ``k`` from ``state``, the agents advanced to its start: sample,
+    cost and classify the cluster, select the best feasible candidate, and
+    return the record that commits its first ``commit_horizon`` seconds.
+    Raises PlannerError for a non-finite cost, and NoFeasibleCandidate
+    (without a partial log) if no candidate is feasible."""
+    commit_idx = int(round(scenario.sim.commit_horizon / scenario.grid.dt))
+    weights = scenario.cost
+    if not switches.momentum_weights:
+        weights = replace(weights, accel_weight=0.0, terminal_weight=0.0)
+
+    elapsed = k * scenario.sim.commit_horizon
+    neighbors = tuple(
+        Neighbor(nb.position + elapsed * nb.velocity, nb.velocity, nb.covariance_trace)
+        for nb in scenario.agents
+    )
+    ctx = PlanningContext(
+        path=path,
+        assistive=scenario.assistive,
+        interaction=scenario.interaction,
+        neighbors=neighbors,
+        sigma_baseline=scenario.uncertainty.baseline_trace,
+    )
+
+    cluster = cycle_cluster(scenario, path, state, k, switches.regulate)
+    reference = cluster.candidates[cluster.reference_index]
+
+    # the candidates back to back, with the one path-frame evaluation that
+    # costing (the agents' force) and classification both read
+    rows = SampleRows.of(cluster.candidates, path)
+    costs = cost_cluster(cluster.candidates, ctx, reference, weights, rows)
+    for i, (cand, cost) in enumerate(zip(cluster.candidates, costs)):
+        if not math.isfinite(cost):
+            # selection would pass over it silently
+            raise PlannerError(
+                f"cycle {k}: candidate {i} {cand.grid_key} has non-finite cost {cost}"
+            )
+        cand.cost = cost
+
+    # one classification pass over the cluster; the per-candidate calls
+    # only divide by the limits (perfbench's tracer wraps check_candidate)
+    peaks = kinematic_peaks(cluster.candidates, path, rows)
+    reports = [
+        check_candidate(c, path, scenario.limits, p)
+        for c, p in zip(cluster.candidates, peaks)
+    ]
+
+    breakdown = feasibility_breakdown(reports)
+    nn = nn_distance_stats(cluster) if len(cluster.candidates) >= 2 else None
+
+    try:
+        idx = select_candidate(cluster.candidates, reports)
+    except NoFeasibleCandidate as err:
+        raise NoFeasibleCandidate(
+            f"cycle {k}: no feasible candidate "
+            f"(overall ratio {breakdown.overall_ratio:.3f})"
+        ) from err
+    chosen = cluster.candidates[idx]
+
+    candidate_rows = [
+        {
+            "index": i,
+            "key": [str(p) if isinstance(p, str) else float(p) for p in c.grid_key],
+            "cost": float(c.cost),
+            "feasible": bool(r.feasible),
+            "violations": sorted(r.violations),
+            "margins": {c2: r.worst_margins[c2] for c2 in CONSTRAINT_ORDER},
+        }
+        for i, (c, r) in enumerate(zip(cluster.candidates, reports))
+    ]
+    return CycleRecord(
+        cycle=k,
+        n_candidates=len(cluster.candidates),
+        selected_index=idx,
+        selected_key=tuple(chosen.grid_key),
+        selected_cost=float(chosen.cost),
+        breakdown=breakdown,
+        nn_stats=nn,
+        budget_exhausted=cluster.spacing_budget_exhausted,
+        times=elapsed + chosen.times[: commit_idx + 1],
+        states=chosen.states[: commit_idx + 1].copy(),
+        jerk_lon=chosen.jerk_lon[: commit_idx + 1].copy(),
+        jerk_lat=chosen.jerk_lat[: commit_idx + 1].copy(),
+        candidates=candidate_rows,
+        agent_positions=[[float(v) for v in nb.position] for nb in neighbors],
+    )
+
+
 def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimLog:
-    """Execute the closed-loop replanning run.
+    """Execute the closed-loop replanning run: each cycle is ``plan_cycle``
+    from the previous one's committed end state, spliced onto its record.
 
     ``mode`` is a name in ``MODES`` or explicit ModeSwitches. Raises
     ScenarioInvalid if the grid and sim timing disagree, PlannerError if a
@@ -344,74 +429,21 @@ def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimL
     problems = _timing_problems(grid.horizons, grid.dt, sim.commit_horizon)
     if problems:
         raise ScenarioInvalid(problems)
-    commit_idx = int(round(sim.commit_horizon / grid.dt))
 
     path = scenario.build_path()
-    weights = scenario.cost
-    if not switches.momentum_weights:
-        weights = replace(weights, accel_weight=0.0, terminal_weight=0.0)
-
     log = SimLog(scenario_name=scenario.name, mode=switches.label, seed=sim.seed)
     state = scenario.initial_state
 
     for k in range(sim.n_cycles):
-        elapsed = k * sim.commit_horizon
-        neighbors = tuple(
-            Neighbor(
-                nb.position + elapsed * nb.velocity, nb.velocity, nb.covariance_trace
-            )
-            for nb in scenario.agents
-        )
-        ctx = PlanningContext(
-            path=path,
-            assistive=scenario.assistive,
-            interaction=scenario.interaction,
-            neighbors=neighbors,
-            sigma_baseline=scenario.uncertainty.baseline_trace,
-        )
-
-        cluster = cycle_cluster(
-            state, path, cycle_grid(scenario, k), scenario.regulation, switches.regulate
-        )
-        reference = cluster.candidates[cluster.reference_index]
-
-        # the candidates back to back, with the one path-frame evaluation that
-        # costing (the agents' force) and classification both read
-        rows = SampleRows.of(cluster.candidates, path)
-        costs = cost_cluster(cluster.candidates, ctx, reference, weights, rows)
-        for i, (cand, cost) in enumerate(zip(cluster.candidates, costs)):
-            if not math.isfinite(cost):
-                # selection would pass over it silently
-                raise PlannerError(
-                    f"cycle {k}: candidate {i} {cand.grid_key} has non-finite cost {cost}"
-                )
-            cand.cost = cost
-
-        # one classification pass over the cluster; the per-candidate calls
-        # only divide by the limits (perfbench's tracer wraps check_candidate)
-        peaks = kinematic_peaks(cluster.candidates, path, rows)
-        reports = [
-            check_candidate(c, path, scenario.limits, p)
-            for c, p in zip(cluster.candidates, peaks)
-        ]
-
-        breakdown = feasibility_breakdown(reports)
-        nn = nn_distance_stats(cluster) if len(cluster.candidates) >= 2 else None
-
         try:
-            idx = select_candidate(cluster.candidates, reports)
+            record = plan_cycle(scenario, path, switches, state, k)
         except NoFeasibleCandidate as err:
             log.final_state = state
-            raise NoFeasibleCandidate(
-                f"cycle {k}: no feasible candidate "
-                f"(overall ratio {breakdown.overall_ratio:.3f})",
-                partial_log=log,
-            ) from err
-        chosen = cluster.candidates[idx]
-
+            err.partial_log = log
+            raise
         if log.cycles:
             # the executed first sample against the previous committed end
-            gap = chosen.states[0] - log.cycles[-1].states[-1]
+            gap = record.states[0] - log.cycles[-1].states[-1]
             log.splices.append(
                 {
                     "cycle": k,
@@ -420,39 +452,8 @@ def run(scenario: Scenario, mode: Union[str, ModeSwitches] = "proposed") -> SimL
                     "acceleration_gap": float(np.linalg.norm(gap[[2, 5]])),
                 }
             )
-
-        candidate_rows = [
-            {
-                "index": i,
-                "key": [str(p) if isinstance(p, str) else float(p) for p in c.grid_key],
-                "cost": float(c.cost),
-                "feasible": bool(r.feasible),
-                "violations": sorted(r.violations),
-                "margins": {c2: r.worst_margins[c2] for c2 in CONSTRAINT_ORDER},
-            }
-            for i, (c, r) in enumerate(zip(cluster.candidates, reports))
-        ]
-
-        log.cycles.append(
-            CycleRecord(
-                cycle=k,
-                n_candidates=len(cluster.candidates),
-                selected_index=idx,
-                selected_key=tuple(chosen.grid_key),
-                selected_cost=float(chosen.cost),
-                breakdown=breakdown,
-                nn_stats=nn,
-                budget_exhausted=cluster.spacing_budget_exhausted,
-                times=elapsed + chosen.times[: commit_idx + 1],
-                states=chosen.states[: commit_idx + 1].copy(),
-                jerk_lon=chosen.jerk_lon[: commit_idx + 1].copy(),
-                jerk_lat=chosen.jerk_lat[: commit_idx + 1].copy(),
-                candidates=candidate_rows,
-                agent_positions=[[float(v) for v in nb.position] for nb in neighbors],
-            )
-        )
-
-        state = FrenetState.from_array(chosen.states[commit_idx])
+        log.cycles.append(record)
+        state = FrenetState.from_array(record.states[-1])
 
     log.final_state = state
     return log

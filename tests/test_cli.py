@@ -501,9 +501,7 @@ def test_cluster_full_dump(tmp_path):
 def test_cluster_column_is_the_terminal_term_the_cost_adds(tmp_path):
     scn = replanning_sim.Scenario.from_dict(_bundled("s1"))
     path = scn.build_path()
-    cluster = replanning_sim.cycle_cluster(
-        scn.initial_state, path, replanning_sim.cycle_grid(scn, 0), scn.regulation, True
-    )
+    cluster = replanning_sim.cycle_cluster(scn, path, scn.initial_state, 0, True)
     reference = cluster.candidates[cluster.reference_index]
     term = terminal_deviation(cluster.candidates, reference, scn.cost.terminal_weight)
     assert term[cluster.reference_index] == 0.0 and np.any(term > 0.0)

@@ -8,17 +8,18 @@ from dataclasses import replace
 from frenetplan.errors import NoFeasibleCandidate, PlannerError, ScenarioInvalid
 from frenetplan import endpoint_regulation, quintic_sampling, replanning_sim
 from frenetplan.evaluation import FeasibilityReport, KinematicLimits, check_candidate
-from frenetplan.frenet_geometry import ReferencePath, build_reference_path
+from frenetplan.frenet_geometry import FrenetState, ReferencePath, build_reference_path
 from frenetplan.quintic_sampling import SamplingGrid
 from frenetplan.replanning_sim import (
     MODES,
     ModeSwitches,
     Scenario,
+    plan_cycle,
     run,
     select_candidate,
     validate_scenario_dict,
 )
-from frenetplan.scenarios import curved_bumps, narrow_oncoming, straight_crossing
+from frenetplan.scenarios import BUILDERS, curved_bumps, narrow_oncoming, straight_crossing
 
 from conftest import make_candidate
 
@@ -235,13 +236,50 @@ def test_proposed_completes_found_refinement_failures(seed):
     assert len(log.cycles) == 5
 
 
+@pytest.mark.parametrize("mode", list(MODES))
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_plan_cycle_replays_each_cycle_of_run(name, mode):
+    for seed in (0, 1):
+        scn = BUILDERS[name](seed=seed, n_cycles=3)
+        path = scn.build_path()
+        state = scn.initial_state
+        cycles = run(scn, mode).cycles
+        assert len(cycles) == 3
+        for k, want in enumerate(cycles):
+            record = plan_cycle(scn, path, MODES[mode], state, k)
+            assert json.dumps(record.to_dict()) == json.dumps(want.to_dict())
+            state = FrenetState.from_array(record.states[-1])
+
+
+def test_plan_cycle_plans_from_a_hand_made_state():
+    # a state off every run's trace, planned as the third cycle
+    scn = narrow_oncoming(seed=0)
+    state = FrenetState(3.217, 0.83, 0.11, -0.07, 0.04, -0.02)
+    record = plan_cycle(scn, scn.build_path(), MODES["proposed"], state, 2)
+    elapsed = 2 * scn.sim.commit_horizon
+    assert record.cycle == 2
+    assert record.states[0].tobytes() == state.as_array().tobytes()
+    assert record.times[0] == elapsed
+    assert len(record.agent_positions) == len(scn.agents) == 2
+    for agent, nb in zip(record.agent_positions, scn.agents):
+        assert np.array_equal(np.asarray(agent), nb.position + elapsed * nb.velocity)
+
+
 def test_no_feasible_candidate_carries_partial_log():
     scn = straight_crossing(seed=0, n_cycles=3)
     scn.limits = KinematicLimits(v_max=0.05)
     with pytest.raises(NoFeasibleCandidate) as err:
+        plan_cycle(scn, scn.build_path(), MODES["baseline"], scn.initial_state, 0)
+    assert err.value.partial_log is None
+    message = str(err.value)
+    assert message.startswith("cycle 0: no feasible candidate (overall ratio ")
+    # run() adds the log it had accumulated when the cycle failed
+    with pytest.raises(NoFeasibleCandidate) as err:
         run(scn, "baseline")
-    assert err.value.partial_log is not None
-    assert err.value.partial_log.final_state is not None
+    assert str(err.value) == message
+    log = err.value.partial_log
+    assert log is not None and log.cycles == []
+    assert log.final_state.as_array().tobytes() == scn.initial_state.as_array().tobytes()
 
 
 def test_non_finite_cost_is_an_error():
