@@ -358,18 +358,16 @@ def cmd_cluster(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    terms = cluster.terminal_matrix()
+    terms = cluster.terminals
 
     if args.dump == "endpoints":
         # the terminal term the selection cost adds; without momentum weights none
-        energy = [""] * len(cluster.candidates)
+        energy = [""] * len(cluster)
         if switches.momentum_weights:
             reference = cluster.candidates[cluster.reference_index]
-            energy = terminal_deviation(
-                cluster.candidates, reference, scenario.cost.terminal_weight
-            )
+            energy = terminal_deviation(terms, reference, scenario.cost.terminal_weight)
         rows = []
-        for i in range(len(cluster.candidates)):
+        for i in range(len(cluster)):
             gap = 0.0 if i == 0 else float(np.linalg.norm(terms[i] - terms[i - 1]))
             rows.append((i, *terms[i], gap, energy[i]))
         _write_csv(
@@ -391,7 +389,7 @@ def cmd_cluster(args) -> int:
             rows,
         )
 
-    if len(cluster.candidates) >= 2:
+    if len(cluster) >= 2:
         nearest = nearest_distances(terms)
         counts, edges = np.histogram(nearest, bins=_hist_edges(nearest.max()))
         _write_csv(
@@ -399,7 +397,7 @@ def cmd_cluster(args) -> int:
             ("bin_lo", "bin_hi", "count"),
             [(edges[i], edges[i + 1], int(counts[i])) for i in range(len(counts))],
         )
-    print(f"cluster of {len(cluster.candidates)} candidates dumped to {out_dir}")
+    print(f"cluster of {len(cluster)} candidates dumped to {out_dir}")
     return 0
 
 

@@ -9,7 +9,7 @@ candidate through ``terminal_deviation``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .quintic_sampling import (
     SamplingGrid,
     TrajectoryCandidate,
     TrajectoryCluster,
-    build_candidates,
+    build_rows,
     generate_cluster,
 )
 from .schema import check, spec
@@ -53,9 +53,9 @@ class RegulationConfig:
 def select_reference_candidate(cluster: TrajectoryCluster) -> int:
     """Index of the candidate whose terminal (d, s_dot) is closest to
     (0, median terminal speed); ties go to the smaller index."""
-    if not cluster.candidates:
+    if not len(cluster):
         raise EmptyCluster("cannot select a reference in an empty cluster")
-    terms = cluster.terminal_matrix()
+    terms = cluster.terminals
     target = np.array([0.0, float(np.median(terms[:, 1]))])
     dev = np.column_stack([terms[:, 3], terms[:, 1]]) - target
     # Python floats hold float64 exactly, and compare faster than numpy scalars
@@ -71,34 +71,41 @@ def terminal_deviation(
     candidates, reference: TrajectoryCandidate | None, weight: float
 ) -> np.ndarray:
     """``weight * (v_T - v_T,ref)**2`` per candidate, the terminal term of the
-    selection cost; zeros without a reference.
+    selection cost; zeros without a reference. ``candidates`` is a list of
+    candidates, or their (n, 6) terminal states (a cluster's ``terminals``).
 
     The paper penalises the terminal deviation [s_dot, s_ddot, d_dot, d_ddot]
     from a reference candidate. Every candidate here ends in a steady terminal
-    (``build_candidates``: s_ddot = d_dot = d_ddot = 0, as in Werling et al.,
+    (``build_rows``: s_ddot = d_dot = d_ddot = 0, as in Werling et al.,
     ICRA 2010), so only the speed term can differ between two candidates. A
     sampler that ends candidates off the steady state must bring the other
     three terms back.
     """
     if reference is None:
         return np.zeros(len(candidates))
-    dv = np.array([c.states[-1, 1] for c in candidates]) - reference.states[-1, 1]
+    if isinstance(candidates, np.ndarray):
+        speeds = candidates[:, 1]
+    else:
+        speeds = np.array([c.states[-1, 1] for c in candidates])
+    dv = speeds - reference.states[-1, 1]
     return weight * (dv * dv)
 
 
+def _terminal_order(terms: np.ndarray) -> np.ndarray:
+    """Stable order of terminal states by lateral offset, then speed: that of
+    ``sorted()`` over the (d, s_dot) tuples, ties and -0.0 included."""
+    return np.lexsort((terms[:, 1], terms[:, 3]))
+
+
 def sort_by_terminal(cluster: TrajectoryCluster) -> TrajectoryCluster:
-    """Sort candidates by terminal lateral offset, then terminal speed."""
-    order = sorted(
-        range(len(cluster.candidates)),
-        key=lambda i: (
-            cluster.candidates[i].states[-1, 3],
-            cluster.candidates[i].states[-1, 1],
-        ),
-    )
-    return replace(
-        cluster,
-        candidates=[cluster.candidates[i] for i in order],
+    """Sort candidates by terminal lateral offset, then terminal speed: one
+    stable lexsort, and one gather of the rows into new blocks."""
+    return TrajectoryCluster(
+        candidates=None,
         reference_index=0,
+        initial=cluster.initial,
+        spacing_budget_exhausted=cluster.spacing_budget_exhausted,
+        layout=cluster.rows.take(_terminal_order(cluster.terminals)),
     )
 
 
@@ -118,35 +125,48 @@ def enforce_spacing(
     linearly interpolated terminal configurations, up to 8 insertions per
     gap (beyond that the budget flag is set instead of failing). Insertion
     horizons snap to multiples of ``grid.dt``, the only grid field read, and
-    the insertions are built in one ``build_candidates`` call. The cluster's
+    the insertions are built in one ``build_rows`` call. The repaired rows
+    are sorted by terminal (``sort_by_terminal``) and gathered from the
+    input's and the insertions' rows in one pass. The cluster's
     ``reference_index`` is not read; the repaired cluster selects its own.
     """
-    if not cluster.candidates:
+    if not len(cluster):
         raise EmptyCluster("cannot enforce spacing on an empty cluster")
+    return _repair(cluster, np.arange(len(cluster)), config, grid)
 
+
+def _repair(
+    cluster: TrajectoryCluster,
+    chain: np.ndarray,
+    config: RegulationConfig,
+    grid: SamplingGrid,
+) -> TrajectoryCluster:
+    """``enforce_spacing`` of the cluster's rows taken in the order ``chain``
+    lists them, as if gathered in that order first."""
     # every consecutive gap in one call: a row's np.linalg.norm is the square
     # root of its dot product, which vecdot gives bit for bit
-    terms = cluster.terminal_matrix()
+    rows = cluster.rows
+    terms = rows.terminals[chain]
     diff = terms[1:] - terms[:-1]
     consecutive = np.sqrt(np.vecdot(diff, diff)).tolist()
-    kept: list[TrajectoryCandidate] = [cluster.candidates[0]]
-    kept_rows: list[int] = [0]  # input index of each kept candidate
+    kept: list[int] = [0]  # chain position of each kept candidate
     gaps: list[float] = []  # terminal gap from each kept candidate to the next
-    for i, cand in enumerate(cluster.candidates[1:], 1):
-        last = kept_rows[-1]
+    for i in range(1, len(terms)):
+        last = kept[-1]
         if last == i - 1:
             gap = consecutive[last]
         else:  # a near-duplicate was dropped since the last kept candidate
             gap = float(np.linalg.norm(terms[i] - terms[last]))
         if gap >= config.min_gap:
-            kept.append(cand)
-            kept_rows.append(i)
+            kept.append(i)
             gaps.append(gap)
 
     budget_exhausted = False
     after: list[int] = []  # index in ``kept`` of the candidate each insertion follows
     alphas: list[float] = []
     horizons: list[float] = []
+    kept_rows = chain[kept].tolist()
+    kept_horizons = rows.horizon[kept_rows].tolist()
     for k, gap in enumerate(gaps):
         if gap <= config.max_gap:
             continue
@@ -154,7 +174,7 @@ def enforce_spacing(
         if n_insert > _GAP_BUDGET:
             n_insert = _GAP_BUDGET
             budget_exhausted = True
-        h_a, h_b = kept[k].horizon, kept[k + 1].horizon
+        h_a, h_b = kept_horizons[k], kept_horizons[k + 1]
         for j in range(1, n_insert + 1):
             alpha = j / (n_insert + 1)
             after.append(k)
@@ -164,7 +184,7 @@ def enforce_spacing(
     # every insertion target in one expression; one-sided form: exact when
     # components of a and b coincide, so sorting ties stay ties and the
     # repaired chain order holds
-    kept_terms = terms[kept_rows]
+    kept_terms = terms[kept]
     at = np.array(after, dtype=int)
     term_a, term_b = kept_terms[at], kept_terms[at + 1]
     targets = (term_a + np.array(alphas)[:, None] * (term_b - term_a)).tolist()
@@ -179,20 +199,23 @@ def enforce_spacing(
         for (s, speed, _, offset, _, _), horizon in zip(targets, horizons)
     ]
 
-    # built in one call, then put back into the chain in order
-    following: list[list] = [[] for _ in kept]
-    for k, cand in zip(after, build_candidates(cluster.initial, specs, grid.dt)):
-        if cand is not None:
-            following[k].append(cand)
-    out = [c for a, extra in zip(kept, following) for c in (a, *extra)]
-
+    # built in one call; the chain is each kept row followed by its
+    # insertions, as rows of the input's rows joined with the insertions',
+    # and one gather lays it out sorted
+    inserted, built = build_rows(cluster.initial, specs, grid.dt)
+    following: list[list] = [[] for _ in kept_rows]
+    for r, i in enumerate(built, len(rows)):
+        following[after[i]].append(r)
+    out = np.array([r for a, extra in zip(kept_rows, following) for r in (a, *extra)])
+    joined = rows.join(inserted)
+    order = out[_terminal_order(joined.terminals[out])]
     repaired = TrajectoryCluster(
-        candidates=out,
+        candidates=None,
         reference_index=0,
         initial=cluster.initial,
         spacing_budget_exhausted=budget_exhausted or cluster.spacing_budget_exhausted,
+        layout=joined.take(order),
     )
-    repaired = sort_by_terminal(repaired)
     repaired.reference_index = select_reference_candidate(repaired)
     return repaired
 
@@ -203,7 +226,9 @@ def regulated_cluster(
     grid: SamplingGrid,
     config: RegulationConfig,
 ) -> TrajectoryCluster:
-    """Generate, sort, and spacing-repair a cluster; its ``reference_index``
-    names the reference of the selection cost's terminal term."""
-    cluster = sort_by_terminal(generate_cluster(initial, path, grid))
-    return enforce_spacing(cluster, config, grid)
+    """Generate, sort, and spacing-repair a cluster (``sort_by_terminal``,
+    then ``enforce_spacing``, with the one gather of the repair); its
+    ``reference_index`` names the reference of the selection cost's
+    terminal term."""
+    cluster = generate_cluster(initial, path, grid)
+    return _repair(cluster, _terminal_order(cluster.terminals), config, grid)

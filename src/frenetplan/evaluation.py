@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import EmptyInput, TooFewEndpoints
 from .frenet_geometry import ReferencePath
-from .momentum_optimizer import SampleRows, fd_gradient
-from .quintic_sampling import TrajectoryCandidate, TrajectoryCluster
+from .momentum_optimizer import fd_gradient
+from .quintic_sampling import SampleRows, TrajectoryCandidate, TrajectoryCluster
 from .schema import check, spec
 
 # Below this Cartesian speed, curvature-family quantities are undefined and
@@ -96,8 +96,8 @@ def kinematic_peaks(
     candidates, path: ReferencePath, rows: Optional[SampleRows] = None
 ) -> list:
     """``KinematicPeaks`` of each candidate, in input order, in one pass over
-    the candidates' ``SampleRows`` (``rows``, built here if not given) and
-    their one path-frame evaluation.
+    the candidates' ``SampleRows`` (``rows``, a cluster's own, or copied
+    here if not given), its jerk blocks and its one path-frame evaluation.
 
     Speed/acceleration come from finite differences of the Cartesian trace,
     curvature from first/second central differences (yaw rate = curvature *
@@ -117,8 +117,8 @@ def kinematic_peaks(
     ay = fd_gradient(vy, h, first, last)
     speed = np.sqrt(vx * vx + vy * vy)
     accel = np.sqrt(ax * ax + ay * ay)
-    jerk_lon = _row_max(np.abs(np.concatenate([c.jerk_lon for c in candidates])), first)
-    jerk_lat = _row_max(np.abs(np.concatenate([c.jerk_lat for c in candidates])), first)
+    jerk_lon = _row_max(np.abs(rows.jerk_lon), first)
+    jerk_lat = _row_max(np.abs(rows.jerk_lat), first)
 
     # where the speed is degenerate, kappa and every curvature rate whose
     # stencil touches such a sample of its own row are zeroed, so they never
@@ -149,15 +149,13 @@ def kinematic_peaks(
     ).tolist()
     degenerate = (~np.logical_and.reduceat(valid, first)).tolist()
     out = []
-    for cand, start, end, row, skips in zip(
-        candidates, first.tolist(), rows.ends.tolist(), peaks, degenerate
-    ):
+    for start, end, row, skips in zip(first.tolist(), rows.ends.tolist(), peaks, degenerate):
         notes = ()
         if skips:
             skipped = np.flatnonzero(~valid[start:end])
             notes = (
                 f"curvature checks skipped at {skipped.size} near-zero-speed "
-                f"sample(s), first at t={cand.times[skipped[0]]:.3f}",
+                f"sample(s), first at t={rows.times[start + skipped[0]]:.3f}",
             )
         out.append(KinematicPeaks(*row, notes))
     return out
@@ -196,16 +194,24 @@ def check_candidate(
 
 
 def nearest_distances(points: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each row of ``points`` to its nearest other row."""
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
+    """Euclidean distance from each row of ``points`` to its nearest other row.
+
+    The squared differences are summed one coordinate at a time, in
+    coordinate order: the additions ``np.linalg.norm(diff, axis=-1)`` makes
+    over an (n, n, k) difference array, without building it.
+    """
+    dist2 = 0.0
+    for col in points.T:
+        diff = col[:, None] - col[None, :]
+        dist2 = dist2 + diff * diff
+    dist = np.sqrt(dist2)
     np.fill_diagonal(dist, np.inf)
     return dist.min(axis=1)
 
 
 def nn_distance_stats(cluster: TrajectoryCluster) -> ClusterStats:
     """Nearest-neighbor distances between terminal 6-vectors (SI Euclidean)."""
-    terms = cluster.terminal_matrix()
+    terms = cluster.terminals
     n = terms.shape[0]
     if n < 2:
         raise TooFewEndpoints("need at least 2 endpoints for nearest-neighbor stats")

@@ -12,24 +12,23 @@ Velocities and accelerations entering the cost are derived from the position
 samples by finite differences (central in the interior, one-sided at the
 ends), so the cost is a pure function of the position trace and the descent
 contract is exact. The cost and force kernels are elementwise along the
-sample axis, so the simulator costs a whole cluster in one pass over its
-candidates laid back to back (``SampleRows``, ``cost_cluster``); the same
-layout and its one path-frame evaluation serve classification. Refinement
-descends one candidate at a time (``optimize_trajectory``);
-``optimize_cluster`` maps it over a cluster.
+sample axis, so the simulator costs a whole cluster in one pass over the
+cluster's own arrays, its candidates' samples back to back (``SampleRows``,
+``cost_cluster``); the same layout and its one path-frame evaluation serve
+classification. Refinement descends one candidate at a time
+(``optimize_trajectory``); ``optimize_cluster`` maps it over a cluster.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
 from .endpoint_regulation import terminal_deviation
 from .errors import CoincidentNeighbor
 from .frenet_geometry import ReferencePath
-from .quintic_sampling import TrajectoryCandidate
+from .quintic_sampling import SampleRows, TrajectoryCandidate
 from .schema import ListOf, check, spec
 
 _COINCIDENT_DIST = 1e-9
@@ -437,63 +436,6 @@ def _cost_and_gradient(times, ps, pd, ctx, config):
     return cost, np.stack([grad_s[..., lo:hi], grad_d[..., lo:hi]], axis=-1)
 
 
-@dataclass(frozen=True)
-class SampleRows:
-    """Candidates' samples back to back on one axis, in input order.
-
-    Row ``r`` (candidate ``r``) is samples ``starts[r]:ends[r]``, ``last``
-    its last sample. Per sample: the row's own ``times``, its step ``h`` (the
-    candidate's ``dt``, ``times[1] - times[0]``), and the longitudinal and
-    lateral positions ``s`` and ``d``. ``frame`` is ``path.frame(s)`` if the
-    layout was built with a path, else None.
-    """
-
-    starts: np.ndarray
-    ends: np.ndarray
-    last: np.ndarray
-    times: np.ndarray
-    h: np.ndarray
-    s: np.ndarray
-    d: np.ndarray
-    frame: Optional[tuple] = None
-
-    @classmethod
-    def of(cls, candidates, path: ReferencePath | None = None) -> "SampleRows":
-        counts = [len(c.times) for c in candidates]
-        if min(counts) < 3:
-            # the one-sided stencils would reach into the next row
-            raise ValueError("every candidate needs at least 3 samples")
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        times = np.concatenate([c.times for c in candidates])
-        states = np.concatenate([c.states for c in candidates])
-        s = np.ascontiguousarray(states[:, 0])
-        return cls(
-            starts=starts,
-            ends=ends,
-            last=ends - 1,
-            times=times,
-            h=np.repeat(times[starts + 1] - times[starts], counts),
-            s=s,
-            d=np.ascontiguousarray(states[:, 3]),
-            frame=None if path is None else path.frame(s),
-        )
-
-    def trapezoid(self, y) -> np.ndarray:
-        """``np.trapezoid`` of each row of ``y`` over its ``times``, bit for
-        bit: the terms over the whole axis, then each row's summed in a
-        contiguous block with the rows of its sample count, so numpy's pairwise
-        sum sees the row alone (a sequential ``np.add.reduceat`` does not)."""
-        t = self.times
-        terms = (t[1:] - t[:-1]) * (y[1:] + y[:-1]) / 2.0
-        counts = self.ends - self.starts
-        out = np.empty(len(counts))
-        for n in np.unique(counts).tolist():
-            rows = np.flatnonzero(counts == n)
-            out[rows] = terms[self.starts[rows, None] + np.arange(n - 1)].sum(axis=-1)
-        return out
-
-
 def cost_cluster(
     candidates,
     ctx: PlanningContext,
@@ -504,8 +446,8 @@ def cost_cluster(
     """Discretized objective of every candidate, in input order: trapezoid of
     the running cost plus the weighted terminal deviation against
     ``reference``, in one pass over the candidates' ``SampleRows`` (``rows``,
-    built here if not given; its frame, if it has one, serves the agents'
-    force).
+    a cluster's own, or copied here if not given; its frame, if it has one,
+    serves the agents' force, and its terminal matrix the terminal term).
 
     Velocities and accelerations are re-derived from the sampled positions so
     the value is a pure function of the position trace (the optimizer's own
@@ -524,7 +466,8 @@ def cost_cluster(
     a_d = _fd_accel(pd, h, first, last)
     force, _ = _force_field(rows.times, ps, vs, pd, vd, ctx, False, rows.frame)
     running = rows.trapezoid(_integrand(vs, vd, a_s, a_d, force, ctx, config))
-    return (running + terminal_deviation(candidates, reference, config.terminal_weight)).tolist()
+    terminal = terminal_deviation(rows.terminals, reference, config.terminal_weight)
+    return (running + terminal).tolist()
 
 
 def total_cost(

@@ -5,14 +5,17 @@ quintic in the longitudinal displacement sigma = s - s(0), converted to time
 derivatives through the chain rule when sampling. A quintic is the float
 (6,) array of its monomial coefficients c0..c5 over its native abscissa.
 
-``build_candidates`` is the one builder: it solves a call's quintics in two
+``build_rows`` is the one builder: it solves a call's quintics in two
 array calls of ``solve_quintic`` and samples them in two ``eval_quintic``
-calls over ragged sample axes, whatever the mix of horizons.
+calls over ragged sample axes, whatever the mix of horizons, into the
+``SampleRows`` that a ``TrajectoryCluster`` keeps; ``build_candidates``
+hands its rows out as candidates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -189,17 +192,211 @@ class TrajectoryCandidate:
         )
 
 
+# a row's samples, and what a candidate holds per row besides them
+_SAMPLE_FIELDS = ("times", "states", "jerk_lon", "jerk_lat")
+_ROW_FIELDS = ("terminals", "lon", "lat", "lat_span", "horizon")
+
+
+def _row_samples(starts, counts):
+    """Starts and ends of rows of ``counts`` samples laid back to back, and
+    the index of each of their samples in a layout where the rows start at
+    ``starts``."""
+    ends = np.cumsum(counts)
+    new_starts = ends - counts
+    index = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - new_starts, counts)
+    return new_starts, ends, index
+
+
+@dataclass(frozen=True, eq=False)
+class SampleRows:
+    """Candidates as arrays, one row each: the layout a build writes, a
+    cluster keeps, and costing and classification read.
+
+    Row ``r`` (candidate ``r``) is samples ``starts[r]:ends[r]`` of the
+    blocks ``times``, ``states`` (rows [s, s_dot, s_ddot, d, d_dot, d_ddot])
+    and ``jerk_lon``/``jerk_lat``, laid back to back; ``last`` is its last
+    sample and ``terminals[r]`` that sample's state. Per row it also holds
+    the rest of a candidate: the quintics' coefficients ``lon`` and ``lat``
+    ((n, 6) arrays), ``lat_span``, ``horizon`` and ``grid_key``. Per sample
+    it derives the step ``h`` (its row's ``times[1] - times[0]``) and the
+    positions ``s`` and ``d``. ``frame`` is the path frame at ``s`` once a
+    caller evaluated it, else None.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    times: np.ndarray
+    states: np.ndarray
+    jerk_lon: np.ndarray
+    jerk_lat: np.ndarray
+    terminals: np.ndarray
+    lon: np.ndarray
+    lat: np.ndarray
+    lat_span: np.ndarray
+    horizon: np.ndarray
+    grid_key: list
+    frame: Optional[tuple] = None
+
+    @classmethod
+    def of(cls, candidates, path: ReferencePath | None = None) -> "SampleRows":
+        """The candidates' rows copied back to back, in input order, with
+        the path frame if ``path`` is given."""
+        counts = np.array([len(c.times) for c in candidates], dtype=np.intp)
+        if counts.min(initial=3) < 3:
+            # the one-sided stencils would reach into the next row
+            raise ValueError("every candidate needs at least 3 samples")
+        ends = np.cumsum(counts)
+        blocks = {
+            name: np.concatenate([getattr(c, name) for c in candidates])
+            if candidates else np.zeros((0, 6) if name == "states" else 0)
+            for name in _SAMPLE_FIELDS
+        }
+        rows = cls(
+            starts=ends - counts,
+            ends=ends,
+            **blocks,
+            terminals=blocks["states"][ends - 1],
+            lon=np.array([c.lon for c in candidates]).reshape(-1, 6),
+            lat=np.array([c.lat for c in candidates]).reshape(-1, 6),
+            lat_span=np.array([c.lat_span for c in candidates], dtype=float),
+            horizon=np.array([c.horizon for c in candidates], dtype=float),
+            grid_key=[c.grid_key for c in candidates],
+        )
+        return rows if path is None else replace(rows, frame=path.frame(rows.s))
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    @cached_property
+    def last(self) -> np.ndarray:
+        return self.ends - 1
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        t, starts = self.times, self.starts
+        return np.repeat(t[starts + 1] - t[starts], self.ends - starts)
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        return np.ascontiguousarray(self.states[:, 0])
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        return np.ascontiguousarray(self.states[:, 3])
+
+    def take(self, order) -> "SampleRows":
+        """The rows ``order`` lists, in that order, in new blocks."""
+        order = np.asarray(order, dtype=np.intp)
+        starts, ends, samples = _row_samples(
+            self.starts[order], (self.ends - self.starts)[order]
+        )
+        # ndarray.take: faster than fancy indexing on the (N, 6) blocks
+        return SampleRows(
+            starts=starts,
+            ends=ends,
+            **{name: getattr(self, name).take(samples, axis=0) for name in _SAMPLE_FIELDS},
+            **{name: getattr(self, name).take(order, axis=0) for name in _ROW_FIELDS},
+            grid_key=[self.grid_key[i] for i in order.tolist()],
+        )
+
+    def join(self, other: "SampleRows") -> "SampleRows":
+        """These rows, then ``other``'s, in new blocks."""
+        n = len(self.times)
+        return SampleRows(
+            starts=np.concatenate((self.starts, other.starts + n)),
+            ends=np.concatenate((self.ends, other.ends + n)),
+            **{
+                name: np.concatenate((getattr(self, name), getattr(other, name)))
+                for name in _SAMPLE_FIELDS + _ROW_FIELDS
+            },
+            grid_key=self.grid_key + other.grid_key,
+        )
+
+    def views(self) -> list:
+        """One TrajectoryCandidate per row, its arrays views of the row."""
+        t, x, jl, jd = self.times, self.states, self.jerk_lon, self.jerk_lat
+        return [
+            TrajectoryCandidate(
+                lon=lon,
+                lat=lat,
+                lat_span=span,
+                horizon=horizon,
+                times=t[a:b],
+                states=x[a:b],
+                jerk_lon=jl[a:b],
+                jerk_lat=jd[a:b],
+                grid_key=key,
+            )
+            for lon, lat, span, horizon, key, a, b in zip(
+                self.lon, self.lat, self.lat_span.tolist(), self.horizon.tolist(),
+                self.grid_key, self.starts.tolist(), self.ends.tolist(),
+            )
+        ]
+
+    def trapezoid(self, y) -> np.ndarray:
+        """``np.trapezoid`` of each row of ``y`` over its ``times``, bit for
+        bit: the terms over the whole axis, then each row's summed in a
+        contiguous block with the rows of its sample count, so numpy's pairwise
+        sum sees the row alone (a sequential ``np.add.reduceat`` does not)."""
+        t = self.times
+        terms = (t[1:] - t[:-1]) * (y[1:] + y[:-1]) / 2.0
+        counts = self.ends - self.starts
+        out = np.empty(len(counts))
+        for n in np.unique(counts).tolist():
+            rows = np.flatnonzero(counts == n)
+            out[rows] = terms[self.starts[rows, None] + np.arange(n - 1)].sum(axis=-1)
+        return out
+
+
 @dataclass
 class TrajectoryCluster:
-    """Candidate set sharing one initial state, with a designated reference."""
+    """Candidates sharing one initial state, with a designated reference, as
+    the arrays of one ``SampleRows`` (``rows``) in cluster order.
 
-    candidates: list
+    ``cluster[i]`` is candidate ``i``, a TrajectoryCandidate whose arrays
+    view its row, and ``candidates`` lists them, made on first use;
+    ``terminals`` is the (n, 6) matrix of terminal states. The builder,
+    sorting and spacing repair make a cluster from its rows (``layout``);
+    made from ``candidates`` instead, a cluster copies their samples into
+    new blocks and keeps candidates viewing them there.
+    """
+
+    candidates: Optional[list]
     reference_index: int
     initial: FrenetState
     spacing_budget_exhausted: bool = False
+    layout: InitVar[Optional[SampleRows]] = None
+    rows: SampleRows = field(init=False, repr=False, compare=False)
 
-    def terminal_matrix(self) -> np.ndarray:
-        return np.stack([c.states[-1] for c in self.candidates])
+    def __post_init__(self, layout):
+        if layout is not None:
+            # made from the rows on first use: a regulated cycle reads only
+            # its repaired cluster's candidates, never the grid cluster's
+            del self.candidates
+            self.rows = layout
+            return
+        self.rows = rows = SampleRows.of(self.candidates)
+        self.candidates = [
+            replace(c, **{name: getattr(rows, name)[a:b] for name in _SAMPLE_FIELDS})
+            for c, a, b in zip(self.candidates, rows.starts.tolist(), rows.ends.tolist())
+        ]
+
+    def __getattr__(self, name):
+        # only ``candidates`` of a cluster made from its rows is missing
+        if name != "candidates":
+            raise AttributeError(name)
+        self.candidates = self.rows.views()
+        return self.candidates
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i) -> TrajectoryCandidate:
+        return self.candidates[i]
+
+    @property
+    def terminals(self) -> np.ndarray:
+        return self.rows.terminals
 
 
 def _lateral_boundary_from_time(initial: FrenetState):
@@ -222,28 +419,24 @@ class CandidateSpec(NamedTuple):
     grid_key: tuple = ()
 
 
-def build_candidates(
-    initial: FrenetState, specs: Sequence[CandidateSpec], dt: float
-) -> list:
+def build_rows(initial: FrenetState, specs: Sequence[CandidateSpec], dt: float) -> tuple:
     """Solve both quintics toward each spec's steady terminal and sample them.
 
     Terminal acceleration and lateral rates are zero (steady-terminal
-    convention). Returns one entry per spec, in order: the candidate, or None
-    for a non-forward one (nonpositive longitudinal span or a sampled dip in
-    s). Specs sharing (terminal s, terminal speed, horizon) share one
-    longitudinal quintic. The distinct longitudinal quintics are solved in
-    one array call and the lateral ones in another. The spans are checked
-    first, in input order, so if a span is ill-posed the first spec whose
-    solve would fail raises: its longitudinal span (if new) before its
-    lateral one.
+    convention). Returns the ``SampleRows`` of the forward specs, in input
+    order, and the index in ``specs`` of each row; a spec with a nonpositive
+    longitudinal span or a sampled dip in s has no row. Specs sharing
+    (terminal s, terminal speed, horizon) share one longitudinal quintic. The
+    distinct longitudinal quintics are solved in one array call and the
+    lateral ones in another. The spans are checked first, in input order, so
+    if a span is ill-posed the first spec whose solve would fail raises: its
+    longitudinal span (if new) before its lateral one.
 
     Sampling takes two ``eval_quintic`` calls, each over samples laid back to
-    back on one axis (like ``SampleRows``): every longitudinal quintic over
-    its own horizon, which decides its dip once, then every kept candidate's
-    lateral quintic over the longitudinal row it gathers. Each candidate's
-    ``times``, ``states`` and jerks are disjoint slices of the shared blocks.
+    back on one axis: every longitudinal quintic over its own horizon, which
+    decides its dip once, then every kept spec's lateral quintic over the
+    longitudinal row it gathers, which lays out the rows' blocks.
     """
-    out = [None] * len(specs)
     keys: dict = {}  # longitudinal key -> its column among the solves
     index, kept, columns, spans = [], [], [], []  # of the forward specs
     for i, x in enumerate(specs):
@@ -258,7 +451,7 @@ def build_candidates(
             columns.append(keys.setdefault(key, len(keys)))
             spans.append(span)
     if not kept:
-        return out
+        return SampleRows.of([]), []
     boundary = _lateral_boundary_from_time(initial)
     start = (initial.s, initial.s_dot, initial.s_ddot)
     ends_s, speeds, horizons = np.array(list(keys)).T
@@ -279,16 +472,14 @@ def build_candidates(
     drops[ends[:-1] - 1] = False  # a row's last sample to the next row's first
     dips = np.logical_or.reduceat(drops, starts)
 
-    # lateral pass: each forward candidate gathers its longitudinal row
+    # lateral pass: each forward spec gathers its longitudinal row
     columns = np.array(columns)
     own = np.flatnonzero(~dips[columns])
     if not len(own):
-        return out
+        return SampleRows.of([]), []
     col = columns[own]
     n = counts[col]
-    row_ends = np.cumsum(n)
-    row_starts = row_ends - n
-    take = np.arange(row_ends[-1]) + np.repeat(starts[col] - row_starts, n)
+    row_starts, row_ends, take = _row_samples(starts[col], n)
     s, s_dot, s_ddot, s_jerk = s[take], s_dot[take], s_ddot[take], s_jerk[take]
     d, dp, dpp, dppp = eval_quintic(np.repeat(lat[:, own], n, axis=1), s - initial.s)
     d_dot = dp * s_dot
@@ -300,24 +491,37 @@ def build_candidates(
     # Snap the terminal sample to the imposed boundary (solver residual is
     # ~1e-13); exact terminals keep sorting ties and de-duplication stable.
     built = [kept[j] for j in own.tolist()]
-    states[row_ends - 1] = [
-        (x.terminal_s, x.terminal_speed, 0.0, x.lateral_offset, 0.0, 0.0) for x in built
-    ]
-    times = times[take]
-    for j, k, x, a, b in zip(
-        own.tolist(), col.tolist(), built, row_starts.tolist(), row_ends.tolist()
-    ):
-        out[index[j]] = TrajectoryCandidate(
-            lon=lon[:, k],
-            lat=lat[:, j],
-            lat_span=spans[j],
-            horizon=x.horizon,
-            times=times[a:b],
-            states=states[a:b],
-            jerk_lon=s_jerk[a:b],
-            jerk_lat=d_jerk[a:b],
-            grid_key=x.grid_key,
-        )
+    terminals = np.array(
+        [(x.terminal_s, x.terminal_speed, 0.0, x.lateral_offset, 0.0, 0.0) for x in built]
+    )
+    states[row_ends - 1] = terminals
+    rows = SampleRows(
+        starts=row_starts,
+        ends=row_ends,
+        times=times[take],
+        states=states,
+        jerk_lon=s_jerk,
+        jerk_lat=d_jerk,
+        terminals=terminals,
+        lon=lon.T[col],
+        lat=lat.T[own],
+        lat_span=np.array(spans)[own],
+        horizon=horizons[col],
+        grid_key=[x.grid_key for x in built],
+    )
+    return rows, [index[j] for j in own.tolist()]
+
+
+def build_candidates(
+    initial: FrenetState, specs: Sequence[CandidateSpec], dt: float
+) -> list:
+    """``build_rows`` as one entry per spec, in order: the candidate, whose
+    arrays are disjoint slices of the build's shared blocks, or None for a
+    non-forward one."""
+    rows, index = build_rows(initial, specs, dt)
+    out = [None] * len(specs)
+    for i, cand in zip(index, rows.views()):
+        out[i] = cand
     return out
 
 
@@ -340,7 +544,7 @@ def generate_cluster(
     initial: FrenetState, path: ReferencePath, grid: SamplingGrid
 ) -> TrajectoryCluster:
     """One candidate per grid triple, ordered by (horizon, speed, offset),
-    built by ``build_candidates``.
+    built by ``build_rows``.
 
     Terminal longitudinal position follows the trapezoidal progress
     heuristic s_T = s_0 + (s_dot_0 + v_T)/2 * horizon; triples with
@@ -360,7 +564,7 @@ def generate_cluster(
             if terminal_s > path.total_length:
                 # the triples before this pair are solved first, so an
                 # ill-conditioned one among them raises instead
-                build_candidates(initial, specs, grid.dt)
+                build_rows(initial, specs, grid.dt)
                 raise PathTooShort(
                     f"terminal s={terminal_s:.3f} beyond path end "
                     f"{path.total_length:.3f} (speed {speed}, horizon {horizon})"
@@ -369,14 +573,8 @@ def generate_cluster(
                 CandidateSpec(terminal_s, speed, offset, horizon, (horizon, speed, offset))
                 for offset in sorted(grid.lateral_offsets)
             ]
-    candidates = [c for c in build_candidates(initial, specs, grid.dt) if c is not None]
-    if not candidates:
+    rows = build_rows(initial, specs, grid.dt)[0]
+    if not len(rows):
         raise EmptyCluster("all grid triples were discarded")
-    return TrajectoryCluster(candidates=candidates, reference_index=0, initial=initial)
+    return TrajectoryCluster(candidates=None, reference_index=0, initial=initial, layout=rows)
 
-
-def integrated_squared_jerk(coeffs, span: float) -> float:
-    """Exact integral of the squared third derivative over [0, span]."""
-    poly = np.polynomial.Polynomial(coeffs)
-    jerk = poly.deriv(3)
-    return float((jerk * jerk).integ()(span) - (jerk * jerk).integ()(0.0))

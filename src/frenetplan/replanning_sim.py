@@ -37,7 +37,6 @@ from .momentum_optimizer import (
     InteractionParams,
     Neighbor,
     PlanningContext,
-    SampleRows,
     cost_cluster,
     optimize_cluster,  # noqa: F401 - perfbench's tracer wraps this name here
     total_cost,  # noqa: F401 - perfbench's tracer wraps this name here
@@ -322,9 +321,10 @@ def plan_cycle(
     scenario: Scenario, path: ReferencePath, switches: ModeSwitches,
     state: FrenetState, k: int,
 ) -> CycleRecord:
-    """Cycle ``k`` from ``state``, the agents advanced to its start: sample,
-    cost and classify the cluster, select the best feasible candidate, and
-    return the record that commits its first ``commit_horizon`` seconds.
+    """Cycle ``k`` from ``state``, the agents advanced to its start: sample
+    the cluster, cost and classify its rows (``TrajectoryCluster.rows``) in
+    one pass each, select the best feasible candidate, and return the
+    record that commits its first ``commit_horizon`` seconds.
     Raises PlannerError for a non-finite cost, and NoFeasibleCandidate
     (without a partial log) if no candidate is feasible."""
     commit_idx = int(round(scenario.sim.commit_horizon / scenario.grid.dt))
@@ -346,54 +346,60 @@ def plan_cycle(
     )
 
     cluster = cycle_cluster(scenario, path, state, k, switches.regulate)
-    reference = cluster.candidates[cluster.reference_index]
+    candidates = cluster.candidates
+    reference = candidates[cluster.reference_index]
 
-    # the candidates back to back, with the one path-frame evaluation that
-    # costing (the agents' force) and classification both read
-    rows = SampleRows.of(cluster.candidates, path)
-    costs = cost_cluster(cluster.candidates, ctx, reference, weights, rows)
-    for i, (cand, cost) in enumerate(zip(cluster.candidates, costs)):
-        if not math.isfinite(cost):
-            # selection would pass over it silently
-            raise PlannerError(
-                f"cycle {k}: candidate {i} {cand.grid_key} has non-finite cost {cost}"
-            )
+    # the cluster's rows, with the one path-frame evaluation that costing
+    # (the agents' force) and classification both read
+    rows = replace(cluster.rows, frame=path.frame(cluster.rows.s))
+    costs = cost_cluster(candidates, ctx, reference, weights, rows)
+    finite = np.isfinite(costs)
+    if not finite.all():
+        # selection would pass over it silently
+        i = int(np.argmin(finite))
+        raise PlannerError(
+            f"cycle {k}: candidate {i} {candidates[i].grid_key} has non-finite cost {costs[i]}"
+        )
+    for cand, cost in zip(candidates, costs):
         cand.cost = cost
 
-    # one classification pass over the cluster; the per-candidate calls
-    # only divide by the limits (perfbench's tracer wraps check_candidate)
-    peaks = kinematic_peaks(cluster.candidates, path, rows)
+    # one classification pass over the cluster's rows; the per-candidate
+    # calls only divide by the limits, each on the candidate viewing its row
+    # (perfbench's tracer wraps check_candidate and counts its calls)
+    peaks = kinematic_peaks(candidates, path, rows)
     reports = [
-        check_candidate(c, path, scenario.limits, p)
-        for c, p in zip(cluster.candidates, peaks)
+        check_candidate(c, path, scenario.limits, p) for c, p in zip(candidates, peaks)
     ]
 
     breakdown = feasibility_breakdown(reports)
-    nn = nn_distance_stats(cluster) if len(cluster.candidates) >= 2 else None
+    nn = nn_distance_stats(cluster) if len(cluster) >= 2 else None
 
     try:
-        idx = select_candidate(cluster.candidates, reports)
+        idx = select_candidate(candidates, reports)
     except NoFeasibleCandidate as err:
         raise NoFeasibleCandidate(
             f"cycle {k}: no feasible candidate "
             f"(overall ratio {breakdown.overall_ratio:.3f})"
         ) from err
-    chosen = cluster.candidates[idx]
+    chosen = candidates[idx]
 
+    # the candidate records, from the cluster's columns (check_candidate
+    # keys each report's margins in CONSTRAINT_ORDER)
+    keys = [[p if isinstance(p, str) else float(p) for p in key] for key in rows.grid_key]
     candidate_rows = [
         {
             "index": i,
-            "key": [str(p) if isinstance(p, str) else float(p) for p in c.grid_key],
-            "cost": float(c.cost),
+            "key": key,
+            "cost": cost,
             "feasible": bool(r.feasible),
             "violations": sorted(r.violations),
-            "margins": {c2: r.worst_margins[c2] for c2 in CONSTRAINT_ORDER},
+            "margins": dict(r.worst_margins),
         }
-        for i, (c, r) in enumerate(zip(cluster.candidates, reports))
+        for i, (key, cost, r) in enumerate(zip(keys, costs, reports))
     ]
     return CycleRecord(
         cycle=k,
-        n_candidates=len(cluster.candidates),
+        n_candidates=len(cluster),
         selected_index=idx,
         selected_key=tuple(chosen.grid_key),
         selected_cost=float(chosen.cost),

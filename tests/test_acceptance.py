@@ -179,7 +179,7 @@ def test_criterion_5_spacing_postcondition():
         )
         cluster = sort_by_terminal(generate_cluster(initial, path, grid))
         repaired = enforce_spacing(cluster, config, grid)
-        gaps = np.linalg.norm(np.diff(repaired.terminal_matrix(), axis=0), axis=1)
+        gaps = np.linalg.norm(np.diff(repaired.terminals, axis=0), axis=1)
         if repaired.spacing_budget_exhausted:
             flagged += 1
             continue
@@ -187,7 +187,7 @@ def test_criterion_5_spacing_postcondition():
         assert np.all(gaps <= config.max_gap + 1e-12)
         again = enforce_spacing(repaired, config, grid)
         assert len(again.candidates) == len(repaired.candidates)
-        assert np.array_equal(again.terminal_matrix(), repaired.terminal_matrix())
+        assert np.array_equal(again.terminals, repaired.terminals)
     print(f"ACCEPTANCE 5 PASS: 100 clusters repaired, {flagged} budget-flagged, idempotent")
 
 

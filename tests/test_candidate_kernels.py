@@ -68,6 +68,8 @@ from frenetplan.quintic_sampling import (
     generate_cluster,
     solve_quintic,
 )
+from frenetplan.replanning_sim import MODES, cycle_cluster
+from frenetplan.scenarios import BUILDERS
 
 LIMITS = KinematicLimits()
 TIGHT = KinematicLimits(v_max=0.9, a_max=0.4, j_max=0.8, kappa_max=0.3,
@@ -512,13 +514,14 @@ def test_spacing_insertions_match_reference_built_alone(monkeypatch):
     def each_alone(initial, specs, dt):
         out = built_alone(ref.build_candidate, initial, specs, dt)
         built.extend((initial, t, c) for t, c in zip(specs, out))
-        return out
+        index = [i for i, c in enumerate(out) if c is not None]
+        return SampleRows.of([out[i] for i in index]), index
 
     tied_insertions = 0
     for initial, grid in regulation_cases():
         new = regulated_cluster(initial, path, grid, REG)
         with monkeypatch.context() as m:
-            m.setattr(endpoint_regulation, "build_candidates", each_alone)
+            m.setattr(endpoint_regulation, "build_rows", each_alone)
             old = regulated_cluster(initial, path, grid, REG)
         assert new.reference_index == old.reference_index
         assert new.spacing_budget_exhausted == old.spacing_budget_exhausted
@@ -553,6 +556,34 @@ def test_cluster_candidates_share_no_array_memory():
             ]
             for (i, x), (j, y) in itertools.combinations(arrays, 2):
                 assert not np.shares_memory(x, y), (i, j)
+
+
+@pytest.mark.parametrize("mode", ["proposed", "baseline"])
+def test_a_cycle_cluster_is_one_layout_in_cluster_order(mode):
+    # after spacing repair (proposed) or straight from the builder
+    # (baseline): the terminals are the candidates' last states, and
+    # candidate i views exactly row i of the shared blocks, the rows back
+    # to back in cluster order
+    for builder in BUILDERS.values():
+        scn = builder(seed=1)
+        path = scn.build_path()
+        for k in range(3):
+            cluster = cycle_cluster(scn, path, scn.initial_state, k, MODES[mode].regulate)
+            rows = cluster.rows
+            last = np.stack([cand.states[-1] for cand in cluster.candidates])
+            assert cluster.terminals.tobytes() == last.tobytes()
+            assert rows.starts[0] == 0 and rows.ends[-1] == len(rows.times)
+            assert np.array_equal(rows.starts[1:], rows.ends[:-1])
+            for i, (a, b) in enumerate(zip(rows.starts.tolist(), rows.ends.tolist())):
+                cand = cluster[i]
+                assert cand is cluster.candidates[i]
+                assert cand.grid_key == rows.grid_key[i]
+                for name in ("times", "states", "jerk_lon", "jerk_lat"):
+                    view, block = getattr(cand, name), getattr(rows, name)
+                    assert np.shares_memory(view, block)
+                    row = block[a:b]
+                    assert view.shape == row.shape
+                    assert view.__array_interface__ == row.__array_interface__
 
 
 def test_terminal_gaps_in_one_call_equal_the_per_row_norm():

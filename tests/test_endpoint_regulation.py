@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from frenetplan.endpoint_regulation import (
     RegulationConfig,
+    _terminal_order,
     enforce_spacing,
     regulated_cluster,
     select_reference_candidate,
@@ -96,7 +97,7 @@ def test_spacing_leaves_satisfied_cluster_alone():
     config = RegulationConfig(max_gap=0.5, min_gap=0.02)
     out = enforce_spacing(cluster, config, grid)
     assert len(out.candidates) == len(cluster.candidates)
-    assert np.array_equal(out.terminal_matrix(), cluster.terminal_matrix())
+    assert np.array_equal(out.terminals, cluster.terminals)
 
 
 def test_spacing_removes_duplicates():
@@ -112,7 +113,7 @@ def test_spacing_inserts_interpolated_candidates():
     out = enforce_spacing(cluster, config, grid)
     # ceil(1.0 / 0.3) - 1 = 3 insertions
     assert len(out.candidates) == 5
-    gaps = np.linalg.norm(np.diff(out.terminal_matrix(), axis=0), axis=1)
+    gaps = np.linalg.norm(np.diff(out.terminals, axis=0), axis=1)
     assert np.all(gaps <= 0.3 + 1e-12)
     assert not out.spacing_budget_exhausted
 
@@ -141,13 +142,33 @@ def test_spacing_postcondition_and_idempotence():
         )
         cluster = sort_by_terminal(generate_cluster(initial, path, grid))
         out = enforce_spacing(cluster, config, grid)
-        gaps = np.linalg.norm(np.diff(out.terminal_matrix(), axis=0), axis=1)
+        gaps = np.linalg.norm(np.diff(out.terminals, axis=0), axis=1)
         if not out.spacing_budget_exhausted:
             assert np.all(gaps >= config.min_gap - 1e-12)
             assert np.all(gaps <= config.max_gap + 1e-12)
             again = enforce_spacing(out, config, grid)
             assert len(again.candidates) == len(out.candidates)
-            assert np.array_equal(again.terminal_matrix(), out.terminal_matrix())
+            assert np.array_equal(again.terminals, out.terminals)
+
+
+# terminal d and speed values with exact ties, both signs of zero and
+# neighbours of zero, mixed with arbitrary finite floats
+_KEY_VALUES = st.one_of(
+    st.sampled_from((-1.0, -0.0, 0.0, 5e-324, -5e-324, 0.25, 1.0)),
+    st.floats(-2.0, 2.0, width=64),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(keys=st.lists(st.tuples(_KEY_VALUES, _KEY_VALUES), min_size=1, max_size=40))
+def test_terminal_order_is_sorted_over_the_key_tuples(keys):
+    # the stable lexsort that orders a cluster gives sorted()'s order over
+    # the (d, s_dot) tuples of the terminal rows: -0.0 ties 0.0, and tied
+    # rows keep their input order
+    terms = np.zeros((len(keys), 6))
+    terms[:, 3], terms[:, 1] = np.array(keys).T
+    want = sorted(range(len(keys)), key=lambda i: (terms[i, 3], terms[i, 1]))
+    assert _terminal_order(terms).tolist() == want
 
 
 def test_empty_cluster_raises():
@@ -174,7 +195,7 @@ def test_regulated_offset_row_respects_bounds():
     grid = SamplingGrid((1.0,), tuple(np.linspace(-1, 1, 8)), (2.0,), 0.05)
     config = RegulationConfig(max_gap=0.5, min_gap=0.02)
     cluster = regulated_cluster(initial, path, grid, config)
-    gaps = np.linalg.norm(np.diff(cluster.terminal_matrix(), axis=0), axis=1)
+    gaps = np.linalg.norm(np.diff(cluster.terminals, axis=0), axis=1)
     assert np.all(gaps <= config.max_gap + 1e-12)
     assert np.all(gaps >= config.min_gap - 1e-12)
 

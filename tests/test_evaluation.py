@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from frenetplan.errors import EmptyInput, TooFewEndpoints
 from frenetplan.evaluation import (
@@ -9,6 +12,7 @@ from frenetplan.evaluation import (
     abs_summary,
     check_candidate,
     feasibility_breakdown,
+    nearest_distances,
     nn_distance_stats,
 )
 from frenetplan.frenet_geometry import FrenetState
@@ -116,6 +120,26 @@ def test_nn_min_is_global_min_for_pairs():
     cluster = _cluster_from_terminals(terms)
     stats = nn_distance_stats(cluster)
     assert abs(stats.nn_min - np.linalg.norm(terms[0] - terms[1])) <= 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    points=st.integers(2, 40).flatmap(
+        lambda n: arrays(float, (n, 6), elements=st.floats(-50.0, 50.0, width=64))
+    ),
+    duplicates=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=4),
+)
+def test_nearest_distances_equal_the_norm_of_the_difference_array(points, duplicates):
+    # summed one coordinate at a time, the squares add in the order
+    # np.linalg.norm adds them over the (n, n, 6) array, so every bit agrees
+    n = len(points)
+    for a, b in duplicates:
+        points[a % n] = points[b % n]
+    dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    np.fill_diagonal(dist, np.inf)
+    want = dist.min(axis=1)
+    got = nearest_distances(points)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_nn_requires_two_endpoints():

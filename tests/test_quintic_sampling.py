@@ -12,7 +12,6 @@ from frenetplan.quintic_sampling import (
     SamplingGrid,
     eval_quintic,
     generate_cluster,
-    integrated_squared_jerk,
     solve_quintic,
 )
 
@@ -141,7 +140,9 @@ def test_quintic_minimizes_squared_jerk_among_septics():
     rng = np.random.default_rng(6)
     T = 1.0
     quintic = solve_quintic((0, 0, 0), (1, 0, 0), T)
-    base = integrated_squared_jerk(quintic, T)
+    # exact integral of the squared third derivative over [0, T]
+    jerk = np.polynomial.Polynomial(quintic).deriv(3)
+    base = float((jerk * jerk).integ()(T) - (jerk * jerk).integ()(0.0))
     bubble = np.polynomial.Polynomial([0, 0, 0, 1]) * np.polynomial.Polynomial(
         [T, -1]
     ) ** 3

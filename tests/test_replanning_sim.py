@@ -128,18 +128,16 @@ def test_splice_continuity():
 def test_splice_gap_measures_the_executed_trace(monkeypatch):
     # a sampler that moves every candidate's first sample off the cycle's
     # initial state must show up as a position gap at every splice
-    build = quintic_sampling.build_candidates
+    build = quintic_sampling.build_rows
 
     def shifted(*args):
-        out = build(*args)
-        for cand in out:
-            if cand is not None:
-                cand.states[0, 0] += 1e-4
-        return out
+        rows, index = build(*args)
+        rows.states[rows.starts, 0] += 1e-4
+        return rows, index
 
     # the grid and the spacing-repair insertions each call the builder
-    monkeypatch.setattr(quintic_sampling, "build_candidates", shifted)
-    monkeypatch.setattr(endpoint_regulation, "build_candidates", shifted)
+    monkeypatch.setattr(quintic_sampling, "build_rows", shifted)
+    monkeypatch.setattr(endpoint_regulation, "build_rows", shifted)
     log = run(straight_crossing(seed=4, n_cycles=3), "proposed")
     assert len(log.splices) == 2
     for splice in log.splices:
