@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .endpoint_regulation import terminal_deviation
+from .endpoint_regulation import select_reference_candidate, terminal_deviation
 from .errors import EmptyCluster, NoFeasibleCandidate, PlannerError, ScenarioInvalid
 from .evaluation import CONSTRAINT_ORDER, abs_summary, nearest_distances
 from .replanning_sim import (
@@ -364,7 +364,7 @@ def cmd_cluster(args) -> int:
         # the terminal term the selection cost adds; without momentum weights none
         energy = [""] * len(cluster)
         if switches.momentum_weights:
-            reference = cluster.candidates[cluster.reference_index]
+            reference = cluster[select_reference_candidate(cluster)]
             energy = terminal_deviation(terms, reference, scenario.cost.terminal_weight)
         rows = []
         for i in range(len(cluster)):

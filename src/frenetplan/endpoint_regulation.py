@@ -68,11 +68,11 @@ def select_reference_candidate(cluster: TrajectoryCluster) -> int:
 
 
 def terminal_deviation(
-    candidates, reference: TrajectoryCandidate | None, weight: float
+    terminals: np.ndarray, reference: TrajectoryCandidate | None, weight: float
 ) -> np.ndarray:
-    """``weight * (v_T - v_T,ref)**2`` per candidate, the terminal term of the
-    selection cost; zeros without a reference. ``candidates`` is a list of
-    candidates, or their (n, 6) terminal states (a cluster's ``terminals``).
+    """``weight * (v_T - v_T,ref)**2`` per row of the (n, 6) terminal states
+    ``terminals`` (a cluster's, or its rows'), the terminal term of the
+    selection cost; zeros without a reference.
 
     The paper penalises the terminal deviation [s_dot, s_ddot, d_dot, d_ddot]
     from a reference candidate. Every candidate here ends in a steady terminal
@@ -82,12 +82,8 @@ def terminal_deviation(
     three terms back.
     """
     if reference is None:
-        return np.zeros(len(candidates))
-    if isinstance(candidates, np.ndarray):
-        speeds = candidates[:, 1]
-    else:
-        speeds = np.array([c.states[-1, 1] for c in candidates])
-    dv = speeds - reference.states[-1, 1]
+        return np.zeros(len(terminals))
+    dv = terminals[:, 1] - reference.states[-1, 1]
     return weight * (dv * dv)
 
 
@@ -101,11 +97,9 @@ def sort_by_terminal(cluster: TrajectoryCluster) -> TrajectoryCluster:
     """Sort candidates by terminal lateral offset, then terminal speed: one
     stable lexsort, and one gather of the rows into new blocks."""
     return TrajectoryCluster(
-        candidates=None,
-        reference_index=0,
-        initial=cluster.initial,
-        spacing_budget_exhausted=cluster.spacing_budget_exhausted,
-        layout=cluster.rows.take(_terminal_order(cluster.terminals)),
+        cluster.rows.take(_terminal_order(cluster.terminals)),
+        cluster.initial,
+        cluster.spacing_budget_exhausted,
     )
 
 
@@ -127,8 +121,7 @@ def enforce_spacing(
     horizons snap to multiples of ``grid.dt``, the only grid field read, and
     the insertions are built in one ``build_rows`` call. The repaired rows
     are sorted by terminal (``sort_by_terminal``) and gathered from the
-    input's and the insertions' rows in one pass. The cluster's
-    ``reference_index`` is not read; the repaired cluster selects its own.
+    input's and the insertions' rows in one pass.
     """
     if not len(cluster):
         raise EmptyCluster("cannot enforce spacing on an empty cluster")
@@ -209,15 +202,11 @@ def _repair(
     out = np.array([r for a, extra in zip(kept_rows, following) for r in (a, *extra)])
     joined = rows.join(inserted)
     order = out[_terminal_order(joined.terminals[out])]
-    repaired = TrajectoryCluster(
-        candidates=None,
-        reference_index=0,
-        initial=cluster.initial,
-        spacing_budget_exhausted=budget_exhausted or cluster.spacing_budget_exhausted,
-        layout=joined.take(order),
+    return TrajectoryCluster(
+        joined.take(order),
+        cluster.initial,
+        budget_exhausted or cluster.spacing_budget_exhausted,
     )
-    repaired.reference_index = select_reference_candidate(repaired)
-    return repaired
 
 
 def regulated_cluster(
@@ -227,8 +216,6 @@ def regulated_cluster(
     config: RegulationConfig,
 ) -> TrajectoryCluster:
     """Generate, sort, and spacing-repair a cluster (``sort_by_terminal``,
-    then ``enforce_spacing``, with the one gather of the repair); its
-    ``reference_index`` names the reference of the selection cost's
-    terminal term."""
+    then ``enforce_spacing``, with the one gather of the repair)."""
     cluster = generate_cluster(initial, path, grid)
     return _repair(cluster, _terminal_order(cluster.terminals), config, grid)

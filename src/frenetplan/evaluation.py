@@ -92,12 +92,10 @@ class KinematicPeaks(NamedTuple):
     notes: tuple
 
 
-def kinematic_peaks(
-    candidates, path: ReferencePath, rows: Optional[SampleRows] = None
-) -> list:
-    """``KinematicPeaks`` of each candidate, in input order, in one pass over
-    the candidates' ``SampleRows`` (``rows``, a cluster's own, or copied
-    here if not given), its jerk blocks and its one path-frame evaluation.
+def kinematic_peaks(rows: SampleRows, path: ReferencePath) -> list:
+    """``KinematicPeaks`` of each row of ``rows``, in order, in one pass over
+    their samples, their jerk blocks and one path-frame evaluation (their
+    ``frame``, if they have one).
 
     Speed/acceleration come from finite differences of the Cartesian trace,
     curvature from first/second central differences (yaw rate = curvature *
@@ -105,10 +103,8 @@ def kinematic_peaks(
     series. Every step is elementwise along a row or a max over it, so a
     candidate's peaks do not depend on the rest of the cluster.
     """
-    if not candidates:
+    if not len(rows):
         return []
-    if rows is None:
-        rows = SampleRows.of(candidates, path)
     h, first, last = rows.h, rows.starts, rows.last
     (px, py), _, _, (nx, ny), _ = rows.frame or path.frame(rows.s)
     vx = fd_gradient(px + rows.d * nx, h, first, last)
@@ -172,10 +168,10 @@ def check_candidate(
     several constraints at once.
 
     ``peaks`` is the candidate's entry of a ``kinematic_peaks`` call over
-    its whole cluster; without it the candidate is measured alone.
+    its cluster's rows; without it the candidate is measured alone.
     """
     if peaks is None:
-        peaks = kinematic_peaks([candidate], path)[0]
+        peaks = kinematic_peaks(SampleRows.of([candidate]), path)[0]
     margins = {
         Constraint.VELOCITY: peaks.velocity / limits.v_max,
         Constraint.ACCELERATION: peaks.acceleration / limits.a_max,

@@ -437,17 +437,15 @@ def _cost_and_gradient(times, ps, pd, ctx, config):
 
 
 def cost_cluster(
-    candidates,
+    rows: SampleRows,
     ctx: PlanningContext,
     reference: TrajectoryCandidate | None,
     config: CostWeights,
-    rows: SampleRows | None = None,
 ) -> list:
-    """Discretized objective of every candidate, in input order: trapezoid of
+    """Discretized objective of every row of ``rows``, in order: trapezoid of
     the running cost plus the weighted terminal deviation against
-    ``reference``, in one pass over the candidates' ``SampleRows`` (``rows``,
-    a cluster's own, or copied here if not given; its frame, if it has one,
-    serves the agents' force, and its terminal matrix the terminal term).
+    ``reference``, in one pass over the rows (their frame, if they have one,
+    serves the agents' force, and their terminal matrix the terminal term).
 
     Velocities and accelerations are re-derived from the sampled positions so
     the value is a pure function of the position trace (the optimizer's own
@@ -455,10 +453,8 @@ def cost_cluster(
     elementwise along a row or a sum over it, so a candidate's cost does not
     depend on the rest of the cluster.
     """
-    if not candidates:
+    if not len(rows):
         return []
-    if rows is None:
-        rows = SampleRows.of(candidates)
     ps, pd, h, first, last = rows.s, rows.d, rows.h, rows.starts, rows.last
     vs = _fd_velocity(ps, h, first, last)
     vd = _fd_velocity(pd, h, first, last)
@@ -477,7 +473,7 @@ def total_cost(
     config: CostWeights,
 ) -> float:
     """``cost_cluster`` of one candidate."""
-    return cost_cluster([candidate], ctx, reference, config)[0]
+    return cost_cluster(SampleRows.of([candidate]), ctx, reference, config)[0]
 
 
 def cost_gradient(
@@ -584,7 +580,7 @@ def optimize_trajectory(
     ``cost_history`` (actual objective values, non-increasing); terminates on
     the gradient tolerance, the iteration cap, or a failed line search.
     """
-    terminal = terminal_deviation([candidate], reference, config.terminal_weight)[0]
+    terminal = terminal_deviation(candidate.states[-1:], reference, config.terminal_weight)[0]
     ps, pd, history = _descend(
         candidate.times, candidate.states[:, 0], candidate.states[:, 3], ctx, config, terminal
     )

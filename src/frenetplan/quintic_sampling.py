@@ -5,16 +5,17 @@ quintic in the longitudinal displacement sigma = s - s(0), converted to time
 derivatives through the chain rule when sampling. A quintic is the float
 (6,) array of its monomial coefficients c0..c5 over its native abscissa.
 
-``build_rows`` is the one builder: it solves a call's quintics in two
-array calls of ``solve_quintic`` and samples them in two ``eval_quintic``
-calls over ragged sample axes, whatever the mix of horizons, into the
-``SampleRows`` that a ``TrajectoryCluster`` keeps; ``build_candidates``
-hands its rows out as candidates.
+``build_rows`` is the one builder: it checks each span once, solves a
+call's quintics in two array calls of ``solve_quintic``'s closed form and
+samples them in two ``eval_quintic`` calls over ragged sample axes,
+whatever the mix of horizons, into the ``SampleRows`` that a
+``TrajectoryCluster`` is made from; ``SampleRows.views`` hands its rows out
+as candidates.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
@@ -47,6 +48,14 @@ def _check_span(t: float) -> None:
         raise IllConditioned(f"boundary system ill-conditioned for span {t}")
 
 
+def _span_powers(t: float) -> tuple:
+    """``t**3, t**4, t**5`` of a span that passes ``_check_span``, as Python
+    float powers: NumPy's SIMD pow can differ from libm's in the last bit."""
+    t = float(t)
+    _check_span(t)
+    return t**3, t**4, t**5
+
+
 def solve_quintic(b0, bT, span) -> np.ndarray:
     """Monomial coefficients c0..c5 of the unique quintic matching (value,
     d1, d2) at abscissa 0 and at ``span``, as a float (6,) array; for a 1-D
@@ -60,14 +69,14 @@ def solve_quintic(b0, bT, span) -> np.ndarray:
     """
     span = np.asarray(span, dtype=float)
     T = span.reshape(-1)
-    powers = []
-    for t in T.tolist():
-        _check_span(t)
-        # Python float powers: NumPy's SIMD pow can differ from libm's in
-        # the last bit
-        powers += (t**3, t**4, t**5)
-    T3, T4, T5 = np.array(powers).reshape(-1, 3).T
+    c = _solve(b0, bT, T, [_span_powers(t) for t in T.tolist()])
+    return c.reshape((6,) + span.shape)
 
+
+def _solve(b0, bT, T: np.ndarray, powers: list) -> np.ndarray:
+    """``solve_quintic`` over the 1-D spans ``T``, already checked, given
+    each span's ``_span_powers``: the (6, k) quintics as columns."""
+    T3, T4, T5 = np.array(powers).reshape(-1, 3).T
     x0, v0, a0, x1, v1, a1 = (
         float(v) if isinstance(v, (int, float)) else np.asarray(v, dtype=float)
         for v in (*b0, *bT)
@@ -85,7 +94,7 @@ def solve_quintic(b0, bT, span) -> np.ndarray:
         c[3] = (20.0 * y1 - 8.0 * y2 * T + y3 * T2) / (2.0 * T3)
         c[4] = (-30.0 * y1 + 14.0 * y2 * T - 2.0 * y3 * T2) / (2.0 * T4)
         c[5] = (12.0 * y1 - 6.0 * y2 * T + y3 * T2) / (2.0 * T5)
-    return c.reshape((6,) + span.shape)
+    return c
 
 
 def eval_quintic(c, x):
@@ -238,9 +247,8 @@ class SampleRows:
     frame: Optional[tuple] = None
 
     @classmethod
-    def of(cls, candidates, path: ReferencePath | None = None) -> "SampleRows":
-        """The candidates' rows copied back to back, in input order, with
-        the path frame if ``path`` is given."""
+    def of(cls, candidates) -> "SampleRows":
+        """The candidates' rows copied back to back, in input order."""
         counts = np.array([len(c.times) for c in candidates], dtype=np.intp)
         if counts.min(initial=3) < 3:
             # the one-sided stencils would reach into the next row
@@ -251,7 +259,7 @@ class SampleRows:
             if candidates else np.zeros((0, 6) if name == "states" else 0)
             for name in _SAMPLE_FIELDS
         }
-        rows = cls(
+        return cls(
             starts=ends - counts,
             ends=ends,
             **blocks,
@@ -262,7 +270,6 @@ class SampleRows:
             horizon=np.array([c.horizon for c in candidates], dtype=float),
             grid_key=[c.grid_key for c in candidates],
         )
-        return rows if path is None else replace(rows, frame=path.frame(rows.s))
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -350,43 +357,24 @@ class SampleRows:
 
 @dataclass
 class TrajectoryCluster:
-    """Candidates sharing one initial state, with a designated reference, as
-    the arrays of one ``SampleRows`` (``rows``) in cluster order.
+    """Candidates sharing one initial state, as the arrays of one
+    ``SampleRows`` (``rows``) in cluster order.
 
     ``cluster[i]`` is candidate ``i``, a TrajectoryCandidate whose arrays
-    view its row, and ``candidates`` lists them, made on first use;
-    ``terminals`` is the (n, 6) matrix of terminal states. The builder,
-    sorting and spacing repair make a cluster from its rows (``layout``);
-    made from ``candidates`` instead, a cluster copies their samples into
-    new blocks and keeps candidates viewing them there.
+    view its row, and ``candidates`` lists them, made on first use (a
+    regulated cycle reads only its repaired cluster's candidates, never the
+    grid cluster's); ``terminals`` is the (n, 6) matrix of terminal states.
+    A list of candidates makes a cluster through ``SampleRows.of``, which
+    copies it.
     """
 
-    candidates: Optional[list]
-    reference_index: int
+    rows: SampleRows
     initial: FrenetState
     spacing_budget_exhausted: bool = False
-    layout: InitVar[Optional[SampleRows]] = None
-    rows: SampleRows = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, layout):
-        if layout is not None:
-            # made from the rows on first use: a regulated cycle reads only
-            # its repaired cluster's candidates, never the grid cluster's
-            del self.candidates
-            self.rows = layout
-            return
-        self.rows = rows = SampleRows.of(self.candidates)
-        self.candidates = [
-            replace(c, **{name: getattr(rows, name)[a:b] for name in _SAMPLE_FIELDS})
-            for c, a, b in zip(self.candidates, rows.starts.tolist(), rows.ends.tolist())
-        ]
-
-    def __getattr__(self, name):
-        # only ``candidates`` of a cluster made from its rows is missing
-        if name != "candidates":
-            raise AttributeError(name)
-        self.candidates = self.rows.views()
-        return self.candidates
+    @cached_property
+    def candidates(self) -> list:
+        return self.rows.views()
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -428,9 +416,9 @@ def build_rows(initial: FrenetState, specs: Sequence[CandidateSpec], dt: float) 
     longitudinal span or a sampled dip in s has no row. Specs sharing
     (terminal s, terminal speed, horizon) share one longitudinal quintic. The
     distinct longitudinal quintics are solved in one array call and the
-    lateral ones in another. The spans are checked first, in input order, so
-    if a span is ill-posed the first spec whose solve would fail raises: its
-    longitudinal span (if new) before its lateral one.
+    lateral ones in another. Each span is checked once, first, in input
+    order, so if a span is ill-posed the first spec whose solve would fail
+    raises: its longitudinal span (if new) before its lateral one.
 
     Sampling takes two ``eval_quintic`` calls, each over samples laid back to
     back on one axis: every longitudinal quintic over its own horizon, which
@@ -439,6 +427,7 @@ def build_rows(initial: FrenetState, specs: Sequence[CandidateSpec], dt: float) 
     """
     keys: dict = {}  # longitudinal key -> its column among the solves
     index, kept, columns, spans = [], [], [], []  # of the forward specs
+    lon_powers, lat_powers = [], []  # the checked spans' powers, per solve
     for i, x in enumerate(specs):
         span = x.terminal_s - initial.s
         if span > 0.0:
@@ -446,8 +435,8 @@ def build_rows(initial: FrenetState, specs: Sequence[CandidateSpec], dt: float) 
             kept.append(x)
             key = (x.terminal_s, x.terminal_speed, x.horizon)
             if key not in keys:
-                _check_span(x.horizon)
-            _check_span(span)
+                lon_powers.append(_span_powers(x.horizon))
+            lat_powers.append(_span_powers(span))
             columns.append(keys.setdefault(key, len(keys)))
             spans.append(span)
     if not kept:
@@ -455,8 +444,9 @@ def build_rows(initial: FrenetState, specs: Sequence[CandidateSpec], dt: float) 
     boundary = _lateral_boundary_from_time(initial)
     start = (initial.s, initial.s_dot, initial.s_ddot)
     ends_s, speeds, horizons = np.array(list(keys)).T
-    lon = solve_quintic(start, (ends_s, speeds, 0.0), horizons)
-    lat = solve_quintic(boundary, ([x.lateral_offset for x in kept], 0.0, 0.0), spans)
+    lon = _solve(start, (ends_s, speeds, 0.0), horizons, lon_powers)
+    offsets = [x.lateral_offset for x in kept]
+    lat = _solve(boundary, (offsets, 0.0, 0.0), np.array(spans, dtype=float), lat_powers)
 
     # longitudinal pass: each quintic over its own horizon's samples, at
     # the times of np.linspace(0, horizon, count), bit for bit
@@ -512,19 +502,6 @@ def build_rows(initial: FrenetState, specs: Sequence[CandidateSpec], dt: float) 
     return rows, [index[j] for j in own.tolist()]
 
 
-def build_candidates(
-    initial: FrenetState, specs: Sequence[CandidateSpec], dt: float
-) -> list:
-    """``build_rows`` as one entry per spec, in order: the candidate, whose
-    arrays are disjoint slices of the build's shared blocks, or None for a
-    non-forward one."""
-    rows, index = build_rows(initial, specs, dt)
-    out = [None] * len(specs)
-    for i, cand in zip(index, rows.views()):
-        out[i] = cand
-    return out
-
-
 def build_candidate(
     initial: FrenetState,
     terminal_s: float,
@@ -534,10 +511,11 @@ def build_candidate(
     dt: float,
     grid_key: tuple = (),
 ) -> Optional[TrajectoryCandidate]:
-    """One candidate toward a steady terminal (``build_candidates``), or
-    None if it is not forward."""
+    """One candidate toward a steady terminal (``build_rows``), or None if
+    it is not forward."""
     target = CandidateSpec(terminal_s, terminal_speed, lateral_offset, horizon, grid_key)
-    return build_candidates(initial, [target], dt)[0]
+    rows, index = build_rows(initial, [target], dt)
+    return rows.views()[0] if index else None
 
 
 def generate_cluster(
@@ -576,5 +554,5 @@ def generate_cluster(
     rows = build_rows(initial, specs, grid.dt)[0]
     if not len(rows):
         raise EmptyCluster("all grid triples were discarded")
-    return TrajectoryCluster(candidates=None, reference_index=0, initial=initial, layout=rows)
+    return TrajectoryCluster(rows, initial)
 

@@ -280,20 +280,17 @@ class SimLog:
         }
 
 
-def select_candidate(candidates, reports) -> int:
-    """Minimum-cost feasible candidate; near-equal costs go to the smaller index."""
-    if not candidates:
+def select_candidate(costs, reports) -> int:
+    """Index of the minimum-cost feasible candidate, given each candidate's
+    cost and report; near-equal costs go to the smaller index."""
+    if not costs:
         raise NoFeasibleCandidate("empty candidate list")
     best = -1
     best_cost = np.inf
-    for i, (cand, report) in enumerate(zip(candidates, reports)):
-        if not report.feasible:
-            continue
-        if cand.cost is None:
-            raise ValueError(f"candidate {i} has no cost annotation")
-        if cand.cost < best_cost - _COST_TIE:
+    for i, (cost, report) in enumerate(zip(costs, reports)):
+        if report.feasible and cost < best_cost - _COST_TIE:
             best = i
-            best_cost = cand.cost
+            best_cost = cost
     if best < 0:
         raise NoFeasibleCandidate("no feasible candidate in cluster")
     return best
@@ -302,19 +299,17 @@ def select_candidate(candidates, reports) -> int:
 def cycle_cluster(
     scenario: Scenario, path: ReferencePath, state: FrenetState, k: int, regulate: bool
 ) -> TrajectoryCluster:
-    """Cycle ``k``'s cluster at ``state`` and its reference candidate. Its
-    terminals are sampled independently per cycle, the same in both modes;
-    it is regulated (sorted and spacing-repaired) if ``regulate``.
+    """Cycle ``k``'s cluster at ``state``. Its terminals are sampled
+    independently per cycle, the same in both modes; it is regulated
+    (sorted and spacing-repaired) if ``regulate``.
 
-    The sampling and reference functions are looked up as this module's
-    globals at each call, where perfbench's tracer wraps them.
+    The sampling functions are looked up as this module's globals at each
+    call, where perfbench's tracer wraps them.
     """
     grid = scenario.grid.jittered(np.random.default_rng([scenario.sim.seed, k]))
     if regulate:
         return regulated_cluster(state, path, grid, scenario.regulation)
-    cluster = generate_cluster(state, path, grid)
-    cluster.reference_index = select_reference_candidate(cluster)
-    return cluster
+    return generate_cluster(state, path, grid)
 
 
 def plan_cycle(
@@ -322,9 +317,10 @@ def plan_cycle(
     state: FrenetState, k: int,
 ) -> CycleRecord:
     """Cycle ``k`` from ``state``, the agents advanced to its start: sample
-    the cluster, cost and classify its rows (``TrajectoryCluster.rows``) in
-    one pass each, select the best feasible candidate, and return the
-    record that commits its first ``commit_horizon`` seconds.
+    the cluster, pick its reference candidate, cost and classify its rows
+    (``TrajectoryCluster.rows``) in one pass each, select the best feasible
+    candidate, and return the record that commits its first
+    ``commit_horizon`` seconds.
     Raises PlannerError for a non-finite cost, and NoFeasibleCandidate
     (without a partial log) if no candidate is feasible."""
     commit_idx = int(round(scenario.sim.commit_horizon / scenario.grid.dt))
@@ -347,26 +343,24 @@ def plan_cycle(
 
     cluster = cycle_cluster(scenario, path, state, k, switches.regulate)
     candidates = cluster.candidates
-    reference = candidates[cluster.reference_index]
+    reference = candidates[select_reference_candidate(cluster)]
 
     # the cluster's rows, with the one path-frame evaluation that costing
     # (the agents' force) and classification both read
     rows = replace(cluster.rows, frame=path.frame(cluster.rows.s))
-    costs = cost_cluster(candidates, ctx, reference, weights, rows)
+    costs = cost_cluster(rows, ctx, reference, weights)
     finite = np.isfinite(costs)
     if not finite.all():
         # selection would pass over it silently
         i = int(np.argmin(finite))
         raise PlannerError(
-            f"cycle {k}: candidate {i} {candidates[i].grid_key} has non-finite cost {costs[i]}"
+            f"cycle {k}: candidate {i} {rows.grid_key[i]} has non-finite cost {costs[i]}"
         )
-    for cand, cost in zip(candidates, costs):
-        cand.cost = cost
 
     # one classification pass over the cluster's rows; the per-candidate
     # calls only divide by the limits, each on the candidate viewing its row
     # (perfbench's tracer wraps check_candidate and counts its calls)
-    peaks = kinematic_peaks(candidates, path, rows)
+    peaks = kinematic_peaks(rows, path)
     reports = [
         check_candidate(c, path, scenario.limits, p) for c, p in zip(candidates, peaks)
     ]
@@ -375,7 +369,7 @@ def plan_cycle(
     nn = nn_distance_stats(cluster) if len(cluster) >= 2 else None
 
     try:
-        idx = select_candidate(candidates, reports)
+        idx = select_candidate(costs, reports)
     except NoFeasibleCandidate as err:
         raise NoFeasibleCandidate(
             f"cycle {k}: no feasible candidate "
@@ -402,7 +396,7 @@ def plan_cycle(
         n_candidates=len(cluster),
         selected_index=idx,
         selected_key=tuple(chosen.grid_key),
-        selected_cost=float(chosen.cost),
+        selected_cost=float(costs[idx]),
         breakdown=breakdown,
         nn_stats=nn,
         budget_exhausted=cluster.spacing_budget_exhausted,

@@ -54,6 +54,7 @@ from frenetplan.momentum_optimizer import (
 )
 from frenetplan.quintic_sampling import (
     _COND_LIMIT,
+    SampleRows,
     SamplingGrid,
     TrajectoryCandidate,
     TrajectoryCluster,
@@ -579,4 +580,4 @@ def generate_cluster(
                     candidates.append(cand)
     if not candidates:
         raise EmptyCluster("all grid triples were discarded")
-    return TrajectoryCluster(candidates=candidates, reference_index=0, initial=initial)
+    return TrajectoryCluster(SampleRows.of(candidates), initial)

@@ -32,6 +32,7 @@ from frenetplan.endpoint_regulation import (
     RegulationConfig,
     enforce_spacing,
     regulated_cluster,
+    select_reference_candidate,
     sort_by_terminal,
 )
 from frenetplan.errors import (
@@ -63,7 +64,7 @@ from frenetplan.quintic_sampling import (
     TrajectoryCandidate,
     TrajectoryCluster,
     build_candidate,
-    build_candidates,
+    build_rows,
     eval_quintic,
     generate_cluster,
     solve_quintic,
@@ -285,7 +286,7 @@ def test_cluster_peaks_classify_like_reference(path, limits, initial, members):
         if isinstance(cand, TrajectoryCandidate):
             cand.grid_key += ("inserted",) * inserted
             cands.append(cand)
-    peaks = kinematic_peaks(cands, path)
+    peaks = kinematic_peaks(SampleRows.of(cands), path)
     assert len(peaks) == len(cands)
     for cand, p in zip(cands, peaks):
         old = ref.check_candidate(cand, path, limits)
@@ -299,7 +300,7 @@ def test_regulated_cluster_peaks_classify_like_reference():
         cands = regulated_cluster(initial, path, grid, REG).candidates
         assert any("inserted" in c.grid_key for c in cands)
         for limits in (LIMITS, TIGHT):
-            for cand, p in zip(cands, kinematic_peaks(cands, path)):
+            for cand, p in zip(cands, kinematic_peaks(SampleRows.of(cands), path)):
                 assert_same_report(check_candidate(cand, path, limits, p),
                                    ref.check_candidate(cand, path, limits))
 
@@ -408,11 +409,13 @@ def built_alone(builder, initial, specs, dt):
                     dt, t.grid_key) for t in specs]
 
 
-def assert_same_builds(new, old):
-    assert [c is None for c in new] == [c is None for c in old]
-    for a, b in zip(new, old):
-        if b is not None:
-            assert_same_candidate(a, b)
+def assert_rows_built_alone(rows, index, alone):
+    """``build_rows``' rows and spec index: one row per spec built alone
+    that is not None, in input order, each that candidate."""
+    assert index == [i for i, c in enumerate(alone) if c is not None]
+    assert len(rows) == len(index)
+    for cand, i in zip(rows.views(), index):
+        assert_same_candidate(cand, alone[i])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -439,13 +442,13 @@ def test_batch_equals_each_built_alone(initial, targets):
                       speed, offset, horizon, (horizon, speed, offset, i))
         for i, (speed, offset, horizon, share) in enumerate(targets)
     ]
-    batch = outcome(build_candidates, initial, specs, 0.05)
+    batch = outcome(build_rows, initial, specs, 0.05)
     for builder in (build_candidate, ref.build_candidate):
         alone = outcome(built_alone, builder, initial, specs, 0.05)
         if isinstance(alone, tuple):
             assert batch == alone
         else:
-            assert_same_builds(batch, alone)
+            assert_rows_built_alone(*batch, alone)
 
 
 def test_batch_raises_for_the_first_ill_conditioned_spec_in_input_order():
@@ -456,11 +459,13 @@ def test_batch_raises_for_the_first_ill_conditioned_spec_in_input_order():
              CandidateSpec(2.001, 0.5, 0.2, 1.0)]
     old = outcome(built_alone, ref.build_candidate, initial, specs, 0.05)
     assert old[0] is IllConditioned and "span 0.00199" in old[1]
-    assert outcome(build_candidates, initial, specs, 0.05) == old
+    assert outcome(build_rows, initial, specs, 0.05) == old
 
 
 def test_a_build_makes_two_solves_and_two_evaluations(monkeypatch):
-    calls = {"solve_quintic": 0, "eval_quintic": 0}
+    # the closed form's two array calls, the two sampling passes, and one
+    # span check per distinct longitudinal quintic and per forward spec
+    calls = {"_solve": 0, "eval_quintic": 0, "_check_span": 0}
     for name in calls:
         def counted(*args, fn=getattr(quintic_sampling, name), name=name):
             calls[name] += 1
@@ -474,16 +479,17 @@ def test_a_build_makes_two_solves_and_two_evaluations(monkeypatch):
         CandidateSpec(2.0 + 0.5 * (0.15 + speed) * horizon, speed, offset, horizon)
         for horizon in horizons for speed in (0.3, 1.5) for offset in (-0.4, 0.4)
     ] + [CandidateSpec(1.9, 0.3, 0.0, 2.0)]
-    out = build_candidates(initial, specs, 0.05)
-    assert calls == {"solve_quintic": 2, "eval_quintic": 2}
-    assert {c.horizon for c in out if c is not None} == set(horizons)
-    assert out[-1] is None and out[:-1].count(None) > 0
+    rows, index = build_rows(initial, specs, 0.05)
+    # 12 longitudinal quintics (horizon x speed) and 24 forward specs
+    assert calls == {"_solve": 2, "eval_quintic": 2, "_check_span": 12 + 24}
+    assert set(rows.horizon.tolist()) == set(horizons)
+    assert len(specs) - 1 not in index and len(index) < len(specs) - 1
     # a regulated cluster builds the grid and its insertions in one call each
-    calls.update(solve_quintic=0, eval_quintic=0)
+    calls.update(_solve=0, eval_quintic=0)
     initial, grid = regulation_cases()[1]
     cluster = regulated_cluster(initial, s_curve_path(), grid, REG)
     assert any("inserted" in c.grid_key for c in cluster.candidates)
-    assert calls == {"solve_quintic": 4, "eval_quintic": 4}
+    assert calls["_solve"] == calls["eval_quintic"] == 4
 
 
 def regulation_cases():
@@ -523,7 +529,7 @@ def test_spacing_insertions_match_reference_built_alone(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(endpoint_regulation, "build_rows", each_alone)
             old = regulated_cluster(initial, path, grid, REG)
-        assert new.reference_index == old.reference_index
+        assert select_reference_candidate(new) == select_reference_candidate(old)
         assert new.spacing_budget_exhausted == old.spacing_budget_exhausted
         assert len(new.candidates) == len(old.candidates)
         for a, b in zip(new.candidates, old.candidates):
@@ -558,32 +564,56 @@ def test_cluster_candidates_share_no_array_memory():
                 assert not np.shares_memory(x, y), (i, j)
 
 
+def assert_one_layout(cluster):
+    """The terminals are the candidates' last states, and candidate i views
+    exactly row i of the shared blocks, the rows back to back in cluster
+    order."""
+    rows = cluster.rows
+    last = np.stack([cand.states[-1] for cand in cluster.candidates])
+    assert cluster.terminals.tobytes() == last.tobytes()
+    assert rows.starts[0] == 0 and rows.ends[-1] == len(rows.times)
+    assert np.array_equal(rows.starts[1:], rows.ends[:-1])
+    for i, (a, b) in enumerate(zip(rows.starts.tolist(), rows.ends.tolist())):
+        cand = cluster[i]
+        assert cand is cluster.candidates[i]
+        assert cand.grid_key == rows.grid_key[i]
+        for name in ("times", "states", "jerk_lon", "jerk_lat"):
+            view, block = getattr(cand, name), getattr(rows, name)
+            assert np.shares_memory(view, block)
+            row = block[a:b]
+            assert view.shape == row.shape
+            assert view.__array_interface__ == row.__array_interface__
+
+
 @pytest.mark.parametrize("mode", ["proposed", "baseline"])
 def test_a_cycle_cluster_is_one_layout_in_cluster_order(mode):
     # after spacing repair (proposed) or straight from the builder
-    # (baseline): the terminals are the candidates' last states, and
-    # candidate i views exactly row i of the shared blocks, the rows back
-    # to back in cluster order
+    # (baseline), and a cluster made from a list of candidates that mixes
+    # two cycles' builds: every field of each candidate round-trips through
+    # its row bit for bit
     for builder in BUILDERS.values():
         scn = builder(seed=1)
         path = scn.build_path()
-        for k in range(3):
-            cluster = cycle_cluster(scn, path, scn.initial_state, k, MODES[mode].regulate)
-            rows = cluster.rows
-            last = np.stack([cand.states[-1] for cand in cluster.candidates])
-            assert cluster.terminals.tobytes() == last.tobytes()
-            assert rows.starts[0] == 0 and rows.ends[-1] == len(rows.times)
-            assert np.array_equal(rows.starts[1:], rows.ends[:-1])
-            for i, (a, b) in enumerate(zip(rows.starts.tolist(), rows.ends.tolist())):
-                cand = cluster[i]
-                assert cand is cluster.candidates[i]
-                assert cand.grid_key == rows.grid_key[i]
-                for name in ("times", "states", "jerk_lon", "jerk_lat"):
-                    view, block = getattr(cand, name), getattr(rows, name)
-                    assert np.shares_memory(view, block)
-                    row = block[a:b]
-                    assert view.shape == row.shape
-                    assert view.__array_interface__ == row.__array_interface__
+        clusters = [
+            cycle_cluster(scn, path, scn.initial_state, k, MODES[mode].regulate)
+            for k in range(3)
+        ]
+        for cluster in clusters:
+            assert_one_layout(cluster)
+        cands = [c for pair in zip(clusters[0].candidates[::2], clusters[1].candidates[1::3])
+                 for c in pair]
+        assert len({c.horizon for c in cands}) >= 2
+        mixed = TrajectoryCluster(SampleRows.of(cands), scn.initial_state)
+        assert_one_layout(mixed)
+        rows = mixed.rows
+        for i, cand in enumerate(cands):
+            assert_same_candidate(mixed[i], cand)
+            assert_identical(rows.lon[i], cand.lon)
+            assert_identical(rows.lat[i], cand.lat)
+            assert rows.lat_span[i].hex() == cand.lat_span.hex()
+            assert rows.horizon[i].hex() == cand.horizon.hex()
+            assert rows.grid_key[i] == cand.grid_key
+            assert_identical(rows.terminals[i], cand.states[-1])
 
 
 def test_terminal_gaps_in_one_call_equal_the_per_row_norm():
@@ -601,21 +631,20 @@ def test_spacing_measures_past_dropped_near_duplicates():
         cluster = sort_by_terminal(generate_cluster(initial, path, grid))
         # each candidate followed by exact copies, which are dropped; the gap
         # to the next one is then measured from the kept original
-        doubled = replace(cluster, candidates=[
+        doubled = replace(cluster, rows=SampleRows.of([
             c.copy() for i, cand in enumerate(cluster.candidates)
             for c in (cand,) * (1 + i % 3)
-        ])
+        ]))
         assert len(doubled.candidates) > len(cluster.candidates)
         new = enforce_spacing(doubled, REG, grid)
         old = enforce_spacing(cluster, REG, grid)
-        assert new.reference_index == old.reference_index
+        assert select_reference_candidate(new) == select_reference_candidate(old)
         assert new.spacing_budget_exhausted == old.spacing_budget_exhausted
         assert len(new.candidates) == len(old.candidates)
         for a, b in zip(new.candidates, old.candidates):
             assert_same_candidate(a, b)
     # a one-candidate cluster has no gap to measure
-    one = TrajectoryCluster(candidates=cluster.candidates[:1], reference_index=0,
-                            initial=cluster.initial)
+    one = TrajectoryCluster(SampleRows.of(cluster.candidates[:1]), cluster.initial)
     assert len(enforce_spacing(one, REG, grid).candidates) == 1
 
 
@@ -653,7 +682,7 @@ def test_cost_cluster_matches_per_candidate_reference(terminal_weight, speed_wei
                 weight = terminal_weight * speed_weight**2 if reg else 0.0
                 config = replace(old_config, terminal_weight=weight)
                 old = ref.cost_each(cands, ctx, reference, old_config, reg)
-                new = cost_cluster(cands, ctx, reference, config)
+                new = cost_cluster(SampleRows.of(cands), ctx, reference, config)
                 assert [c.hex() for c in new] == [c.hex() for c in old]
                 for cand, want in zip(cands, old):
                     got = total_cost(cand, ctx, reference, config)
@@ -675,7 +704,7 @@ def test_cost_cluster_raises_like_reference_on_a_coincident_neighbour():
     config = OptimizerConfig(terminal_weight=1.0)
     old = outcome(ref.cost_each, cands, ctx, target, config, schema2.RegulationConfig())
     assert old[0] is CoincidentNeighbor
-    assert outcome(cost_cluster, cands, ctx, target, config) == old
+    assert outcome(cost_cluster, SampleRows.of(cands), ctx, target, config) == old
 
 
 # --- one pass over the candidates' samples laid back to back ----------------------
@@ -687,22 +716,25 @@ def assert_rows_like_reference(cands, path, ctx):
     reference = cands[len(cands) // 2]
     reg = schema2.RegulationConfig(1.0)
     old = ref.cost_each(cands, ctx, reference, config, reg)
-    # as the simulator calls them: one layout, with its path frame, for both
-    rows = SampleRows.of(cands, path)
-    for new in (cost_cluster(cands, ctx, reference, config),
-                cost_cluster(cands, ctx, reference, config, rows)):
+    # as the simulator calls them, one layout with its path frame for both,
+    # and without the frame, which each then evaluates itself
+    rows = SampleRows.of(cands)
+    framed = replace(rows, frame=path.frame(rows.s))
+    for new in (cost_cluster(framed, ctx, reference, config),
+                cost_cluster(rows, ctx, reference, config)):
         assert [c.hex() for c in new] == [c.hex() for c in old]
-    assert kinematic_peaks(cands, path, rows) == kinematic_peaks(cands, path)
+    assert kinematic_peaks(framed, path) == kinematic_peaks(rows, path)
     for limits in (LIMITS, TIGHT):
-        for cand, p in zip(cands, kinematic_peaks(cands, path)):
+        for cand, p in zip(cands, kinematic_peaks(framed, path)):
             assert_same_report(check_candidate(cand, path, limits, p),
                                ref.check_candidate(cand, path, limits))
 
 
 def test_empty_cluster_costs_and_classifies_to_nothing():
     path = s_curve_path()
-    assert cost_cluster([], active_context(path), None, OptimizerConfig()) == []
-    assert kinematic_peaks([], path) == []
+    empty = SampleRows.of([])
+    assert cost_cluster(empty, active_context(path), None, OptimizerConfig()) == []
+    assert kinematic_peaks(empty, path) == []
 
 
 def test_a_row_too_short_for_the_stencils_is_refused():
@@ -717,9 +749,12 @@ def test_a_row_too_short_for_the_stencils_is_refused():
         ref.check_candidate(short, path, LIMITS)
     for cands in ([short], [long, short, long]):
         with pytest.raises(ValueError, match="at least 3 samples"):
-            kinematic_peaks(cands, path)
-        with pytest.raises(ValueError, match="at least 3 samples"):
-            cost_cluster(cands, make_context(path), None, OptimizerConfig())
+            SampleRows.of(cands)
+    # the one-candidate library calls lay their candidate out the same way
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        check_candidate(short, path, LIMITS)
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        total_cost(short, make_context(path), None, OptimizerConfig())
 
 
 def test_one_candidate_cluster_matches_reference():
@@ -767,18 +802,20 @@ def test_near_zero_speed_at_row_ends_stays_in_its_row():
     order = ["bend late", "rest first", "rest last", "bend early", "rest last",
              "bend late", "rest first", "bend early", "rest first", "rest last"]
     cands = [trace_candidate(*rows[name], 0.05, rng) for name in order]
-    peaks = kinematic_peaks(cands, path)
+    peaks = kinematic_peaks(SampleRows.of(cands), path)
     notes = {name: p.notes for name, p in zip(order, peaks)}
     assert "near-zero-speed" in notes["rest first"][0] and "t=0.000" in notes["rest first"][0]
     assert "near-zero-speed" in notes["rest last"][0] and "t=1.500" in notes["rest last"][0]
     assert notes["bend late"] == notes["bend early"] == ()
     # the moving rows' largest curvature rate is at the end next to a rest
     for name, end in (("bend late", -1), ("bend early", 0)):
-        alone = kinematic_peaks([cands[order.index(name)]], path)[0]
+        alone = kinematic_peaks(SampleRows.of([cands[order.index(name)]]), path)[0]
         assert alone.curvature_rate == peaks[order.index(name)].curvature_rate
         cut = cands[order.index(name)].copy()
         cut.states = np.delete(cut.states, end, axis=0)
         cut.times = cut.times[:-1]
         cut.jerk_lon, cut.jerk_lat = cut.jerk_lon[:-1], cut.jerk_lat[:-1]
-        assert kinematic_peaks([cut], path)[0].curvature_rate < 0.9 * alone.curvature_rate
+        assert kinematic_peaks(SampleRows.of([cut]), path)[0].curvature_rate < (
+            0.9 * alone.curvature_rate
+        )
     assert_rows_like_reference(cands, path, make_context(path, sigma=0.3))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from frenetplan import replanning_sim
 from frenetplan.cli import _hist_edges, _json_text, main
-from frenetplan.endpoint_regulation import terminal_deviation
+from frenetplan.endpoint_regulation import select_reference_candidate, terminal_deviation
 from frenetplan.errors import NoFeasibleCandidate
 from frenetplan.momentum_optimizer import PlanningContext, cost_cluster
 from frenetplan.replanning_sim import Scenario
@@ -502,14 +502,15 @@ def test_cluster_column_is_the_terminal_term_the_cost_adds(tmp_path):
     scn = replanning_sim.Scenario.from_dict(_bundled("s1"))
     path = scn.build_path()
     cluster = replanning_sim.cycle_cluster(scn, path, scn.initial_state, 0, True)
-    reference = cluster.candidates[cluster.reference_index]
-    term = terminal_deviation(cluster.candidates, reference, scn.cost.terminal_weight)
-    assert term[cluster.reference_index] == 0.0 and np.any(term > 0.0)
+    index = select_reference_candidate(cluster)
+    reference = cluster[index]
+    term = terminal_deviation(cluster.terminals, reference, scn.cost.terminal_weight)
+    assert term[index] == 0.0 and np.any(term > 0.0)
     # the first cycle's costs, as run() takes them
     ctx = PlanningContext(path, scn.assistive, scn.interaction, tuple(scn.agents),
                           scn.uncertainty.baseline_trace)
-    full = cost_cluster(cluster.candidates, ctx, reference, scn.cost)
-    zero = cost_cluster(cluster.candidates, ctx, reference,
+    full = cost_cluster(cluster.rows, ctx, reference, scn.cost)
+    zero = cost_cluster(cluster.rows, ctx, reference,
                         replace(scn.cost, terminal_weight=0.0))
     assert [c.hex() for c in full] == [float(z + t).hex() for z, t in zip(zero, term)]
 

@@ -17,6 +17,7 @@ from frenetplan.evaluation import nn_distance_stats
 from frenetplan.frenet_geometry import FrenetState
 from frenetplan.momentum_optimizer import OptimizerConfig, optimize_cluster
 from frenetplan.quintic_sampling import (
+    SampleRows,
     SamplingGrid,
     TrajectoryCluster,
     generate_cluster,
@@ -27,7 +28,12 @@ from conftest import make_candidate, make_context, straight_path
 
 def cluster_of(candidates, initial=None):
     initial = initial or candidates[0].initial
-    return TrajectoryCluster(candidates=list(candidates), reference_index=0, initial=initial)
+    return TrajectoryCluster(SampleRows.of(list(candidates)), initial)
+
+
+def terminals(candidates):
+    """The (n, 6) terminal states of ``candidates``, as a cluster holds them."""
+    return SampleRows.of(candidates).terminals
 
 
 def with_terminal(speed=1.0, offset=0.0, accel=0.0, lat_rate=0.0, lat_accel=0.0):
@@ -56,14 +62,15 @@ def test_reference_median_tie_goes_to_smaller_index():
 def test_energy_examples():
     ref = with_terminal(speed=1.0)
     unit = with_terminal(speed=2.0)
-    assert list(terminal_deviation([ref, unit], ref, 1.0)) == [0.0, 1.0]
-    assert list(terminal_deviation([ref, unit], ref, 4.0)) == [0.0, 4.0]
+    both = terminals([ref, unit])
+    assert list(terminal_deviation(both, ref, 1.0)) == [0.0, 1.0]
+    assert list(terminal_deviation(both, ref, 4.0)) == [0.0, 4.0]
     # no reference, no term
-    assert list(terminal_deviation([ref, unit], None, 4.0)) == [0.0, 0.0]
+    assert list(terminal_deviation(both, None, 4.0)) == [0.0, 0.0]
     # only the terminal speed is weighed: the sampler ends every candidate
     # with zero terminal acceleration and lateral rates
     unsteady = with_terminal(speed=2.0, accel=1.0, lat_rate=0.5, lat_accel=0.5)
-    assert terminal_deviation([unsteady], ref, 4.0)[0] == 4.0
+    assert terminal_deviation(terminals([unsteady]), ref, 4.0)[0] == 4.0
 
 
 def test_energy_scaling_and_argmin_invariance():
@@ -78,8 +85,8 @@ def test_energy_scaling_and_argmin_invariance():
         )
         for _ in range(12)
     ]
-    e_base = terminal_deviation(cands, ref, 1.0)
-    e_scaled = terminal_deviation(cands, ref, 9.0)
+    e_base = terminal_deviation(terminals(cands), ref, 1.0)
+    e_scaled = terminal_deviation(terminals(cands), ref, 9.0)
     assert np.allclose(e_scaled, 9.0 * e_base, rtol=1e-12)
     assert int(np.argmin(e_base)) == int(np.argmin(e_scaled))
     assert min(e_base) >= 0.0
@@ -174,8 +181,7 @@ def test_terminal_order_is_sorted_over_the_key_tuples(keys):
 def test_empty_cluster_raises():
     with pytest.raises(EmptyCluster):
         select_reference_candidate(
-            TrajectoryCluster(candidates=[], reference_index=0,
-                              initial=FrenetState(0, 0, 0, 0, 0, 0))
+            TrajectoryCluster(SampleRows.of([]), FrenetState(0, 0, 0, 0, 0, 0))
         )
 
 
@@ -186,7 +192,6 @@ def test_regulated_single_cell():
     config = RegulationConfig()
     cluster = regulated_cluster(initial, path, grid, config)
     assert len(cluster.candidates) == 1
-    assert cluster.reference_index == 0
 
 
 def test_regulated_offset_row_respects_bounds():
@@ -251,7 +256,7 @@ def test_every_candidate_ends_steady(initial, speeds, offsets, horizons, max_gap
     except EmptyCluster:
         assume(False)
     regulated = regulated_cluster(initial, path, grid, config)
-    reference = regulated.candidates[regulated.reference_index]
+    reference = regulated[select_reference_candidate(regulated)]
     refined = optimize_cluster(
         regulated.candidates, make_context(path), reference, OptimizerConfig(max_iters=2)
     )

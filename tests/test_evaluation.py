@@ -17,6 +17,7 @@ from frenetplan.evaluation import (
 )
 from frenetplan.frenet_geometry import FrenetState
 from frenetplan.quintic_sampling import (
+    SampleRows,
     TrajectoryCandidate,
     TrajectoryCluster,
     build_candidate,
@@ -90,8 +91,7 @@ def _cluster_from_terminals(terminals):
         cand = make_candidate()
         cand.states[-1] = term
         cands.append(cand)
-    return TrajectoryCluster(candidates=cands, reference_index=0,
-                             initial=cands[0].initial)
+    return TrajectoryCluster(SampleRows.of(cands), cands[0].initial)
 
 
 def test_nn_stats_two_points():

@@ -18,7 +18,11 @@ from frenetplan.momentum_optimizer import (
     total_cost,
 )
 from frenetplan.quintic_sampling import build_candidate, SamplingGrid
-from frenetplan.endpoint_regulation import regulated_cluster, terminal_deviation
+from frenetplan.endpoint_regulation import (
+    regulated_cluster,
+    select_reference_candidate,
+    terminal_deviation,
+)
 
 import reference_kernels
 from conftest import active_context, make_candidate, make_context, random_candidate, straight_path
@@ -298,12 +302,12 @@ def test_cluster_optimization_matches_reference_descent():
     assert {2.0, 3.0} <= {c.horizon for c in cluster.candidates}
     assert any("inserted" in c.grid_key for c in cluster.candidates)
     ctx = active_context(path)
-    ref = cluster.candidates[cluster.reference_index]
+    ref = cluster[select_reference_candidate(cluster)]
     cfg = OptimizerConfig(max_iters=10)
     refined = optimize_cluster(cluster.candidates, ctx, ref, cfg)
     assert len(refined) == len(cluster.candidates)
     for cand, out in zip(cluster.candidates, refined):
-        terminal = terminal_deviation([cand], ref, cfg.terminal_weight)
+        terminal = terminal_deviation(cand.states[-1:], ref, cfg.terminal_weight)
         ps, pd, cur, histories = reference_kernels._descend(
             cand.times, cand.states[None, :, 0].copy(), cand.states[None, :, 3].copy(),
             ctx, cfg, terminal,

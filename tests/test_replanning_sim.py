@@ -21,8 +21,6 @@ from frenetplan.replanning_sim import (
 )
 from frenetplan.scenarios import BUILDERS, curved_bumps, narrow_oncoming, straight_crossing
 
-from conftest import make_candidate
-
 
 def pace_scenario(n_cycles=8):
     """Agent-free straight corridor with a symmetric fixed grid around the
@@ -89,16 +87,14 @@ def _fake_report(feasible):
 
 
 def test_select_candidate_rules():
-    cands = [make_candidate() for _ in range(3)]
-    for cand, cost in zip(cands, (3.0, 2.0, 4.0)):
-        cand.cost = cost
+    costs = [3.0, 2.0, 4.0]
     reports = [_fake_report(True)] * 3
-    assert select_candidate(cands, reports) == 1
-    cands[0].cost = 2.0  # exact tie with index 1 -> smaller index wins
-    assert select_candidate(cands, reports) == 0
-    assert select_candidate(cands[:1], reports[:1]) == 0
+    assert select_candidate(costs, reports) == 1
+    costs[0] = 2.0  # exact tie with index 1 -> smaller index wins
+    assert select_candidate(costs, reports) == 0
+    assert select_candidate(costs[:1], reports[:1]) == 0
     with pytest.raises(NoFeasibleCandidate):
-        select_candidate(cands, [_fake_report(False)] * 3)
+        select_candidate(costs, [_fake_report(False)] * 3)
 
 
 def test_zero_cycles_echoes_initial_state():

@@ -13,12 +13,18 @@ JSON file with one SHA-256 per case:
   ``frenetplan run scenarios/<scenario>.json --seed <seed> --mode <mode>``
   for seeds 0-49;
 - ``cluster/<scenario>/<mode>/<dump>/<file>``: the files of ``frenetplan
-  cluster scenarios/<scenario>.json --dump endpoints|full --mode <mode>``.
+  cluster scenarios/<scenario>.json --dump endpoints|full --mode <mode>``;
+- ``lib/<scenario>/<mode>/<seed>/<function>``: the one-candidate library
+  calls on the cycle-0 cluster of ``builder(seed=seed)`` (``cycle_cluster``,
+  its ``select_reference_candidate``, the cycle's weights and agents), seeds
+  0-4: ``total_cost`` and ``check_candidate`` of every candidate and
+  ``optimize_trajectory`` of every 10th.
 
 A run that raises is digested as its error text plus its partial log, if it
 carries one; a command that exits nonzero adds a ``.../exit`` case holding
-its exit code and error output. The file also records the commit and the
-Python, numpy and scipy versions. Takes about 70 s on a 2-core x86_64 VM.
+its exit code and error output, and a ``lib`` case that raises is one
+``.../error`` case. The file also records the commit and the
+Python, numpy and scipy versions. Takes about 80 s on a 2-core x86_64 VM.
 
 ``--compare`` lists the cases that differ between two such files, grouped by
 kind, scenario and mode, and exits 1 if any do. The cost path calls
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -48,12 +55,22 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 from frenetplan import cli  # noqa: E402
-from frenetplan.replanning_sim import MODES, run  # noqa: E402
+from frenetplan.endpoint_regulation import select_reference_candidate  # noqa: E402
+from frenetplan.evaluation import check_candidate  # noqa: E402
+from frenetplan.momentum_optimizer import (  # noqa: E402
+    OptimizerConfig,
+    PlanningContext,
+    optimize_trajectory,
+    total_cost,
+)
+from frenetplan.replanning_sim import MODES, cycle_cluster, run  # noqa: E402
 from frenetplan.scenarios import BUILDERS  # noqa: E402
 
 RUN_SEEDS = range(128)
 FILE_SEEDS = range(50)
 DUMPS = ("endpoints", "full")
+LIB_SEEDS = range(5)
+REFINE_EVERY = 10
 
 
 def _sha(data: bytes) -> str:
@@ -83,6 +100,47 @@ def run_digests() -> dict:
                         None if partial is None else partial.to_dict(), sort_keys=True
                     )
                 out[f"run/{name}/{mode}/{seed}"] = _sha(text.encode())
+    return out
+
+
+def _lib_texts(scenario, switches) -> dict:
+    """Per library function, the text of its results over the cycle-0
+    cluster's candidates, in cluster order."""
+    path = scenario.build_path()
+    cluster = cycle_cluster(scenario, path, scenario.initial_state, 0, switches.regulate)
+    reference = cluster.candidates[select_reference_candidate(cluster)]
+    config = OptimizerConfig(**dataclasses.asdict(scenario.cost))
+    if not switches.momentum_weights:
+        config = dataclasses.replace(config, accel_weight=0.0, terminal_weight=0.0)
+    ctx = PlanningContext(path, scenario.assistive, scenario.interaction,
+                          tuple(scenario.agents), scenario.uncertainty.baseline_trace)
+    costs, reports, refined = [], [], []
+    for i, cand in enumerate(cluster.candidates):
+        costs.append(total_cost(cand, ctx, reference, config).hex())
+        r = check_candidate(cand, path, scenario.limits)
+        margins = {str(c): float(m).hex() for c, m in r.worst_margins.items()}
+        reports.append([r.feasible, sorted(map(str, r.violations)), margins, list(r.notes)])
+        if i % REFINE_EVERY == 0:
+            out = optimize_trajectory(cand, ctx, reference, config)
+            samples = b"".join(a.tobytes() for a in (out.times, out.states, out.jerk_lon,
+                                                     out.jerk_lat))
+            refined.append([_sha(samples), [c.hex() for c in out.cost_history]])
+    return {"total_cost": costs, "check_candidate": reports, "optimize_trajectory": refined}
+
+
+def lib_digests() -> dict:
+    out = {}
+    for name, builder in BUILDERS.items():
+        for mode, switches in MODES.items():
+            for seed in LIB_SEEDS:
+                case = f"lib/{name}/{mode}/{seed}"
+                try:
+                    texts = _lib_texts(builder(seed=seed), switches)
+                except Exception as err:
+                    out[f"{case}/error"] = _sha(f"{type(err).__name__}: {err}".encode())
+                    continue
+                for function, text in texts.items():
+                    out[f"{case}/{function}"] = _sha(json.dumps(text).encode())
     return out
 
 
@@ -121,7 +179,7 @@ def cli_digests(tmp: Path) -> dict:
 
 def write(path: Path) -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {**run_digests(), **cli_digests(Path(tmp))}
+        digests = {**run_digests(), **cli_digests(Path(tmp)), **lib_digests()}
     payload = {
         "commit": _commit(),
         "python": platform.python_version(),
