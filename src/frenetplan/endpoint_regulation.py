@@ -1,9 +1,10 @@
 """Terminal-state regulation: spacing repair plus the terminal-deviation term.
 
 The cluster's terminal states are de-duplicated below a spacing floor and
-densified wherever consecutive terminal gaps exceed the spacing cap; the
-selection cost compares each candidate's terminal state against a reference
-candidate through ``terminal_deviation``.
+densified wherever consecutive terminal gaps exceed the spacing cap, a plan
+that reads terminal states alone; the selection cost compares each
+candidate's terminal state against a reference candidate through
+``terminal_deviation``.
 """
 
 from __future__ import annotations
@@ -16,12 +17,16 @@ import numpy as np
 from .errors import EmptyCluster
 from .frenet_geometry import FrenetState, ReferencePath
 from .quintic_sampling import (
+    _NO_GRID_ROWS,
     CandidateSpec,
     SamplingGrid,
     TrajectoryCandidate,
     TrajectoryCluster,
     build_rows,
-    generate_cluster,
+    generate_cluster,  # noqa: F401 - perfbench's tracer wraps this name here
+    grid_specs,
+    lateral_rows,
+    longitudinal_rows,
 )
 from .schema import check, spec
 
@@ -118,27 +123,43 @@ def enforce_spacing(
     candidate; oversized gaps are filled by re-solving quintics toward
     linearly interpolated terminal configurations, up to 8 insertions per
     gap (beyond that the budget flag is set instead of failing). Insertion
-    horizons snap to multiples of ``grid.dt``, the only grid field read, and
-    the insertions are built in one ``build_rows`` call. The repaired rows
-    are sorted by terminal (``sort_by_terminal``) and gathered from the
-    input's and the insertions' rows in one pass.
+    horizons snap to multiples of ``grid.dt``, the only grid field read.
+    This plan (``_repair``) reads the rows' terminals and horizons only, and
+    ``regulated_cluster`` follows it too. Here the input's rows may come from
+    anywhere, so the insertions are built whole in one ``build_rows`` call,
+    and the repaired rows are sorted by terminal (``sort_by_terminal``) and
+    gathered from the input's and the insertions' rows, joined, in one pass.
     """
     if not len(cluster):
         raise EmptyCluster("cannot enforce spacing on an empty cluster")
-    return _repair(cluster, np.arange(len(cluster)), config, grid)
+    rows = cluster.rows
+    joined, order, exhausted = _repair(
+        cluster.initial, rows, np.arange(len(rows)), config, grid.dt, build_rows
+    )
+    return TrajectoryCluster(
+        joined.take(order), cluster.initial, exhausted or cluster.spacing_budget_exhausted
+    )
 
 
 def _repair(
-    cluster: TrajectoryCluster,
+    initial: FrenetState,
+    rows,
     chain: np.ndarray,
     config: RegulationConfig,
-    grid: SamplingGrid,
-) -> TrajectoryCluster:
-    """``enforce_spacing`` of the cluster's rows taken in the order ``chain``
-    lists them, as if gathered in that order first."""
+    dt: float,
+    build,
+) -> tuple:
+    """The spacing plan of ``rows`` taken in the order ``chain`` lists them,
+    from their ``terminals`` and ``horizon`` alone.
+
+    ``rows`` are ``SampleRows`` with ``build`` = ``build_rows``, or
+    ``LongitudinalRows`` with ``build`` = ``longitudinal_rows``; ``build``
+    makes the insertions in one call. Returns ``rows`` joined with the
+    insertions' rows, the order of the repaired chain among them (sorted by
+    terminal), and whether an oversized gap ran out of insertions.
+    """
     # every consecutive gap in one call: a row's np.linalg.norm is the square
     # root of its dot product, which vecdot gives bit for bit
-    rows = cluster.rows
     terms = rows.terminals[chain]
     diff = terms[1:] - terms[:-1]
     consecutive = np.sqrt(np.vecdot(diff, diff)).tolist()
@@ -172,7 +193,7 @@ def _repair(
             alpha = j / (n_insert + 1)
             after.append(k)
             alphas.append(alpha)
-            horizons.append(_snap_to_grid(h_a + alpha * (h_b - h_a), grid.dt))
+            horizons.append(_snap_to_grid(h_a + alpha * (h_b - h_a), dt))
 
     # every insertion target in one expression; one-sided form: exact when
     # components of a and b coincide, so sorting ties stay ties and the
@@ -193,20 +214,14 @@ def _repair(
     ]
 
     # built in one call; the chain is each kept row followed by its
-    # insertions, as rows of the input's rows joined with the insertions',
-    # and one gather lays it out sorted
-    inserted, built = build_rows(cluster.initial, specs, grid.dt)
+    # insertions, as rows of the input's rows joined with the insertions'
+    inserted, built = build(initial, specs, dt)
     following: list[list] = [[] for _ in kept_rows]
     for r, i in enumerate(built, len(rows)):
         following[after[i]].append(r)
     out = np.array([r for a, extra in zip(kept_rows, following) for r in (a, *extra)])
     joined = rows.join(inserted)
-    order = out[_terminal_order(joined.terminals[out])]
-    return TrajectoryCluster(
-        joined.take(order),
-        cluster.initial,
-        budget_exhausted or cluster.spacing_budget_exhausted,
-    )
+    return joined, out[_terminal_order(joined.terminals[out])], budget_exhausted
 
 
 def regulated_cluster(
@@ -215,7 +230,20 @@ def regulated_cluster(
     grid: SamplingGrid,
     config: RegulationConfig,
 ) -> TrajectoryCluster:
-    """Generate, sort, and spacing-repair a cluster (``sort_by_terminal``,
-    then ``enforce_spacing``, with the one gather of the repair)."""
-    cluster = generate_cluster(initial, path, grid)
-    return _repair(cluster, _terminal_order(cluster.terminals), config, grid)
+    """``enforce_spacing(sort_by_terminal(generate_cluster(...)))``, bit
+    for bit, with each row built once.
+
+    The grid's specs (``grid_specs``) take the longitudinal pass
+    (``longitudinal_rows``), which gives their exact terminals; the spacing
+    plan runs on those terminals in sorted order; the insertions take the
+    longitudinal pass; and one lateral pass (``lateral_rows``) lays out the
+    repaired chain in cluster order. No row is sampled laterally before the
+    repair, and no sampled row is copied after it.
+    """
+    rows, _ = longitudinal_rows(initial, grid_specs(initial, path, grid), grid.dt)
+    if not len(rows):
+        raise EmptyCluster(_NO_GRID_ROWS)
+    joined, order, exhausted = _repair(
+        initial, rows, _terminal_order(rows.terminals), config, grid.dt, longitudinal_rows
+    )
+    return TrajectoryCluster(lateral_rows(initial, joined, order), initial, exhausted)

@@ -5,12 +5,17 @@ quintic in the longitudinal displacement sigma = s - s(0), converted to time
 derivatives through the chain rule when sampling. A quintic is the float
 (6,) array of its monomial coefficients c0..c5 over its native abscissa.
 
-``build_rows`` is the one builder: it checks each span once, solves a
-call's quintics in two array calls of ``solve_quintic``'s closed form and
-samples them in two ``eval_quintic`` calls over ragged sample axes,
-whatever the mix of horizons, into the ``SampleRows`` that a
-``TrajectoryCluster`` is made from; ``SampleRows.views`` hands its rows out
-as candidates.
+A build is two passes, each one array call of ``solve_quintic``'s closed
+form and one ``eval_quintic`` call over samples laid back to back, whatever
+the mix of horizons. The longitudinal pass (``longitudinal_rows``) checks
+every span once, in input order, samples each distinct longitudinal quintic
+and drops the specs whose s dips, leaving ``LongitudinalRows``: each kept
+spec's exact terminal state and its quintic's samples. The lateral pass
+(``lateral_rows``) solves and samples the lateral quintics of given rows in
+a given order into the ``SampleRows`` that a ``TrajectoryCluster`` is made
+from; ``SampleRows.views`` hands its rows out as candidates.
+``build_rows`` runs both passes in input order; endpoint regulation runs
+them apart, repairing spacing on the terminals in between.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ from .schema import SPAN, ListOf, check, spec
 _SLOW_SPEED = 1e-9
 
 _COND_LIMIT = 1e12
+
+_NO_GRID_ROWS = "all grid triples were discarded"
 
 
 def _check_span(t: float) -> None:
@@ -144,11 +151,12 @@ class SamplingGrid:
         if self.cycle_jitter == 0.0:
             return self
         j = self.cycle_jitter
-        speeds = tuple(
-            max(0.05, v + rng.uniform(-j, j)) for v in self.terminal_speeds
-        )
+        # one draw per list: the stream and bits of one draw per element
+        speed_noise = rng.uniform(-j, j, len(self.terminal_speeds)).tolist()
+        offset_noise = rng.uniform(-j, j, len(self.lateral_offsets)).tolist()
+        speeds = tuple(max(0.05, v + u) for v, u in zip(self.terminal_speeds, speed_noise))
         offsets = tuple(
-            min(SPAN, max(-SPAN, o + rng.uniform(-j, j))) for o in self.lateral_offsets
+            min(SPAN, max(-SPAN, o + u)) for o, u in zip(self.lateral_offsets, offset_noise)
         )
         return replace(self, terminal_speeds=speeds, lateral_offsets=offsets)
 
@@ -407,71 +415,143 @@ class CandidateSpec(NamedTuple):
     grid_key: tuple = ()
 
 
-def build_rows(initial: FrenetState, specs: Sequence[CandidateSpec], dt: float) -> tuple:
-    """Solve both quintics toward each spec's steady terminal and sample them.
+class _SpanPowers(dict):
+    """Each span's ``_span_powers``, checked and computed once per value."""
 
-    Terminal acceleration and lateral rates are zero (steady-terminal
-    convention). Returns the ``SampleRows`` of the forward specs, in input
-    order, and the index in ``specs`` of each row; a spec with a nonpositive
-    longitudinal span or a sampled dip in s has no row. Specs sharing
-    (terminal s, terminal speed, horizon) share one longitudinal quintic. The
-    distinct longitudinal quintics are solved in one array call and the
-    lateral ones in another. Each span is checked once, first, in input
-    order, so if a span is ill-posed the first spec whose solve would fail
-    raises: its longitudinal span (if new) before its lateral one.
+    def __missing__(self, t):
+        self[t] = powers = _span_powers(t)
+        return powers
 
-    Sampling takes two ``eval_quintic`` calls, each over samples laid back to
-    back on one axis: every longitudinal quintic over its own horizon, which
-    decides its dip once, then every kept spec's lateral quintic over the
-    longitudinal row it gathers, which lays out the rows' blocks.
+
+@dataclass(frozen=True, eq=False)
+class LongitudinalRows:
+    """The longitudinal half of a build (``longitudinal_rows``): forward,
+    dip-free specs as rows, ready for the lateral pass (``lateral_rows``).
+
+    Row ``r`` holds its spec's exact terminal state ``terminals[r]`` (s,
+    speed, 0, offset, 0, 0), its checked lateral span ``lat_span[r]`` and that
+    span's ``lat_powers[r]``, its longitudinal quintic ``lon[r]`` over
+    ``horizon[r]``, ``grid_key[r]``, and the ``counts[r]`` samples of that
+    quintic from ``starts[r]`` on in ``samples``, whose five rows are the
+    times, s jerk, s, s_dot and s_ddot. Rows sharing a quintic share its
+    samples.
     """
+
+    terminals: np.ndarray
+    lat_span: np.ndarray
+    lat_powers: np.ndarray
+    lon: np.ndarray
+    horizon: np.ndarray
+    grid_key: list
+    starts: np.ndarray
+    counts: np.ndarray
+    samples: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.terminals)
+
+    def join(self, other: "LongitudinalRows") -> "LongitudinalRows":
+        """These rows, then ``other``'s."""
+        return LongitudinalRows(
+            terminals=np.concatenate((self.terminals, other.terminals)),
+            lat_span=np.concatenate((self.lat_span, other.lat_span)),
+            lat_powers=np.concatenate((self.lat_powers, other.lat_powers)),
+            lon=np.concatenate((self.lon, other.lon)),
+            horizon=np.concatenate((self.horizon, other.horizon)),
+            grid_key=self.grid_key + other.grid_key,
+            starts=np.concatenate((self.starts, other.starts + self.samples.shape[1])),
+            counts=np.concatenate((self.counts, other.counts)),
+            samples=np.concatenate((self.samples, other.samples), axis=1),
+        )
+
+
+def longitudinal_rows(
+    initial: FrenetState, specs: Sequence[CandidateSpec], dt: float
+) -> tuple:
+    """The longitudinal pass of a build: the ``LongitudinalRows`` of the
+    forward specs, in input order, and the index in ``specs`` of each row. A
+    spec with a nonpositive longitudinal span or a sampled dip in s has no
+    row.
+
+    Every span is checked first, in input order, so if a span is ill-posed
+    the first spec whose solve would fail raises: its longitudinal span
+    before its lateral one. A span value is checked once per call. Specs
+    sharing (terminal s, terminal speed, horizon) share one longitudinal
+    quintic; the distinct ones are solved in one array call and sampled in
+    one ``eval_quintic`` call over samples laid back to back, which decides
+    each quintic's dip once.
+    """
+    powers = _SpanPowers()
     keys: dict = {}  # longitudinal key -> its column among the solves
-    index, kept, columns, spans = [], [], [], []  # of the forward specs
-    lon_powers, lat_powers = [], []  # the checked spans' powers, per solve
+    index, columns, spans = [], [], []  # of the forward specs
     for i, x in enumerate(specs):
         span = x.terminal_s - initial.s
         if span > 0.0:
+            # looking a span up checks it: the horizon, then the lateral span
+            powers[x.horizon]
+            powers[span]
             index.append(i)
-            kept.append(x)
-            key = (x.terminal_s, x.terminal_speed, x.horizon)
-            if key not in keys:
-                lon_powers.append(_span_powers(x.horizon))
-            lat_powers.append(_span_powers(span))
-            columns.append(keys.setdefault(key, len(keys)))
+            columns.append(keys.setdefault((x.terminal_s, x.terminal_speed, x.horizon), len(keys)))
             spans.append(span)
-    if not kept:
-        return SampleRows.of([]), []
-    boundary = _lateral_boundary_from_time(initial)
     start = (initial.s, initial.s_dot, initial.s_ddot)
-    ends_s, speeds, horizons = np.array(list(keys)).T
-    lon = _solve(start, (ends_s, speeds, 0.0), horizons, lon_powers)
-    offsets = [x.lateral_offset for x in kept]
-    lat = _solve(boundary, (offsets, 0.0, 0.0), np.array(spans, dtype=float), lat_powers)
+    ends_s, speeds, horizons = np.array(list(keys), dtype=float).reshape(-1, 3).T
+    lon = _solve(start, (ends_s, speeds, 0.0), horizons, [powers[h] for h in horizons.tolist()])
 
-    # longitudinal pass: each quintic over its own horizon's samples, at
-    # the times of np.linspace(0, horizon, count), bit for bit
-    counts = np.array([max(4, int(round(h / dt))) + 1 for h in horizons.tolist()])
+    # each quintic over its own horizon's samples, at the times of
+    # np.linspace(0, horizon, count), bit for bit
+    counts = np.array([max(4, int(round(h / dt))) + 1 for h in horizons.tolist()], dtype=np.intp)
     ends = np.cumsum(counts)
     starts = ends - counts
-    times = (np.arange(ends[-1]) - np.repeat(starts, counts)) * np.repeat(
+    times = (np.arange(counts.sum()) - np.repeat(starts, counts)) * np.repeat(
         horizons / (counts - 1), counts
     )
     times[ends - 1] = horizons
     s, s_dot, s_ddot, s_jerk = eval_quintic(np.repeat(lon, counts, axis=1), times)
+    samples = np.stack((times, s_jerk, s, s_dot, s_ddot))
     drops = np.diff(s) < -1e-10
     drops[ends[:-1] - 1] = False  # a row's last sample to the next row's first
     dips = np.logical_or.reduceat(drops, starts)
 
-    # lateral pass: each forward spec gathers its longitudinal row
-    columns = np.array(columns)
+    columns = np.array(columns, dtype=np.intp)
     own = np.flatnonzero(~dips[columns])
-    if not len(own):
-        return SampleRows.of([]), []
     col = columns[own]
-    n = counts[col]
-    row_starts, row_ends, take = _row_samples(starts[col], n)
-    s, s_dot, s_ddot, s_jerk = s[take], s_dot[take], s_ddot[take], s_jerk[take]
-    d, dp, dpp, dppp = eval_quintic(np.repeat(lat[:, own], n, axis=1), s - initial.s)
+    index = [index[j] for j in own.tolist()]
+    built = [specs[i] for i in index]
+    rows = LongitudinalRows(
+        terminals=np.array(
+            [(x.terminal_s, x.terminal_speed, 0.0, x.lateral_offset, 0.0, 0.0) for x in built]
+        ).reshape(-1, 6),
+        lat_span=np.array(spans, dtype=float)[own],
+        lat_powers=np.array([powers[spans[j]] for j in own.tolist()]).reshape(-1, 3),
+        lon=lon.T[col],
+        horizon=horizons[col],
+        grid_key=[x.grid_key for x in built],
+        starts=starts[col],
+        counts=counts[col],
+        samples=samples,
+    )
+    return rows, index
+
+
+def lateral_rows(initial: FrenetState, rows: LongitudinalRows, order) -> SampleRows:
+    """The lateral pass of a build: the rows ``order`` lists, in that order,
+    laid out as ``SampleRows``. Their lateral quintics are solved in one
+    array call and sampled in one ``eval_quintic`` call over the
+    longitudinal samples each row gathers, which lays out the blocks; the
+    first and last samples are snapped to the shared initial state and the
+    exact terminal."""
+    order = np.asarray(order, dtype=np.intp)
+    counts = rows.counts[order]
+    row_starts, row_ends, take = _row_samples(rows.starts[order], counts)
+    # times and s jerk become blocks of the layout, sharing one gather that
+    # holds nothing else; s and its rates only feed the states
+    times, s_jerk = rows.samples[:2].take(take, axis=1)
+    s, s_dot, s_ddot = rows.samples[2:].take(take, axis=1)
+    terminals = rows.terminals[order]
+    spans = rows.lat_span[order]
+    boundary = _lateral_boundary_from_time(initial)
+    lat = _solve(boundary, (terminals[:, 3], 0.0, 0.0), spans, rows.lat_powers[order])
+    d, dp, dpp, dppp = eval_quintic(np.repeat(lat, counts, axis=1), s - initial.s)
     d_dot = dp * s_dot
     d_ddot = dpp * s_dot**2 + dp * s_ddot
     d_jerk = dppp * s_dot**3 + 3.0 * dpp * s_dot * s_ddot + dp * s_jerk
@@ -480,26 +560,36 @@ def build_rows(initial: FrenetState, specs: Sequence[CandidateSpec], dt: float) 
     states[row_starts] = initial.as_array()  # shared initial state, exactly
     # Snap the terminal sample to the imposed boundary (solver residual is
     # ~1e-13); exact terminals keep sorting ties and de-duplication stable.
-    built = [kept[j] for j in own.tolist()]
-    terminals = np.array(
-        [(x.terminal_s, x.terminal_speed, 0.0, x.lateral_offset, 0.0, 0.0) for x in built]
-    )
     states[row_ends - 1] = terminals
-    rows = SampleRows(
+    return SampleRows(
         starts=row_starts,
         ends=row_ends,
-        times=times[take],
+        times=times,
         states=states,
         jerk_lon=s_jerk,
         jerk_lat=d_jerk,
         terminals=terminals,
-        lon=lon.T[col],
-        lat=lat.T[own],
-        lat_span=np.array(spans)[own],
-        horizon=horizons[col],
-        grid_key=[x.grid_key for x in built],
+        lon=rows.lon[order],
+        lat=np.ascontiguousarray(lat.T),
+        lat_span=spans,
+        horizon=rows.horizon[order],
+        grid_key=[rows.grid_key[i] for i in order.tolist()],
     )
-    return rows, [index[j] for j in own.tolist()]
+
+
+def build_rows(initial: FrenetState, specs: Sequence[CandidateSpec], dt: float) -> tuple:
+    """Solve both quintics toward each spec's steady terminal and sample them:
+    the longitudinal pass (``longitudinal_rows``), then the lateral pass
+    (``lateral_rows``) over its rows in input order.
+
+    Terminal acceleration and lateral rates are zero (steady-terminal
+    convention). Returns the ``SampleRows`` of the forward specs, in input
+    order, and the index in ``specs`` of each row; a spec with a nonpositive
+    longitudinal span or a sampled dip in s has no row. If a span is
+    ill-posed, the first spec whose solve would fail raises.
+    """
+    rows, index = longitudinal_rows(initial, specs, dt)
+    return lateral_rows(initial, rows, np.arange(len(rows))), index
 
 
 def build_candidate(
@@ -518,15 +608,16 @@ def build_candidate(
     return rows.views()[0] if index else None
 
 
-def generate_cluster(
+def grid_specs(
     initial: FrenetState, path: ReferencePath, grid: SamplingGrid
-) -> TrajectoryCluster:
-    """One candidate per grid triple, ordered by (horizon, speed, offset),
-    built by ``build_rows``.
+) -> list:
+    """One ``CandidateSpec`` per grid triple, ordered by (horizon, speed,
+    offset), keyed by the triple.
 
     Terminal longitudinal position follows the trapezoidal progress
     heuristic s_T = s_0 + (s_dot_0 + v_T)/2 * horizon; triples with
-    nonpositive progress are discarded.
+    nonpositive progress are discarded. A pair past the path's end raises
+    PathTooShort once the spans of the specs before it are checked.
     """
     _check_s(path, initial.s)
     kappa = float(path.curvature(initial.s))
@@ -540,9 +631,9 @@ def generate_cluster(
             if terminal_s - initial.s <= 0.0:
                 continue
             if terminal_s > path.total_length:
-                # the triples before this pair are solved first, so an
+                # the triples before this pair are checked first, so an
                 # ill-conditioned one among them raises instead
-                build_rows(initial, specs, grid.dt)
+                longitudinal_rows(initial, specs, grid.dt)
                 raise PathTooShort(
                     f"terminal s={terminal_s:.3f} beyond path end "
                     f"{path.total_length:.3f} (speed {speed}, horizon {horizon})"
@@ -551,8 +642,15 @@ def generate_cluster(
                 CandidateSpec(terminal_s, speed, offset, horizon, (horizon, speed, offset))
                 for offset in sorted(grid.lateral_offsets)
             ]
-    rows = build_rows(initial, specs, grid.dt)[0]
-    if not len(rows):
-        raise EmptyCluster("all grid triples were discarded")
-    return TrajectoryCluster(rows, initial)
+    return specs
 
+
+def generate_cluster(
+    initial: FrenetState, path: ReferencePath, grid: SamplingGrid
+) -> TrajectoryCluster:
+    """One candidate per grid triple (``grid_specs``), built by
+    ``build_rows``."""
+    rows = build_rows(initial, grid_specs(initial, path, grid), grid.dt)[0]
+    if not len(rows):
+        raise EmptyCluster(_NO_GRID_ROWS)
+    return TrajectoryCluster(rows, initial)

@@ -11,7 +11,8 @@ it) are as they were before the cluster was costed per horizon group,
 classification moved to component arrays and the longitudinal quintic was
 shared across offsets. ``solve_quintic`` is the scalar closed form as it was
 before the candidate builder solved its quintics in array calls;
-``build_candidate`` calls it.
+``build_candidate`` calls it. ``jittered`` is ``SamplingGrid.jittered`` as
+it was before it drew each list of perturbations in one call.
 
 Each function is a verbatim copy of the earlier implementation. Only the
 names they call were rebound: ``frame`` and ``_eval_all`` take the path as an
@@ -22,6 +23,7 @@ now costs every candidate of a cluster in one pass over ``SampleRows``), and
 ``schema2_regulation``.
 """
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -61,6 +63,7 @@ from frenetplan.quintic_sampling import (
     _lateral_boundary_from_time,
     eval_quintic,
 )
+from frenetplan.schema import SPAN
 from schema2_regulation import RegulationConfig, regulation_energy
 
 
@@ -581,3 +584,18 @@ def generate_cluster(
     if not candidates:
         raise EmptyCluster("all grid triples were discarded")
     return TrajectoryCluster(SampleRows.of(candidates), initial)
+
+
+def jittered(self, rng) -> "SamplingGrid":
+    """Seeded per-cycle variant; speeds stay positive and offsets within
+    the coordinate bound."""
+    if self.cycle_jitter == 0.0:
+        return self
+    j = self.cycle_jitter
+    speeds = tuple(
+        max(0.05, v + rng.uniform(-j, j)) for v in self.terminal_speeds
+    )
+    offsets = tuple(
+        min(SPAN, max(-SPAN, o + rng.uniform(-j, j))) for o in self.lateral_offsets
+    )
+    return replace(self, terminal_speeds=speeds, lateral_offsets=offsets)

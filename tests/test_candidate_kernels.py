@@ -2,7 +2,8 @@
 kept in ``reference_kernels``: cluster costing and classification in one pass
 over the candidates' samples laid back to back, sampling in one build of
 two array solves and two passes over ragged sample axes (grid candidates
-and spacing-repair insertions alike), the shared
+and spacing-repair insertions alike), the regulated cluster against the
+library's sort and spacing repair of the generated one, the shared
 gradient stencil and the finite-difference adjoints. Outputs and raised
 exceptions must be bitwise identical, including on the branches the bundled
 scenarios never reach (near-zero speed, dipping or ill-conditioned quintics, a
@@ -10,12 +11,14 @@ path too short, mixed horizons, the terminal regularizer, a coincident
 neighbour, rows of every length and rows at rest at their ends).
 """
 
+import dataclasses
 import itertools
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
@@ -67,6 +70,7 @@ from frenetplan.quintic_sampling import (
     build_rows,
     eval_quintic,
     generate_cluster,
+    longitudinal_rows,
     solve_quintic,
 )
 from frenetplan.replanning_sim import MODES, cycle_cluster
@@ -464,7 +468,7 @@ def test_batch_raises_for_the_first_ill_conditioned_spec_in_input_order():
 
 def test_a_build_makes_two_solves_and_two_evaluations(monkeypatch):
     # the closed form's two array calls, the two sampling passes, and one
-    # span check per distinct longitudinal quintic and per forward spec
+    # span check per distinct span value
     calls = {"_solve": 0, "eval_quintic": 0, "_check_span": 0}
     for name in calls:
         def counted(*args, fn=getattr(quintic_sampling, name), name=name):
@@ -480,16 +484,39 @@ def test_a_build_makes_two_solves_and_two_evaluations(monkeypatch):
         for horizon in horizons for speed in (0.3, 1.5) for offset in (-0.4, 0.4)
     ] + [CandidateSpec(1.9, 0.3, 0.0, 2.0)]
     rows, index = build_rows(initial, specs, 0.05)
-    # 12 longitudinal quintics (horizon x speed) and 24 forward specs
-    assert calls == {"_solve": 2, "eval_quintic": 2, "_check_span": 12 + 24}
+    # 6 longitudinal spans (the horizons) and 12 lateral ones (horizon x
+    # speed), each shared by two offsets
+    assert calls == {"_solve": 2, "eval_quintic": 2, "_check_span": 6 + 12}
     assert set(rows.horizon.tolist()) == set(horizons)
     assert len(specs) - 1 not in index and len(index) < len(specs) - 1
-    # a regulated cluster builds the grid and its insertions in one call each
-    calls.update(_solve=0, eval_quintic=0)
+
+
+def test_a_regulated_cluster_makes_one_lateral_pass(monkeypatch):
+    # the grid's and the insertions' longitudinal passes, then one lateral
+    # pass over the repaired chain: no sampled row is copied or dropped
+    solves, calls = [], {"eval_quintic": 0, "join": 0, "take": 0}
+    solve = quintic_sampling._solve
+
+    def counted_solve(*args):
+        solves.append(sys._getframe(1).f_code.co_name)
+        return solve(*args)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(quintic_sampling, "_solve", counted_solve)
+    monkeypatch.setattr(quintic_sampling, "eval_quintic",
+                        counted("eval_quintic", quintic_sampling.eval_quintic))
+    for name in ("join", "take"):
+        monkeypatch.setattr(SampleRows, name, counted(name, getattr(SampleRows, name)))
     initial, grid = regulation_cases()[1]
     cluster = regulated_cluster(initial, s_curve_path(), grid, REG)
     assert any("inserted" in c.grid_key for c in cluster.candidates)
-    assert calls["_solve"] == calls["eval_quintic"] == 4
+    assert sorted(solves) == ["lateral_rows", "longitudinal_rows", "longitudinal_rows"]
+    assert calls == {"eval_quintic": 3, "join": 0, "take": 0}
 
 
 def regulation_cases():
@@ -517,17 +544,29 @@ def test_spacing_insertions_match_reference_built_alone(monkeypatch):
     path = s_curve_path()
     built = []
 
-    def each_alone(initial, specs, dt):
+    def kept_alone(initial, specs, dt):
+        # the longitudinal pass keeps the rows each built alone keeps
+        rows, index = longitudinal_rows(initial, specs, dt)
         out = built_alone(ref.build_candidate, initial, specs, dt)
-        built.extend((initial, t, c) for t, c in zip(specs, out))
-        index = [i for i, c in enumerate(out) if c is not None]
-        return SampleRows.of([out[i] for i in index]), index
+        assert index == [i for i, c in enumerate(out) if c is not None]
+        built.extend((initial, t, c) for t, c in zip(specs, out) if "inserted" in t.grid_key)
+        return rows, index
+
+    def each_alone(initial, rows, order):
+        # every row of the repaired chain built alone from its spec
+        specs = [
+            CandidateSpec(x[0], x[1], x[3], h, rows.grid_key[i])
+            for x, h, i in zip(rows.terminals[order].tolist(),
+                               rows.horizon[order].tolist(), order.tolist())
+        ]
+        return SampleRows.of(built_alone(ref.build_candidate, initial, specs, grid.dt))
 
     tied_insertions = 0
     for initial, grid in regulation_cases():
         new = regulated_cluster(initial, path, grid, REG)
         with monkeypatch.context() as m:
-            m.setattr(endpoint_regulation, "build_rows", each_alone)
+            m.setattr(endpoint_regulation, "longitudinal_rows", kept_alone)
+            m.setattr(endpoint_regulation, "lateral_rows", each_alone)
             old = regulated_cluster(initial, path, grid, REG)
         assert select_reference_candidate(new) == select_reference_candidate(old)
         assert new.spacing_budget_exhausted == old.spacing_budget_exhausted
@@ -646,6 +685,81 @@ def test_spacing_measures_past_dropped_near_duplicates():
     # a one-candidate cluster has no gap to measure
     one = TrajectoryCluster(SampleRows.of(cluster.candidates[:1]), cluster.initial)
     assert len(enforce_spacing(one, REG, grid).candidates) == 1
+
+
+def library_repair(initial, path, grid, config):
+    return enforce_spacing(sort_by_terminal(generate_cluster(initial, path, grid)), config, grid)
+
+
+def assert_same_cluster(new, old):
+    """Every ``SampleRows`` field, bit for bit, and the budget flag."""
+    assert new.spacing_budget_exhausted == old.spacing_budget_exhausted
+    for field in dataclasses.fields(SampleRows):
+        a, b = getattr(new.rows, field.name), getattr(old.rows, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
+# offsets and speeds on a 1 cm (cm/s) lattice: equal and adjacent values
+# make near-duplicate terminals to drop
+_LATTICE = st.integers(-80, 80).map(lambda i: i / 100)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    initial=st.builds(
+        FrenetState, st.floats(1.0, 3.0), st.floats(0.0, 1.5), st.floats(-1.2, 0.6),
+        st.floats(-0.5, 0.5), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
+    ),
+    speeds=st.lists(_LATTICE.map(lambda v: v + 0.9), min_size=1, max_size=4),
+    offsets=st.lists(_LATTICE, min_size=1, max_size=6),
+    horizons=st.lists(st.sampled_from((1.0, 1.35, 2.0, 2.35, 2.5, 3.0)), min_size=1,
+                      max_size=3, unique=True),
+    gaps=st.tuples(st.floats(0.04, 1.0), st.floats(0.0, 0.03)),
+)
+@example(  # a braking crawl: the 2.35 s insertions partly dip
+    initial=FrenetState(2.0, 0.13, -0.6, -0.08, 0.0, 0.0), speeds=[0.2, 1.5],
+    offsets=[-0.4, 0.0, 0.4], horizons=[1.0, 3.0], gaps=(0.5, 0.02),
+)
+@example(  # exact and 1 cm duplicates, and a gap past the insertion budget
+    initial=FrenetState(2.0, 1.0, 0.0, 0.0, 0.0, 0.0), speeds=[0.9],
+    offsets=[-0.8, -0.8, -0.79, 0.8], horizons=[2.0], gaps=(0.1, 0.02),
+)
+def test_regulated_cluster_equals_the_library_repair(initial, speeds, offsets, horizons, gaps):
+    # built once, from the grid's terminals, it is the library's sort and
+    # repair of the generated cluster, bit for bit, or raises alike
+    path = s_curve_path()
+    grid = SamplingGrid(tuple(speeds), tuple(offsets), tuple(horizons), dt=0.05)
+    config = RegulationConfig(max_gap=gaps[0], min_gap=gaps[1])
+    new = outcome(regulated_cluster, initial, path, grid, config)
+    old = outcome(library_repair, initial, path, grid, config)
+    if isinstance(old, tuple):
+        assert new == old
+    else:
+        assert_same_cluster(new, old)
+
+
+@pytest.mark.parametrize("initial, grid, error", [
+    # a 1 mm lateral span in the grid
+    (FrenetState(2.0, 0.0, 0.0, 0.1, 0.0, 0.0),
+     SamplingGrid((0.002,), (0.0, 0.2), (1.0, 3.0), dt=0.05), IllConditioned),
+    # insertion horizons snap to 251.3 s, past the conditioning limit
+    (FrenetState(1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+     SamplingGrid((0.01,), (-2.0, 2.0), (251.1,), dt=0.7), IllConditioned),
+    # an ill-conditioned pair sorted before one past the path's end
+    (FrenetState(2.0, 0.0, 0.0, 0.1, 0.0, 0.0),
+     SamplingGrid((0.002, 80.0), (0.0,), (1.0,), dt=0.05), IllConditioned),
+    (FrenetState(2.0, 0.0, 0.0, 0.1, 0.0, 0.0),
+     SamplingGrid((1.0, 80.0), (0.0,), (1.0,), dt=0.05), PathTooShort),
+])
+def test_regulated_cluster_raises_like_the_library_repair(initial, grid, error):
+    path = s_curve_path()
+    old = outcome(library_repair, initial, path, grid, REG)
+    assert old[0] is error
+    assert outcome(regulated_cluster, initial, path, grid, REG) == old
 
 
 # --- costing ---------------------------------------------------------------------

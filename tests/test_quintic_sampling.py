@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frenetplan.errors import (
     EmptyCluster,
@@ -8,6 +10,7 @@ from frenetplan.errors import (
     PathTooShort,
 )
 from frenetplan.frenet_geometry import FrenetState
+from frenetplan.schema import SPAN
 from frenetplan.quintic_sampling import (
     SamplingGrid,
     eval_quintic,
@@ -249,3 +252,25 @@ def test_grid_validation():
         SamplingGrid((1.0,), (0.0,), (0.1,), dt=0.05)
     with pytest.raises(ValueError):
         SamplingGrid((1.0,), (0.0,), (2.0,), dt=0.05, cycle_jitter=-1.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    speeds=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=12),
+    offsets=st.lists(
+        st.one_of(st.floats(-1.0, 1.0), st.floats(SPAN - 1.0, SPAN), st.floats(-SPAN, 1.0 - SPAN)),
+        min_size=1,
+        max_size=12,
+    ),
+    jitter=st.floats(0.0, 1.0),
+)
+def test_jitter_draws_each_list_at_once_like_one_draw_per_element(seed, speeds, offsets, jitter):
+    # one uniform draw per list takes the same stream, and the same bits,
+    # as one draw per speed and then one per offset; clamps included
+    grid = SamplingGrid(tuple(speeds), tuple(offsets), (2.0,), dt=0.05, cycle_jitter=jitter)
+    rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    new, old = grid.jittered(rng), ref.jittered(grid, old_rng)
+    for field in ("terminal_speeds", "lateral_offsets"):
+        assert [v.hex() for v in getattr(new, field)] == [v.hex() for v in getattr(old, field)]
+    assert rng.bit_generator.state == old_rng.bit_generator.state

@@ -14,6 +14,11 @@ JSON file with one SHA-256 per case:
   for seeds 0-49;
 - ``cluster/<scenario>/<mode>/<dump>/<file>``: the files of ``frenetplan
   cluster scenarios/<scenario>.json --dump endpoints|full --mode <mode>``;
+- ``clusters/<scenario>/<mode>/<seed>/<cycle>/<field>``: every field of
+  the ``SampleRows`` that ``cycle_cluster`` lays out for each cycle of
+  ``run(builder(seed=seed), mode)`` (its dtype, shape and bytes;
+  ``grid_key`` as JSON with floats in hex), seeds 0-9, so a change that
+  keeps the layouts byte-identical shows it directly;
 - ``lib/<scenario>/<mode>/<seed>/<function>``: the one-candidate library
   calls on the cycle-0 cluster of ``builder(seed=seed)`` (``cycle_cluster``,
   its ``select_reference_candidate``, the cycle's weights and agents), seeds
@@ -24,7 +29,7 @@ A run that raises is digested as its error text plus its partial log, if it
 carries one; a command that exits nonzero adds a ``.../exit`` case holding
 its exit code and error output, and a ``lib`` case that raises is one
 ``.../error`` case. The file also records the commit and the
-Python, numpy and scipy versions. Takes about 80 s on a 2-core x86_64 VM.
+Python, numpy and scipy versions. Takes about 55 s on a 2-core x86_64 VM.
 
 ``--compare`` lists the cases that differ between two such files, grouped by
 kind, scenario and mode, and exits 1 if any do. The cost path calls
@@ -56,7 +61,9 @@ import scipy  # noqa: E402
 
 from frenetplan import cli  # noqa: E402
 from frenetplan.endpoint_regulation import select_reference_candidate  # noqa: E402
+from frenetplan.errors import NoFeasibleCandidate  # noqa: E402
 from frenetplan.evaluation import check_candidate  # noqa: E402
+from frenetplan.frenet_geometry import FrenetState  # noqa: E402
 from frenetplan.momentum_optimizer import (  # noqa: E402
     OptimizerConfig,
     PlanningContext,
@@ -68,6 +75,7 @@ from frenetplan.scenarios import BUILDERS  # noqa: E402
 
 RUN_SEEDS = range(128)
 FILE_SEEDS = range(50)
+CLUSTER_SEEDS = range(10)
 DUMPS = ("endpoints", "full")
 LIB_SEEDS = range(5)
 REFINE_EVERY = 10
@@ -100,6 +108,39 @@ def run_digests() -> dict:
                         None if partial is None else partial.to_dict(), sort_keys=True
                     )
                 out[f"run/{name}/{mode}/{seed}"] = _sha(text.encode())
+    return out
+
+
+def _field_bytes(value) -> bytes:
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype}{value.shape}".encode() + value.tobytes()
+    return json.dumps(
+        [[p.hex() if isinstance(p, float) else p for p in key] for key in value]
+    ).encode()
+
+
+def cluster_digests() -> dict:
+    out = {}
+    for name, builder in BUILDERS.items():
+        for mode, switches in MODES.items():
+            for seed in CLUSTER_SEEDS:
+                scenario = builder(seed=seed)
+                try:
+                    log = run(scenario, mode)
+                except NoFeasibleCandidate as err:
+                    # the cycle that raised starts at the partial log's end
+                    log = err.partial_log
+                # each cycle starts where the previous one's record ends
+                states = [scenario.initial_state] + [
+                    FrenetState.from_array(c.states[-1]) for c in log.cycles
+                ]
+                path = scenario.build_path()
+                for k, state in enumerate(states[: scenario.sim.n_cycles]):
+                    rows = cycle_cluster(scenario, path, state, k, switches.regulate).rows
+                    for f in dataclasses.fields(rows):
+                        if f.name != "frame":
+                            case = f"clusters/{name}/{mode}/{seed}/{k}/{f.name}"
+                            out[case] = _sha(_field_bytes(getattr(rows, f.name)))
     return out
 
 
@@ -179,7 +220,9 @@ def cli_digests(tmp: Path) -> dict:
 
 def write(path: Path) -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {**run_digests(), **cli_digests(Path(tmp)), **lib_digests()}
+        digests = {
+            **run_digests(), **cli_digests(Path(tmp)), **cluster_digests(), **lib_digests()
+        }
     payload = {
         "commit": _commit(),
         "python": platform.python_version(),
