@@ -105,12 +105,12 @@ def kinematic_peaks(rows: SampleRows, path: ReferencePath) -> list:
     """
     if not len(rows):
         return []
-    h, first, last = rows.h, rows.starts, rows.last
+    ends, first = rows.row_ends, rows.starts
     (px, py), _, _, (nx, ny), _ = rows.frame or path.frame(rows.s)
-    vx = fd_gradient(px + rows.d * nx, h, first, last)
-    vy = fd_gradient(py + rows.d * ny, h, first, last)
-    ax = fd_gradient(vx, h, first, last)
-    ay = fd_gradient(vy, h, first, last)
+    vx = fd_gradient(px + rows.d * nx, ends)
+    vy = fd_gradient(py + rows.d * ny, ends)
+    ax = fd_gradient(vx, ends)
+    ay = fd_gradient(vy, ends)
     speed = np.sqrt(vx * vx + vy * vy)
     accel = np.sqrt(ax * ax + ay * ay)
     jerk_lon = _row_max(np.abs(rows.jerk_lon), first)
@@ -122,13 +122,14 @@ def kinematic_peaks(rows: SampleRows, path: ReferencePath) -> list:
     valid = speed > _DEGENERATE_SPEED
     kappa = (vx * ay - vy * ax) / np.maximum(speed, _DEGENERATE_SPEED) ** 3
     kappa[~valid] = 0.0
-    kappa_rate = fd_gradient(kappa, h, first, last)
+    kappa_rate = fd_gradient(kappa, ends)
     rate_valid = valid.copy()
     rate_valid[:-1] &= valid[1:]
     rate_valid[1:] &= valid[:-1]
     # the shifts above cross row boundaries: redo each row's end samples
-    rate_valid[first] = valid[first] & valid[first + 1]
-    rate_valid[last] = valid[last] & valid[last - 1]
+    # from the two samples its one-sided velocity stencil reads
+    end_pair = valid.take(ends.vel)
+    rate_valid[ends.at] = end_pair[0] & end_pair[1]
     kappa_rate[~rate_valid] = 0.0
 
     peaks = np.stack(

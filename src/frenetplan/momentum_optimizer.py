@@ -28,7 +28,7 @@ import numpy as np
 from .endpoint_regulation import terminal_deviation
 from .errors import CoincidentNeighbor
 from .frenet_geometry import ReferencePath
-from .quintic_sampling import SampleRows, TrajectoryCandidate
+from .quintic_sampling import RowEnds, SampleRows, TrajectoryCandidate
 from .schema import ListOf, check, spec
 
 _COINCIDENT_DIST = 1e-9
@@ -146,18 +146,21 @@ class PlanningContext:
         )
 
 
-def _bumps(s, params: AssistiveParams):
-    """Clipped Gaussian-bump sum beta(s) in [0, 1] and its derivative."""
+def _bumps(s, params: AssistiveParams, want_jac: bool):
+    """Clipped Gaussian-bump sum beta(s) in [0, 1] and, with ``want_jac``,
+    its derivative (else None)."""
     s = np.asarray(s, dtype=float)
     beta = np.zeros_like(s)
-    dbeta = np.zeros_like(s)
+    dbeta = np.zeros_like(s) if want_jac else None
     for center, width, amp in params.bumps:
         g = amp * np.exp(-0.5 * ((s - center) / width) ** 2)
         beta += g
-        dbeta += g * (-(s - center) / width**2)
+        if want_jac:
+            dbeta += g * (-(s - center) / width**2)
     over = beta > 1.0
-    beta = np.where(over, 1.0, beta)
-    dbeta = np.where(over, 0.0, dbeta)
+    beta[over] = 1.0
+    if want_jac:
+        dbeta[over] = 0.0
     return beta, dbeta
 
 
@@ -166,11 +169,14 @@ def _bumps(s, params: AssistiveParams):
 # any leading batch axes. A 2-vector is an (x, y) or (s, d) pair of arrays and
 # a Jacobian is two rows (force components) of four arrays (columns s, vs, d,
 # vd), so every elementwise operation runs over whole contiguous arrays rather
-# than over a trailing axis of length 2.
+# than over a trailing axis of length 2. There is one force law: without
+# ``want_jac`` (the simulator's cost) no Jacobian term is built at all, and
+# with it (refinement: ``cost_gradient``, ``optimize_*``) the Jacobian is
+# assembled beside the same force.
 
 def _assistive_batch(s, vs, d, vd, params: AssistiveParams, want_jac: bool):
     """Saturated guidance force per node; Jacobian columns are (s, vs, d, vd)."""
-    beta, dbeta = _bumps(s, params)
+    beta, dbeta = _bumps(s, params, want_jac)
     force = (
         -params.speed_gain * (vs - params.target_speed) * (1.0 + beta),
         -params.centering_gain * d - params.damping_gain * vd,
@@ -216,7 +222,9 @@ def _interaction_batch(times, s, vs, d, vd, ctx: PlanningContext, want_jac: bool
     The agent's Cartesian position is r(s) + d*n(s) and its velocity is
     approximated as vs*t(s) + vd*n(s); both are differentiated exactly
     against the implemented spline geometry (parameter speed included).
-    ``frame`` is ``ctx.path.frame(s)`` if the caller has it already.
+    ``frame`` is ``ctx.path.frame(s)`` if the caller has it already. Each
+    neighbour's terms are written into one set of node arrays that every
+    neighbour reuses.
     """
     shape = np.shape(s)
     if not ctx.neighbors:
@@ -240,35 +248,48 @@ def _interaction_batch(times, s, vs, d, vd, ctx: PlanningContext, want_jac: bool
         gk = gamma * kappa
         du_ds = (gk * (vs * nx - vd * tx), gk * (vs * ny - vd * ty))
 
+    nhx, nhy, r, dv, decay, alpha = (np.empty(shape) for _ in range(6))
     for nb in ctx.neighbors:
         (qx, qy), (wx, wy) = nb.position, nb.velocity
-        rx = ax - (qx + times * wx)
-        ry = ay - (qy + times * wy)
-        r = np.sqrt(rx * rx + ry * ry)
+        # the offset a - (q + times * w), normalized in place below
+        for rel, a, q, w in ((nhx, ax, qx, wx), (nhy, ay, qy, wy)):
+            np.multiply(times, w, out=rel)
+            np.add(rel, q, out=rel)
+            np.subtract(a, rel, out=rel)
+        np.multiply(nhx, nhx, out=r)
+        np.add(r, np.multiply(nhy, nhy, out=dv), out=r)
+        np.sqrt(r, out=r)
         if np.any(r < _COINCIDENT_DIST):
             raise CoincidentNeighbor("neighbor coincides with a trajectory sample")
         active = r <= params.cutoff
         if not np.any(active):
             continue
-        nhx = rx / r
-        nhy = ry / r
-        dux = ux - wx
-        duy = uy - wy
-        dv = np.sqrt(dux * dux + duy * duy)
-        moving = dv > 1e-12
-        safe_dv = np.where(moving, dv, 1.0)
-        dvx = np.where(moving, dux / safe_dv, 0.0)
-        dvy = np.where(moving, duy / safe_dv, 0.0)
-        decay = np.exp(-r / params.range_scale)
-        base = decay * (1.0 + dv / params.speed_scale)
-        alpha = params.max_intensity * np.minimum(base, 1.0)
-        act = active.astype(float)
-        act_alpha = act * alpha
-        fx += act_alpha * nhx
-        fy += act_alpha * nhy
+        np.divide(nhx, r, out=nhx)
+        np.divide(nhy, r, out=nhy)
+        # dv = |u - w|, decay = exp(-r / range_scale)
+        np.subtract(ux, wx, out=dv)
+        np.multiply(dv, dv, out=dv)
+        np.subtract(uy, wy, out=alpha)
+        np.add(dv, np.multiply(alpha, alpha, out=alpha), out=dv)
+        np.sqrt(dv, out=dv)
+        np.exp(np.divide(np.negative(r, out=decay), params.range_scale, out=decay), out=decay)
+        # alpha = max_intensity * min(base, 1), zero beyond the cutoff, over
+        # base = decay * (1 + dv / speed_scale)
+        np.add(np.divide(dv, params.speed_scale, out=alpha), 1.0, out=alpha)
+        np.multiply(decay, alpha, out=alpha)
+        if want_jac:
+            unclamped = alpha < 1.0  # where alpha follows base
+        np.multiply(params.max_intensity, np.minimum(alpha, 1.0, out=alpha), out=alpha)
+        np.multiply(active, alpha, out=alpha)
 
         if want_jac:
-            pref = params.max_intensity * decay * (base < 1.0) * act
+            dux = ux - wx
+            duy = uy - wy
+            moving = dv > 1e-12
+            safe_dv = np.where(moving, dv, 1.0)
+            dvx = np.where(moving, dux / safe_dv, 0.0)
+            dvy = np.where(moving, duy / safe_dv, 0.0)
+            pref = params.max_intensity * decay * unclamped * active
             scale_r = -pref * (1.0 + dv / params.speed_scale) / params.range_scale
             scale_v = pref / params.speed_scale
             dalpha = (
@@ -282,13 +303,20 @@ def _interaction_batch(times, s, vs, d, vd, ctx: PlanningContext, want_jac: bool
                 jx += da * nhx
                 jy += da * nhy
             # direction change: (alpha/r) (I - nhat nhat^T) dx/dz, z in {s, d}
-            coef = act_alpha / r
+            coef = alpha / r
             for z, (ex, ey) in ((0, dx_ds), (2, (nx, ny))):
                 proj = nhx * ex + nhy * ey
                 jc[z][0] += coef * (ex - nhx * proj)
                 jc[z][1] += coef * (ey - nhy * proj)
 
-    force = (fx * tx + fy * ty, fx * nx + fy * ny)
+        fx += np.multiply(alpha, nhx, out=nhx)
+        fy += np.multiply(alpha, nhy, out=nhy)
+
+    # the (tangent, normal) components, written over the buffers
+    force = (
+        np.add(np.multiply(fx, tx, out=r), np.multiply(fy, ty, out=dv), out=r),
+        np.add(np.multiply(fx, nx, out=decay), np.multiply(fy, ny, out=alpha), out=decay),
+    )
     if not want_jac:
         return force, None
     jac = (
@@ -303,9 +331,12 @@ def _interaction_batch(times, s, vs, d, vd, ctx: PlanningContext, want_jac: bool
 
 def _force_field(times, s, vs, d, vd, ctx: PlanningContext, want_jac: bool, frame=None):
     """External modulation F_ext = -F_assistive + F_interaction per node."""
-    f_asst, j_asst = _assistive_batch(s, vs, d, vd, ctx.assistive, want_jac)
+    # the interaction first: its per-node buffers are freed before the
+    # assistive force is built, so the two never hold memory at once
     f_int, j_int = _interaction_batch(times, s, vs, d, vd, ctx, want_jac, frame)
-    force = (f_int[0] - f_asst[0], f_int[1] - f_asst[1])
+    f_asst, j_asst = _assistive_batch(s, vs, d, vd, ctx.assistive, want_jac)
+    # the interaction's arrays are its own: the difference overwrites them
+    force = tuple(np.subtract(fi, fa, out=fi) for fi, fa in zip(f_int, f_asst))
     jac = None
     if want_jac:
         jac = tuple(
@@ -316,30 +347,30 @@ def _force_field(times, s, vs, d, vd, ctx: PlanningContext, want_jac: bool, fram
 
 
 # --- finite-difference stencils over position traces ---------------------------
-# Each stencil runs along the last axis. ``first``/``last`` index the first and
-# last sample of every row on it (by default the whole axis is one row), and
-# ``h`` is the sample step: a scalar, or one per sample. The central rows are
-# written over the whole axis first and the one-sided rows over them at each
-# row's ends, so rows laid back to back (``SampleRows``) get the bits each
-# would get alone.
+# Each stencil runs over a 1-D axis of rows laid back to back, given the
+# rows' ``RowEnds``, set up once per layout: ``SampleRows.row_ends``, or
+# ``RowEnds.of([h], [0], [n])`` for one trace of n samples at step h. The
+# central rows are written over the whole axis first, in place, and the
+# one-sided rows over them at every row end in one gather and one scatter,
+# so rows laid back to back get the bits each would get alone.
 
-def _fd_velocity(p, h, first=0, last=-1):
-    h = np.broadcast_to(h, p.shape)
+def _fd_velocity(p, ends: RowEnds):
     v = np.empty_like(p)
-    v[..., 1:-1] = (p[..., 2:] - p[..., :-2]) / (2.0 * h[..., 1:-1])
-    v[..., first] = (p[..., first + 1] - p[..., first]) / h[..., first]
-    v[..., last] = (p[..., last] - p[..., last - 1]) / h[..., last]
+    inner = v[1:-1]
+    np.divide(np.subtract(p[2:], p[:-2], out=inner), ends.h2[1:-1], out=inner)
+    x = p.take(ends.vel)
+    v[ends.at] = (x[1] - x[0]) / ends.h_at
     return v
 
 
-def _fd_accel(p, h, first=0, last=-1):
-    h2 = np.broadcast_to(h * h, p.shape)
+def _fd_accel(p, ends: RowEnds):
     a = np.empty_like(p)
-    a[..., 1:-1] = (p[..., 2:] - 2.0 * p[..., 1:-1] + p[..., :-2]) / h2[..., 1:-1]
-    a[..., first] = (
-        p[..., first] - 2.0 * p[..., first + 1] + p[..., first + 2]
-    ) / h2[..., first]
-    a[..., last] = (p[..., last] - 2.0 * p[..., last - 1] + p[..., last - 2]) / h2[..., last]
+    inner = a[1:-1]
+    # (p[2:] - 2 p[1:-1] + p[:-2]) / h^2
+    np.subtract(p[2:], np.multiply(p[1:-1], 2.0, out=inner), out=inner)
+    np.divide(np.add(inner, p[:-2], out=inner), ends.hh[1:-1], out=inner)
+    x = p.take(ends.acc)
+    a[ends.at] = (x[0] - 2.0 * x[1] + x[2]) / ends.hh_at
     return a
 
 
@@ -376,31 +407,18 @@ def _fd_accel_adjoint(y, h):
     return g
 
 
-def fd_gradient(f, h, first=0, last=-1):
-    """``np.gradient(f, h, axis=-1, edge_order=2)`` of each row, term for
-    term: central differences inside, second-order one-sided differences at
-    the row's ends, on uniform spacing ``h`` (each row of a 2-D array, and
-    each row of a ``SampleRows`` axis, gets the bits of its own 1-D
+def fd_gradient(f, ends: RowEnds):
+    """``np.gradient(f, h, edge_order=2)`` of each row of the 1-D axis ``f``
+    that ``ends`` sets up, term for term: central differences inside,
+    second-order one-sided differences at the row's ends, on the row's
+    uniform spacing ``h`` (each row gets the bits of its own 1-D
     gradient)."""
-    h = np.broadcast_to(h, f.shape)
     out = np.empty_like(f)
-    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h[..., 1:-1])
-    hf, hl = h[..., first], h[..., last]
-    out[..., first] = (
-        (-1.5 / hf) * f[..., first] + (2.0 / hf) * f[..., first + 1]
-        + (-0.5 / hf) * f[..., first + 2]
-    )
-    out[..., last] = (
-        (0.5 / hl) * f[..., last - 2] + (-2.0 / hl) * f[..., last - 1]
-        + (1.5 / hl) * f[..., last]
-    )
+    inner = out[1:-1]
+    np.divide(np.subtract(f[2:], f[:-2], out=inner), ends.h2[1:-1], out=inner)
+    x = f.take(ends.grad) * ends.grad_coef
+    out[ends.at] = x[0] + x[1] + x[2]
     return out
-
-
-def _fd_terms(times, ps, pd):
-    """Node spacing, then velocities and accelerations of both axes."""
-    h = float(times[1] - times[0])
-    return h, _fd_velocity(ps, h), _fd_velocity(pd, h), _fd_accel(ps, h), _fd_accel(pd, h)
 
 
 def _integrand(vs, vd, a_s, a_d, force, ctx, config):
@@ -413,10 +431,15 @@ def _integrand(vs, vd, a_s, a_d, force, ctx, config):
     )
 
 
-def _cost_and_gradient(times, ps, pd, ctx, config):
+def _cost_and_gradient(times, ps, pd, ctx, config, ends: RowEnds):
     """Running cost and its gradient w.r.t. the free positions, both from one
-    evaluation of the force field and its Jacobian."""
-    h, vs, vd, a_s, a_d = _fd_terms(times, ps, pd)
+    evaluation of the force field and its Jacobian; ``ends`` is the trace's
+    stencil set-up."""
+    h = float(times[1] - times[0])
+    vs = _fd_velocity(ps, ends)
+    vd = _fd_velocity(pd, ends)
+    a_s = _fd_accel(ps, ends)
+    a_d = _fd_accel(pd, ends)
     force, jac = _force_field(times, ps, vs, pd, vd, ctx, want_jac=True)
     cost = np.trapezoid(_integrand(vs, vd, a_s, a_d, force, ctx, config), times, axis=-1)
 
@@ -455,12 +478,12 @@ def cost_cluster(
     """
     if not len(rows):
         return []
-    ps, pd, h, first, last = rows.s, rows.d, rows.h, rows.starts, rows.last
-    vs = _fd_velocity(ps, h, first, last)
-    vd = _fd_velocity(pd, h, first, last)
-    a_s = _fd_accel(ps, h, first, last)
-    a_d = _fd_accel(pd, h, first, last)
+    ends, ps, pd = rows.row_ends, rows.s, rows.d
+    vs = _fd_velocity(ps, ends)
+    vd = _fd_velocity(pd, ends)
     force, _ = _force_field(rows.times, ps, vs, pd, vd, ctx, False, rows.frame)
+    a_s = _fd_accel(ps, ends)
+    a_d = _fd_accel(pd, ends)
     running = rows.trapezoid(_integrand(vs, vd, a_s, a_d, force, ctx, config))
     terminal = terminal_deviation(rows.terminals, reference, config.terminal_weight)
     return (running + terminal).tolist()
@@ -495,7 +518,8 @@ def cost_gradient(
     else:
         ps = positions[:, 0]
         pd = positions[:, 1]
-    return _cost_and_gradient(candidate.times, ps, pd, ctx, config)[1]
+    ends = RowEnds.of([candidate.dt], [0], [len(ps)])
+    return _cost_and_gradient(candidate.times, ps, pd, ctx, config, ends)[1]
 
 
 def _descend(times, ps, pd, ctx, config, terminal):
@@ -507,14 +531,15 @@ def _descend(times, ps, pd, ctx, config, terminal):
     gradient together; an accepted point carries that gradient into the next
     iteration. Returns the positions and the cost history.
     """
-    cur, grad = _cost_and_gradient(times, ps, pd, ctx, config)
+    h = float(times[1] - times[0])
+    n_nodes = len(times)
+    ends = RowEnds.of([h], [0], [n_nodes])
+    cur, grad = _cost_and_gradient(times, ps, pd, ctx, config, ends)
     cur = cur + terminal
     history = [float(cur)]
-    n_nodes = len(times)
     if config.max_iters == 0 or n_nodes <= 2 * _FIXED_EDGE:
         return ps, pd, history
 
-    h = float(times[1] - times[0])
     # Fixed step at the curvature scale of the acceleration penalty
     # (second-difference stencil norm ~4/h^2). Growing the step beyond this
     # is Armijo-acceptable but amplifies the stiff modes and shows up as
@@ -532,7 +557,7 @@ def _descend(times, ps, pd, ctx, config, terminal):
             pd_try = pd.copy()
             ps_try[lo:hi] -= alpha * grad[:, 0]
             pd_try[lo:hi] -= alpha * grad[:, 1]
-            cost, grad_try = _cost_and_gradient(times, ps_try, pd_try, ctx, config)
+            cost, grad_try = _cost_and_gradient(times, ps_try, pd_try, ctx, config, ends)
             cost = cost + terminal
             if cost <= cur - config.armijo_c * alpha * gnorm2:
                 break
@@ -547,21 +572,21 @@ def _descend(times, ps, pd, ctx, config, terminal):
 def _rebuild_candidate(candidate, ps, pd, history) -> TrajectoryCandidate:
     """Candidate with refined positions; interior derivatives by central
     differences, endpoint rows kept at the original boundary values."""
-    h = candidate.dt
+    ends = RowEnds.of([candidate.dt], [0], [len(ps)])
     states = candidate.states.copy()
     states[:, 0] = ps
     states[:, 3] = pd
-    states[1:-1, 1] = _fd_velocity(ps, h)[1:-1]
-    states[1:-1, 2] = _fd_accel(ps, h)[1:-1]
-    states[1:-1, 4] = _fd_velocity(pd, h)[1:-1]
-    states[1:-1, 5] = _fd_accel(pd, h)[1:-1]
+    states[1:-1, 1] = _fd_velocity(ps, ends)[1:-1]
+    states[1:-1, 2] = _fd_accel(ps, ends)[1:-1]
+    states[1:-1, 4] = _fd_velocity(pd, ends)[1:-1]
+    states[1:-1, 5] = _fd_accel(pd, ends)[1:-1]
     states[0] = candidate.states[0]
     states[-1] = candidate.states[-1]
     return replace(
         candidate,
         states=states,
-        jerk_lon=fd_gradient(states[:, 2], h),
-        jerk_lat=fd_gradient(states[:, 5], h),
+        jerk_lon=fd_gradient(states[:, 2], ends),
+        jerk_lat=fd_gradient(states[:, 5], ends),
         cost=history[-1],
         cost_history=history,
         optimized=True,

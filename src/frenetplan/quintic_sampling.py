@@ -20,6 +20,7 @@ them apart, repairing spacing on the terminals in between.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
@@ -147,7 +148,11 @@ class SamplingGrid:
 
     def jittered(self, rng) -> "SamplingGrid":
         """Seeded per-cycle variant; speeds stay positive and offsets within
-        the coordinate bound."""
+        the coordinate bound.
+
+        The clamps keep every value within the rules ``__post_init__``
+        checks, so the variant is this grid's copy with the two lists
+        replaced, and is not validated again."""
         if self.cycle_jitter == 0.0:
             return self
         j = self.cycle_jitter
@@ -158,7 +163,10 @@ class SamplingGrid:
         offsets = tuple(
             min(SPAN, max(-SPAN, o + u)) for o, u in zip(self.lateral_offsets, offset_noise)
         )
-        return replace(self, terminal_speeds=speeds, lateral_offsets=offsets)
+        variant = copy.copy(self)
+        object.__setattr__(variant, "terminal_speeds", speeds)
+        object.__setattr__(variant, "lateral_offsets", offsets)
+        return variant
 
 
 @dataclass
@@ -224,6 +232,62 @@ def _row_samples(starts, counts):
     return new_starts, ends, index
 
 
+class RowEnds(NamedTuple):
+    """The finite-difference set-up of rows laid back to back, made once per
+    layout (``SampleRows.row_ends``) and read by ``momentum_optimizer``'s
+    stencils (``_fd_velocity``, ``_fd_accel``, ``fd_gradient``).
+
+    Per sample: ``h2`` (2 h) and ``hh`` (h h), the central stencils'
+    divisors. Per row end (``at``: every row's first sample, then every
+    row's last): its step ``h_at`` and ``hh_at``, and the samples each
+    one-sided stencil reads there, one row per term in the order the stencil
+    adds them: ``vel`` (first, first + 1 | last - 1, last), ``acc`` (first,
+    first + 1, first + 2 | last, last - 1, last - 2) and ``grad`` (first,
+    first + 1, first + 2 | last - 2, last - 1, last), whose coefficients are
+    ``grad_coef``.
+    """
+
+    h2: np.ndarray
+    hh: np.ndarray
+    at: np.ndarray
+    h_at: np.ndarray
+    hh_at: np.ndarray
+    vel: np.ndarray
+    acc: np.ndarray
+    grad: np.ndarray
+    grad_coef: np.ndarray
+
+    @classmethod
+    def of(cls, step, starts, ends) -> "RowEnds":
+        """Rows ``starts[r]:ends[r]`` (at least 3 samples each) at steps
+        ``step[r]``; one row of ``n`` samples at step ``h`` is
+        ``RowEnds.of([h], [0], [n])``."""
+        step = np.asarray(step, dtype=float)
+        first = np.asarray(starts, dtype=np.intp)
+        last = np.asarray(ends, dtype=np.intp) - 1
+        counts = last + 1 - first
+        h_at = np.concatenate((step, step))
+        return cls(
+            h2=np.repeat(2.0 * step, counts),
+            hh=np.repeat(step * step, counts),
+            at=np.concatenate((first, last)),
+            h_at=h_at,
+            hh_at=h_at * h_at,
+            vel=_taps((first, last - 1), (first + 1, last)),
+            acc=_taps((first, last), (first + 1, last - 1), (first + 2, last - 2)),
+            grad=_taps((first, last - 2), (first + 1, last - 1), (first + 2, last)),
+            grad_coef=_taps(
+                (-1.5 / step, 0.5 / step), (2.0 / step, -2.0 / step), (-0.5 / step, 1.5 / step)
+            ),
+        )
+
+
+def _taps(*terms):
+    """One row per stencil term, each a pair (its value at every row's first
+    sample, at every row's last sample), as a (terms, 2 n_rows) block."""
+    return np.stack([np.concatenate(pair) for pair in terms])
+
+
 @dataclass(frozen=True, eq=False)
 class SampleRows:
     """Candidates as arrays, one row each: the layout a build writes, a
@@ -231,13 +295,16 @@ class SampleRows:
 
     Row ``r`` (candidate ``r``) is samples ``starts[r]:ends[r]`` of the
     blocks ``times``, ``states`` (rows [s, s_dot, s_ddot, d, d_dot, d_ddot])
-    and ``jerk_lon``/``jerk_lat``, laid back to back; ``last`` is its last
-    sample and ``terminals[r]`` that sample's state. Per row it also holds
-    the rest of a candidate: the quintics' coefficients ``lon`` and ``lat``
-    ((n, 6) arrays), ``lat_span``, ``horizon`` and ``grid_key``. Per sample
-    it derives the step ``h`` (its row's ``times[1] - times[0]``) and the
-    positions ``s`` and ``d``. ``frame`` is the path frame at ``s`` once a
-    caller evaluated it, else None.
+    and ``jerk_lon``/``jerk_lat``, laid back to back; ``terminals[r]`` is the
+    state at its last sample. Per row it also holds the rest of a candidate:
+    the quintics' coefficients ``lon`` and ``lat`` ((n, 6) arrays),
+    ``lat_span``, ``horizon`` and ``grid_key``. It derives, once per layout,
+    the positions ``s`` and ``d`` and the stencils' set-up ``row_ends``
+    (``RowEnds``: each row's step, its first and last samples and the
+    samples its one-sided stencils read there), so a stencil call over the
+    layout is its interior expression plus one gather and one scatter at
+    the row ends. ``frame`` is the path frame at ``s`` once a caller
+    evaluated it, else None.
     """
 
     starts: np.ndarray
@@ -283,13 +350,9 @@ class SampleRows:
         return len(self.starts)
 
     @cached_property
-    def last(self) -> np.ndarray:
-        return self.ends - 1
-
-    @cached_property
-    def h(self) -> np.ndarray:
+    def row_ends(self) -> RowEnds:
         t, starts = self.times, self.starts
-        return np.repeat(t[starts + 1] - t[starts], self.ends - starts)
+        return RowEnds.of(t[starts + 1] - t[starts], starts, self.ends)
 
     @cached_property
     def s(self) -> np.ndarray:

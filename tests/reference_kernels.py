@@ -12,7 +12,12 @@ classification moved to component arrays and the longitudinal quintic was
 shared across offsets. ``solve_quintic`` is the scalar closed form as it was
 before the candidate builder solved its quintics in array calls;
 ``build_candidate`` calls it. ``jittered`` is ``SamplingGrid.jittered`` as
-it was before it drew each list of perturbations in one call.
+it was before it drew each list of perturbations in one call. ``_bumps``
+(which the force kernels here call) and the stencils ``_fd_velocity``,
+``_fd_accel`` and ``fd_gradient`` are as they were before the bump
+derivative was built only for the Jacobian and the stencils took their row
+ends from a set-up made once per layout: a step ``h`` (a scalar or one per
+sample) and the row ends ``first``/``last`` on the last axis.
 
 Each function is a verbatim copy of the earlier implementation. Only the
 names they call were rebound: ``frame`` and ``_eval_all`` take the path as an
@@ -50,9 +55,6 @@ from frenetplan.momentum_optimizer import (
     AssistiveParams,
     OptimizerConfig,
     PlanningContext,
-    _bumps,
-    _fd_accel,
-    _fd_velocity,
 )
 from frenetplan.quintic_sampling import (
     _COND_LIMIT,
@@ -101,6 +103,62 @@ def frame(path, s):
     cross = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
     kappa = cross / gamma**3
     return pos, gamma, tan, nor, kappa
+
+
+def _bumps(s, params: AssistiveParams):
+    """Clipped Gaussian-bump sum beta(s) in [0, 1] and its derivative."""
+    s = np.asarray(s, dtype=float)
+    beta = np.zeros_like(s)
+    dbeta = np.zeros_like(s)
+    for center, width, amp in params.bumps:
+        g = amp * np.exp(-0.5 * ((s - center) / width) ** 2)
+        beta += g
+        dbeta += g * (-(s - center) / width**2)
+    over = beta > 1.0
+    beta = np.where(over, 1.0, beta)
+    dbeta = np.where(over, 0.0, dbeta)
+    return beta, dbeta
+
+
+def _fd_velocity(p, h, first=0, last=-1):
+    h = np.broadcast_to(h, p.shape)
+    v = np.empty_like(p)
+    v[..., 1:-1] = (p[..., 2:] - p[..., :-2]) / (2.0 * h[..., 1:-1])
+    v[..., first] = (p[..., first + 1] - p[..., first]) / h[..., first]
+    v[..., last] = (p[..., last] - p[..., last - 1]) / h[..., last]
+    return v
+
+
+def _fd_accel(p, h, first=0, last=-1):
+    h2 = np.broadcast_to(h * h, p.shape)
+    a = np.empty_like(p)
+    a[..., 1:-1] = (p[..., 2:] - 2.0 * p[..., 1:-1] + p[..., :-2]) / h2[..., 1:-1]
+    a[..., first] = (
+        p[..., first] - 2.0 * p[..., first + 1] + p[..., first + 2]
+    ) / h2[..., first]
+    a[..., last] = (p[..., last] - 2.0 * p[..., last - 1] + p[..., last - 2]) / h2[..., last]
+    return a
+
+
+def fd_gradient(f, h, first=0, last=-1):
+    """``np.gradient(f, h, axis=-1, edge_order=2)`` of each row, term for
+    term: central differences inside, second-order one-sided differences at
+    the row's ends, on uniform spacing ``h`` (each row of a 2-D array, and
+    each row of a ``SampleRows`` axis, gets the bits of its own 1-D
+    gradient)."""
+    h = np.broadcast_to(h, f.shape)
+    out = np.empty_like(f)
+    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h[..., 1:-1])
+    hf, hl = h[..., first], h[..., last]
+    out[..., first] = (
+        (-1.5 / hf) * f[..., first] + (2.0 / hf) * f[..., first + 1]
+        + (-0.5 / hf) * f[..., first + 2]
+    )
+    out[..., last] = (
+        (0.5 / hl) * f[..., last - 2] + (-2.0 / hl) * f[..., last - 1]
+        + (1.5 / hl) * f[..., last]
+    )
+    return out
 
 
 def _dot(a, b):

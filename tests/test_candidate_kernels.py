@@ -55,7 +55,9 @@ from frenetplan.momentum_optimizer import (
     Neighbor,
     OptimizerConfig,
     SampleRows,
+    _fd_accel,
     _fd_accel_adjoint,
+    _fd_velocity,
     _fd_velocity_adjoint,
     cost_cluster,
     fd_gradient,
@@ -63,6 +65,7 @@ from frenetplan.momentum_optimizer import (
 )
 from frenetplan.quintic_sampling import (
     CandidateSpec,
+    RowEnds,
     SamplingGrid,
     TrajectoryCandidate,
     TrajectoryCluster,
@@ -147,17 +150,48 @@ def trace_candidate(s, d, dt, rng):
 @pytest.mark.parametrize("h", [0.05, 0.1, 0.3])
 def test_fd_gradient_matches_numpy_gradient(n, h):
     rng = np.random.default_rng(n)
+    one_row = RowEnds.of([h], [0], [n])
     f = rng.normal(size=n) * rng.uniform(0.1, 50.0)
-    assert_identical(fd_gradient(f, h), np.gradient(f, h, edge_order=2))
+    assert_identical(fd_gradient(f, one_row), np.gradient(f, h, edge_order=2))
     # a strided column, as the candidate rebuild passes them
     states = rng.normal(size=(n, 6))
-    assert_identical(fd_gradient(states[:, 2], h), np.gradient(states[:, 2], h, edge_order=2))
-    # a (k, n) stack of rows: row by row
+    assert_identical(fd_gradient(states[:, 2], one_row),
+                     np.gradient(states[:, 2], h, edge_order=2))
+    # a (k, n) stack of rows, laid back to back: row by row
     rows = rng.normal(size=(5, n)) * rng.uniform(0.1, 50.0, size=(5, 1))
-    grouped = fd_gradient(rows, h)
+    stacked = RowEnds.of([h] * 5, np.arange(5) * n, np.arange(1, 6) * n)
+    grouped = fd_gradient(rows.ravel(), stacked).reshape(5, n)
     assert_identical(grouped, np.gradient(rows, h, axis=-1, edge_order=2))
     for row, values in zip(grouped, rows):
-        assert_identical(row, fd_gradient(values, h))
+        assert_identical(row, fd_gradient(values, one_row))
+
+
+# rows of 3-61 samples at steps of horizons over their sample counts, with a
+# horizon snapped from its grid sum (2.65 over 53 steps) among them
+STENCIL_ROWS = st.lists(
+    st.tuples(st.integers(3, 61), st.floats(0.1, 5.0)), min_size=1, max_size=8
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(STENCIL_ROWS, st.integers(0, 2**32 - 1))
+@example([(54, 2.6500000000000004), (3, 0.15), (61, 2.5), (4, 2.6500000000000004)], 0)
+def test_stencils_over_rows_laid_back_to_back_match_each_row_alone(rows, seed):
+    rng = np.random.default_rng(seed)
+    counts = np.array([n for n, _ in rows])
+    steps = [horizon / (n - 1) for n, horizon in rows]
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    values = rng.normal(size=ends[-1]) * rng.uniform(0.1, 50.0, size=ends[-1])
+    stencils = ((_fd_velocity, ref._fd_velocity), (_fd_accel, ref._fd_accel),
+                (fd_gradient, ref.fd_gradient))
+    laid = [new(values, RowEnds.of(steps, starts, ends)) for new, _ in stencils]
+    for a, b, h in zip(starts.tolist(), ends.tolist(), steps):
+        row = values[a:b]
+        for out, (new, old) in zip(laid, stencils):
+            assert_identical(out[a:b], new(row, RowEnds.of([h], [0], [b - a])))
+            assert_identical(out[a:b], old(row, h))
+        assert_identical(laid[2][a:b], np.gradient(row, h, edge_order=2))
 
 
 @pytest.mark.parametrize("shape", [(3,), (4,), (5,), (41,), (7, 41), (2, 3, 25)])

@@ -100,9 +100,11 @@ def test_assistive_force_always_bounded():
 def test_surface_irregularity_clipped():
     params = AssistiveParams(bumps=((0.0, 0.5, 0.9), (0.2, 0.5, 0.9)))
     s = np.linspace(-2, 2, 101)
-    beta, _ = momentum_optimizer._bumps(s, params)
-    assert np.all(beta >= 0.0) and np.all(beta <= 1.0)
-    assert momentum_optimizer._bumps(0.1, params)[0] == 1.0  # overlapping bumps clip
+    for want_jac in (False, True):
+        beta, _ = momentum_optimizer._bumps(s, params, want_jac)
+        assert np.all(beta >= 0.0) and np.all(beta <= 1.0)
+        # overlapping bumps clip
+        assert momentum_optimizer._bumps(0.1, params, want_jac)[0] == 1.0
 
 
 def test_interaction_empty_and_cutoff():

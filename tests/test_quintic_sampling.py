@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,3 +276,38 @@ def test_jitter_draws_each_list_at_once_like_one_draw_per_element(seed, speeds, 
     for field in ("terminal_speeds", "lateral_offsets"):
         assert [v.hex() for v in getattr(new, field)] == [v.hex() for v in getattr(old, field)]
     assert rng.bit_generator.state == old_rng.bit_generator.state
+
+
+# finite speeds (the rule), offsets and horizons at the edges of theirs
+EDGE_SPEEDS = st.one_of(st.floats(-1.0, 2.0), st.floats(allow_nan=False, allow_infinity=False))
+EDGE_OFFSETS = st.one_of(
+    st.floats(-1.0, 1.0), st.floats(SPAN - 1.0, SPAN), st.floats(-SPAN, 1.0 - SPAN),
+    st.sampled_from([SPAN, -SPAN, 0.0, -0.0]),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    speeds=st.lists(EDGE_SPEEDS, min_size=1, max_size=12),
+    offsets=st.lists(EDGE_OFFSETS, min_size=1, max_size=12),
+    horizons=st.lists(st.floats(0.2, 8.0), min_size=1, max_size=4),
+    jitter=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+)
+def test_jittered_grid_equals_its_validated_replace(seed, speeds, offsets, horizons, jitter):
+    # the variant skips validation: it must be the grid that replace(), which
+    # validates, makes of the same lists, field for field and bit for bit
+    grid = SamplingGrid(tuple(speeds), tuple(offsets), tuple(horizons), dt=0.05,
+                        cycle_jitter=jitter)
+    new = grid.jittered(np.random.default_rng(seed))
+    checked = dataclasses.replace(
+        grid, terminal_speeds=new.terminal_speeds, lateral_offsets=new.lateral_offsets
+    )
+    assert type(new) is SamplingGrid
+    for field in dataclasses.fields(SamplingGrid):
+        got, want = getattr(new, field.name), getattr(checked, field.name)
+        if isinstance(want, tuple):
+            assert all(type(v) is float for v in got)
+            assert [v.hex() for v in got] == [v.hex() for v in want], field.name
+        else:
+            assert type(got) is type(want) and got == want, field.name

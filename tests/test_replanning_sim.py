@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from frenetplan.errors import NoFeasibleCandidate, PlannerError, ScenarioInvalid
 from frenetplan import endpoint_regulation, quintic_sampling, replanning_sim
 from frenetplan.evaluation import FeasibilityReport, KinematicLimits, check_candidate
 from frenetplan.frenet_geometry import FrenetState, ReferencePath, build_reference_path
+from frenetplan.momentum_optimizer import cost_cluster
 from frenetplan.quintic_sampling import SamplingGrid
 from frenetplan.replanning_sim import (
     MODES,
@@ -221,6 +223,35 @@ def test_one_path_frame_per_cycle_and_one_check_per_candidate(monkeypatch, build
     bounds = np.cumsum([0] + [c.n_candidates for c in log.cycles]).tolist()
     samples = [sum(len(c.times) for c in checks[a:b]) for a, b in zip(bounds, bounds[1:])]
     assert frames == [(n,) for n in samples]
+
+
+# sample-length float arrays the cost stage may hold at once above what it is
+# handed, with agents (s1, s3: their force) and without (s2); the heap the
+# cost stage takes at its peak is what the allocator hands back and the next
+# cycle faults in again
+COST_ARRAYS = {"s1": 28, "s2": 15, "s3": 28}
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_cost_stage_working_set(monkeypatch, name):
+    peaks = []
+
+    def traced(rows, *args):
+        tracemalloc.start()
+        try:
+            return cost_cluster(rows, *args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] / (8 * len(rows.times)))
+            tracemalloc.stop()
+
+    monkeypatch.setattr(replanning_sim, "cost_cluster", traced)
+    for mode in MODES:
+        for seed in range(3):
+            scn = BUILDERS[name](seed=seed, n_cycles=5)
+            assert bool(scn.agents) == (name != "s2")
+            run(scn, mode)
+    assert len(peaks) == len(MODES) * 3 * 5
+    assert max(peaks) <= COST_ARRAYS[name], f"{max(peaks):.2f} arrays"
 
 
 # s1 variants on which refinement turned every candidate of a cycle infeasible

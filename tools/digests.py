@@ -22,8 +22,10 @@ JSON file with one SHA-256 per case:
 - ``lib/<scenario>/<mode>/<seed>/<function>``: the one-candidate library
   calls on the cycle-0 cluster of ``builder(seed=seed)`` (``cycle_cluster``,
   its ``select_reference_candidate``, the cycle's weights and agents), seeds
-  0-4: ``total_cost`` and ``check_candidate`` of every candidate and
-  ``optimize_trajectory`` of every 10th.
+  0-4: ``total_cost`` and ``check_candidate`` of every candidate, and
+  ``optimize_trajectory`` and ``cost_gradient`` (every element, in hex) of
+  every 10th, so the Jacobian branch of the force law is compared directly
+  and not only through the descent.
 
 A run that raises is digested as its error text plus its partial log, if it
 carries one; a command that exits nonzero adds a ``.../exit`` case holding
@@ -67,6 +69,7 @@ from frenetplan.frenet_geometry import FrenetState  # noqa: E402
 from frenetplan.momentum_optimizer import (  # noqa: E402
     OptimizerConfig,
     PlanningContext,
+    cost_gradient,
     optimize_trajectory,
     total_cost,
 )
@@ -155,7 +158,7 @@ def _lib_texts(scenario, switches) -> dict:
         config = dataclasses.replace(config, accel_weight=0.0, terminal_weight=0.0)
     ctx = PlanningContext(path, scenario.assistive, scenario.interaction,
                           tuple(scenario.agents), scenario.uncertainty.baseline_trace)
-    costs, reports, refined = [], [], []
+    costs, reports, refined, gradients = [], [], [], []
     for i, cand in enumerate(cluster.candidates):
         costs.append(total_cost(cand, ctx, reference, config).hex())
         r = check_candidate(cand, path, scenario.limits)
@@ -166,7 +169,9 @@ def _lib_texts(scenario, switches) -> dict:
             samples = b"".join(a.tobytes() for a in (out.times, out.states, out.jerk_lon,
                                                      out.jerk_lat))
             refined.append([_sha(samples), [c.hex() for c in out.cost_history]])
-    return {"total_cost": costs, "check_candidate": reports, "optimize_trajectory": refined}
+            gradients.append([g.hex() for g in cost_gradient(cand, ctx, config).ravel().tolist()])
+    return {"total_cost": costs, "check_candidate": reports, "optimize_trajectory": refined,
+            "cost_gradient": gradients}
 
 
 def lib_digests() -> dict:
