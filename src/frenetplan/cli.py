@@ -377,16 +377,15 @@ def cmd_cluster(args) -> int:
             rows,
         )
     else:
-        rows = []
-        for i, cand in enumerate(cluster.candidates):
-            for j in range(len(cand.times)):
-                st = cand.states[j]
-                rows.append((i, cand.times[j], *st, cand.jerk_lon[j], cand.jerk_lat[j]))
+        # the cluster's blocks hold its rows back to back, in cluster order
+        layout = cluster.rows
+        candidate = np.repeat(np.arange(len(layout)), layout.ends - layout.starts)
         _write_csv(
             out_dir / "states.csv",
             ("candidate", "t", "s", "s_dot", "s_ddot", "d", "d_dot", "d_ddot",
              "jerk_lon", "jerk_lat"),
-            rows,
+            zip(candidate.tolist(), layout.times.tolist(), *layout.states.T.tolist(),
+                layout.jerk_lon.tolist(), layout.jerk_lat.tolist()),
         )
 
     if len(cluster) >= 2:

@@ -19,10 +19,10 @@ from .frenet_geometry import FrenetState, ReferencePath
 from .quintic_sampling import (
     _NO_GRID_ROWS,
     CandidateSpec,
+    SampleRows,
     SamplingGrid,
     TrajectoryCandidate,
     TrajectoryCluster,
-    build_rows,
     generate_cluster,  # noqa: F401 - perfbench's tracer wraps this name here
     grid_specs,
     lateral_rows,
@@ -100,9 +100,11 @@ def _terminal_order(terms: np.ndarray) -> np.ndarray:
 
 def sort_by_terminal(cluster: TrajectoryCluster) -> TrajectoryCluster:
     """Sort candidates by terminal lateral offset, then terminal speed: one
-    stable lexsort, and one gather of the rows into new blocks."""
+    stable lexsort, and the candidates copied in that order
+    (``SampleRows.of``)."""
+    candidates = cluster.candidates
     return TrajectoryCluster(
-        cluster.rows.take(_terminal_order(cluster.terminals)),
+        SampleRows.of([candidates[i] for i in _terminal_order(cluster.terminals).tolist()]),
         cluster.initial,
         cluster.spacing_budget_exhausted,
     )
@@ -126,18 +128,23 @@ def enforce_spacing(
     horizons snap to multiples of ``grid.dt``, the only grid field read.
     This plan (``_repair``) reads the rows' terminals and horizons only, and
     ``regulated_cluster`` follows it too. Here the input's rows may come from
-    anywhere, so the insertions are built whole in one ``build_rows`` call,
-    and the repaired rows are sorted by terminal (``sort_by_terminal``) and
-    gathered from the input's and the insertions' rows, joined, in one pass.
+    anywhere, so the insertions are laid out on their own (``lateral_rows``),
+    and the repaired chain, sorted by terminal, is copied from the input's
+    and the insertions' candidates in one ``SampleRows.of`` call.
     """
     if not len(cluster):
         raise EmptyCluster("cannot enforce spacing on an empty cluster")
-    rows = cluster.rows
-    joined, order, exhausted = _repair(
-        cluster.initial, rows, np.arange(len(rows)), config, grid.dt, build_rows
+    initial = cluster.initial
+    inserted, order, exhausted = _repair(
+        initial, cluster.rows, np.arange(len(cluster)), config, grid.dt
     )
+    candidates = cluster.candidates + lateral_rows(
+        initial, inserted, np.arange(len(inserted))
+    ).views()
     return TrajectoryCluster(
-        joined.take(order), cluster.initial, exhausted or cluster.spacing_budget_exhausted
+        SampleRows.of([candidates[i] for i in order.tolist()]),
+        initial,
+        exhausted or cluster.spacing_budget_exhausted,
     )
 
 
@@ -147,16 +154,16 @@ def _repair(
     chain: np.ndarray,
     config: RegulationConfig,
     dt: float,
-    build,
 ) -> tuple:
-    """The spacing plan of ``rows`` taken in the order ``chain`` lists them,
-    from their ``terminals`` and ``horizon`` alone.
+    """The spacing plan of ``rows`` (``SampleRows`` or ``LongitudinalRows``)
+    taken in the order ``chain`` lists them, from their ``terminals`` and
+    ``horizon`` alone.
 
-    ``rows`` are ``SampleRows`` with ``build`` = ``build_rows``, or
-    ``LongitudinalRows`` with ``build`` = ``longitudinal_rows``; ``build``
-    makes the insertions in one call. Returns ``rows`` joined with the
-    insertions' rows, the order of the repaired chain among them (sorted by
-    terminal), and whether an oversized gap ran out of insertions.
+    Returns the insertions' ``LongitudinalRows``, built in one
+    ``longitudinal_rows`` call; the order of the repaired chain, sorted by
+    terminal, over ``rows``' rows and then the insertions' (row ``len(rows)
+    + j`` is insertion ``j``); and whether an oversized gap ran out of
+    insertions.
     """
     # every consecutive gap in one call: a row's np.linalg.norm is the square
     # root of its dot product, which vecdot gives bit for bit
@@ -214,14 +221,14 @@ def _repair(
     ]
 
     # built in one call; the chain is each kept row followed by its
-    # insertions, as rows of the input's rows joined with the insertions'
-    inserted, built = build(initial, specs, dt)
+    # insertions, numbered after the input's rows
+    inserted, built = longitudinal_rows(initial, specs, dt)
     following: list[list] = [[] for _ in kept_rows]
     for r, i in enumerate(built, len(rows)):
         following[after[i]].append(r)
     out = np.array([r for a, extra in zip(kept_rows, following) for r in (a, *extra)])
-    joined = rows.join(inserted)
-    return joined, out[_terminal_order(joined.terminals[out])], budget_exhausted
+    terminals = np.concatenate((rows.terminals, inserted.terminals))
+    return inserted, out[_terminal_order(terminals[out])], budget_exhausted
 
 
 def regulated_cluster(
@@ -243,7 +250,7 @@ def regulated_cluster(
     rows, _ = longitudinal_rows(initial, grid_specs(initial, path, grid), grid.dt)
     if not len(rows):
         raise EmptyCluster(_NO_GRID_ROWS)
-    joined, order, exhausted = _repair(
-        initial, rows, _terminal_order(rows.terminals), config, grid.dt, longitudinal_rows
+    inserted, order, exhausted = _repair(
+        initial, rows, _terminal_order(rows.terminals), config, grid.dt
     )
-    return TrajectoryCluster(lateral_rows(initial, joined, order), initial, exhausted)
+    return TrajectoryCluster(lateral_rows(initial, rows.join(inserted), order), initial, exhausted)

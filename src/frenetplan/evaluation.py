@@ -92,10 +92,11 @@ class KinematicPeaks(NamedTuple):
     notes: tuple
 
 
-def kinematic_peaks(rows: SampleRows, path: ReferencePath) -> list:
+def kinematic_peaks(rows: SampleRows, path: ReferencePath, frame: tuple | None = None) -> list:
     """``KinematicPeaks`` of each row of ``rows``, in order, in one pass over
-    their samples, their jerk blocks and one path-frame evaluation (their
-    ``frame``, if they have one).
+    their samples, their jerk blocks and one path-frame evaluation:
+    ``frame``, which is ``path.frame(rows.s)`` if the caller has it already,
+    else evaluated here.
 
     Speed/acceleration come from finite differences of the Cartesian trace,
     curvature from first/second central differences (yaw rate = curvature *
@@ -106,7 +107,7 @@ def kinematic_peaks(rows: SampleRows, path: ReferencePath) -> list:
     if not len(rows):
         return []
     ends, first = rows.row_ends, rows.starts
-    (px, py), _, _, (nx, ny), _ = rows.frame or path.frame(rows.s)
+    (px, py), _, _, (nx, ny), _ = frame or path.frame(rows.s)
     vx = fd_gradient(px + rows.d * nx, ends)
     vy = fd_gradient(py + rows.d * ny, ends)
     ax = fd_gradient(vx, ends)

@@ -464,11 +464,14 @@ def cost_cluster(
     ctx: PlanningContext,
     reference: TrajectoryCandidate | None,
     config: CostWeights,
+    frame: tuple | None = None,
 ) -> list:
     """Discretized objective of every row of ``rows``, in order: trapezoid of
     the running cost plus the weighted terminal deviation against
-    ``reference``, in one pass over the rows (their frame, if they have one,
-    serves the agents' force, and their terminal matrix the terminal term).
+    ``reference``, in one pass over the rows (their terminal matrix serves
+    the terminal term). ``frame`` is ``ctx.path.frame(rows.s)`` if the
+    caller has it already; the agents' force reads it, and evaluates it
+    itself otherwise.
 
     Velocities and accelerations are re-derived from the sampled positions so
     the value is a pure function of the position trace (the optimizer's own
@@ -481,7 +484,7 @@ def cost_cluster(
     ends, ps, pd = rows.row_ends, rows.s, rows.d
     vs = _fd_velocity(ps, ends)
     vd = _fd_velocity(pd, ends)
-    force, _ = _force_field(rows.times, ps, vs, pd, vd, ctx, False, rows.frame)
+    force, _ = _force_field(rows.times, ps, vs, pd, vd, ctx, False, frame)
     a_s = _fd_accel(ps, ends)
     a_d = _fd_accel(pd, ends)
     running = rows.trapezoid(_integrand(vs, vd, a_s, a_d, force, ctx, config))

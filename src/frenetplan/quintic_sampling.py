@@ -217,9 +217,8 @@ class TrajectoryCandidate:
         )
 
 
-# a row's samples, and what a candidate holds per row besides them
+# the blocks that hold each row's samples
 _SAMPLE_FIELDS = ("times", "states", "jerk_lon", "jerk_lat")
-_ROW_FIELDS = ("terminals", "lon", "lat", "lat_span", "horizon")
 
 
 def _row_samples(starts, counts):
@@ -290,8 +289,9 @@ def _taps(*terms):
 
 @dataclass(frozen=True, eq=False)
 class SampleRows:
-    """Candidates as arrays, one row each: the layout a build writes, a
-    cluster keeps, and costing and classification read.
+    """Candidates as arrays, one row each: the layout a build writes
+    (``lateral_rows``) or a list of candidates is copied into (``of``), a
+    cluster keeps, and costing and classification read in place.
 
     Row ``r`` (candidate ``r``) is samples ``starts[r]:ends[r]`` of the
     blocks ``times``, ``states`` (rows [s, s_dot, s_ddot, d, d_dot, d_ddot])
@@ -303,8 +303,7 @@ class SampleRows:
     (``RowEnds``: each row's step, its first and last samples and the
     samples its one-sided stencils read there), so a stencil call over the
     layout is its interior expression plus one gather and one scatter at
-    the row ends. ``frame`` is the path frame at ``s`` once a caller
-    evaluated it, else None.
+    the row ends.
     """
 
     starts: np.ndarray
@@ -319,7 +318,6 @@ class SampleRows:
     lat_span: np.ndarray
     horizon: np.ndarray
     grid_key: list
-    frame: Optional[tuple] = None
 
     @classmethod
     def of(cls, candidates) -> "SampleRows":
@@ -361,34 +359,6 @@ class SampleRows:
     @cached_property
     def d(self) -> np.ndarray:
         return np.ascontiguousarray(self.states[:, 3])
-
-    def take(self, order) -> "SampleRows":
-        """The rows ``order`` lists, in that order, in new blocks."""
-        order = np.asarray(order, dtype=np.intp)
-        starts, ends, samples = _row_samples(
-            self.starts[order], (self.ends - self.starts)[order]
-        )
-        # ndarray.take: faster than fancy indexing on the (N, 6) blocks
-        return SampleRows(
-            starts=starts,
-            ends=ends,
-            **{name: getattr(self, name).take(samples, axis=0) for name in _SAMPLE_FIELDS},
-            **{name: getattr(self, name).take(order, axis=0) for name in _ROW_FIELDS},
-            grid_key=[self.grid_key[i] for i in order.tolist()],
-        )
-
-    def join(self, other: "SampleRows") -> "SampleRows":
-        """These rows, then ``other``'s, in new blocks."""
-        n = len(self.times)
-        return SampleRows(
-            starts=np.concatenate((self.starts, other.starts + n)),
-            ends=np.concatenate((self.ends, other.ends + n)),
-            **{
-                name: np.concatenate((getattr(self, name), getattr(other, name)))
-                for name in _SAMPLE_FIELDS + _ROW_FIELDS
-            },
-            grid_key=self.grid_key + other.grid_key,
-        )
 
     def views(self) -> list:
         """One TrajectoryCandidate per row, its arrays views of the row."""

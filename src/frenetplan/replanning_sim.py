@@ -318,9 +318,9 @@ def plan_cycle(
 ) -> CycleRecord:
     """Cycle ``k`` from ``state``, the agents advanced to its start: sample
     the cluster, pick its reference candidate, cost and classify its rows
-    (``TrajectoryCluster.rows``) in one pass each, select the best feasible
-    candidate, and return the record that commits its first
-    ``commit_horizon`` seconds.
+    (``TrajectoryCluster.rows``) in place in one pass each, over one
+    path-frame evaluation, select the best feasible candidate, and return
+    the record that commits its first ``commit_horizon`` seconds.
     Raises PlannerError for a non-finite cost, and NoFeasibleCandidate
     (without a partial log) if no candidate is feasible."""
     commit_idx = int(round(scenario.sim.commit_horizon / scenario.grid.dt))
@@ -345,10 +345,11 @@ def plan_cycle(
     candidates = cluster.candidates
     reference = candidates[select_reference_candidate(cluster)]
 
-    # the cluster's rows, with the one path-frame evaluation that costing
-    # (the agents' force) and classification both read
-    rows = replace(cluster.rows, frame=path.frame(cluster.rows.s))
-    costs = cost_cluster(rows, ctx, reference, weights)
+    # the cluster's own rows, read in place, and the one path-frame
+    # evaluation that costing (the agents' force) and classification both read
+    rows = cluster.rows
+    frame = path.frame(rows.s)
+    costs = cost_cluster(rows, ctx, reference, weights, frame)
     finite = np.isfinite(costs)
     if not finite.all():
         # selection would pass over it silently
@@ -360,7 +361,7 @@ def plan_cycle(
     # one classification pass over the cluster's rows; the per-candidate
     # calls only divide by the limits, each on the candidate viewing its row
     # (perfbench's tracer wraps check_candidate and counts its calls)
-    peaks = kinematic_peaks(rows, path)
+    peaks = kinematic_peaks(rows, path, frame)
     reports = [
         check_candidate(c, path, scenario.limits, p) for c, p in zip(candidates, peaks)
     ]

@@ -61,6 +61,7 @@ from frenetplan.momentum_optimizer import (
     _fd_velocity_adjoint,
     cost_cluster,
     fd_gradient,
+    optimize_trajectory,
     total_cost,
 )
 from frenetplan.quintic_sampling import (
@@ -528,7 +529,7 @@ def test_a_build_makes_two_solves_and_two_evaluations(monkeypatch):
 def test_a_regulated_cluster_makes_one_lateral_pass(monkeypatch):
     # the grid's and the insertions' longitudinal passes, then one lateral
     # pass over the repaired chain: no sampled row is copied or dropped
-    solves, calls = [], {"eval_quintic": 0, "join": 0, "take": 0}
+    solves, calls = [], {"eval_quintic": 0, "of": 0}
     solve = quintic_sampling._solve
 
     def counted_solve(*args):
@@ -544,13 +545,12 @@ def test_a_regulated_cluster_makes_one_lateral_pass(monkeypatch):
     monkeypatch.setattr(quintic_sampling, "_solve", counted_solve)
     monkeypatch.setattr(quintic_sampling, "eval_quintic",
                         counted("eval_quintic", quintic_sampling.eval_quintic))
-    for name in ("join", "take"):
-        monkeypatch.setattr(SampleRows, name, counted(name, getattr(SampleRows, name)))
+    monkeypatch.setattr(SampleRows, "of", staticmethod(counted("of", SampleRows.of)))
     initial, grid = regulation_cases()[1]
     cluster = regulated_cluster(initial, s_curve_path(), grid, REG)
     assert any("inserted" in c.grid_key for c in cluster.candidates)
     assert sorted(solves) == ["lateral_rows", "longitudinal_rows", "longitudinal_rows"]
-    assert calls == {"eval_quintic": 3, "join": 0, "take": 0}
+    assert calls == {"eval_quintic": 3, "of": 0}
 
 
 def regulation_cases():
@@ -721,6 +721,36 @@ def test_spacing_measures_past_dropped_near_duplicates():
     assert len(enforce_spacing(one, REG, grid).candidates) == 1
 
 
+def test_library_repair_copies_rows_no_build_reproduces():
+    # sort and spacing repair of refined candidates, whose rows no quintic
+    # build gives: each kept row is its input candidate's arrays, bit for
+    # bit, and each insertion is its spec built alone
+    path = s_curve_path()
+    ctx = active_context(path)
+    config = OptimizerConfig(max_iters=3)
+    kept = inserted = 0
+    for initial, grid in regulation_cases()[:3]:
+        cands = generate_cluster(initial, path, grid).candidates
+        refined = [optimize_trajectory(c, ctx, cands[0], config) for c in cands]
+        assert any(not np.array_equal(r.states, c.states) for r, c in zip(refined, cands))
+        by_key = {c.grid_key: c for c in refined}
+        assert len(by_key) == len(refined)
+        own = TrajectoryCluster(SampleRows.of(refined), initial)
+        cluster = enforce_spacing(sort_by_terminal(own), REG, grid)
+        assert_one_layout(cluster)
+        for cand in cluster.candidates:
+            if "inserted" in cand.grid_key:
+                horizon, speed, offset, _ = cand.grid_key
+                alone = build_candidate(initial, cand.states[-1, 0], speed, offset, horizon,
+                                        grid.dt, cand.grid_key)
+                inserted += 1
+            else:
+                alone = by_key[cand.grid_key]
+                kept += 1
+            assert_same_candidate(cand, alone)
+    assert kept and inserted
+
+
 def library_repair(initial, path, grid, config):
     return enforce_spacing(sort_by_terminal(generate_cluster(initial, path, grid)), config, grid)
 
@@ -864,16 +894,16 @@ def assert_rows_like_reference(cands, path, ctx):
     reference = cands[len(cands) // 2]
     reg = schema2.RegulationConfig(1.0)
     old = ref.cost_each(cands, ctx, reference, config, reg)
-    # as the simulator calls them, one layout with its path frame for both,
+    # as the simulator calls them, one layout and its path frame for both,
     # and without the frame, which each then evaluates itself
     rows = SampleRows.of(cands)
-    framed = replace(rows, frame=path.frame(rows.s))
-    for new in (cost_cluster(framed, ctx, reference, config),
+    frame = path.frame(rows.s)
+    for new in (cost_cluster(rows, ctx, reference, config, frame),
                 cost_cluster(rows, ctx, reference, config)):
         assert [c.hex() for c in new] == [c.hex() for c in old]
-    assert kinematic_peaks(framed, path) == kinematic_peaks(rows, path)
+    assert kinematic_peaks(rows, path, frame) == kinematic_peaks(rows, path)
     for limits in (LIMITS, TIGHT):
-        for cand, p in zip(cands, kinematic_peaks(framed, path)):
+        for cand, p in zip(cands, kinematic_peaks(rows, path, frame)):
             assert_same_report(check_candidate(cand, path, limits, p),
                                ref.check_candidate(cand, path, limits))
 

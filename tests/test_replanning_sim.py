@@ -10,7 +10,7 @@ from frenetplan.errors import NoFeasibleCandidate, PlannerError, ScenarioInvalid
 from frenetplan import endpoint_regulation, quintic_sampling, replanning_sim
 from frenetplan.evaluation import FeasibilityReport, KinematicLimits, check_candidate
 from frenetplan.frenet_geometry import FrenetState, ReferencePath, build_reference_path
-from frenetplan.momentum_optimizer import cost_cluster
+from frenetplan.momentum_optimizer import Neighbor, cost_cluster
 from frenetplan.quintic_sampling import SamplingGrid
 from frenetplan.replanning_sim import (
     MODES,
@@ -223,6 +223,73 @@ def test_one_path_frame_per_cycle_and_one_check_per_candidate(monkeypatch, build
     bounds = np.cumsum([0] + [c.n_candidates for c in log.cycles]).tolist()
     samples = [sum(len(c.times) for c in checks[a:b]) for a, b in zip(bounds, bounds[1:])]
     assert frames == [(n,) for n in samples]
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+@pytest.mark.parametrize("builder", [straight_crossing, curved_bumps], ids=["s1", "s2"])
+def test_the_cycle_kernels_read_the_cycle_clusters_own_rows(monkeypatch, builder, mode):
+    # costing (with agents, s1, or without, s2) and classification read the
+    # cycle cluster's rows in place: no copy of its layout is made
+    calls = {name: [] for name in ("cycle_cluster", "cost_cluster", "kinematic_peaks")}
+
+    def spy(name, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            calls[name].append((args[0], out))
+            return out
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(replanning_sim, name, spy(name, getattr(replanning_sim, name)))
+    scn = builder(seed=0, n_cycles=2)
+    assert bool(scn.agents) == (builder is straight_crossing)
+    run(scn, mode)
+    clusters = [cluster for _, cluster in calls["cycle_cluster"]]
+    assert len(clusters) == 2
+    for kernel in ("cost_cluster", "kinematic_peaks"):
+        rows = [arg for arg, _ in calls[kernel]]
+        assert len(rows) == 2
+        assert all(r is cluster.rows for r, cluster in zip(rows, clusters))
+
+
+# --- metamorphic properties of the closed loop -----------------------------------
+
+# a still agent far past the interaction cutoff, with no covariance
+FAR_AGENT = Neighbor(np.array([1e4, 1e4]), np.array([0.0, 0.0]), 0.0)
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_an_agent_out_of_range_changes_no_record(name, mode):
+    # it adds no force and no uncertainty: every record is bitwise that of
+    # the scenario without agents, the agents' positions aside
+    for seed in (0, 1, 2):
+        scn = BUILDERS[name](seed=seed, n_cycles=3)
+        scn.agents = []
+        alone = run(scn, mode)
+        scn.agents = [FAR_AGENT]
+        far = run(scn, mode)
+        assert len(far.cycles) == len(alone.cycles) == 3
+        for a, b in zip(far.cycles, alone.cycles):
+            a, b = a.to_dict(), b.to_dict()
+            assert a.pop("agents") == [[1e4, 1e4]] and b.pop("agents") == []
+            assert json.dumps(a) == json.dumps(b)
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_the_order_of_the_agents_keeps_every_selection(mode):
+    # the force and the uncertainty sum over the agents: their order may
+    # move the last bits of a cost, but no selection
+    for seed in (0, 1, 2):
+        scn = narrow_oncoming(seed=seed, n_cycles=3)
+        assert len(scn.agents) == 2
+        forward = run(scn, mode)
+        scn.agents = scn.agents[::-1]
+        backward = run(scn, mode)
+        assert len(forward.cycles) == len(backward.cycles) == 3
+        assert [(c.selected_index, c.selected_key) for c in backward.cycles] == [
+            (c.selected_index, c.selected_key) for c in forward.cycles
+        ]
 
 
 # sample-length float arrays the cost stage may hold at once above what it is

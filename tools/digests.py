@@ -141,9 +141,8 @@ def cluster_digests() -> dict:
                 for k, state in enumerate(states[: scenario.sim.n_cycles]):
                     rows = cycle_cluster(scenario, path, state, k, switches.regulate).rows
                     for f in dataclasses.fields(rows):
-                        if f.name != "frame":
-                            case = f"clusters/{name}/{mode}/{seed}/{k}/{f.name}"
-                            out[case] = _sha(_field_bytes(getattr(rows, f.name)))
+                        case = f"clusters/{name}/{mode}/{seed}/{k}/{f.name}"
+                        out[case] = _sha(_field_bytes(getattr(rows, f.name)))
     return out
 
 
