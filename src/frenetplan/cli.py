@@ -10,6 +10,7 @@ a complete run.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -428,9 +429,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call: parsing leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ScenarioInvalid as err:

@@ -57,14 +57,18 @@ class RegulationConfig:
 
 def select_reference_candidate(cluster: TrajectoryCluster) -> int:
     """Index of the candidate whose terminal (d, s_dot) is closest to
-    (0, median terminal speed); ties go to the smaller index."""
+    (0, median terminal speed); ties go to the smaller index. The median of
+    one sorted list of the speeds is ``np.median``'s (``(a + b) / 2`` for an
+    even count), and ``d*d + e*e`` is the sum of a two-column row."""
     if not len(cluster):
         raise EmptyCluster("cannot select a reference in an empty cluster")
     terms = cluster.terminals
-    target = np.array([0.0, float(np.median(terms[:, 1]))])
-    dev = np.column_stack([terms[:, 3], terms[:, 1]]) - target
+    speeds = sorted(terms[:, 1].tolist())
+    mid = len(speeds) // 2
+    median = speeds[mid] if len(speeds) % 2 else (speeds[mid - 1] + speeds[mid]) / 2
+    d, e = terms[:, 3], terms[:, 1] - median
     # Python floats hold float64 exactly, and compare faster than numpy scalars
-    dist2 = np.sum(dev * dev, axis=1).tolist()
+    dist2 = (d * d + e * e).tolist()
     best = 0
     for i in range(1, len(dist2)):
         if dist2[i] < dist2[best] - _TIE_TOL:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import starmap
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -89,7 +90,7 @@ class KinematicPeaks(NamedTuple):
     curvature: float
     yaw_rate: float
     curvature_rate: float
-    notes: tuple
+    notes: tuple = ()
 
 
 def kinematic_peaks(rows: SampleRows, path: ReferencePath, frame: tuple | None = None) -> list:
@@ -145,17 +146,15 @@ def kinematic_peaks(rows: SampleRows, path: ReferencePath, frame: tuple | None =
         ],
         axis=1,
     ).tolist()
-    degenerate = (~np.logical_and.reduceat(valid, first)).tolist()
-    out = []
-    for start, end, row, skips in zip(first.tolist(), rows.ends.tolist(), peaks, degenerate):
-        notes = ()
-        if skips:
-            skipped = np.flatnonzero(~valid[start:end])
-            notes = (
-                f"curvature checks skipped at {skipped.size} near-zero-speed "
-                f"sample(s), first at t={rows.times[start + skipped[0]]:.3f}",
-            )
-        out.append(KinematicPeaks(*row, notes))
+    out = list(starmap(KinematicPeaks, peaks))
+    # notes only for the rows with a degenerate-speed sample
+    for r in np.flatnonzero(~np.logical_and.reduceat(valid, first)).tolist():
+        start = first[r]
+        skipped = np.flatnonzero(~valid[start : rows.ends[r]])
+        out[r] = out[r]._replace(notes=(
+            f"curvature checks skipped at {skipped.size} near-zero-speed "
+            f"sample(s), first at t={rows.times[start + skipped[0]]:.3f}",
+        ))
     return out
 
 
@@ -174,21 +173,16 @@ def check_candidate(
     """
     if peaks is None:
         peaks = kinematic_peaks(SampleRows.of([candidate]), path)[0]
-    margins = {
-        Constraint.VELOCITY: peaks.velocity / limits.v_max,
-        Constraint.ACCELERATION: peaks.acceleration / limits.a_max,
-        Constraint.JERK: peaks.jerk / limits.j_max,
-        Constraint.CURVATURE: peaks.curvature / limits.kappa_max,
-        Constraint.YAW_RATE: peaks.yaw_rate / limits.yaw_rate_max,
-        Constraint.CURVATURE_RATE: peaks.curvature_rate / limits.kappa_rate_max,
-    }
-    violations = frozenset(c for c, m in margins.items() if m > 1.0)
-    return FeasibilityReport(
-        feasible=not violations,
-        violations=violations,
-        worst_margins=margins,
-        notes=peaks.notes,
-    )
+    margins = dict(zip(CONSTRAINT_ORDER, (
+        peaks.velocity / limits.v_max,
+        peaks.acceleration / limits.a_max,
+        peaks.jerk / limits.j_max,
+        peaks.curvature / limits.kappa_max,
+        peaks.yaw_rate / limits.yaw_rate_max,
+        peaks.curvature_rate / limits.kappa_rate_max,
+    )))
+    violations = frozenset([c for c, m in margins.items() if m > 1.0])
+    return FeasibilityReport(not violations, violations, margins, peaks.notes)
 
 
 def nearest_distances(points: np.ndarray) -> np.ndarray:
@@ -196,15 +190,18 @@ def nearest_distances(points: np.ndarray) -> np.ndarray:
 
     The squared differences are summed one coordinate at a time, in
     coordinate order: the additions ``np.linalg.norm(diff, axis=-1)`` makes
-    over an (n, n, k) difference array, without building it.
+    over an (n, n, k) difference array, without building it. A coordinate
+    zero in every row (a steady terminal's s_ddot, d_dot, d_ddot) adds only
+    +0.0 and is skipped; sqrt, monotone and correctly rounded, is taken of
+    each row's smallest sum alone, which gives the same bits.
     """
-    dist2 = 0.0
+    dist2 = np.zeros((len(points), len(points)))
     for col in points.T:
-        diff = col[:, None] - col[None, :]
-        dist2 = dist2 + diff * diff
-    dist = np.sqrt(dist2)
-    np.fill_diagonal(dist, np.inf)
-    return dist.min(axis=1)
+        if col.any():
+            diff = col[:, None] - col[None, :]
+            dist2 += diff * diff
+    np.fill_diagonal(dist2, np.inf)
+    return np.sqrt(dist2.min(axis=1))
 
 
 def nn_distance_stats(cluster: TrajectoryCluster) -> ClusterStats:
@@ -245,16 +242,20 @@ class FeasibilityBreakdown:
 
 
 def feasibility_breakdown(reports) -> FeasibilityBreakdown:
-    """Feasible fraction plus per-constraint violation fractions.
+    """Feasible fraction plus per-constraint violation fractions, counted in
+    one pass over the reports.
 
     A candidate violating several constraints counts once per constraint.
     """
-    reports = list(reports)
-    if not reports:
+    counts = dict.fromkeys(CONSTRAINT_ORDER, 0)
+    feasible = n = 0
+    for n, r in enumerate(reports, 1):
+        if r.feasible:
+            feasible += 1
+        for c in r.violations:
+            if c in counts:
+                counts[c] += 1
+    if not n:
         raise EmptyInput("no feasibility reports given")
-    n = len(reports)
-    rates = {
-        c: sum(1 for r in reports if c in r.violations) / n for c in CONSTRAINT_ORDER
-    }
-    overall = sum(1 for r in reports if r.feasible) / n
-    return FeasibilityBreakdown(overall_ratio=overall, violation_rates=rates, count=n)
+    rates = {c: k / n for c, k in counts.items()}
+    return FeasibilityBreakdown(overall_ratio=feasible / n, violation_rates=rates, count=n)

@@ -361,20 +361,11 @@ class SampleRows:
         return np.ascontiguousarray(self.states[:, 3])
 
     def views(self) -> list:
-        """One TrajectoryCandidate per row, its arrays views of the row."""
+        """One TrajectoryCandidate per row, its arrays views of the row (made
+        from positional arguments: every cycle makes its cluster's)."""
         t, x, jl, jd = self.times, self.states, self.jerk_lon, self.jerk_lat
         return [
-            TrajectoryCandidate(
-                lon=lon,
-                lat=lat,
-                lat_span=span,
-                horizon=horizon,
-                times=t[a:b],
-                states=x[a:b],
-                jerk_lon=jl[a:b],
-                jerk_lat=jd[a:b],
-                grid_key=key,
-            )
+            TrajectoryCandidate(lon, lat, span, horizon, t[a:b], x[a:b], jl[a:b], jd[a:b], key)
             for lon, lat, span, horizon, key, a, b in zip(
                 self.lon, self.lat, self.lat_span.tolist(), self.horizon.tolist(),
                 self.grid_key, self.starts.tolist(), self.ends.tolist(),

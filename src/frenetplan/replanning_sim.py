@@ -378,19 +378,19 @@ def plan_cycle(
         ) from err
     chosen = candidates[idx]
 
-    # the candidate records, from the cluster's columns (check_candidate
-    # keys each report's margins in CONSTRAINT_ORDER)
-    keys = [[p if isinstance(p, str) else float(p) for p in key] for key in rows.grid_key]
+    # the candidate records, from the cluster's columns: every cycle key is
+    # Python floats and "inserted", and each row keeps its report's margins
+    # (check_candidate keys them in CONSTRAINT_ORDER and makes them per call)
     candidate_rows = [
         {
             "index": i,
-            "key": key,
+            "key": list(key),
             "cost": cost,
-            "feasible": bool(r.feasible),
-            "violations": sorted(r.violations),
-            "margins": dict(r.worst_margins),
+            "feasible": r.feasible,
+            "violations": sorted(r.violations) if r.violations else [],
+            "margins": r.worst_margins,
         }
-        for i, (key, cost, r) in enumerate(zip(keys, costs, reports))
+        for i, (key, cost, r) in enumerate(zip(rows.grid_key, costs, reports))
     ]
     return CycleRecord(
         cycle=k,

@@ -12,7 +12,11 @@ classification moved to component arrays and the longitudinal quintic was
 shared across offsets. ``solve_quintic`` is the scalar closed form as it was
 before the candidate builder solved its quintics in array calls;
 ``build_candidate`` calls it. ``jittered`` is ``SamplingGrid.jittered`` as
-it was before it drew each list of perturbations in one call. ``_bumps``
+it was before it drew each list of perturbations in one call.
+``select_reference_candidate`` and ``feasibility_breakdown`` are as they
+were before the reference pick took its median from one sorted list and its
+squared distances from two columns, and the breakdown counted its reports
+in one pass. ``_bumps``
 (which the force kernels here call) and the stencils ``_fd_velocity``,
 ``_fd_accel`` and ``fd_gradient`` are as they were before the bump
 derivative was built only for the Jacobian and the stencils took their row
@@ -33,9 +37,11 @@ from typing import Optional
 
 import numpy as np
 
+from frenetplan.endpoint_regulation import _TIE_TOL
 from frenetplan.errors import (
     CoincidentNeighbor,
     EmptyCluster,
+    EmptyInput,
     IllConditioned,
     InvalidLateralOffset,
     NonPositiveSpan,
@@ -43,7 +49,9 @@ from frenetplan.errors import (
 )
 from frenetplan.evaluation import (
     _DEGENERATE_SPEED,
+    CONSTRAINT_ORDER,
     Constraint,
+    FeasibilityBreakdown,
     FeasibilityReport,
     KinematicLimits,
 )
@@ -657,3 +665,36 @@ def jittered(self, rng) -> "SamplingGrid":
         min(SPAN, max(-SPAN, o + rng.uniform(-j, j))) for o in self.lateral_offsets
     )
     return replace(self, terminal_speeds=speeds, lateral_offsets=offsets)
+
+
+def select_reference_candidate(cluster: TrajectoryCluster) -> int:
+    """Index of the candidate whose terminal (d, s_dot) is closest to
+    (0, median terminal speed); ties go to the smaller index."""
+    if not len(cluster):
+        raise EmptyCluster("cannot select a reference in an empty cluster")
+    terms = cluster.terminals
+    target = np.array([0.0, float(np.median(terms[:, 1]))])
+    dev = np.column_stack([terms[:, 3], terms[:, 1]]) - target
+    # Python floats hold float64 exactly, and compare faster than numpy scalars
+    dist2 = np.sum(dev * dev, axis=1).tolist()
+    best = 0
+    for i in range(1, len(dist2)):
+        if dist2[i] < dist2[best] - _TIE_TOL:
+            best = i
+    return best
+
+
+def feasibility_breakdown(reports) -> FeasibilityBreakdown:
+    """Feasible fraction plus per-constraint violation fractions.
+
+    A candidate violating several constraints counts once per constraint.
+    """
+    reports = list(reports)
+    if not reports:
+        raise EmptyInput("no feasibility reports given")
+    n = len(reports)
+    rates = {
+        c: sum(1 for r in reports if c in r.violations) / n for c in CONSTRAINT_ORDER
+    }
+    overall = sum(1 for r in reports if r.feasible) / n
+    return FeasibilityBreakdown(overall_ratio=overall, violation_rates=rates, count=n)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from frenetplan.endpoint_regulation import (
     RegulationConfig,
@@ -19,10 +20,12 @@ from frenetplan.momentum_optimizer import OptimizerConfig, optimize_cluster
 from frenetplan.quintic_sampling import (
     SampleRows,
     SamplingGrid,
+    TrajectoryCandidate,
     TrajectoryCluster,
     generate_cluster,
 )
 
+import reference_kernels
 from conftest import make_candidate, make_context, straight_path
 
 
@@ -57,6 +60,51 @@ def test_reference_median_tie_goes_to_smaller_index():
     # speeds {0.8, 1.0, 1.2, 1.4}: median 1.1, candidates at 1.0 and 1.2 tie
     cands = [with_terminal(speed=v) for v in (0.8, 1.0, 1.2, 1.4)]
     assert select_reference_candidate(cluster_of(cands)) == 1
+
+
+def terminal_cluster(terms):
+    """A cluster of three-sample rows ending in the rows of ``terms``."""
+    cands = []
+    for term in terms:
+        states = np.zeros((3, 6))
+        states[-1] = term
+        zeros = np.zeros(3)
+        cands.append(TrajectoryCandidate(
+            np.zeros(6), np.zeros(6), 1.0, 0.2, np.arange(3) * 0.1, states, zeros, zeros
+        ))
+    return cluster_of(cands)
+
+
+_SPEEDS = (0.05, 0.7, 1.0, 1.3)
+
+
+@st.composite
+def reference_terminals(draw):
+    """(n, 6) terminal states, n odd or even: repeated speeds, speeds 1e-13
+    apart and arbitrary ones; offsets of both signs of zero and arbitrary
+    ones; every other coordinate arbitrary."""
+    n = draw(st.integers(1, 70))
+    base = draw(st.sampled_from(_SPEEDS))
+    speed = st.one_of(
+        st.sampled_from(_SPEEDS),
+        st.integers(-4, 4).map(lambda k: base + k * 1e-13),
+        st.floats(0.05, 3.0, width=64),
+    )
+    offset = st.one_of(st.sampled_from((0.0, -0.0, 0.5, -0.5)), st.floats(-2.0, 2.0, width=64))
+    terms = draw(arrays(float, (n, 6), elements=st.floats(-50.0, 50.0, width=64)))
+    terms[:, 1] = draw(st.lists(speed, min_size=n, max_size=n))
+    terms[:, 3] = draw(st.lists(offset, min_size=n, max_size=n))
+    return terms
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(terms=reference_terminals())
+def test_reference_pick_matches_the_median_and_row_sum_oracle(terms):
+    # the median from one sorted list and d*d + e*e on two columns give the
+    # index of np.median, np.column_stack and the row sums, ties included
+    cluster = terminal_cluster(terms)
+    want = reference_kernels.select_reference_candidate(cluster)
+    assert select_reference_candidate(cluster) == want
 
 
 def test_energy_examples():

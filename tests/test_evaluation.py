@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from frenetplan.errors import EmptyInput, TooFewEndpoints
 from frenetplan.evaluation import (
+    CONSTRAINT_ORDER,
     Constraint,
     FeasibilityReport,
     KinematicLimits,
@@ -25,6 +26,7 @@ from frenetplan.quintic_sampling import (
     solve_quintic,
 )
 
+import reference_kernels as ref
 from conftest import circle_path, make_candidate, straight_path
 
 LIMITS = KinematicLimits()
@@ -128,13 +130,20 @@ def test_nn_min_is_global_min_for_pairs():
         lambda n: arrays(float, (n, 6), elements=st.floats(-50.0, 50.0, width=64))
     ),
     duplicates=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=4),
+    zeroed=st.sets(st.integers(0, 5)),
+    negative=st.lists(st.booleans(), min_size=40, max_size=40),
 )
-def test_nearest_distances_equal_the_norm_of_the_difference_array(points, duplicates):
+def test_nearest_distances_equal_the_norm_of_the_difference_array(
+    points, duplicates, zeroed, negative
+):
     # summed one coordinate at a time, the squares add in the order
-    # np.linalg.norm adds them over the (n, n, 6) array, so every bit agrees
+    # np.linalg.norm adds them over the (n, n, 6) array, so every bit agrees;
+    # zeroed columns, of mixed +0.0 and -0.0, are a steady terminal's shape
     n = len(points)
     for a, b in duplicates:
         points[a % n] = points[b % n]
+    for c in zeroed:
+        points[:, c] = np.where(np.roll(negative, c)[:n], -0.0, 0.0)
     dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
     np.fill_diagonal(dist, np.inf)
     want = dist.min(axis=1)
@@ -212,6 +221,16 @@ def test_breakdown_multi_label():
 def test_breakdown_empty_raises():
     with pytest.raises(EmptyInput):
         feasibility_breakdown([])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(violations=st.lists(st.sets(st.sampled_from(CONSTRAINT_ORDER)), min_size=1, max_size=40))
+def test_breakdown_matches_the_per_constraint_formula(violations):
+    # one pass over the reports gives the rates of one pass per constraint
+    reports = [_report(v) for v in violations]
+    got, want = feasibility_breakdown(reports), ref.feasibility_breakdown(reports)
+    assert got == want
+    assert list(got.violation_rates) == list(want.violation_rates)
 
 
 def test_margin_consistency_property():
