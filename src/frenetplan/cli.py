@@ -16,7 +16,7 @@ import json
 import sys
 import time
 from dataclasses import replace
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -186,12 +186,14 @@ def _row_format(types: tuple) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """The header and ``rows``, each run of rows whose cells share their
+    types formatted in one ``%`` over the run's cells."""
     lines = [",".join(header)]
     formats = {}
-    for row in rows:
-        types = tuple(map(type, row))
+    for types, run in groupby(rows, lambda row: tuple(map(type, row))):
+        run = list(run)
         fmt = formats.get(types) or formats.setdefault(types, _row_format(types))
-        lines.append(fmt % tuple(row))
+        lines.append("\n".join([fmt] * len(run)) % tuple(chain.from_iterable(run)))
     path.write_text("\n".join(lines) + "\n")
 
 

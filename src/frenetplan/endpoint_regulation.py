@@ -2,9 +2,9 @@
 
 The cluster's terminal states are de-duplicated below a spacing floor and
 densified wherever consecutive terminal gaps exceed the spacing cap, a plan
-that reads terminal states alone; the selection cost compares each
-candidate's terminal state against a reference candidate through
-``terminal_deviation``.
+that reads terminal states and horizons alone and builds nothing; the
+selection cost compares each candidate's terminal state against a reference
+candidate through ``terminal_deviation``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCluster
+from .errors import EmptyCluster, IllConditioned, NonPositiveSpan
 from .frenet_geometry import FrenetState, ReferencePath
 from .quintic_sampling import (
     _NO_GRID_ROWS,
@@ -23,6 +23,7 @@ from .quintic_sampling import (
     SamplingGrid,
     TrajectoryCandidate,
     TrajectoryCluster,
+    _steady_terminals,
     generate_cluster,  # noqa: F401 - perfbench's tracer wraps this name here
     grid_specs,
     lateral_rows,
@@ -132,19 +133,25 @@ def enforce_spacing(
     horizons snap to multiples of ``grid.dt``, the only grid field read.
     This plan (``_repair``) reads the rows' terminals and horizons only, and
     ``regulated_cluster`` follows it too. Here the input's rows may come from
-    anywhere, so the insertions are laid out on their own (``lateral_rows``),
-    and the repaired chain, sorted by terminal, is copied from the input's
-    and the insertions' candidates in one ``SampleRows.of`` call.
+    anywhere, so the insertions are built on their own (``longitudinal_rows``
+    and ``lateral_rows``), and the repaired chain, sorted by terminal, is
+    copied from the input's and the insertions' candidates in one
+    ``SampleRows.of`` call.
     """
     if not len(cluster):
         raise EmptyCluster("cannot enforce spacing on an empty cluster")
     initial = cluster.initial
-    inserted, order, exhausted = _repair(
-        initial, cluster.rows, np.arange(len(cluster)), config, grid.dt
+    kept, specs, after, exhausted = _repair(
+        cluster.terminals, cluster.rows.horizon, np.arange(len(cluster)), config, grid.dt
     )
+    inserted, built = longitudinal_rows(initial, specs, grid.dt)
     candidates = cluster.candidates + lateral_rows(
         initial, inserted, np.arange(len(inserted))
     ).views()
+    order = _chain_order(
+        kept, [after[j] for j in built], len(cluster),
+        np.concatenate((cluster.terminals, inserted.terminals)),
+    )
     return TrajectoryCluster(
         SampleRows.of([candidates[i] for i in order.tolist()]),
         initial,
@@ -153,25 +160,22 @@ def enforce_spacing(
 
 
 def _repair(
-    initial: FrenetState,
-    rows,
+    terminals: np.ndarray,
+    horizon: np.ndarray,
     chain: np.ndarray,
     config: RegulationConfig,
     dt: float,
 ) -> tuple:
-    """The spacing plan of ``rows`` (``SampleRows`` or ``LongitudinalRows``)
-    taken in the order ``chain`` lists them, from their ``terminals`` and
-    ``horizon`` alone.
+    """The spacing plan of rows with these ``terminals`` and ``horizon``,
+    taken in the order ``chain`` lists them. It builds nothing.
 
-    Returns the insertions' ``LongitudinalRows``, built in one
-    ``longitudinal_rows`` call; the order of the repaired chain, sorted by
-    terminal, over ``rows``' rows and then the insertions' (row ``len(rows)
-    + j`` is insertion ``j``); and whether an oversized gap ran out of
-    insertions.
+    Returns the kept rows, in chain order; the ``CandidateSpec`` of each
+    insertion, in chain order; for each insertion, the kept row it follows;
+    and whether an oversized gap ran out of insertions.
     """
     # every consecutive gap in one call: a row's np.linalg.norm is the square
     # root of its dot product, which vecdot gives bit for bit
-    terms = rows.terminals[chain]
+    terms = terminals[chain]
     diff = terms[1:] - terms[:-1]
     consecutive = np.sqrt(np.vecdot(diff, diff)).tolist()
     kept: list[int] = [0]  # chain position of each kept candidate
@@ -191,7 +195,7 @@ def _repair(
     alphas: list[float] = []
     horizons: list[float] = []
     kept_rows = chain[kept].tolist()
-    kept_horizons = rows.horizon[kept_rows].tolist()
+    kept_horizons = horizon[kept_rows].tolist()
     for k, gap in enumerate(gaps):
         if gap <= config.max_gap:
             continue
@@ -223,16 +227,19 @@ def _repair(
         )
         for (s, speed, _, offset, _, _), horizon in zip(targets, horizons)
     ]
+    return kept_rows, specs, [kept_rows[k] for k in after], budget_exhausted
 
-    # built in one call; the chain is each kept row followed by its
-    # insertions, numbered after the input's rows
-    inserted, built = longitudinal_rows(initial, specs, dt)
-    following: list[list] = [[] for _ in kept_rows]
-    for r, i in enumerate(built, len(rows)):
-        following[after[i]].append(r)
-    out = np.array([r for a, extra in zip(kept_rows, following) for r in (a, *extra)])
-    terminals = np.concatenate((rows.terminals, inserted.terminals))
-    return inserted, out[_terminal_order(terminals[out])], budget_exhausted
+
+def _chain_order(kept: list, follows: list, first: int, terminals: np.ndarray) -> np.ndarray:
+    """The repaired chain sorted by terminal: each of the ``kept`` rows
+    followed by the built insertions that follow it, insertion ``k`` being
+    row ``first + k`` and following row ``follows[k]``; rows are numbered as
+    in ``terminals``."""
+    chain = {r: [r] for r in kept}
+    for r, a in enumerate(follows, first):
+        chain[a].append(r)
+    out = np.array([r for rows in chain.values() for r in rows])
+    return out[_terminal_order(terminals[out])]
 
 
 def regulated_cluster(
@@ -244,17 +251,38 @@ def regulated_cluster(
     """``enforce_spacing(sort_by_terminal(generate_cluster(...)))``, bit
     for bit, with each row built once.
 
-    The grid's specs (``grid_specs``) take the longitudinal pass
-    (``longitudinal_rows``), which gives their exact terminals; the spacing
-    plan runs on those terminals in sorted order; the insertions take the
-    longitudinal pass; and one lateral pass (``lateral_rows``) lays out the
-    repaired chain in cluster order. No row is sampled laterally before the
-    repair, and no sampled row is copied after it.
+    The spacing plan runs on the grid specs' (``grid_specs``) own terminals
+    and horizons, which are those the longitudinal pass gives, in sorted
+    order. Then one longitudinal pass (``longitudinal_rows``) takes the grid
+    specs followed by the insertions, and one lateral pass (``lateral_rows``)
+    lays out the repaired chain in cluster order.
+
+    A grid spec whose s dips has no row, so the plan made with it is not the
+    library's: it is dropped and the plan made again, by the same code. The
+    pass raises the library's error, if any: an insertion that only a plan
+    with a dipping grid spec makes raises nothing.
     """
-    rows, _ = longitudinal_rows(initial, grid_specs(initial, path, grid), grid.dt)
-    if not len(rows):
-        raise EmptyCluster(_NO_GRID_ROWS)
-    inserted, order, exhausted = _repair(
-        initial, rows, _terminal_order(rows.terminals), config, grid.dt
-    )
-    return TrajectoryCluster(lateral_rows(initial, rows.join(inserted), order), initial, exhausted)
+    specs = grid_specs(initial, path, grid)
+    while True:
+        if not specs:
+            raise EmptyCluster(_NO_GRID_ROWS)
+        n = len(specs)
+        terminals = _steady_terminals(specs)
+        kept, inserted, after, exhausted = _repair(
+            terminals, np.array([x.horizon for x in specs]), _terminal_order(terminals),
+            config, grid.dt,
+        )
+        try:
+            rows, index = longitudinal_rows(initial, specs + inserted, grid.dt)
+        except (IllConditioned, NonPositiveSpan):  # a span check's errors
+            # the grid specs raise the library's error here themselves
+            index = longitudinal_rows(initial, specs, grid.dt)[1]
+            if len(index) == n:
+                raise
+        else:
+            # index lists the rows' specs in input order: the grid specs first
+            if index[n - 1 : n] == [n - 1]:
+                break
+        specs = [specs[i] for i in index if i < n]
+    order = _chain_order(kept, [after[i - n] for i in index[n:]], n, rows.terminals)
+    return TrajectoryCluster(lateral_rows(initial, rows, order), initial, exhausted)

@@ -96,8 +96,8 @@ class KinematicPeaks(NamedTuple):
 def kinematic_peaks(rows: SampleRows, path: ReferencePath, frame: tuple | None = None) -> list:
     """``KinematicPeaks`` of each row of ``rows``, in order, in one pass over
     their samples, their jerk blocks and one path-frame evaluation:
-    ``frame``, which is ``path.frame(rows.s)`` if the caller has it already,
-    else evaluated here.
+    ``frame``, which is ``path.frame(rows.s)`` if the caller has it already
+    (only its position and normal are read), else evaluated here.
 
     Speed/acceleration come from finite differences of the Cartesian trace,
     curvature from first/second central differences (yaw rate = curvature *

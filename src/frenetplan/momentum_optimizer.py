@@ -470,8 +470,8 @@ def cost_cluster(
     the running cost plus the weighted terminal deviation against
     ``reference``, in one pass over the rows (their terminal matrix serves
     the terminal term). ``frame`` is ``ctx.path.frame(rows.s)`` if the
-    caller has it already; the agents' force reads it, and evaluates it
-    itself otherwise.
+    caller has it already; the agents' force reads its position, tangent
+    and normal, and evaluates it itself otherwise.
 
     Velocities and accelerations are re-derived from the sampled positions so
     the value is a pure function of the position trace (the optimizer's own

@@ -13,9 +13,11 @@ and drops the specs whose s dips, leaving ``LongitudinalRows``: each kept
 spec's exact terminal state and its quintic's samples. The lateral pass
 (``lateral_rows``) solves and samples the lateral quintics of given rows in
 a given order into the ``SampleRows`` that a ``TrajectoryCluster`` is made
-from; ``SampleRows.views`` hands its rows out as candidates.
-``build_rows`` runs both passes in input order; endpoint regulation runs
-them apart, repairing spacing on the terminals in between.
+from, and notes the longitudinal samples they gather, where the
+path frame is evaluated once per cycle; ``SampleRows.views`` hands its rows
+out as candidates. ``build_rows`` runs both passes in input order; endpoint
+regulation plans its spacing repair on the grid specs' terminals first, so
+that the grid and its insertions take one pass of each.
 """
 
 from __future__ import annotations
@@ -265,26 +267,32 @@ class RowEnds(NamedTuple):
         first = np.asarray(starts, dtype=np.intp)
         last = np.asarray(ends, dtype=np.intp) - 1
         counts = last + 1 - first
+        at = np.concatenate((first, last))
         h_at = np.concatenate((step, step))
+        # each stencil term's column of _OFFSETS or _GRAD_COEF at every row end
+        half = np.repeat(np.arange(2), len(first))
         return cls(
             h2=np.repeat(2.0 * step, counts),
             hh=np.repeat(step * step, counts),
-            at=np.concatenate((first, last)),
+            at=at,
             h_at=h_at,
             hh_at=h_at * h_at,
-            vel=_taps((first, last - 1), (first + 1, last)),
-            acc=_taps((first, last), (first + 1, last - 1), (first + 2, last - 2)),
-            grad=_taps((first, last - 2), (first + 1, last - 1), (first + 2, last)),
-            grad_coef=_taps(
-                (-1.5 / step, 0.5 / step), (2.0 / step, -2.0 / step), (-0.5 / step, 1.5 / step)
-            ),
+            vel=at + _OFFSETS["vel"][:, half],
+            acc=at + _OFFSETS["acc"][:, half],
+            grad=at + _OFFSETS["grad"][:, half],
+            grad_coef=_GRAD_COEF[:, half] / h_at,
         )
 
 
-def _taps(*terms):
-    """One row per stencil term, each a pair (its value at every row's first
-    sample, at every row's last sample), as a (terms, 2 n_rows) block."""
-    return np.stack([np.concatenate(pair) for pair in terms])
+# each one-sided stencil's terms, one row each, as offsets from the row end
+# it is taken at: (from a row's first sample, from its last sample)
+_OFFSETS = {
+    "vel": np.array([(0, -1), (1, 0)], dtype=np.intp),
+    "acc": np.array([(0, 0), (1, -1), (2, -2)], dtype=np.intp),
+    "grad": np.array([(0, -2), (1, -1), (2, 0)], dtype=np.intp),
+}
+# the coefficients of the one-sided gradient's terms, times the step
+_GRAD_COEF = np.array([(-1.5, 0.5), (2.0, -2.0), (-0.5, 1.5)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,6 +363,17 @@ class SampleRows:
     @cached_property
     def s(self) -> np.ndarray:
         return np.ascontiguousarray(self.states[:, 0])
+
+    @cached_property
+    def frame_samples(self) -> tuple:
+        """The s values at which the path frame of the rows' samples is
+        evaluated, and the index of each sample among them (None: one value
+        per sample, ``s`` itself). ``lateral_rows`` sets the samples of the
+        longitudinal pass, which rows sharing a longitudinal quintic share
+        (a quintic that no row reads, such as a dipping one, is among them);
+        rows copied by ``of`` have their own ``s``. This is not a field, so
+        it is no part of a layout's value."""
+        return self.s, None
 
     @cached_property
     def d(self) -> np.ndarray:
@@ -474,19 +493,13 @@ class LongitudinalRows:
     def __len__(self) -> int:
         return len(self.terminals)
 
-    def join(self, other: "LongitudinalRows") -> "LongitudinalRows":
-        """These rows, then ``other``'s."""
-        return LongitudinalRows(
-            terminals=np.concatenate((self.terminals, other.terminals)),
-            lat_span=np.concatenate((self.lat_span, other.lat_span)),
-            lat_powers=np.concatenate((self.lat_powers, other.lat_powers)),
-            lon=np.concatenate((self.lon, other.lon)),
-            horizon=np.concatenate((self.horizon, other.horizon)),
-            grid_key=self.grid_key + other.grid_key,
-            starts=np.concatenate((self.starts, other.starts + self.samples.shape[1])),
-            counts=np.concatenate((self.counts, other.counts)),
-            samples=np.concatenate((self.samples, other.samples), axis=1),
-        )
+
+def _steady_terminals(specs: Sequence[CandidateSpec]) -> np.ndarray:
+    """The (n, 6) steady terminal states (s, speed, 0, offset, 0, 0) of
+    ``specs``: those the longitudinal pass gives the rows it keeps."""
+    return np.array(
+        [(x.terminal_s, x.terminal_speed, 0.0, x.lateral_offset, 0.0, 0.0) for x in specs]
+    ).reshape(-1, 6)
 
 
 def longitudinal_rows(
@@ -542,9 +555,7 @@ def longitudinal_rows(
     index = [index[j] for j in own.tolist()]
     built = [specs[i] for i in index]
     rows = LongitudinalRows(
-        terminals=np.array(
-            [(x.terminal_s, x.terminal_speed, 0.0, x.lateral_offset, 0.0, 0.0) for x in built]
-        ).reshape(-1, 6),
+        terminals=_steady_terminals(built),
         lat_span=np.array(spans, dtype=float)[own],
         lat_powers=np.array([powers[spans[j]] for j in own.tolist()]).reshape(-1, 3),
         lon=lon.T[col],
@@ -563,10 +574,13 @@ def lateral_rows(initial: FrenetState, rows: LongitudinalRows, order) -> SampleR
     array call and sampled in one ``eval_quintic`` call over the
     longitudinal samples each row gathers, which lays out the blocks; the
     first and last samples are snapped to the shared initial state and the
-    exact terminal."""
+    exact terminal. The layout's ``frame_samples`` are the longitudinal
+    samples, each distinct longitudinal quintic's once, with the index of
+    each layout sample among them."""
     order = np.asarray(order, dtype=np.intp)
     counts = rows.counts[order]
-    row_starts, row_ends, take = _row_samples(rows.starts[order], counts)
+    first = rows.starts[order]
+    row_starts, row_ends, take = _row_samples(first, counts)
     # times and s jerk become blocks of the layout, sharing one gather that
     # holds nothing else; s and its rates only feed the states
     times, s_jerk = rows.samples[:2].take(take, axis=1)
@@ -585,7 +599,7 @@ def lateral_rows(initial: FrenetState, rows: LongitudinalRows, order) -> SampleR
     # Snap the terminal sample to the imposed boundary (solver residual is
     # ~1e-13); exact terminals keep sorting ties and de-duplication stable.
     states[row_ends - 1] = terminals
-    return SampleRows(
+    out = SampleRows(
         starts=row_starts,
         ends=row_ends,
         times=times,
@@ -599,6 +613,13 @@ def lateral_rows(initial: FrenetState, rows: LongitudinalRows, order) -> SampleR
         horizon=rows.horizon[order],
         grid_key=[rows.grid_key[i] for i in order.tolist()],
     )
+    # the longitudinal samples, which the layout gathers through take, with
+    # s snapped at the row ends as the layout snaps it
+    s = rows.samples[2].copy()
+    s[first] = initial.s
+    s[first + counts - 1] = terminals[:, 0]
+    object.__setattr__(out, "frame_samples", (s, take))
+    return out
 
 
 def build_rows(initial: FrenetState, specs: Sequence[CandidateSpec], dt: float) -> tuple:

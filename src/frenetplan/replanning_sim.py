@@ -312,6 +312,21 @@ def cycle_cluster(
     return generate_cluster(state, path, grid)
 
 
+def _sample_frame(path: ReferencePath, rows) -> tuple:
+    """``path.frame(rows.s)``'s position, tangent and normal, which costing
+    and classification read, from one ``path.frame`` call on the rows'
+    ``frame_samples`` gathered to every sample, bit for bit (the frame is
+    elementwise in s); the parameter speed and curvature, which neither
+    reads, are None. Rows without an index take the frame of their ``s``."""
+    s, index = rows.frame_samples
+    frame = path.frame(s)
+    if index is None:
+        return frame
+    (px, py), _, (tx, ty), (nx, _), _ = frame
+    px, py, tx, ty, nx = np.stack((px, py, tx, ty, nx)).take(index, axis=1)
+    return (px, py), None, (tx, ty), (nx, tx), None
+
+
 def plan_cycle(
     scenario: Scenario, path: ReferencePath, switches: ModeSwitches,
     state: FrenetState, k: int,
@@ -319,8 +334,9 @@ def plan_cycle(
     """Cycle ``k`` from ``state``, the agents advanced to its start: sample
     the cluster, pick its reference candidate, cost and classify its rows
     (``TrajectoryCluster.rows``) in place in one pass each, over one
-    path-frame evaluation, select the best feasible candidate, and return
-    the record that commits its first ``commit_horizon`` seconds.
+    path-frame evaluation on its distinct longitudinal samples, select the
+    best feasible candidate, and return the record that commits its first
+    ``commit_horizon`` seconds.
     Raises PlannerError for a non-finite cost, and NoFeasibleCandidate
     (without a partial log) if no candidate is feasible."""
     commit_idx = int(round(scenario.sim.commit_horizon / scenario.grid.dt))
@@ -348,7 +364,7 @@ def plan_cycle(
     # the cluster's own rows, read in place, and the one path-frame
     # evaluation that costing (the agents' force) and classification both read
     rows = cluster.rows
-    frame = path.frame(rows.s)
+    frame = _sample_frame(path, rows)
     costs = cost_cluster(rows, ctx, reference, weights, frame)
     finite = np.isfinite(costs)
     if not finite.all():

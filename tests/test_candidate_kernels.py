@@ -527,8 +527,8 @@ def test_a_build_makes_two_solves_and_two_evaluations(monkeypatch):
 
 
 def test_a_regulated_cluster_makes_one_lateral_pass(monkeypatch):
-    # the grid's and the insertions' longitudinal passes, then one lateral
-    # pass over the repaired chain: no sampled row is copied or dropped
+    # one longitudinal pass over the grid and its insertions, then one
+    # lateral pass over the repaired chain: no sampled row is copied or dropped
     solves, calls = [], {"eval_quintic": 0, "of": 0}
     solve = quintic_sampling._solve
 
@@ -549,8 +549,8 @@ def test_a_regulated_cluster_makes_one_lateral_pass(monkeypatch):
     initial, grid = regulation_cases()[1]
     cluster = regulated_cluster(initial, s_curve_path(), grid, REG)
     assert any("inserted" in c.grid_key for c in cluster.candidates)
-    assert sorted(solves) == ["lateral_rows", "longitudinal_rows", "longitudinal_rows"]
-    assert calls == {"eval_quintic": 3, "of": 0}
+    assert sorted(solves) == ["lateral_rows", "longitudinal_rows"]
+    assert calls == {"eval_quintic": 2, "of": 0}
 
 
 def regulation_cases():
@@ -772,38 +772,66 @@ def assert_same_cluster(new, old):
 _LATTICE = st.integers(-80, 80).map(lambda i: i / 100)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(
-    initial=st.builds(
-        FrenetState, st.floats(1.0, 3.0), st.floats(0.0, 1.5), st.floats(-1.2, 0.6),
-        st.floats(-0.5, 0.5), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
-    ),
-    speeds=st.lists(_LATTICE.map(lambda v: v + 0.9), min_size=1, max_size=4),
-    offsets=st.lists(_LATTICE, min_size=1, max_size=6),
-    horizons=st.lists(st.sampled_from((1.0, 1.35, 2.0, 2.35, 2.5, 3.0)), min_size=1,
-                      max_size=3, unique=True),
-    gaps=st.tuples(st.floats(0.04, 1.0), st.floats(0.0, 0.03)),
-)
-@example(  # a braking crawl: the 2.35 s insertions partly dip
-    initial=FrenetState(2.0, 0.13, -0.6, -0.08, 0.0, 0.0), speeds=[0.2, 1.5],
-    offsets=[-0.4, 0.0, 0.4], horizons=[1.0, 3.0], gaps=(0.5, 0.02),
-)
-@example(  # exact and 1 cm duplicates, and a gap past the insertion budget
-    initial=FrenetState(2.0, 1.0, 0.0, 0.0, 0.0, 0.0), speeds=[0.9],
-    offsets=[-0.8, -0.8, -0.79, 0.8], horizons=[2.0], gaps=(0.1, 0.02),
-)
-def test_regulated_cluster_equals_the_library_repair(initial, speeds, offsets, horizons, gaps):
+def test_regulated_cluster_equals_the_library_repair(monkeypatch):
     # built once, from the grid's terminals, it is the library's sort and
-    # repair of the generated cluster, bit for bit, or raises alike
-    path = s_curve_path()
-    grid = SamplingGrid(tuple(speeds), tuple(offsets), tuple(horizons), dt=0.05)
-    config = RegulationConfig(max_gap=gaps[0], min_gap=gaps[1])
-    new = outcome(regulated_cluster, initial, path, grid, config)
-    old = outcome(library_repair, initial, path, grid, config)
-    if isinstance(old, tuple):
-        assert new == old
-    else:
-        assert_same_cluster(new, old)
+    # repair of the generated cluster, bit for bit, or raises alike; a grid
+    # spec that dips has the plan made again without it
+    dips = []  # per longitudinal pass: whether a grid spec got no row
+    lon = endpoint_regulation.longitudinal_rows
+
+    def spied(initial, specs, dt):
+        rows, index = lon(initial, specs, dt)
+        grid = {i for i, x in enumerate(specs) if "inserted" not in x.grid_key}
+        dips.append(not grid <= set(index))
+        return rows, index
+
+    monkeypatch.setattr(endpoint_regulation, "longitudinal_rows", spied)
+    replans = []  # per case: (a grid spec dipped, the outcome is an error)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        initial=st.builds(
+            FrenetState, st.floats(1.0, 3.0), st.floats(0.0, 1.5), st.floats(-1.2, 0.6),
+            st.floats(-0.5, 0.5), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
+        ),
+        speeds=st.lists(_LATTICE.map(lambda v: v + 0.9), min_size=1, max_size=4),
+        offsets=st.lists(_LATTICE, min_size=1, max_size=6),
+        horizons=st.lists(st.sampled_from((1.0, 1.35, 2.0, 2.35, 2.5, 3.0)), min_size=1,
+                          max_size=3, unique=True),
+        gaps=st.tuples(st.floats(0.04, 1.0), st.floats(0.0, 0.03)),
+    )
+    @example(  # a braking crawl: the 2.35 s insertions partly dip
+        initial=FrenetState(2.0, 0.13, -0.6, -0.08, 0.0, 0.0), speeds=[0.2, 1.5],
+        offsets=[-0.4, 0.0, 0.4], horizons=[1.0, 3.0], gaps=(0.5, 0.02),
+    )
+    @example(  # exact and 1 cm duplicates, and a gap past the insertion budget
+        initial=FrenetState(2.0, 1.0, 0.0, 0.0, 0.0, 0.0), speeds=[0.9],
+        offsets=[-0.8, -0.8, -0.79, 0.8], horizons=[2.0], gaps=(0.1, 0.02),
+    )
+    @example(  # a braking start: two of the grid's eight specs dip
+        initial=FrenetState(2.0, 0.1, -0.6, 0.0, 0.0, 0.0), speeds=[0.2, 1.5],
+        offsets=[-0.4, 0.4], horizons=[1.0, 3.0], gaps=(0.5, 0.02),
+    )
+    @example(  # from rest, braking: every grid spec dips
+        initial=FrenetState(2.0, 0.0, -0.6, 0.0, 0.0, 0.0), speeds=[0.2, 1.5],
+        offsets=[-0.4, 0.4], horizons=[1.0, 3.0], gaps=(0.5, 0.02),
+    )
+    def equal(initial, speeds, offsets, horizons, gaps):
+        path = s_curve_path()
+        grid = SamplingGrid(tuple(speeds), tuple(offsets), tuple(horizons), dt=0.05)
+        config = RegulationConfig(max_gap=gaps[0], min_gap=gaps[1])
+        dips.clear()
+        new = outcome(regulated_cluster, initial, path, grid, config)
+        replans.append((any(dips), isinstance(new, tuple)))
+        old = outcome(library_repair, initial, path, grid, config)
+        if isinstance(old, tuple):
+            assert new == old
+        else:
+            assert_same_cluster(new, old)
+
+    equal()
+    # the cases reach a grid spec that dips, on clusters and on errors alike
+    assert (True, False) in replans and (True, True) in replans
 
 
 @pytest.mark.parametrize("initial, grid, error", [
@@ -824,6 +852,44 @@ def test_regulated_cluster_raises_like_the_library_repair(initial, grid, error):
     old = outcome(library_repair, initial, path, grid, REG)
     assert old[0] is error
     assert outcome(regulated_cluster, initial, path, grid, REG) == old
+
+
+def test_an_insertion_beside_a_dipping_grid_spec_raises_nothing(monkeypatch):
+    # the library plans no insertion beside a grid spec that dips, so a span
+    # that only such an insertion has raises nothing, even ill-conditioned:
+    # the plan is made again without the dipping specs
+    initial = FrenetState(2.0, 0.1, -0.6, 0.0, 0.0, 0.0)
+    grid = SamplingGrid((0.2, 1.5), (-0.4, 0.4), (1.0, 3.0), dt=0.05)
+    config = RegulationConfig(max_gap=0.5, min_gap=0.02)
+    path = s_curve_path()
+    planned = []  # the specs of each longitudinal pass
+    lon = endpoint_regulation.longitudinal_rows
+    monkeypatch.setattr(endpoint_regulation, "longitudinal_rows",
+                        lambda i, specs, dt: planned.append(specs) or lon(i, specs, dt))
+    regulated_cluster(initial, path, grid, config)
+    assert len(planned) == 2  # two grid specs dip, so the plan is made twice
+    first, again = ({x.terminal_s - initial.s for x in specs} for specs in planned)
+    grid_spans = {x.terminal_s - initial.s for x in planned[0] if "inserted" not in x.grid_key}
+    only = sorted(first - again - grid_spans)
+    assert only
+    check = quintic_sampling._check_span
+
+    def ill_conditioned_at(span):
+        def checked(t):
+            if float(t) == span:
+                raise IllConditioned(f"boundary system ill-conditioned for span {t}")
+            check(t)
+        return checked
+
+    monkeypatch.setattr(quintic_sampling, "_check_span", ill_conditioned_at(only[0]))
+    assert_same_cluster(regulated_cluster(initial, path, grid, config),
+                        library_repair(initial, path, grid, config))
+    # where the library plans the span, both raise
+    monkeypatch.setattr(quintic_sampling, "_check_span",
+                        ill_conditioned_at(max(again - grid_spans)))
+    old = outcome(library_repair, initial, path, grid, config)
+    assert old[0] is IllConditioned
+    assert outcome(regulated_cluster, initial, path, grid, config) == old
 
 
 # --- costing ---------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import json
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from frenetplan.errors import NoFeasibleCandidate, PlannerError, ScenarioInvalid
 from frenetplan import endpoint_regulation, quintic_sampling, replanning_sim
@@ -213,16 +216,43 @@ def test_one_path_frame_per_cycle_and_one_check_per_candidate(monkeypatch, build
     frames, checks = [], []
     frame = ReferencePath.frame
     monkeypatch.setattr(ReferencePath, "frame",
-                        lambda path, s: frames.append(np.shape(s)) or frame(path, s))
+                        lambda path, s: frames.append(np.array(s)) or frame(path, s))
     monkeypatch.setattr(replanning_sim, "check_candidate",
                         lambda *args: checks.append(args[0]) or check_candidate(*args))
     log = run(scn, mode)
     assert len(frames) == len(log.cycles) == 3
     assert len(checks) == sum(c.n_candidates for c in log.cycles)
-    # each cycle's one frame covers the samples of all of its candidates
+    # each cycle's one frame is at the distinct longitudinal samples of its
+    # candidates: those of each distinct longitudinal quintic once, as the
+    # candidates' rows hold them
     bounds = np.cumsum([0] + [c.n_candidates for c in log.cycles]).tolist()
-    samples = [sum(len(c.times) for c in checks[a:b]) for a, b in zip(bounds, bounds[1:])]
-    assert frames == [(n,) for n in samples]
+    for s, (a, b) in zip(frames, zip(bounds, bounds[1:])):
+        distinct = {(c.lon.tobytes(), c.horizon): c.states[:, 0] for c in checks[a:b]}
+        assert len(distinct) < b - a
+        want = np.concatenate(list(distinct.values()))
+        assert np.sort(s).tobytes() == np.sort(want).tobytes()
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_the_gathered_frame_is_the_frame_of_every_sample(monkeypatch, name, mode):
+    # the frame of the distinct samples, gathered, is what one frame of the
+    # cluster's every sample gives, in each component the kernels read
+    frames = []
+    for kernel in ("cost_cluster", "kinematic_peaks"):
+        def spy(rows, *args, fn=getattr(replanning_sim, kernel)):
+            frames.append((rows, args[-1]))
+            return fn(rows, *args)
+        monkeypatch.setattr(replanning_sim, kernel, spy)
+    scn = BUILDERS[name](seed=0, n_cycles=3)
+    path = scn.build_path()
+    run(scn, mode)
+    assert len(frames) == 2 * 3
+    for rows, got in frames:
+        (px, py), _, (tx, ty), (nx, ny), _ = path.frame(rows.s)
+        (gx, gy), _, (gtx, gty), (gnx, gny), _ = got
+        for a, b in ((gx, px), (gy, py), (gtx, tx), (gty, ty), (gnx, nx), (gny, ny)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("mode", list(MODES))
@@ -290,6 +320,102 @@ def test_the_order_of_the_agents_keeps_every_selection(mode):
         assert [(c.selected_index, c.selected_key) for c in backward.cycles] == [
             (c.selected_index, c.selected_key) for c in forward.cycles
         ]
+
+
+# relative agreement asked of a rigidly moved scenario's costs and margins, and
+# of the two best feasible costs for their selections to count as tied
+RIGID_TOL = 1e-9
+
+
+def rigidly_moved(scn, angle, shift):
+    """``scn`` with its waypoints and agents rotated by ``angle`` about the
+    origin, then shifted by ``shift``: the same scenario in another frame."""
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    scn.waypoints = scn.waypoints @ rot.T + shift
+    scn.agents = [
+        Neighbor(rot @ nb.position + shift, rot @ nb.velocity, nb.covariance_trace)
+        for nb in scn.agents
+    ]
+    return scn
+
+
+def best_two_tie(rows):
+    """Whether the two best feasible costs of a cycle's candidates agree
+    within ``RIGID_TOL``."""
+    costs = sorted(r["cost"] for r in rows if r["feasible"])
+    return len(costs) > 1 and math.isclose(costs[0], costs[1], rel_tol=RIGID_TOL)
+
+
+def compare_rigidly_moved(seed, angle, shift, ties, margins):
+    """Run s1-s3 at ``seed`` for 2 cycles in both modes, as built and
+    rigidly moved, and assert that the moved runs keep every candidate's
+    verdict and cost (and its margins, if ``margins``), the splices exactly,
+    and each selection unless the best two feasible costs tie; ``ties`` gets
+    (the best two tie, the selections differ) per compared cycle."""
+    for name, builder in BUILDERS.items():
+        for mode in MODES:
+            here = run(builder(seed=seed, n_cycles=2), mode)
+            there = run(rigidly_moved(builder(seed=seed, n_cycles=2), angle, shift), mode)
+            assert len(here.cycles) == len(there.cycles) == 2
+            for k, (a, b) in enumerate(zip(here.cycles, there.cycles)):
+                assert len(a.candidates) == len(b.candidates)
+                for x, y in zip(a.candidates, b.candidates):
+                    assert x["key"] == y["key"] and x["feasible"] == y["feasible"]
+                    assert math.isclose(x["cost"], y["cost"], rel_tol=RIGID_TOL)
+                    for c, m in x["margins"].items() if margins else ():
+                        assert math.isclose(m, y["margins"][c], rel_tol=RIGID_TOL), (
+                            name, mode, k, x["index"], c.value, m, y["margins"][c])
+                tie = best_two_tie(a.candidates)
+                ties.append((tie, a.selected_index != b.selected_index))
+                if a.selected_index != b.selected_index:
+                    assert tie, (name, mode, k)
+                    break  # the two runs go on from different states
+                assert a.states.tobytes() == b.states.tobytes()
+            else:
+                assert here.splices == there.splices
+
+
+RIGID_MOTIONS = dict(
+    seed=st.integers(0, 2**31 - 1),
+    angle=st.floats(-math.pi, math.pi),
+    shift=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+)
+
+
+def test_a_rigid_motion_keeps_every_verdict_cost_and_selection():
+    # the planner reads the scene through the path frame only: moved rigidly,
+    # a scenario keeps its feasibility verdicts, its costs (to rounding) and
+    # its splices exactly, and selects the same candidates unless the two
+    # best feasible costs tie
+    ties = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=10)
+    @given(**RIGID_MOTIONS)
+    def kept(seed, angle, shift):
+        compare_rigidly_moved(seed, angle, shift, ties, margins=False)
+
+    kept()
+    fired = [differ for tie, differ in ties if tie]
+    print(f"rigid motion: {len(ties)} cycles compared; the best two costs tie in "
+          f"{len(fired)}, and the selections differ in {sum(fired)}")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "classification takes finite differences of the absolute Cartesian trace, "
+    "so its curvature-rate margins move by more than 1e-9 relative when the "
+    "scene is shifted by tens of metres; classifying on exact kinematics "
+    "would remove it"))
+def test_a_rigid_motion_keeps_every_margin():
+    # generated cases only: shrinking a known failure costs runs and shows
+    # nothing new
+    @settings(derandomize=True, database=None, deadline=None, max_examples=10,
+              phases=[Phase.generate])
+    @given(**RIGID_MOTIONS)
+    def kept(seed, angle, shift):
+        compare_rigidly_moved(seed, angle, shift, [], margins=True)
+
+    kept()
 
 
 # sample-length float arrays the cost stage may hold at once above what it is
