@@ -3,6 +3,10 @@
 The reference path is one natural cubic spline through both coordinates,
 parameterized by arc length. The normal is the tangent rotated +90 degrees
 (left of travel), so positive lateral offsets lie left of the path.
+
+The spline's tridiagonal system is set up as SciPy's ``CubicSpline`` sets it
+up and solved as LAPACK's ``dgtsv`` solves it, in Python floats, so the fit
+is bit for bit SciPy's and its bits do not depend on the installed LAPACK.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     DuplicateWaypoint,
@@ -56,13 +59,12 @@ class ReferencePath:
     scalars or arrays of arc length and are safe to call concurrently.
     """
 
-    def __init__(self, waypoints, knots, spline):
+    def __init__(self, waypoints, knots, coef):
         self.waypoints = waypoints
         self.arc_length_knots = knots
-        self._spline = spline
         # per-segment cubic coefficients of each coordinate, shape
         # (4, n_segments), highest power first
-        self._cx, self._cy = np.moveaxis(spline.c, -1, 0)
+        self._cx, self._cy = np.moveaxis(coef, -1, 0)
         self.total_length = float(knots[-1])
 
     def _eval_all(self, s):
@@ -90,7 +92,11 @@ class ReferencePath:
     def derivative(self, s, order=1):
         if order in (1, 2):
             return np.stack(self._eval_all(s)[order], axis=-1)
-        return self._spline(np.asarray(s, dtype=float), order)
+        if order != 3:
+            raise ValueError(f"order: need 1, 2 or 3, got {order!r}")
+        # constant on each segment, clamped to the end segments as _eval_all is
+        idx = np.searchsorted(self.arc_length_knots[1:-1], s, side="right")
+        return 6.0 * np.stack((self._cx[0], self._cy[0]), axis=-1)[idx]
 
     def tangent(self, s):
         d1 = np.stack(self._eval_all(s)[1], axis=-1)
@@ -123,7 +129,54 @@ class ReferencePath:
         return pos, gamma, (tx, ty), (-ty, tx), kappa
 
 
-def _segment_lengths(spline, knots):
+def _natural_spline(x, y):
+    """Per-segment cubic coefficients of the natural spline through the
+    points ``y`` (n, 2) at knots ``x``, shape (4, n - 1, 2), highest power
+    first: those of ``CubicSpline(x, y, bc_type="natural").c``, bit for bit.
+    """
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    # the system for the knot slopes m, element for element as SciPy sets it
+    # up; the natural ends' 0.0 terms decide the sign of a zero right side.
+    # A zero past the last row lets one loop do the back substitution.
+    d = np.concatenate(([2 * dx[0]], 2 * (dx[:-1] + dx[1:]), [2 * dx[-1]])).tolist()
+    du = np.concatenate((dx[:1], dx[:-1], [0.0])).tolist()
+    dl = np.concatenate((dx[1:], dx[-1:], [0.0])).tolist()
+    bx, by = np.concatenate((
+        [-0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0])],
+        3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:]),
+        [0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])],
+        np.zeros((2, 2)),
+    )).T.tolist()
+    # LAPACK dgtsv: elimination with partial pivoting, where a row
+    # interchange leaves a second superdiagonal in dl
+    n = len(x)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            bx[i + 1] = bx[i + 1] - fact * bx[i]
+            by[i + 1] = by[i + 1] - fact * by[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
+            if i < n - 2:
+                dl[i], du[i + 1] = du[i + 1], -fact * du[i + 1]
+            bx[i], bx[i + 1] = bx[i + 1], bx[i] - fact * bx[i + 1]
+            by[i], by[i + 1] = by[i + 1], by[i] - fact * by[i + 1]
+    # back substitution, keeping the dl term even where it is 0.0
+    for i in range(n - 1, -1, -1):
+        bx[i] = (bx[i] - du[i] * bx[i + 1] - dl[i] * bx[i + 2]) / d[i]
+        by[i] = (by[i] - du[i] * by[i + 1] - dl[i] * by[i + 2]) / d[i]
+    m = np.array((bx[:n], by[:n])).T
+    # the Hermite form, as CubicHermiteSpline builds it
+    t = (m[:-1] + m[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - m[:-1]) / dxr - t, m[:-1], y[:-1]))
+
+
+def _segment_lengths(knots, coef):
     """Arc length of each spline segment by 20-point Gauss-Legendre."""
     lo = knots[:-1]
     hi = knots[1:]
@@ -131,9 +184,29 @@ def _segment_lengths(spline, knots):
     mid = 0.5 * (hi + lo)
     # (n_seg, n_nodes) evaluation points
     u = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    d1 = spline(u, 1)
+    # r'(u) as SciPy's PPoly evaluates it: on the segment holding u, in the
+    # local coordinate, term by term
+    idx = np.searchsorted(knots[1:-1], u, side="right")
+    z = (u - knots[idx])[..., None]
+    c = coef.take(idx, axis=1)
+    d1 = c[2] + (c[1] * z) * 2.0 + (c[0] * (z * z)) * 3.0
     speed = np.hypot(d1[..., 0], d1[..., 1])
     return half * (speed @ _GL_WEIGHTS)
+
+
+def _knots(lengths):
+    """Knots at the cumulative segment lengths. DuplicateWaypoint names the
+    first pair of waypoints under 1e-12 apart or at one knot."""
+    knots = np.concatenate([[0.0], np.cumsum(lengths)])
+    if not np.isfinite(knots[-1]):
+        raise TooFewWaypoints("waypoints span a path too long to measure")
+    flat = (lengths < 1e-12) | (np.diff(knots) <= 0.0)
+    if flat.any():
+        idx = int(np.argmax(flat))
+        raise DuplicateWaypoint(
+            f"waypoints {idx} and {idx + 1} coincide (at arc length {float(knots[idx])!r})"
+        )
+    return knots
 
 
 def build_reference_path(waypoints) -> ReferencePath:
@@ -150,16 +223,10 @@ def build_reference_path(waypoints) -> ReferencePath:
         )
     if not np.all(np.isfinite(pts)):
         raise TooFewWaypoints("waypoints must be finite")
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    if np.any(seg < 1e-12):
-        idx = int(np.argmax(seg < 1e-12))
-        raise DuplicateWaypoint(f"waypoints {idx} and {idx + 1} coincide")
-
-    knots = np.concatenate([[0.0], np.cumsum(seg)])
-    spline = CubicSpline(knots, pts, bc_type="natural")
+    knots = _knots(np.linalg.norm(np.diff(pts, axis=0), axis=1))
     # One reparameterization pass: chord knots -> quadrature arc length -> refit.
-    knots = np.concatenate([[0.0], np.cumsum(_segment_lengths(spline, knots))])
-    return ReferencePath(pts, knots, CubicSpline(knots, pts, bc_type="natural"))
+    knots = _knots(_segment_lengths(knots, _natural_spline(knots, pts)))
+    return ReferencePath(pts, knots, _natural_spline(knots, pts))
 
 
 def _check_s(path: ReferencePath, s: float) -> float:

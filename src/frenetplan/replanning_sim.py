@@ -176,7 +176,7 @@ def _check_scenario_dict(data: dict) -> tuple:
     if not any(x.startswith(("waypoints:", "waypoints[")) for x in v):
         try:
             path = build_reference_path(data["waypoints"])
-        except (PlannerError, ValueError) as err:  # ValueError: scipy's spline fit
+        except PlannerError as err:
             v.append(f"waypoints: {err}")
     if v:
         return v, path

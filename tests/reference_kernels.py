@@ -80,7 +80,7 @@ from schema2_regulation import RegulationConfig, regulation_energy
 def _coef(path):
     # per-segment cubic coefficients of both coordinates,
     # shape (4, n_segments, 2), highest power first
-    return path._spline.c
+    return np.stack((path._cx, path._cy), axis=-1)
 
 
 def _eval_all(path, s):

@@ -2,7 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -203,6 +206,18 @@ def test_malformed_field_exits_two_naming_it(tmp_path, capsys, path, value):
         assert _dotted(path) in captured.out + captured.err, argv[0]
 
 
+def test_waypoints_at_one_knot_exit_two_naming_the_pair(tmp_path, capsys):
+    # 2e-12 apart, so not a duplicate, but 1e6 + 2e-12 rounds to 1e6
+    data = _bundled("s1")
+    data["waypoints"] = [[0, 0], [1e6, 0], [1e6, 2e-12], [1e6, 1], [1e6, 2]]
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(data))
+    for argv in _commands(scenario, tmp_path / "out"):
+        assert main(argv) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert "waypoints: waypoints 1 and 2 coincide" in captured.out + captured.err, argv[0]
+
+
 def _entry_by_entry(item, values):
     """The first violation of ``values`` as a walk over its entries words it."""
     for i, value in enumerate(values):
@@ -395,6 +410,42 @@ def test_command_fits_the_reference_path_once(tmp_path, monkeypatch, command):
     out = tmp_path / "out"
     assert main([command, str(BUNDLED / "s1.json"), "--mode", "baseline", "--out", str(out)]) == 0
     assert len(fits) == 1
+
+
+# Runs the CLI with every scipy import refused, then checks none got in.
+_WITHOUT_SCIPY = """
+import sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} imported at run time")
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from frenetplan.cli import main
+
+scenario, out = sys.argv[1:]
+assert main(["validate", scenario]) == 0
+assert main(["run", scenario, "--mode", "baseline", "--out", out]) == 0
+assert not [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    data = json.loads((BUNDLED / "s1.json").read_text())
+    data["sim"]["n_cycles"] = 2
+    scenario = tmp_path / "s1.json"
+    scenario.write_text(json.dumps(data))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(scenario), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "simlog.json").is_file()
 
 
 def test_run_writes_all_outputs(tmp_path, scenario_file):

@@ -1,5 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from frenetplan.errors import (
     DuplicateWaypoint,
@@ -14,8 +20,11 @@ from frenetplan.frenet_geometry import (
     curvature_at,
     frenet_to_cartesian,
 )
+from frenetplan.scenarios import BUILDERS
 
 from conftest import circle_path, s_curve_path, straight_path
+
+BUNDLED = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_straight_path_total_length():
@@ -37,6 +46,22 @@ def test_too_few_waypoints():
 def test_duplicate_waypoint():
     with pytest.raises(DuplicateWaypoint):
         build_reference_path([(0, 0), (1, 0), (1, 0), (2, 0)])
+    # 2e-12 apart, but 1e6 + 2e-12 rounds to 1e6: both get the same knot
+    with pytest.raises(DuplicateWaypoint, match="waypoints 1 and 2 coincide"):
+        build_reference_path([(0, 0), (1e6, 0), (1e6, 2e-12), (1e6, 1), (1e6, 2)])
+
+
+def test_path_length_that_overflows():
+    with np.errstate(over="ignore"), pytest.raises(TooFewWaypoints, match="too long"):
+        build_reference_path([(0, 0), (1e308, 0), (-1e308, 0), (0, 0)])
+
+
+def test_derivative_orders():
+    path = s_curve_path()
+    with pytest.raises(ValueError, match="order"):
+        path.derivative(1.0, 4)
+    with pytest.raises(ValueError, match="order"):
+        path.derivative(1.0, 0)
 
 
 def test_frenet_to_cartesian_straight():
@@ -136,3 +161,75 @@ def test_chord_never_exceeds_arc():
                 continue
             chord = float(np.linalg.norm(path.position(b) - path.position(a)))
             assert chord <= (b - a) * (1.0 + 1e-4) + 1e-12
+
+
+def _scipy_fit(pts):
+    """The fit as SciPy's ``CubicSpline`` made it: the chord-knot spline,
+    its arc lengths by 20-point Gauss-Legendre over ``spline(u, 1)``, and
+    the refit at those knots."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    knots = np.concatenate([[0.0], np.cumsum(seg)])
+    spline = CubicSpline(knots, pts, bc_type="natural")
+    lo, hi = knots[:-1], knots[1:]
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    d1 = spline(mid[:, None] + half[:, None] * nodes[None, :], 1)
+    lengths = half * (np.hypot(d1[..., 0], d1[..., 1]) @ weights)
+    knots = np.concatenate([[0.0], np.cumsum(lengths)])
+    return knots, CubicSpline(knots, pts, bc_type="natural")
+
+
+def assert_scipys_fit(pts):
+    """The path's knots and coefficients are SciPy's, bit for bit, and so
+    is its third derivative, inside the knots and clamped outside them."""
+    path = build_reference_path(pts)
+    knots, spline = _scipy_fit(pts)
+    assert path.arc_length_knots.tobytes() == knots.tobytes()
+    coef = np.stack((path._cx, path._cy), axis=-1)
+    assert coef.shape == spline.c.shape
+    assert coef.tobytes() == np.ascontiguousarray(spline.c).tobytes()
+    s = np.concatenate(([-1.0], knots, 0.5 * (knots[1:] + knots[:-1]), [knots[-1] + 1.0]))
+    assert np.array_equal(path.derivative(s, 3), spline(s, 3))
+    assert np.array_equal(path.derivative(float(s[2]), 3), spline(float(s[2]), 3))
+    return path
+
+
+@st.composite
+def waypoint_sets(draw):
+    """4-150 waypoints with consecutive gaps spread over e^-6 to e^4: turning
+    paths, and paths along an axis whose other coordinate is +0.0 or -0.0."""
+    n = draw(st.integers(4, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = np.exp(rng.uniform(-6.0, 4.0, n - 1))
+    if draw(st.booleans()):
+        along = draw(st.sampled_from((1.0, -1.0))) * np.concatenate([[0.0], np.cumsum(gaps)])
+        zeros = rng.choice((0.0, -0.0), n)
+        return np.column_stack((along, zeros) if draw(st.booleans()) else (zeros, along))
+    turns = draw(st.floats(0.0, np.pi)) * rng.uniform(-1.0, 1.0, n - 1)
+    heading = np.cumsum(turns)
+    steps = gaps[:, None] * np.column_stack((np.cos(heading), np.sin(heading)))
+    start = rng.uniform(-1e3, 1e3, 2)
+    return start + np.vstack((np.zeros(2), np.cumsum(steps, axis=0)))
+
+
+def test_fit_is_scipys_bit_for_bit():
+    swapped = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(waypoint_sets())
+    def equal(pts):
+        gaps = np.diff(assert_scipys_fit(pts).arc_length_knots)
+        # the refit's first elimination step interchanges rows 0 and 1
+        # when |2 * gap 0| < |gap 1|
+        swapped.append(2.0 * gaps[0] < gaps[1])
+
+    equal()
+    assert sum(swapped) >= 10, sum(swapped)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_fit_is_scipys_on_the_scenarios(name):
+    assert_scipys_fit(BUILDERS[name](seed=0).waypoints)
+    bundled = json.loads((BUNDLED / f"{name}.json").read_text())["waypoints"]
+    assert_scipys_fit(np.asarray(bundled, dtype=float))

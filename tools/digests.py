@@ -25,7 +25,11 @@ JSON file with one SHA-256 per case:
   0-4: ``total_cost`` and ``check_candidate`` of every candidate, and
   ``optimize_trajectory`` and ``cost_gradient`` (every element, in hex) of
   every 10th, so the Jacobian branch of the force law is compared directly
-  and not only through the descent.
+  and not only through the descent;
+- ``paths/<scenario>/<builder|file>/<field>``: the dtype, shape and bytes of
+  the reference path's ``arc_length_knots``, ``_cx`` and ``_cy``, fitted to
+  the waypoints of ``builder(seed=0)`` and of ``scenarios/<scenario>.json``,
+  so the fit is compared directly.
 
 A run that raises is digested as its error text plus its partial log, if it
 carries one; a command that exits nonzero adds a ``.../exit`` case holding
@@ -65,7 +69,7 @@ from frenetplan import cli  # noqa: E402
 from frenetplan.endpoint_regulation import select_reference_candidate  # noqa: E402
 from frenetplan.errors import NoFeasibleCandidate  # noqa: E402
 from frenetplan.evaluation import check_candidate  # noqa: E402
-from frenetplan.frenet_geometry import FrenetState  # noqa: E402
+from frenetplan.frenet_geometry import FrenetState, build_reference_path  # noqa: E402
 from frenetplan.momentum_optimizer import (  # noqa: E402
     OptimizerConfig,
     PlanningContext,
@@ -189,6 +193,18 @@ def lib_digests() -> dict:
     return out
 
 
+def path_digests() -> dict:
+    out = {}
+    for name, builder in BUILDERS.items():
+        text = (ROOT / "scenarios" / f"{name}.json").read_text()
+        sources = {"builder": builder(seed=0).waypoints, "file": json.loads(text)["waypoints"]}
+        for source, waypoints in sources.items():
+            path = build_reference_path(waypoints)
+            for field in ("arc_length_knots", "_cx", "_cy"):
+                out[f"paths/{name}/{source}/{field}"] = _sha(_field_bytes(getattr(path, field)))
+    return out
+
+
 def _command_digests(case: str, argv: list, out_dir: Path) -> dict:
     """Digests of the files a CLI command writes to ``out_dir`` (all but the
     manifest, which holds a wall time), and of its exit if nonzero."""
@@ -225,7 +241,8 @@ def cli_digests(tmp: Path) -> dict:
 def write(path: Path) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         digests = {
-            **run_digests(), **cli_digests(Path(tmp)), **cluster_digests(), **lib_digests()
+            **run_digests(), **cli_digests(Path(tmp)), **cluster_digests(), **lib_digests(),
+            **path_digests(),
         }
     payload = {
         "commit": _commit(),
