@@ -2,9 +2,10 @@
 cluster dumps with plot-ready CSV/JSON outputs.
 
 Exit codes: 0 success, 1 domain failure (infeasible cycle, empty cluster),
-2 usage or schema error. All numeric output is locale-independent at nine
-significant digits; the run manifest is written last so its presence marks
-a complete run.
+2 usage or schema error, or an output directory that cannot be made. All
+numeric output is locale-independent at nine significant digits; the run
+manifest is written last so its presence marks a complete run, and a run
+removes an earlier run's manifest before it writes its first file.
 """
 
 from __future__ import annotations
@@ -238,8 +239,15 @@ def _executed_series(log: SimLog):
     return rows
 
 
-def write_run_outputs(log: SimLog, out_dir: Path) -> list:
+def _start_run_outputs(out_dir: Path) -> None:
+    """Make ``out_dir`` and remove an earlier run's manifest there, which
+    would mark this run's files, complete or not, a complete run."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)
+
+
+def write_run_outputs(log: SimLog, out_dir: Path) -> list:
+    _start_run_outputs(out_dir)
     written = []
 
     _write_json(out_dir / "simlog.json", log.to_dict())
@@ -315,7 +323,7 @@ def cmd_run(args) -> int:
     except NoFeasibleCandidate as err:
         print(f"run failed: {err}", file=sys.stderr)
         if err.partial_log is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
+            _start_run_outputs(out_dir)
             _write_json(out_dir / "simlog.json", err.partial_log.to_dict())
             print(f"partial log written to {out_dir / 'simlog.json'}", file=sys.stderr)
         return 1
@@ -446,7 +454,7 @@ def main(argv=None) -> int:
     except PlannerError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except ValueError as err:
+    except (ValueError, OSError) as err:  # OSError: an output path that cannot be made
         print(f"error: {err}", file=sys.stderr)
         return 2
 

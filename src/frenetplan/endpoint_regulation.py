@@ -2,9 +2,10 @@
 
 The cluster's terminal states are de-duplicated below a spacing floor and
 densified wherever consecutive terminal gaps exceed the spacing cap, a plan
-that reads terminal states and horizons alone and builds nothing; the
-selection cost compares each candidate's terminal state against a reference
-candidate through ``terminal_deviation``.
+that reads terminal states and horizons alone, builds nothing and returns
+the repaired chain's layout order, which one ``build_rows`` call then lays
+out; the selection cost compares each candidate's terminal state against a
+reference candidate through ``terminal_deviation``.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from .quintic_sampling import (
     TrajectoryCandidate,
     TrajectoryCluster,
     _steady_terminals,
+    build_rows,
     generate_cluster,  # noqa: F401 - perfbench's tracer wraps this name here
     grid_specs,
-    lateral_rows,
-    longitudinal_rows,
 )
 from .schema import check, spec
 
@@ -131,29 +131,29 @@ def enforce_spacing(
     linearly interpolated terminal configurations, up to 8 insertions per
     gap (beyond that the budget flag is set instead of failing). Insertion
     horizons snap to multiples of ``grid.dt``, the only grid field read.
-    This plan (``_repair``) reads the rows' terminals and horizons only, and
-    ``regulated_cluster`` follows it too. Here the input's rows may come from
-    anywhere, so the insertions are built on their own (``longitudinal_rows``
-    and ``lateral_rows``), and the repaired chain, sorted by terminal, is
-    copied from the input's and the insertions' candidates in one
+    The plan (``_repair``) reads the rows' terminals and horizons only and
+    returns the repaired chain's layout order; ``regulated_cluster`` follows
+    it too. Here the input's rows may come from anywhere, so the insertions
+    are built on their own (one ``build_rows`` call, in chain order), and the
+    chain is copied from the input's and the insertions' candidates in one
     ``SampleRows.of`` call.
     """
     if not len(cluster):
         raise EmptyCluster("cannot enforce spacing on an empty cluster")
     initial = cluster.initial
-    kept, specs, after, exhausted = _repair(
-        cluster.terminals, cluster.rows.horizon, np.arange(len(cluster)), config, grid.dt
+    n = len(cluster)
+    order, specs, exhausted = _repair(
+        cluster.terminals, cluster.rows.horizon, np.arange(n), config, grid.dt
     )
-    inserted, built = longitudinal_rows(initial, specs, grid.dt)
-    candidates = cluster.candidates + lateral_rows(
-        initial, inserted, np.arange(len(inserted))
-    ).views()
-    order = _chain_order(
-        kept, [after[j] for j in built], len(cluster),
-        np.concatenate((cluster.terminals, inserted.terminals)),
-    )
+    order = order.tolist()
+    inserted, built = build_rows(initial, specs, grid.dt, [i - n for i in order if i >= n])
+    # the insertions' rows come in chain order; one that has none is skipped
+    built = {n + j for j in built}
+    rows = iter(inserted.views())
+    candidates = cluster.candidates
     return TrajectoryCluster(
-        SampleRows.of([candidates[i] for i in order.tolist()]),
+        SampleRows.of([candidates[i] if i < n else next(rows)
+                       for i in order if i < n or i in built]),
         initial,
         exhausted or cluster.spacing_budget_exhausted,
     )
@@ -169,9 +169,13 @@ def _repair(
     """The spacing plan of rows with these ``terminals`` and ``horizon``,
     taken in the order ``chain`` lists them. It builds nothing.
 
-    Returns the kept rows, in chain order; the ``CandidateSpec`` of each
-    insertion, in chain order; for each insertion, the kept row it follows;
-    and whether an oversized gap ran out of insertions.
+    Returns the repaired chain's layout order, over row numbers and
+    insertion numbers ``n + j`` (``n`` rows): each kept row followed by the
+    insertions after it, sorted by terminal (``_terminal_order``, on the
+    rows' terminals and the insertions' targets); the ``CandidateSpec`` of
+    each insertion ``j``; and whether an oversized gap ran out of
+    insertions. The sort is stable, so an insertion that gets no row can be
+    skipped after it as well as before it.
     """
     # every consecutive gap in one call: a row's np.linalg.norm is the square
     # root of its dot product, which vecdot gives bit for bit
@@ -194,9 +198,12 @@ def _repair(
     after: list[int] = []  # index in ``kept`` of the candidate each insertion follows
     alphas: list[float] = []
     horizons: list[float] = []
+    n = len(terminals)
     kept_rows = chain[kept].tolist()
     kept_horizons = horizon[kept_rows].tolist()
+    order: list[int] = []  # the repaired chain, in chain order
     for k, gap in enumerate(gaps):
+        order.append(kept_rows[k])
         if gap <= config.max_gap:
             continue
         n_insert = math.ceil(gap / config.max_gap) - 1
@@ -206,9 +213,11 @@ def _repair(
         h_a, h_b = kept_horizons[k], kept_horizons[k + 1]
         for j in range(1, n_insert + 1):
             alpha = j / (n_insert + 1)
+            order.append(n + len(after))
             after.append(k)
             alphas.append(alpha)
             horizons.append(_snap_to_grid(h_a + alpha * (h_b - h_a), dt))
+    order.append(kept_rows[-1])
 
     # every insertion target in one expression; one-sided form: exact when
     # components of a and b coincide, so sorting ties stay ties and the
@@ -216,7 +225,7 @@ def _repair(
     kept_terms = terms[kept]
     at = np.array(after, dtype=int)
     term_a, term_b = kept_terms[at], kept_terms[at + 1]
-    targets = (term_a + np.array(alphas)[:, None] * (term_b - term_a)).tolist()
+    targets = term_a + np.array(alphas)[:, None] * (term_b - term_a)
     specs = [
         CandidateSpec(
             terminal_s=s,
@@ -225,21 +234,12 @@ def _repair(
             horizon=horizon,
             grid_key=(horizon, speed, offset, "inserted"),
         )
-        for (s, speed, _, offset, _, _), horizon in zip(targets, horizons)
+        for (s, speed, _, offset, _, _), horizon in zip(targets.tolist(), horizons)
     ]
-    return kept_rows, specs, [kept_rows[k] for k in after], budget_exhausted
-
-
-def _chain_order(kept: list, follows: list, first: int, terminals: np.ndarray) -> np.ndarray:
-    """The repaired chain sorted by terminal: each of the ``kept`` rows
-    followed by the built insertions that follow it, insertion ``k`` being
-    row ``first + k`` and following row ``follows[k]``; rows are numbered as
-    in ``terminals``."""
-    chain = {r: [r] for r in kept}
-    for r, a in enumerate(follows, first):
-        chain[a].append(r)
-    out = np.array([r for rows in chain.values() for r in rows])
-    return out[_terminal_order(terminals[out])]
+    # a build's terminal holds its target's speed and offset, the sort keys
+    order = np.array(order)
+    order = order[_terminal_order(np.concatenate((terminals, targets))[order])]
+    return order, specs, budget_exhausted
 
 
 def regulated_cluster(
@@ -252,14 +252,14 @@ def regulated_cluster(
     for bit, with each row built once.
 
     The spacing plan runs on the grid specs' (``grid_specs``) own terminals
-    and horizons, which are those the longitudinal pass gives, in sorted
-    order. Then one longitudinal pass (``longitudinal_rows``) takes the grid
-    specs followed by the insertions, and one lateral pass (``lateral_rows``)
-    lays out the repaired chain in cluster order.
+    and horizons, which are those a build gives, in sorted order, and
+    returns the repaired chain's layout order. Then one ``build_rows`` call
+    takes the grid specs followed by the insertions and lays out the chain
+    in that order.
 
     A grid spec whose s dips has no row, so the plan made with it is not the
     library's: it is dropped and the plan made again, by the same code. The
-    pass raises the library's error, if any: an insertion that only a plan
+    build raises the library's error, if any: an insertion that only a plan
     with a dipping grid spec makes raises nothing.
     """
     specs = grid_specs(initial, path, grid)
@@ -268,21 +268,20 @@ def regulated_cluster(
             raise EmptyCluster(_NO_GRID_ROWS)
         n = len(specs)
         terminals = _steady_terminals(specs)
-        kept, inserted, after, exhausted = _repair(
+        order, inserted, exhausted = _repair(
             terminals, np.array([x.horizon for x in specs]), _terminal_order(terminals),
             config, grid.dt,
         )
         try:
-            rows, index = longitudinal_rows(initial, specs + inserted, grid.dt)
+            rows, index = build_rows(initial, specs + inserted, grid.dt, order)
         except (IllConditioned, NonPositiveSpan):  # a span check's errors
             # the grid specs raise the library's error here themselves
-            index = longitudinal_rows(initial, specs, grid.dt)[1]
+            index = build_rows(initial, specs, grid.dt)[1]
             if len(index) == n:
                 raise
         else:
-            # index lists the rows' specs in input order: the grid specs first
+            # index lists the built specs in input order: the grid specs first
             if index[n - 1 : n] == [n - 1]:
                 break
         specs = [specs[i] for i in index if i < n]
-    order = _chain_order(kept, [after[i - n] for i in index[n:]], n, rows.terminals)
-    return TrajectoryCluster(lateral_rows(initial, rows, order), initial, exhausted)
+    return TrajectoryCluster(rows, initial, exhausted)

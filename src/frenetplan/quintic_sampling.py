@@ -5,19 +5,18 @@ quintic in the longitudinal displacement sigma = s - s(0), converted to time
 derivatives through the chain rule when sampling. A quintic is the float
 (6,) array of its monomial coefficients c0..c5 over its native abscissa.
 
-A build is two passes, each one array call of ``solve_quintic``'s closed
-form and one ``eval_quintic`` call over samples laid back to back, whatever
-the mix of horizons. The longitudinal pass (``longitudinal_rows``) checks
-every span once, in input order, samples each distinct longitudinal quintic
-and drops the specs whose s dips, leaving ``LongitudinalRows``: each kept
-spec's exact terminal state and its quintic's samples. The lateral pass
-(``lateral_rows``) solves and samples the lateral quintics of given rows in
-a given order into the ``SampleRows`` that a ``TrajectoryCluster`` is made
-from, and notes the longitudinal samples they gather, where the
-path frame is evaluated once per cycle; ``SampleRows.views`` hands its rows
-out as candidates. ``build_rows`` runs both passes in input order; endpoint
-regulation plans its spacing repair on the grid specs' terminals first, so
-that the grid and its insertions take one pass of each.
+A build (``build_rows``) is one call of two passes, each one array call of
+``solve_quintic``'s closed form and one ``eval_quintic`` call over samples
+laid back to back, whatever the mix of horizons. The longitudinal pass
+checks every span once, in input order, samples each distinct longitudinal
+quintic and drops the specs whose s dips; the lateral pass solves and
+samples the lateral quintics of the kept specs, in input order or in a given
+order, into the ``SampleRows`` that a ``TrajectoryCluster`` is made from,
+and notes the longitudinal samples they gather, where the path frame is
+evaluated once per cycle; ``SampleRows.views`` hands its rows out as
+candidates. Endpoint regulation plans its spacing repair on the grid specs'
+terminals first, so that the grid and its insertions take one build, laid
+out in the repaired chain's order.
 """
 
 from __future__ import annotations
@@ -298,7 +297,7 @@ _GRAD_COEF = np.array([(-1.5, 0.5), (2.0, -2.0), (-0.5, 1.5)])
 @dataclass(frozen=True, eq=False)
 class SampleRows:
     """Candidates as arrays, one row each: the layout a build writes
-    (``lateral_rows``) or a list of candidates is copied into (``of``), a
+    (``build_rows``) or a list of candidates is copied into (``of``), a
     cluster keeps, and costing and classification read in place.
 
     Row ``r`` (candidate ``r``) is samples ``starts[r]:ends[r]`` of the
@@ -368,7 +367,7 @@ class SampleRows:
     def frame_samples(self) -> tuple:
         """The s values at which the path frame of the rows' samples is
         evaluated, and the index of each sample among them (None: one value
-        per sample, ``s`` itself). ``lateral_rows`` sets the samples of the
+        per sample, ``s`` itself). ``build_rows`` sets the samples of its
         longitudinal pass, which rows sharing a longitudinal quintic share
         (a quintic that no row reads, such as a dipping one, is among them);
         rows copied by ``of`` have their own ``s``. This is not a field, so
@@ -466,49 +465,25 @@ class _SpanPowers(dict):
         return powers
 
 
-@dataclass(frozen=True, eq=False)
-class LongitudinalRows:
-    """The longitudinal half of a build (``longitudinal_rows``): forward,
-    dip-free specs as rows, ready for the lateral pass (``lateral_rows``).
-
-    Row ``r`` holds its spec's exact terminal state ``terminals[r]`` (s,
-    speed, 0, offset, 0, 0), its checked lateral span ``lat_span[r]`` and that
-    span's ``lat_powers[r]``, its longitudinal quintic ``lon[r]`` over
-    ``horizon[r]``, ``grid_key[r]``, and the ``counts[r]`` samples of that
-    quintic from ``starts[r]`` on in ``samples``, whose five rows are the
-    times, s jerk, s, s_dot and s_ddot. Rows sharing a quintic share its
-    samples.
-    """
-
-    terminals: np.ndarray
-    lat_span: np.ndarray
-    lat_powers: np.ndarray
-    lon: np.ndarray
-    horizon: np.ndarray
-    grid_key: list
-    starts: np.ndarray
-    counts: np.ndarray
-    samples: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.terminals)
-
-
 def _steady_terminals(specs: Sequence[CandidateSpec]) -> np.ndarray:
     """The (n, 6) steady terminal states (s, speed, 0, offset, 0, 0) of
-    ``specs``: those the longitudinal pass gives the rows it keeps."""
+    ``specs``: those a build gives the rows it lays out."""
     return np.array(
         [(x.terminal_s, x.terminal_speed, 0.0, x.lateral_offset, 0.0, 0.0) for x in specs]
     ).reshape(-1, 6)
 
 
-def longitudinal_rows(
-    initial: FrenetState, specs: Sequence[CandidateSpec], dt: float
+def build_rows(
+    initial: FrenetState, specs: Sequence[CandidateSpec], dt: float, order=None
 ) -> tuple:
-    """The longitudinal pass of a build: the ``LongitudinalRows`` of the
-    forward specs, in input order, and the index in ``specs`` of each row. A
-    spec with a nonpositive longitudinal span or a sampled dip in s has no
-    row.
+    """Solve both quintics toward each spec's steady terminal and sample them.
+
+    Terminal acceleration and lateral rates are zero (steady-terminal
+    convention). A spec with a nonpositive longitudinal span or a sampled dip
+    in s has no row. Returns the ``SampleRows`` of the specs that have a row,
+    in input order or in the order of the spec numbers ``order`` lists
+    (specs with no row skipped), and the index in ``specs`` of every spec
+    that has a row, in input order.
 
     Every span is checked first, in input order, so if a span is ill-posed
     the first spec whose solve would fail raises: its longitudinal span
@@ -516,7 +491,13 @@ def longitudinal_rows(
     sharing (terminal s, terminal speed, horizon) share one longitudinal
     quintic; the distinct ones are solved in one array call and sampled in
     one ``eval_quintic`` call over samples laid back to back, which decides
-    each quintic's dip once.
+    each quintic's dip once. The lateral quintics of the rows are then
+    solved in one array call and sampled in one ``eval_quintic`` call over
+    the longitudinal samples each row gathers, which lays out the blocks;
+    the first and last samples are snapped to the shared initial state and
+    the exact terminal. The layout's ``frame_samples`` are the longitudinal
+    samples, each distinct longitudinal quintic's once, with the index of
+    each layout sample among them.
     """
     powers = _SpanPowers()
     keys: dict = {}  # longitudinal key -> its column among the solves
@@ -549,46 +530,30 @@ def longitudinal_rows(
     drops[ends[:-1] - 1] = False  # a row's last sample to the next row's first
     dips = np.logical_or.reduceat(drops, starts)
 
+    # the rows, as positions among the forward specs, in layout order
+    forward = np.array(index, dtype=np.intp)
     columns = np.array(columns, dtype=np.intp)
-    own = np.flatnonzero(~dips[columns])
-    col = columns[own]
-    index = [index[j] for j in own.tolist()]
-    built = [specs[i] for i in index]
-    rows = LongitudinalRows(
-        terminals=_steady_terminals(built),
-        lat_span=np.array(spans, dtype=float)[own],
-        lat_powers=np.array([powers[spans[j]] for j in own.tolist()]).reshape(-1, 3),
-        lon=lon.T[col],
-        horizon=horizons[col],
-        grid_key=[x.grid_key for x in built],
-        starts=starts[col],
-        counts=counts[col],
-        samples=samples,
-    )
-    return rows, index
-
-
-def lateral_rows(initial: FrenetState, rows: LongitudinalRows, order) -> SampleRows:
-    """The lateral pass of a build: the rows ``order`` lists, in that order,
-    laid out as ``SampleRows``. Their lateral quintics are solved in one
-    array call and sampled in one ``eval_quintic`` call over the
-    longitudinal samples each row gathers, which lays out the blocks; the
-    first and last samples are snapped to the shared initial state and the
-    exact terminal. The layout's ``frame_samples`` are the longitudinal
-    samples, each distinct longitudinal quintic's once, with the index of
-    each layout sample among them."""
-    order = np.asarray(order, dtype=np.intp)
-    counts = rows.counts[order]
-    first = rows.starts[order]
+    rows = np.flatnonzero(~dips[columns])
+    index = forward[rows]
+    if order is not None:
+        row_of = np.full(len(specs), -1, dtype=np.intp)
+        row_of[index] = rows
+        rows = row_of[np.asarray(order, dtype=np.intp)]
+        rows = rows[rows >= 0]
+    col = columns[rows]
+    built = [specs[i] for i in forward[rows].tolist()]
+    counts = counts[col]
+    first = starts[col]
     row_starts, row_ends, take = _row_samples(first, counts)
     # times and s jerk become blocks of the layout, sharing one gather that
     # holds nothing else; s and its rates only feed the states
-    times, s_jerk = rows.samples[:2].take(take, axis=1)
-    s, s_dot, s_ddot = rows.samples[2:].take(take, axis=1)
-    terminals = rows.terminals[order]
-    spans = rows.lat_span[order]
+    times, s_jerk = samples[:2].take(take, axis=1)
+    s, s_dot, s_ddot = samples[2:].take(take, axis=1)
+    terminals = _steady_terminals(built)
+    lat_spans = np.array(spans, dtype=float)[rows]
     boundary = _lateral_boundary_from_time(initial)
-    lat = _solve(boundary, (terminals[:, 3], 0.0, 0.0), spans, rows.lat_powers[order])
+    lat_powers = [powers[spans[j]] for j in rows.tolist()]
+    lat = _solve(boundary, (terminals[:, 3], 0.0, 0.0), lat_spans, lat_powers)
     d, dp, dpp, dppp = eval_quintic(np.repeat(lat, counts, axis=1), s - initial.s)
     d_dot = dp * s_dot
     d_ddot = dpp * s_dot**2 + dp * s_ddot
@@ -607,34 +572,19 @@ def lateral_rows(initial: FrenetState, rows: LongitudinalRows, order) -> SampleR
         jerk_lon=s_jerk,
         jerk_lat=d_jerk,
         terminals=terminals,
-        lon=rows.lon[order],
+        lon=lon.T[col],
         lat=np.ascontiguousarray(lat.T),
-        lat_span=spans,
-        horizon=rows.horizon[order],
-        grid_key=[rows.grid_key[i] for i in order.tolist()],
+        lat_span=lat_spans,
+        horizon=horizons[col],
+        grid_key=[x.grid_key for x in built],
     )
     # the longitudinal samples, which the layout gathers through take, with
     # s snapped at the row ends as the layout snaps it
-    s = rows.samples[2].copy()
+    s = samples[2].copy()
     s[first] = initial.s
     s[first + counts - 1] = terminals[:, 0]
     object.__setattr__(out, "frame_samples", (s, take))
-    return out
-
-
-def build_rows(initial: FrenetState, specs: Sequence[CandidateSpec], dt: float) -> tuple:
-    """Solve both quintics toward each spec's steady terminal and sample them:
-    the longitudinal pass (``longitudinal_rows``), then the lateral pass
-    (``lateral_rows``) over its rows in input order.
-
-    Terminal acceleration and lateral rates are zero (steady-terminal
-    convention). Returns the ``SampleRows`` of the forward specs, in input
-    order, and the index in ``specs`` of each row; a spec with a nonpositive
-    longitudinal span or a sampled dip in s has no row. If a span is
-    ill-posed, the first spec whose solve would fail raises.
-    """
-    rows, index = longitudinal_rows(initial, specs, dt)
-    return lateral_rows(initial, rows, np.arange(len(rows))), index
+    return out, index.tolist()
 
 
 def build_candidate(
@@ -678,7 +628,7 @@ def grid_specs(
             if terminal_s > path.total_length:
                 # the triples before this pair are checked first, so an
                 # ill-conditioned one among them raises instead
-                longitudinal_rows(initial, specs, grid.dt)
+                build_rows(initial, specs, grid.dt)
                 raise PathTooShort(
                     f"terminal s={terminal_s:.3f} beyond path end "
                     f"{path.total_length:.3f} (speed {speed}, horizon {horizon})"

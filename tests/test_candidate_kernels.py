@@ -74,7 +74,6 @@ from frenetplan.quintic_sampling import (
     build_rows,
     eval_quintic,
     generate_cluster,
-    longitudinal_rows,
     solve_quintic,
 )
 from frenetplan.replanning_sim import MODES, cycle_cluster
@@ -490,6 +489,51 @@ def test_batch_equals_each_built_alone(initial, targets):
             assert_rows_built_alone(*batch, alone)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    initial=st.builds(
+        FrenetState, st.floats(1.0, 3.0), st.floats(0.0, 1.5), st.floats(-1.2, 0.6),
+        st.floats(-0.5, 0.5), st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
+    ),
+    targets=st.lists(
+        st.tuples(
+            st.floats(-0.6, 1.6),  # terminal speed
+            st.floats(-1.0, 1.0),  # lateral offset
+            st.sampled_from((1.0, 1.35, 2.0, 2.35, 2.5, 3.0)),  # horizon
+            st.floats(-0.2, 1.3),  # share of the heuristic progress
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    data=st.data(),
+)
+def test_a_build_in_order_gathers_the_build_in_input_order(initial, targets, data):
+    # nonpositive spans and dips give specs with no row; order lists any
+    # subset of the spec numbers, in any order
+    specs = [
+        CandidateSpec(initial.s + share * 0.5 * (initial.s_dot + speed) * horizon,
+                      speed, offset, horizon, (horizon, speed, offset, i))
+        for i, (speed, offset, horizon, share) in enumerate(targets)
+    ]
+    order = data.draw(st.lists(st.integers(0, len(specs) - 1), unique=True,
+                               max_size=len(specs)))
+    whole = outcome(build_rows, initial, specs, 0.05)
+    new = outcome(build_rows, initial, specs, 0.05, order)
+    if isinstance(whole[0], type):  # a span check raised
+        assert new == whole
+        return
+    rows, index = whole
+    assert new[1] == index
+    # the rows of the specs order lists, skipping those with no row
+    picks = [index.index(i) for i in order if i in index]
+    assert_same_rows(new[0], SampleRows.of([rows.views()[r] for r in picks]))
+    # the path frame's s at every sample, gathered as its row is
+    s, take = rows.frame_samples
+    frame = [s[take][a:b] for a, b in zip(rows.starts[picks], rows.ends[picks])]
+    s, take = new[0].frame_samples
+    assert s[take].tobytes() == np.concatenate([np.zeros(0), *frame]).tobytes()
+
+
 def test_batch_raises_for_the_first_ill_conditioned_spec_in_input_order():
     initial = FrenetState(2.0, 0.5, 0.0, 0.1, 0.0, 0.0)
     # lateral spans of 2 mm and 1 mm, both ill-conditioned: solved in
@@ -527,9 +571,9 @@ def test_a_build_makes_two_solves_and_two_evaluations(monkeypatch):
 
 
 def test_a_regulated_cluster_makes_one_lateral_pass(monkeypatch):
-    # one longitudinal pass over the grid and its insertions, then one
-    # lateral pass over the repaired chain: no sampled row is copied or dropped
-    solves, calls = [], {"eval_quintic": 0, "of": 0}
+    # one build of the grid and its insertions, whose lateral pass lays out
+    # the repaired chain: no sampled row is copied or dropped
+    solves, calls = [], {"eval_quintic": 0, "of": 0, "build_rows": 0}
     solve = quintic_sampling._solve
 
     def counted_solve(*args):
@@ -546,11 +590,13 @@ def test_a_regulated_cluster_makes_one_lateral_pass(monkeypatch):
     monkeypatch.setattr(quintic_sampling, "eval_quintic",
                         counted("eval_quintic", quintic_sampling.eval_quintic))
     monkeypatch.setattr(SampleRows, "of", staticmethod(counted("of", SampleRows.of)))
+    monkeypatch.setattr(endpoint_regulation, "build_rows",
+                        counted("build_rows", endpoint_regulation.build_rows))
     initial, grid = regulation_cases()[1]
     cluster = regulated_cluster(initial, s_curve_path(), grid, REG)
     assert any("inserted" in c.grid_key for c in cluster.candidates)
-    assert sorted(solves) == ["lateral_rows", "longitudinal_rows"]
-    assert calls == {"eval_quintic": 2, "of": 0}
+    assert solves == ["build_rows", "build_rows"]
+    assert calls == {"eval_quintic": 2, "of": 0, "build_rows": 1}
 
 
 def regulation_cases():
@@ -578,29 +624,21 @@ def test_spacing_insertions_match_reference_built_alone(monkeypatch):
     path = s_curve_path()
     built = []
 
-    def kept_alone(initial, specs, dt):
-        # the longitudinal pass keeps the rows each built alone keeps
-        rows, index = longitudinal_rows(initial, specs, dt)
+    def each_alone(initial, specs, dt, order=None):
+        # the build keeps the specs each built alone keeps, and every row of
+        # the repaired chain is its spec built alone
+        index = build_rows(initial, specs, dt, order)[1]
         out = built_alone(ref.build_candidate, initial, specs, dt)
         assert index == [i for i, c in enumerate(out) if c is not None]
         built.extend((initial, t, c) for t, c in zip(specs, out) if "inserted" in t.grid_key)
-        return rows, index
-
-    def each_alone(initial, rows, order):
-        # every row of the repaired chain built alone from its spec
-        specs = [
-            CandidateSpec(x[0], x[1], x[3], h, rows.grid_key[i])
-            for x, h, i in zip(rows.terminals[order].tolist(),
-                               rows.horizon[order].tolist(), order.tolist())
-        ]
-        return SampleRows.of(built_alone(ref.build_candidate, initial, specs, grid.dt))
+        order = range(len(specs)) if order is None else order
+        return SampleRows.of([out[i] for i in order if out[i] is not None]), index
 
     tied_insertions = 0
     for initial, grid in regulation_cases():
         new = regulated_cluster(initial, path, grid, REG)
         with monkeypatch.context() as m:
-            m.setattr(endpoint_regulation, "longitudinal_rows", kept_alone)
-            m.setattr(endpoint_regulation, "lateral_rows", each_alone)
+            m.setattr(endpoint_regulation, "build_rows", each_alone)
             old = regulated_cluster(initial, path, grid, REG)
         assert select_reference_candidate(new) == select_reference_candidate(old)
         assert new.spacing_budget_exhausted == old.spacing_budget_exhausted
@@ -758,8 +796,13 @@ def library_repair(initial, path, grid, config):
 def assert_same_cluster(new, old):
     """Every ``SampleRows`` field, bit for bit, and the budget flag."""
     assert new.spacing_budget_exhausted == old.spacing_budget_exhausted
+    assert_same_rows(new.rows, old.rows)
+
+
+def assert_same_rows(new, old):
+    """Every ``SampleRows`` field, bit for bit."""
     for field in dataclasses.fields(SampleRows):
-        a, b = getattr(new.rows, field.name), getattr(old.rows, field.name)
+        a, b = getattr(new, field.name), getattr(old, field.name)
         if isinstance(b, np.ndarray):
             assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
             assert a.tobytes() == b.tobytes(), field.name
@@ -776,16 +819,15 @@ def test_regulated_cluster_equals_the_library_repair(monkeypatch):
     # built once, from the grid's terminals, it is the library's sort and
     # repair of the generated cluster, bit for bit, or raises alike; a grid
     # spec that dips has the plan made again without it
-    dips = []  # per longitudinal pass: whether a grid spec got no row
-    lon = endpoint_regulation.longitudinal_rows
+    dips = []  # per build: whether a grid spec got no row
 
-    def spied(initial, specs, dt):
-        rows, index = lon(initial, specs, dt)
+    def spied(initial, specs, dt, order=None):
+        rows, index = build_rows(initial, specs, dt, order)
         grid = {i for i, x in enumerate(specs) if "inserted" not in x.grid_key}
         dips.append(not grid <= set(index))
         return rows, index
 
-    monkeypatch.setattr(endpoint_regulation, "longitudinal_rows", spied)
+    monkeypatch.setattr(endpoint_regulation, "build_rows", spied)
     replans = []  # per case: (a grid spec dipped, the outcome is an error)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -862,10 +904,10 @@ def test_an_insertion_beside_a_dipping_grid_spec_raises_nothing(monkeypatch):
     grid = SamplingGrid((0.2, 1.5), (-0.4, 0.4), (1.0, 3.0), dt=0.05)
     config = RegulationConfig(max_gap=0.5, min_gap=0.02)
     path = s_curve_path()
-    planned = []  # the specs of each longitudinal pass
-    lon = endpoint_regulation.longitudinal_rows
-    monkeypatch.setattr(endpoint_regulation, "longitudinal_rows",
-                        lambda i, specs, dt: planned.append(specs) or lon(i, specs, dt))
+    planned = []  # the specs of each build
+    monkeypatch.setattr(endpoint_regulation, "build_rows",
+                        lambda i, specs, dt, order=None:
+                        planned.append(specs) or build_rows(i, specs, dt, order))
     regulated_cluster(initial, path, grid, config)
     assert len(planned) == 2  # two grid specs dip, so the plan is made twice
     first, again = ({x.terminal_s - initial.s for x in specs} for specs in planned)

@@ -501,6 +501,38 @@ def test_run_infeasible_scenario_exits_one(tmp_path, scenario_file, capsys):
         assert json.loads((out / "simlog.json").read_text()) == rounded(partial)
 
 
+def test_a_failed_run_leaves_no_manifest_of_an_earlier_run(tmp_path, scenario_file):
+    # the earlier manifest would mark the failed run's files a complete run
+    scn = straight_crossing(seed=0, n_cycles=2)
+    out = tmp_path / "out"
+    assert main(["run", str(scenario_file(scn)), "--mode", "baseline", "--out", str(out)]) == 0
+    assert (out / "manifest.json").is_file()
+    scn.limits = type(scn.limits)(v_max=1e-3)
+    path = scenario_file(scn, "infeasible.json")
+    assert main(["run", str(path), "--mode", "baseline", "--out", str(out)]) == 1
+    assert json.loads((out / "simlog.json").read_text())["cycles"] == []
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "cluster"])
+def test_an_out_path_that_cannot_be_made_exits_two(tmp_path, command):
+    data = json.loads((BUNDLED / "s1.json").read_text())
+    data["sim"]["n_cycles"] = 1
+    scenario = tmp_path / "s1.json"
+    scenario.write_text(json.dumps(data))
+    out = scenario / "sub"  # below a regular file
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "frenetplan.cli", command, str(scenario), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and str(out) in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_run_non_finite_cost_exits_one(tmp_path, scenario_file, capsys):
     scn = straight_crossing(seed=0, n_cycles=2)
     scn.cost = replace(scn.cost, mass=1.3e308)

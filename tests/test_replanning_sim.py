@@ -129,17 +129,16 @@ def test_splice_continuity():
 def test_splice_gap_measures_the_executed_trace(monkeypatch):
     # a sampler that moves every candidate's first sample off the cycle's
     # initial state must show up as a position gap at every splice
-    lateral = quintic_sampling.lateral_rows
+    build = quintic_sampling.build_rows
 
     def shifted(*args):
-        rows = lateral(*args)
+        rows, index = build(*args)
         rows.states[rows.starts, 0] += 1e-4
-        return rows
+        return rows, index
 
-    # the builder and the regulated cluster each lay out rows in the
-    # lateral pass
-    monkeypatch.setattr(quintic_sampling, "lateral_rows", shifted)
-    monkeypatch.setattr(endpoint_regulation, "lateral_rows", shifted)
+    # the builder and the regulated cluster each lay out rows in one build
+    monkeypatch.setattr(quintic_sampling, "build_rows", shifted)
+    monkeypatch.setattr(endpoint_regulation, "build_rows", shifted)
     log = run(straight_crossing(seed=4, n_cycles=3), "proposed")
     assert len(log.splices) == 2
     for splice in log.splices:
