@@ -11,6 +11,7 @@ is bit for bit SciPy's and its bits do not depend on the installed LAPACK.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,16 +56,18 @@ class FrenetState:
 class ReferencePath:
     """Immutable planar curve with arc-length queries.
 
-    Built through :func:`build_reference_path`; all query methods accept
-    scalars or arrays of arc length and are safe to call concurrently.
+    Built and shared by :func:`build_reference_path`: its arrays are read-only.
+    All queries accept scalars or arrays of arc length and are thread-safe.
     """
 
     def __init__(self, waypoints, knots, coef):
-        self.waypoints = waypoints
+        self.waypoints = np.array(waypoints, dtype=float)
         self.arc_length_knots = knots
         # per-segment cubic coefficients of each coordinate, shape
         # (4, n_segments), highest power first
         self._cx, self._cy = np.moveaxis(coef, -1, 0)
+        for array in (self.waypoints, knots, self._cx, self._cy):
+            array.flags.writeable = False
         self.total_length = float(knots[-1])
 
     def _eval_all(self, s):
@@ -215,6 +218,9 @@ def build_reference_path(waypoints) -> ReferencePath:
     Knots start from chord-length accumulation and are reparameterized once
     with quadrature arc lengths, which brings |r'(s)| to within ~1e-5 of 1
     on smooth paths.
+
+    Each route is fitted once per process: the fits (not errors) of the last
+    8 routes are cached on the waypoints' shape and bytes, and shared.
     """
     pts = np.asarray(waypoints, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
@@ -223,6 +229,13 @@ def build_reference_path(waypoints) -> ReferencePath:
         )
     if not np.all(np.isfinite(pts)):
         raise TooFewWaypoints("waypoints must be finite")
+    return _cached_fit(pts.shape, pts.tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_fit(shape: tuple, data: bytes) -> ReferencePath:
+    """The fit of the waypoints of this shape and bytes, on a private copy."""
+    pts = np.frombuffer(data).reshape(shape)
     knots = _knots(np.linalg.norm(np.diff(pts, axis=0), axis=1))
     # One reparameterization pass: chord knots -> quadrature arc length -> refit.
     knots = _knots(_segment_lengths(knots, _natural_spline(knots, pts)))

@@ -120,19 +120,14 @@ class Scenario:
     interaction: InteractionParams = spec(shape=InteractionParams)
     uncertainty: Uncertainty = spec(Uncertainty(), Uncertainty, optional=True)
     sim: SimSettings = spec(shape=SimSettings)
-    # (waypoints, path) fitted while ``from_dict`` validated the file
-    _fitted: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.waypoints = np.asarray(self.waypoints, dtype=float)
         self.agents = list(self.agents)
 
     def build_path(self) -> ReferencePath:
-        """The reference path through the waypoints; a scenario read by
-        ``from_dict`` reuses the fit its validation made, while its
-        waypoints are unchanged."""
-        if self._fitted is not None and np.array_equal(self._fitted[0], self.waypoints):
-            return self._fitted[1]
+        """The reference path through the waypoints: the one shared, read-only
+        fit of this route, so a run reads the fit its validation made."""
         return build_reference_path(self.waypoints)
 
     def to_dict(self) -> dict:
@@ -140,12 +135,10 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        violations, path = _check_scenario_dict(data)
+        violations = validate_scenario_dict(data)
         if violations:
             raise ScenarioInvalid(violations)
-        scenario = build(cls, data)
-        scenario._fitted = (scenario.waypoints.copy(), path)
-        return scenario
+        return build(cls, data)
 
 
 def _is_multiple(value: float, step: float) -> bool:
@@ -154,36 +147,30 @@ def _is_multiple(value: float, step: float) -> bool:
 
 
 def validate_scenario_dict(data: dict) -> list:
-    """All schema and invariant violations, each naming the offending key."""
-    return _check_scenario_dict(data)[0]
-
-
-def _check_scenario_dict(data: dict) -> tuple:
-    """``validate_scenario_dict``'s violations, and the reference path it
-    fitted to check the waypoints (None if it fitted none)."""
+    """All schema and invariant violations, each naming the offending key;
+    well-formed waypoints are checked by their fit, which a run then reuses."""
     if not isinstance(data, dict):
-        return ["scenario: top level must be a JSON object"], None
+        return ["scenario: top level must be a JSON object"]
     version = data.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
         # the version says how to read the rest, so nothing else is checked
         return [
             f"schema_version: expected {SCHEMA_VERSION} "
             "(the README lists the changes from schemas 1 and 2)"
-        ], None
+        ]
     v = section_problems(Scenario, {k: x for k, x in data.items() if k != "schema_version"})
-    path = None
     # the reference path is fitted to well-formed waypoints only
     if not any(x.startswith(("waypoints:", "waypoints[")) for x in v):
         try:
-            path = build_reference_path(data["waypoints"])
+            build_reference_path(data["waypoints"])
         except PlannerError as err:
             v.append(f"waypoints: {err}")
     if v:
-        return v, path
+        return v
 
     # rules across sections, on values already known to be well formed
     grid, sim = data["grid"], data["sim"]
-    return _timing_problems(grid["horizons"], grid["dt"], sim["commit_horizon"]), path
+    return _timing_problems(grid["horizons"], grid["dt"], sim["commit_horizon"])
 
 
 def _timing_problems(horizons, dt, commit) -> list:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frenetplan import replanning_sim
+from frenetplan import frenet_geometry, replanning_sim
 from frenetplan.cli import _hist_edges, _json_text, main
 from frenetplan.endpoint_regulation import select_reference_candidate, terminal_deviation
 from frenetplan.errors import NoFeasibleCandidate
@@ -402,14 +402,13 @@ def test_missing_file_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "cluster"])
-def test_command_fits_the_reference_path_once(tmp_path, monkeypatch, command):
-    fits = []
-    fit = replanning_sim.build_reference_path
-    monkeypatch.setattr(replanning_sim, "build_reference_path",
-                        lambda waypoints: fits.append(1) or fit(waypoints))
+def test_command_fits_the_reference_path_once(tmp_path, command):
+    # a fit is a miss of the process's path cache, counted from empty
+    fits = frenet_geometry._cached_fit
+    fits.cache_clear()
     out = tmp_path / "out"
     assert main([command, str(BUNDLED / "s1.json"), "--mode", "baseline", "--out", str(out)]) == 0
-    assert len(fits) == 1
+    assert fits.cache_info().misses == 1
 
 
 # Runs the CLI with every scipy import refused, then checks none got in.

@@ -11,10 +11,12 @@ from frenetplan.errors import (
     DuplicateWaypoint,
     InvalidLateralOffset,
     OutOfRangeS,
+    PlannerError,
     ProjectionAmbiguous,
     TooFewWaypoints,
 )
 from frenetplan.frenet_geometry import (
+    _cached_fit,
     build_reference_path,
     cartesian_to_frenet,
     curvature_at,
@@ -233,3 +235,86 @@ def test_fit_is_scipys_on_the_scenarios(name):
     assert_scipys_fit(BUILDERS[name](seed=0).waypoints)
     bundled = json.loads((BUNDLED / f"{name}.json").read_text())["waypoints"]
     assert_scipys_fit(np.asarray(bundled, dtype=float))
+
+
+def _fit_bits(pts):
+    """The fit's knots and coefficients as bytes, or the error's type and text."""
+    try:
+        path = build_reference_path(pts)
+    except PlannerError as err:
+        return type(err), str(err)
+    return tuple(a.tobytes() for a in (path.arc_length_knots, path._cx, path._cy))
+
+
+@st.composite
+def routes(draw):
+    """4-40 waypoints in [-100, 100]^2, as an array or a list, and the same
+    route with one coordinate one ulp up or of the other sign; in some draws
+    one waypoint is collapsed onto the next, exactly or within 1e-13."""
+    n = draw(st.integers(4, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-100.0, 100.0, (n, 2))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 2))
+        pts[i] = pts[i + 1] + draw(st.sampled_from((0.0, 1e-13)))
+    near = pts.copy()
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, 1))
+    near[i, j] = np.nextafter(near[i, j], np.inf) if draw(st.booleans()) else -near[i, j]
+    if draw(st.booleans()):
+        return pts.tolist(), near.tolist()
+    return pts, near
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(routes())
+def test_cached_fit_is_a_fresh_fit(route):
+    pts, near = route
+    _cached_fit.cache_clear()
+    _fit_bits(near)
+    cached = _fit_bits(pts)
+    assert _fit_bits(pts) == cached
+    _cached_fit.cache_clear()
+    assert _fit_bits(pts) == cached
+
+
+def test_equal_waypoints_share_one_fit():
+    x = np.linspace(0.0, 9.0, 10)
+    pts = np.column_stack([x, np.sin(x)])
+    path = build_reference_path(pts)
+    for same in (pts.tolist(), pts.copy(), np.asfortranarray(pts)):
+        assert build_reference_path(same) is path
+    # a changed waypoint is a new fit, and the first path keeps its own copy
+    pts[3, 1] += 0.25
+    moved = build_reference_path(pts)
+    assert moved is not path
+    assert not np.array_equal(path.waypoints, pts)
+    bits = _fit_bits(pts)
+    _cached_fit.cache_clear()
+    assert _fit_bits(pts) == bits
+    # the sign of a zero is part of the key
+    axis = np.column_stack([x, np.zeros_like(x)])
+    flipped = axis.copy()
+    flipped[:, 1] = -0.0
+    assert build_reference_path(axis) is not build_reference_path(flipped)
+
+
+@pytest.mark.parametrize("name", ["waypoints", "arc_length_knots", "_cx", "_cy"])
+def test_path_arrays_are_read_only(name):
+    array = getattr(s_curve_path(), name)
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = 1.0
+
+
+def test_fit_cache_is_bounded():
+    maxsize = _cached_fit.cache_parameters()["maxsize"]
+    for n in range(4, maxsize + 5):
+        build_reference_path(np.column_stack([np.arange(n), np.zeros(n)]))
+    assert _cached_fit.cache_info().currsize <= maxsize
+
+
+def test_bad_waypoints_raise_on_every_call():
+    for _ in range(3):
+        with pytest.raises(DuplicateWaypoint, match="waypoints 1 and 2 coincide"):
+            build_reference_path([(0, 0), (1, 0), (1, 0), (2, 0)])
+        with np.errstate(over="ignore"), pytest.raises(TooFewWaypoints, match="too long"):
+            build_reference_path([(0, 0), (1e308, 0), (-1e308, 0), (0, 0)])

@@ -50,7 +50,7 @@ def test_scenario_dict_roundtrip():
     assert json.dumps(data, sort_keys=True) == json.dumps(again, sort_keys=True)
 
 
-def test_build_path_reuses_the_validation_fit_while_waypoints_are_unchanged():
+def test_build_path_shares_one_fit_while_waypoints_are_unchanged():
     data = straight_crossing(seed=0).to_dict()
     scn = Scenario.from_dict(data)
     path = scn.build_path()
@@ -67,9 +67,9 @@ def test_build_path_reuses_the_validation_fit_while_waypoints_are_unchanged():
     assert not np.array_equal(moved.position(s), path.position(s))
     scn.waypoints = np.asarray(data["waypoints"], dtype=float) * 2.0
     assert scn.build_path().total_length > 1.9 * path.total_length
-    # and a scenario built directly fits on every call
+    # and a scenario built directly shares its route's fit
     built = straight_crossing(seed=0)
-    assert built.build_path() is not built.build_path()
+    assert built.build_path() is built.build_path()
 
 
 def test_scenario_validation_catches_violations():
