@@ -103,7 +103,8 @@ def kinematic_peaks(rows: SampleRows, path: ReferencePath, frame: tuple | None =
     curvature from first/second central differences (yaw rate = curvature *
     speed, curvature rate = d kappa / dt), and jerk from the per-axis stored
     series. Every step is elementwise along a row or a max over it, so a
-    candidate's peaks do not depend on the rest of the cluster.
+    candidate's peaks do not depend on the rest of the cluster; the
+    degenerate-speed masks and notes run only if some speed is degenerate.
     """
     if not len(rows):
         return []
@@ -122,17 +123,20 @@ def kinematic_peaks(rows: SampleRows, path: ReferencePath, frame: tuple | None =
     # stencil touches such a sample of its own row are zeroed, so they never
     # exceed a margin and leave 0.0 when no sample of the row is left
     valid = speed > _DEGENERATE_SPEED
+    degenerate = not valid.all()
     kappa = (vx * ay - vy * ax) / np.maximum(speed, _DEGENERATE_SPEED) ** 3
-    kappa[~valid] = 0.0
+    if degenerate:
+        kappa[~valid] = 0.0
     kappa_rate = fd_gradient(kappa, ends)
-    rate_valid = valid.copy()
-    rate_valid[:-1] &= valid[1:]
-    rate_valid[1:] &= valid[:-1]
-    # the shifts above cross row boundaries: redo each row's end samples
-    # from the two samples its one-sided velocity stencil reads
-    end_pair = valid.take(ends.vel)
-    rate_valid[ends.at] = end_pair[0] & end_pair[1]
-    kappa_rate[~rate_valid] = 0.0
+    if degenerate:
+        rate_valid = valid.copy()
+        rate_valid[:-1] &= valid[1:]
+        rate_valid[1:] &= valid[:-1]
+        # the shifts above cross row boundaries: redo each row's end samples
+        # from the two samples its one-sided velocity stencil reads
+        end_pair = valid.take(ends.vel)
+        rate_valid[ends.at] = end_pair[0] & end_pair[1]
+        kappa_rate[~rate_valid] = 0.0
 
     peaks = np.stack(
         [
@@ -147,6 +151,8 @@ def kinematic_peaks(rows: SampleRows, path: ReferencePath, frame: tuple | None =
         axis=1,
     ).tolist()
     out = list(starmap(KinematicPeaks, peaks))
+    if not degenerate:
+        return out
     # notes only for the rows with a degenerate-speed sample
     for r in np.flatnonzero(~np.logical_and.reduceat(valid, first)).tolist():
         start = first[r]
@@ -196,10 +202,9 @@ def nearest_distances(points: np.ndarray) -> np.ndarray:
     each row's smallest sum alone, which gives the same bits.
     """
     dist2 = np.zeros((len(points), len(points)))
-    for col in points.T:
-        if col.any():
-            diff = col[:, None] - col[None, :]
-            dist2 += diff * diff
+    for col in points.T[points.any(axis=0)]:
+        diff = col[:, None] - col[None, :]
+        dist2 += diff * diff
     np.fill_diagonal(dist2, np.inf)
     return np.sqrt(dist2.min(axis=1))
 

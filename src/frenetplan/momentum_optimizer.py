@@ -422,13 +422,13 @@ def fd_gradient(f, ends: RowEnds):
 
 
 def _integrand(vs, vd, a_s, a_d, force, ctx, config):
-    """Running cost per node: kinetic - modulation + accel + uncertainty."""
-    return (
-        0.5 * config.mass * (vs * vs + vd * vd)
-        - (force[0] * vs + force[1] * vd)
-        + config.accel_weight * (a_s * a_s + a_d * a_d)
-        + config.uncertainty_weight * ctx.sigma_trace()
-    )
+    """Running cost per node: kinetic - modulation + accel + uncertainty;
+    ``a_s``/``a_d`` are read only for a nonzero ``accel_weight``: the sum
+    before that term is never -0.0, so skipping it at 0.0 changes no bit."""
+    run = 0.5 * config.mass * (vs * vs + vd * vd) - (force[0] * vs + force[1] * vd)
+    if config.accel_weight:
+        run = run + config.accel_weight * (a_s * a_s + a_d * a_d)
+    return run + config.uncertainty_weight * ctx.sigma_trace()
 
 
 def _cost_and_gradient(times, ps, pd, ctx, config, ends: RowEnds):
@@ -477,7 +477,9 @@ def cost_cluster(
     the value is a pure function of the position trace (the optimizer's own
     discretization); that keeps descent comparisons exact. Every step is
     elementwise along a row or a sum over it, so a candidate's cost does not
-    depend on the rest of the cluster.
+    depend on the rest of the cluster. The baseline's zero weights cost
+    nothing to compute: a zero ``accel_weight`` takes no accelerations, and
+    a ``reference`` of None gives zero terminal terms.
     """
     if not len(rows):
         return []
@@ -485,8 +487,9 @@ def cost_cluster(
     vs = _fd_velocity(ps, ends)
     vd = _fd_velocity(pd, ends)
     force, _ = _force_field(rows.times, ps, vs, pd, vd, ctx, False, frame)
-    a_s = _fd_accel(ps, ends)
-    a_d = _fd_accel(pd, ends)
+    a_s = a_d = None
+    if config.accel_weight:
+        a_s, a_d = _fd_accel(ps, ends), _fd_accel(pd, ends)
     running = rows.trapezoid(_integrand(vs, vd, a_s, a_d, force, ctx, config))
     terminal = terminal_deviation(rows.terminals, reference, config.terminal_weight)
     return (running + terminal).tolist()

@@ -319,8 +319,9 @@ def plan_cycle(
     state: FrenetState, k: int,
 ) -> CycleRecord:
     """Cycle ``k`` from ``state``, the agents advanced to its start: sample
-    the cluster, pick its reference candidate, cost and classify its rows
-    (``TrajectoryCluster.rows``) in place in one pass each, over one
+    the cluster, pick its reference candidate if the terminal term (its one
+    reader) has a weight, which the baseline zeroes, cost and classify its
+    rows (``TrajectoryCluster.rows``) in place in one pass each, over one
     path-frame evaluation on its distinct longitudinal samples, select the
     best feasible candidate, and return the record that commits its first
     ``commit_horizon`` seconds.
@@ -346,7 +347,7 @@ def plan_cycle(
 
     cluster = cycle_cluster(scenario, path, state, k, switches.regulate)
     candidates = cluster.candidates
-    reference = candidates[select_reference_candidate(cluster)]
+    reference = candidates[select_reference_candidate(cluster)] if weights.terminal_weight else None
 
     # the cluster's own rows, read in place, and the one path-frame
     # evaluation that costing (the agents' force) and classification both read

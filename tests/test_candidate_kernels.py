@@ -958,21 +958,23 @@ def mixed_cluster(rng):
 def test_cost_cluster_matches_per_candidate_reference(terminal_weight, speed_weight):
     rng = np.random.default_rng(31)
     path = s_curve_path()
-    old_config = OptimizerConfig(terminal_weight=terminal_weight, accel_weight=0.2)
     # neighbours and bumps, then no neighbours (the force path without frames)
     for ctx in (active_context(path, rng), make_context(path, sigma=0.3)):
         cands = mixed_cluster(rng)
-        for reference in (cands[3], None):
-            # schema 2 also costed without its regulation section: no term
-            for reg in (schema2.RegulationConfig(speed_weight), None):
-                weight = terminal_weight * speed_weight**2 if reg else 0.0
-                config = replace(old_config, terminal_weight=weight)
-                old = ref.cost_each(cands, ctx, reference, old_config, reg)
-                new = cost_cluster(SampleRows.of(cands), ctx, reference, config)
-                assert [c.hex() for c in new] == [c.hex() for c in old]
-                for cand, want in zip(cands, old):
-                    got = total_cost(cand, ctx, reference, config)
-                    assert got.hex() == want.hex()
+        # schema 2 also costed without its regulation section (no term); a zero
+        # accel_weight skips the term that the reference multiplies by 0.0
+        for accel_weight, reference, reg in itertools.product(
+            (0.2, 0.0), (cands[3], None), (schema2.RegulationConfig(speed_weight), None)
+        ):
+            old_config = OptimizerConfig(terminal_weight=terminal_weight, accel_weight=accel_weight)
+            weight = terminal_weight * speed_weight**2 if reg else 0.0
+            config = replace(old_config, terminal_weight=weight)
+            old = ref.cost_each(cands, ctx, reference, old_config, reg)
+            new = cost_cluster(SampleRows.of(cands), ctx, reference, config)
+            assert [c.hex() for c in new] == [c.hex() for c in old]
+            for cand, want in zip(cands, old):
+                got = total_cost(cand, ctx, reference, config)
+                assert got.hex() == want.hex()
 
 
 def test_cost_cluster_raises_like_reference_on_a_coincident_neighbour():

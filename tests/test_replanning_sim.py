@@ -10,7 +10,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from frenetplan.errors import NoFeasibleCandidate, PlannerError, ScenarioInvalid
-from frenetplan import endpoint_regulation, quintic_sampling, replanning_sim
+from frenetplan import endpoint_regulation, momentum_optimizer, quintic_sampling, replanning_sim
 from frenetplan.evaluation import FeasibilityReport, KinematicLimits, check_candidate
 from frenetplan.frenet_geometry import FrenetState, ReferencePath, build_reference_path
 from frenetplan.momentum_optimizer import Neighbor, cost_cluster
@@ -426,6 +426,10 @@ COST_ARRAYS = {"s1": 28, "s2": 15, "s3": 28}
 
 @pytest.mark.parametrize("name", list(BUILDERS))
 def test_cost_stage_working_set(monkeypatch, name):
+    # one untraced job first: a process's first cycle also loads what the
+    # cost stage imports lazily (np.unique imports numpy.ma), which is not
+    # working set, so the bound holds whatever ran before this test
+    run(BUILDERS[name](seed=0, n_cycles=1), "proposed")
     peaks = []
 
     def traced(rows, *args):
@@ -444,6 +448,28 @@ def test_cost_stage_working_set(monkeypatch, name):
             run(scn, mode)
     assert len(peaks) == len(MODES) * 3 * 5
     assert max(peaks) <= COST_ARRAYS[name], f"{max(peaks):.2f} arrays"
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+def test_a_cycle_computes_no_zero_weighted_term(monkeypatch, mode):
+    # the baseline zeroes the acceleration and terminal terms: it computes no
+    # acceleration and picks no reference; the proposed mode does both
+    calls = {"reference": 0, "accel": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(replanning_sim, "select_reference_candidate",
+                        counted("reference", replanning_sim.select_reference_candidate))
+    monkeypatch.setattr(momentum_optimizer, "_fd_accel",
+                        counted("accel", momentum_optimizer._fd_accel))
+    scn = straight_crossing(seed=0, n_cycles=1)
+    plan_cycle(scn, scn.build_path(), MODES[mode], scn.initial_state, 0)
+    want = {"reference": 1, "accel": 2} if mode == "proposed" else {"reference": 0, "accel": 0}
+    assert calls == want
 
 
 # s1 variants on which refinement turned every candidate of a cycle infeasible
