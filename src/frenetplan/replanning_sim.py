@@ -42,7 +42,7 @@ from .momentum_optimizer import (
     total_cost,  # noqa: F401 - perfbench's tracer wraps this name here
 )
 from .quintic_sampling import SamplingGrid, TrajectoryCluster, generate_cluster
-from .schema import ListOf, build, check, plain_fields, section_problems, spec
+from .schema import ListOf, check, parse, plain_fields, spec
 
 # Scenario files and simulation logs are versioned separately.
 SCHEMA_VERSION = 3
@@ -106,7 +106,8 @@ class Uncertainty:
 class Scenario:
     """Complete description of one closed-loop run. Its fields are the
     scenario file's keys, in file order, each declared once with ``spec``:
-    ``from_dict``, ``to_dict`` and ``validate_scenario_dict`` walk them."""
+    ``to_dict`` writes them, and ``from_dict`` and ``validate_scenario_dict``
+    share one reader that checks and builds them in a single walk."""
 
     name: str = spec("unnamed", "string", optional=True)
     waypoints: np.ndarray = spec(shape=ListOf(("bounded", "bounded"), 4))
@@ -135,10 +136,12 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        violations = validate_scenario_dict(data)
+        """The scenario in a file's JSON ``data``; ScenarioInvalid listing
+        every violation if it is not one."""
+        scenario, violations = _read(data)
         if violations:
             raise ScenarioInvalid(violations)
-        return build(cls, data)
+        return scenario
 
 
 def _is_multiple(value: float, step: float) -> bool:
@@ -147,30 +150,36 @@ def _is_multiple(value: float, step: float) -> bool:
 
 
 def validate_scenario_dict(data: dict) -> list:
-    """All schema and invariant violations, each naming the offending key;
-    well-formed waypoints are checked by their fit, which a run then reuses."""
+    """All schema and invariant violations of a file's JSON ``data``, each
+    naming the offending key; empty if ``Scenario.from_dict`` reads it."""
+    return _read(data)[1]
+
+
+def _read(data) -> tuple:
+    """The scenario in ``data`` (None unless it is valid) and every
+    violation: the version, then each key against the declaration, the fit
+    of well-formed waypoints (the cache entry a run then reads), and last
+    the rules across sections."""
     if not isinstance(data, dict):
-        return ["scenario: top level must be a JSON object"]
+        return None, ["scenario: top level must be a JSON object"]
     version = data.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
         # the version says how to read the rest, so nothing else is checked
-        return [
+        return None, [
             f"schema_version: expected {SCHEMA_VERSION} "
             "(the README lists the changes from schemas 1 and 2)"
         ]
-    v = section_problems(Scenario, {k: x for k, x in data.items() if k != "schema_version"})
-    # the reference path is fitted to well-formed waypoints only
+    scenario, v = parse(Scenario, {k: x for k, x in data.items() if k != "schema_version"})
     if not any(x.startswith(("waypoints:", "waypoints[")) for x in v):
         try:
             build_reference_path(data["waypoints"])
         except PlannerError as err:
             v.append(f"waypoints: {err}")
-    if v:
-        return v
-
-    # rules across sections, on values already known to be well formed
-    grid, sim = data["grid"], data["sim"]
-    return _timing_problems(grid["horizons"], grid["dt"], sim["commit_horizon"])
+    if not v:
+        # on the file's own numbers, so each message quotes them as written
+        grid, sim = data["grid"], data["sim"]
+        v = _timing_problems(grid["horizons"], grid["dt"], sim["commit_horizon"])
+    return (None if v else scenario), v
 
 
 def _timing_problems(horizons, dt, commit) -> list:

@@ -4,17 +4,18 @@ Each field of a config dataclass is declared with :func:`spec`, which stores
 its shape (type and range) and whether a scenario file may omit it in the
 field's metadata. This module is the only reader of that metadata: a
 dataclass's ``__post_init__`` calls :func:`check` on its own values, and the
-scenario loader calls :func:`section_problems` on the raw JSON object, so
-both reject the same values with the same messages. A field declared without
-``spec`` is a required finite number.
+scenario loader reads the raw JSON object with :func:`parse`, one walk that
+both checks each section and builds it, so both reject the same values with
+the same messages. A field declared without ``spec`` is a required finite
+number.
 
 A shape is a rule name (a scalar), a tuple of shapes (a list with one entry
 per shape), a :class:`ListOf` (a list of any length of one shape), or a
 section: a config dataclass, read from a JSON object. A dataclass whose
-fields include sections (``Scenario``, the whole file) is walked key by key
-and never constructed during validation; it keeps its rules across sections
-elsewhere. Every number must be a finite int or float; ``bool`` is never a
-number.
+fields include sections (``Scenario``, the whole file) is built from its
+parsed sections once all of them are well formed; it keeps its rules across
+sections elsewhere. Every number must be a finite int or float; ``bool`` is
+never a number.
 """
 
 from __future__ import annotations
@@ -103,23 +104,6 @@ def plain_fields(obj) -> dict:
     return {name: plain(getattr(obj, name)) for name in _declared(type(obj))}
 
 
-def build(cls, data: dict):
-    """Dataclass ``cls`` from the JSON object ``data``, which
-    :func:`section_problems` found well formed: each section built from its
-    object, each omitted field left at its default. A ``cls`` that holds
-    sections ignores the keys it does not declare (a file's
-    ``schema_version``)."""
-    sections = _sections(cls)
-    if not sections:
-        return cls(**data)
-    args = {name: data[name] for name in _declared(cls) if name in data}
-    for name, (section, many) in sections.items():
-        if name in args:
-            value = args[name]
-            args[name] = [build(section, v) for v in value] if many else build(section, value)
-    return cls(**args)
-
-
 def problem(shape, value) -> Optional[str]:
     """Why the JSON value ``value`` does not fit ``shape``, as a suffix for the
     key that holds it (``": must be ..."`` or ``"[i]: must be ..."``); None
@@ -128,14 +112,12 @@ def problem(shape, value) -> Optional[str]:
         kinds, test, text = _RULES[shape]
         return None if type(value) in kinds and test(value) else f": must be {text}"
     if isinstance(shape, type):
-        return None  # a section: section_problems checks its object
+        return None  # a section: parse checks its object
     if not isinstance(value, list):
         return ": must be a list"
     if isinstance(shape, ListOf):
         if len(value) < shape.min_len:
             return f": must have at least {shape.min_len} entries"
-        if _fits_rows(shape.item, value):
-            return None
         shapes = repeat(shape.item)
     else:
         if len(value) != len(shape):
@@ -148,23 +130,6 @@ def problem(shape, value) -> Optional[str]:
     return None
 
 
-def _fits_rows(item, rows) -> bool:
-    """Whether every entry of the list ``rows`` fits ``item``, a tuple of
-    rule names, checked column by column: types and bounds only, no message
-    built. False for any other ``item``; the entry-by-entry walk of
-    :func:`problem` then finds the violation and words it."""
-    if not (isinstance(item, tuple) and all(isinstance(rule, str) for rule in item)):
-        return False
-    # a list subclass, which the walk accepts, is left to the walk
-    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {len(item)}):
-        return False
-    for rule, column in zip(item, zip(*rows)):
-        kinds, test, _ = _RULES[rule]
-        if not (set(map(type, column)) <= set(kinds) and all(map(test, column))):
-            return False
-    return True
-
-
 def check(obj) -> None:
     """Raise ValueError naming the first field of ``obj`` outside its shape."""
     for name, (shape, _) in _declared(type(obj)).items():
@@ -173,18 +138,22 @@ def check(obj) -> None:
             raise ValueError(f"{name}{why}")
 
 
-def section_problems(cls, data, prefix: str = "") -> list:
-    """Every violation of the JSON object ``data`` against dataclass ``cls``,
-    each naming its key under ``prefix`` (none at the top of a file):
-    unknown keys, then missing keys and values outside their shape in
-    declaration order, sections entered; then, if ``cls`` holds no
-    sections, the rules its constructor checks across its fields."""
+def parse(cls, data, prefix: str = "") -> tuple:
+    """Dataclass ``cls`` read from the JSON object ``data``, and every
+    violation of ``data`` against it, each naming its key under ``prefix``
+    (none at the top of a file): unknown keys, then missing keys and values
+    outside their shape in declaration order, sections entered. Each section
+    is parsed from its object and each omitted field takes its default;
+    ``cls`` is built once, only if nothing is wrong, and a ValueError from
+    its constructor (a rule across its fields) is a violation too. The
+    dataclass is None whenever there are violations."""
     if not isinstance(data, dict):
-        return [f"{prefix}: must be an object"]
+        return None, [f"{prefix}: must be an object"]
     at = f"{prefix}." if prefix else ""
     declared = _declared(cls)
     out = [f"{at}{key}: unknown key" for key in data if key not in declared]
     sections = _sections(cls)
+    args = {}
     for name, (shape, optional) in declared.items():
         key = at + name
         if name not in data:
@@ -195,13 +164,17 @@ def section_problems(cls, data, prefix: str = "") -> list:
         elif name in sections:
             section, many = sections[name]
             if many:
-                for i, item in enumerate(data[name]):
-                    out += section_problems(section, item, f"{key}[{i}]")
+                parsed = [parse(section, v, f"{key}[{i}]") for i, v in enumerate(data[name])]
+                args[name] = [obj for obj, _ in parsed]
+                out += [m for _, more in parsed for m in more]
             else:
-                out += section_problems(section, data[name], key)
-    if not out and not sections:
-        try:
-            cls(**data)
-        except ValueError as err:
-            out.append(f"{at}{err}")
-    return out
+                args[name], more = parse(section, data[name], key)
+                out += more
+        else:
+            args[name] = data[name]
+    if out:
+        return None, out
+    try:
+        return cls(**args), []
+    except ValueError as err:
+        return None, [f"{at}{err}"]

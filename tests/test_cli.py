@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -64,6 +65,27 @@ def test_bundled_file_is_its_scenario_written_back(name):
     text = (BUNDLED / f"{name}.json").read_text()
     scenario = Scenario.from_dict(json.loads(text))
     assert json.dumps(scenario.to_dict(), indent=2) + "\n" == text
+
+
+@pytest.mark.parametrize("name", ["s1", "s2", "s3"])
+def test_reading_a_bundled_file_builds_each_section_once(monkeypatch, name):
+    # s3 holds two agents: two Neighbor sections, each built once
+    data = json.loads((BUNDLED / f"{name}.json").read_text())
+    built, want = Counter(), Counter()
+    for f in fields(Scenario):
+        shape = f.metadata["shape"]
+        section = shape.item if isinstance(shape, ListOf) else shape
+        if not isinstance(section, type):
+            continue
+        want[section] = len(data.get(f.name, ())) if section is not shape else int(f.name in data)
+
+        def spy(self, *args, _init=section.__init__, _section=section, **kwargs):
+            built[_section] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(section, "__init__", spy)
+    Scenario.from_dict(data)
+    assert built == want
 
 
 def _declared_keys(cls, prefix=""):
@@ -549,6 +571,50 @@ def test_run_seed_override(tmp_path, scenario_file):
     assert main(["run", str(path), "--seed", "42", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 42
+
+
+def _written(tmp_path, data):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_a_grid_whose_every_triple_is_discarded_exits_one(tmp_path, capsys):
+    # from rest toward negative speeds, with no jitter to clamp them
+    data = _bundled("s1")
+    data["grid"].update(terminal_speeds=[-5.0], cycle_jitter=0.0)
+    data["initial_state"]["s_dot"] = 0.0
+    path = _written(tmp_path, data)
+    assert main(["cluster", str(path), "--out", str(tmp_path / "cluster")]) == 1
+    assert capsys.readouterr().err == (
+        "cluster generation failed: all grid triples were discarded\n"
+    )
+    assert main(["run", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "error: all grid triples were discarded\n"
+
+
+def test_a_one_candidate_grid_runs_with_no_neighbour_distances(tmp_path):
+    data = _bundled("s1")
+    data["grid"].update(terminal_speeds=[1.0], lateral_offsets=[0.0], horizons=[2.0])
+    data["sim"]["n_cycles"] = 3
+    out = tmp_path / "out"
+    assert main(["run", str(_written(tmp_path, data)), "--out", str(out)]) == 0
+    cycles = json.loads((out / "simlog.json").read_text())["cycles"]
+    assert len(cycles) == 3
+    assert all(c["n_candidates"] == 1 and c["nn_stats"] is None for c in cycles)
+    assert (out / "endpoint_nn.csv").read_text() == "cycle,count,nn_mean,nn_std,nn_min,nn_max\n"
+
+
+def test_an_initial_offset_outside_the_tube_validates_but_does_not_run(tmp_path, capsys):
+    # today's behaviour: validation does not fit the initial state to the
+    # path, so the run names the tube but not the key
+    data = _bundled("s2")
+    data["initial_state"].update(s=12.0, d=5.5)
+    path = _written(tmp_path, data)
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: initial state outside the path validity tube\n"
 
 
 def test_cluster_single_cell(tmp_path, scenario_file):

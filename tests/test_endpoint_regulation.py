@@ -233,6 +233,13 @@ def test_empty_cluster_raises():
         )
 
 
+def test_spacing_an_empty_cluster_raises():
+    empty = TrajectoryCluster(SampleRows.of([]), FrenetState(0, 0, 0, 0, 0, 0))
+    grid = SamplingGrid((1.0,), (0.0,), (2.0,), 0.05)
+    with pytest.raises(EmptyCluster, match="empty cluster"):
+        enforce_spacing(empty, RegulationConfig(), grid)
+
+
 def test_regulated_single_cell():
     path = straight_path(30.0)
     initial = FrenetState(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)

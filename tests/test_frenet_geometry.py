@@ -45,6 +45,11 @@ def test_too_few_waypoints():
         build_reference_path([(0, 0), (1, 0), (2, 0)])
 
 
+def test_non_finite_waypoint():
+    with pytest.raises(TooFewWaypoints, match="waypoints must be finite"):
+        build_reference_path([(0, 0), (1, 0), (2, float("nan")), (3, 0)])
+
+
 def test_duplicate_waypoint():
     with pytest.raises(DuplicateWaypoint):
         build_reference_path([(0, 0), (1, 0), (1, 0), (2, 0)])

@@ -294,6 +294,32 @@ def test_optimize_descends_and_preserves_boundaries():
         assert np.array_equal(out.states[-1], cand.states[-1])
 
 
+def test_descent_stops_on_the_gradient_tolerance():
+    cand = make_candidate()
+    ctx = active_context(straight_path(30.0))
+    out = optimize_trajectory(cand, ctx, cand, OptimizerConfig(grad_tol=1e9))
+    assert len(out.cost_history) == 1 and not out.optimized
+    assert np.array_equal(out.states, cand.states)
+
+
+def test_descent_stops_on_a_failed_line_search(monkeypatch):
+    # every trial point costs more than the start, so no step meets Armijo
+    evaluate = momentum_optimizer._cost_and_gradient
+    costs = []
+
+    def uphill(*args):
+        cost, grad = evaluate(*args)
+        costs.append(cost)
+        return costs[0] + 1.0 if len(costs) > 1 else cost, grad
+
+    monkeypatch.setattr(momentum_optimizer, "_cost_and_gradient", uphill)
+    cand = make_candidate()
+    out = optimize_trajectory(cand, active_context(straight_path(30.0)), cand, OptimizerConfig())
+    assert len(costs) == 1 + momentum_optimizer._MAX_BACKTRACKS
+    assert len(out.cost_history) == 1 and not out.optimized
+    assert np.array_equal(out.states, cand.states)
+
+
 def test_cluster_optimization_matches_reference_descent():
     # a mixed-horizon regulated cluster, spacing insertions included: each
     # refined candidate is the earlier lockstep descent's row, bit for bit

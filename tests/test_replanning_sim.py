@@ -85,6 +85,42 @@ def test_scenario_validation_catches_violations():
     with pytest.raises(ScenarioInvalid):
         Scenario.from_dict({"schema_version": 1})
 
+    # violations in several sections: unknown keys first, then the rest in
+    # declaration order with sections entered, then the waypoints' fit
+    def spoiled(edit):
+        bad = json.loads(json.dumps(data))
+        edit(bad)
+        return validate_scenario_dict(bad)
+
+    def unknown_key_zero_dt_narrow_gap(bad):
+        bad["colour"] = "red"
+        bad["grid"]["dt"] = 0
+        bad["regulation"]["max_gap"] = 0.01
+
+    def bad_agent_negative_mass_no_sim(bad):
+        bad["agents"][0]["position"][1] = "3"
+        bad["cost"]["mass"] = -1
+        del bad["sim"]
+
+    def coincident_waypoints_zero_speed_limit(bad):
+        bad["waypoints"][1] = list(bad["waypoints"][0])
+        bad["limits"]["v_max"] = 0
+
+    assert spoiled(unknown_key_zero_dt_narrow_gap) == [
+        "colour: unknown key",
+        "grid.dt: must be a positive number",
+        "regulation.max_gap: need max_gap > min_gap >= 0",
+    ]
+    assert spoiled(bad_agent_negative_mass_no_sim) == [
+        "agents[0].position[1]: must be a finite number",
+        "cost.mass: must be a positive number",
+        "sim: missing",
+    ]
+    assert spoiled(coincident_waypoints_zero_speed_limit) == [
+        "limits.v_max: must be a positive number",
+        "waypoints: waypoints 0 and 1 coincide (at arc length 0.0)",
+    ]
+
 
 def _fake_report(feasible):
     return FeasibilityReport(feasible=feasible, violations=frozenset(),
@@ -100,6 +136,11 @@ def test_select_candidate_rules():
     assert select_candidate(costs[:1], reports[:1]) == 0
     with pytest.raises(NoFeasibleCandidate):
         select_candidate(costs, [_fake_report(False)] * 3)
+
+
+def test_select_candidate_of_no_candidates_raises():
+    with pytest.raises(NoFeasibleCandidate, match="empty candidate list"):
+        select_candidate([], [])
 
 
 def test_zero_cycles_echoes_initial_state():
